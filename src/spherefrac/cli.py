@@ -52,6 +52,7 @@ from .limits import (
     sweep_seminorm_to_minus_inf,
 )
 from .perimeter import (
+    CAP_TOL,
     perimeter_cap,
     perimeter_circle_exact,
     perimeter_mc,
@@ -386,7 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--samples", type=int, default=1_000_000, help="MC samples per estimate")
-        p.add_argument("--tol", type=float, default=None, help="quadrature tolerance")
+        p.add_argument("--tol", type=float, default=CAP_TOL,
+                       help="relative tolerance of the cap oracle, also its reported "
+                            "relative error (default %(default)g)")
         p.add_argument("--threshold", type=float, default=None, help="verdict threshold override")
         return p
 
@@ -467,12 +470,6 @@ def _auto_method(E, requested: str) -> str:
     return "mc"
 
 
-def _oracle_tol_used(s: float, tol) -> float:
-    if tol is not None:
-        return tol
-    return 1e-6 if s > 0.9 else 1e-8
-
-
 def _run_perimeter(args, stream):
     E = parse_set(args.set_desc)
     _check_dimension(E, args.n)
@@ -481,9 +478,8 @@ def _run_perimeter(args, stream):
     if method == "cap_oracle":
         if not isinstance(E, Cap):
             raise ValueError("cap_oracle needs a cap set")
-        used = _oracle_tol_used(s, args.tol)
-        value, error = perimeter_cap(args.n, s, E.radius, tol=args.tol), None
-        error = abs(value) * used
+        value = perimeter_cap(args.n, s, E.radius, tol=args.tol)
+        error = abs(value) * args.tol
     elif method == "circle_exact":
         if not isinstance(E, ArcUnion):
             raise ValueError("circle_exact needs an arcs set")

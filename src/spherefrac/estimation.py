@@ -178,7 +178,6 @@ def adaptive_quad(
     a: float,
     b: float,
     tol: float = 1e-10,
-    grading: tuple[float, float] | None = None,
     max_depth: int = 60,
     max_intervals: int = 200000,
 ) -> float:
@@ -187,9 +186,7 @@ def adaptive_quad(
     The worst interval (largest embedded-rule error) is bisected until the
     summed error drops below tol relative to the running total.  f must
     accept node arrays.  Nodes are interior, so integrable endpoint
-    singularities are tolerated; for a known algebraic singularity pass
-    grading=(sigma, endpoint) to apply u -> endpoint -/+ u^(1/(1-sigma))
-    first, which removes a (x-endpoint)^(-sigma) factor exactly.
+    singularities are tolerated.
 
     Raises QuadratureError when the subdivision budget (depth max_depth or
     max_intervals intervals) is exhausted, reporting the worst interval.
@@ -198,20 +195,6 @@ def adaptive_quad(
         if b == a:
             return 0.0
         raise ValueError("integration bounds must satisfy a <= b")
-    if grading is not None:
-        sigma, endpoint = grading
-        if sigma >= 1.0:
-            raise ValueError("grading exponent must be < 1")
-        if endpoint not in (a, b):
-            raise ValueError("grading endpoint must be one of the integration bounds")
-        m = 1.0 / (1.0 - sigma)
-        span = (b - a) ** (1.0 - sigma)
-        if endpoint == b:
-            g = lambda u: f(b - u**m) * m * u ** (m - 1.0)
-        else:
-            g = lambda u: f(a + u**m) * m * u ** (m - 1.0)
-        return adaptive_quad(g, 0.0, span, tol=tol, grading=None, max_depth=max_depth, max_intervals=max_intervals)
-
     val, err = _gauss_pair(f, a, b)
     # heap of (-error, tiebreak, a, b, value, depth)
     heap = [(-err, 0, a, b, val, 0)]

@@ -115,18 +115,6 @@ def volume_radius(n: int, alpha: float, tol: float = 1e-12, max_iter: int = 200)
     return 0.5 * (lo + hi)
 
 
-def slice_cap_fraction(n: int, phi):
-    """Fraction of directions u on S^(n-1) whose angle to a fixed axis exceeds phi.
-
-    This is the outside fraction of a distance sphere cut by a cap:
-    1 - cap_area(n-1, phi) / sphere_surface(n-1).  Monotone from 1 at phi=0
-    to 0 at phi=pi.  Requires n >= 2; vectorized over phi.
-    """
-    if n < 2:
-        raise ValueError("slice fractions need an (n-1)-sphere of directions, n >= 2")
-    return 1.0 - cap_area(n - 1, phi) / sphere_surface(n - 1)
-
-
 def sample_uniform(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """count independent uniform points on S^n, shape (count, n+1).
 

@@ -19,16 +19,12 @@ import numpy as np
 
 from .estimation import Estimate, as_stream, incomplete_beta
 from .geometry import geodesic_distance, sample_uniform, sphere_surface, volume_radius
-from .perimeter import perimeter_cap, perimeter_circle_exact, perimeter_mc, seminorm_mc
+from .perimeter import CAP_TOL, perimeter_cap, perimeter_circle_exact, perimeter_mc, seminorm_mc
 from .sets import ArcUnion, Cap, PolyconvexUnion, symmetric_overlap_measure
 
 DEFAULT_S1_GRID = (0.9, 0.95, 0.99)
 DEFAULT_T_GRID = (20.0, 40.0, 80.0)
 DEFAULT_S0_GRID = (-0.3, -0.1, -0.03, -0.01)
-
-# cap-oracle tolerances mirrored from perimeter_cap defaults
-_ORACLE_TOL_LOW = 1e-8
-_ORACLE_TOL_HIGH = 1e-6
 
 
 @dataclass(frozen=True)
@@ -110,12 +106,6 @@ def concentration_constant(n: int, p: float) -> float:
     return sphere_surface(n - 1) * math.pi**n * math.factorial(n - 1) / p**n
 
 
-def _oracle_tol(s: float, tol) -> float:
-    if tol is not None:
-        return tol
-    return _ORACLE_TOL_HIGH if s > 0.9 else _ORACLE_TOL_LOW
-
-
 def sweep_s_to_1(
     n: int,
     E,
@@ -123,7 +113,7 @@ def sweep_s_to_1(
     method: str = "cap_oracle",
     samples: int = 1_000_000,
     rng=None,
-    tol: float | None = None,
+    tol: float = CAP_TOL,
     boundary_measure: float | None = None,
 ):
     """Rows of (1-s) P_s(E) over s_grid with the extrapolated s->1 limit.
@@ -152,9 +142,8 @@ def sweep_s_to_1(
         if method == "cap_oracle":
             if not isinstance(E, Cap):
                 raise ValueError("cap_oracle method needs a Cap set")
-            used = _oracle_tol(s, tol)
-            value = perimeter_cap(n, s, E.radius, tol=used)
-            rows.append(SweepRow(s, (1.0 - s) * value, (1.0 - s) * abs(value) * used, method))
+            value = perimeter_cap(n, s, E.radius, tol=tol)
+            rows.append(SweepRow(s, (1.0 - s) * value, (1.0 - s) * abs(value) * tol, method))
         elif method == "circle_exact":
             if n != 1 or not isinstance(E, ArcUnion):
                 raise ValueError("circle_exact method needs n=1 and an ArcUnion")
@@ -297,17 +286,16 @@ class ProfileReport:
     tail_vanishes: bool  # last row < 10% of the max
 
 
-def isoperimetric_profile(n: int, s: float, alpha_grid, tol: float | None = None):
+def isoperimetric_profile(n: int, s: float, alpha_grid, tol: float = CAP_TOL):
     """Profile rows gamma = P_s(C(a^-1(alpha)))/alpha over a measure grid."""
     total = sphere_surface(n)
     grid = [float(a) for a in alpha_grid]
     if any(not (0.0 < a < total) for a in grid) or grid != sorted(grid):
         raise ValueError(f"alpha_grid must be increasing inside (0, {total:.6g})")
-    used = _oracle_tol(s, tol)
     rows = []
     for alpha in grid:
-        gamma = perimeter_cap(n, s, volume_radius(n, alpha), tol=used) / alpha
-        rows.append(SweepRow(alpha, gamma, abs(gamma) * used, "cap_oracle"))
+        gamma = perimeter_cap(n, s, volume_radius(n, alpha), tol=tol) / alpha
+        rows.append(SweepRow(alpha, gamma, abs(gamma) * tol, "cap_oracle"))
     peak = max(row.value for row in rows)
     report = ProfileReport(peak, rows[-1].value < 0.1 * peak)
     return rows, report
@@ -368,7 +356,7 @@ def isoperimetric_comparison(
     rng=None,
     radius_range=(0.35, 0.6),
     separation: float = 0.5,
-    cap_tol: float | None = None,
+    cap_tol: float = CAP_TOL,
     max_boosts: int = 3,
 ) -> ComparisonReport:
     """Randomized isoperimetric trials: two-cap unions against matched caps.
@@ -386,7 +374,6 @@ def isoperimetric_comparison(
     if s == -float(n):
         raise ValueError("s = -n makes both sides equal; nothing to compare")
     direction = 1 if s > -float(n) else -1
-    used = _oracle_tol(s, cap_tol)
     streams = as_stream(rng).split(trials)
     out = []
     for stream in streams:
@@ -394,10 +381,10 @@ def isoperimetric_comparison(
         cap1, cap2 = random_disjoint_cap_pair(n, gen, radius_range, separation)
         union = PolyconvexUnion((cap1, cap2))
         alpha = union.exact_measure()
-        cap_value = perimeter_cap(n, s, volume_radius(n, alpha), tol=used)
+        cap_value = perimeter_cap(n, s, volume_radius(n, alpha), tol=cap_tol)
 
         def margin_of(e: Estimate) -> float:
-            combined = math.hypot(e.std_error, abs(cap_value) * used)
+            combined = math.hypot(e.std_error, abs(cap_value) * cap_tol)
             return direction * (e.value - cap_value) / combined if combined > 0 else math.inf
 
         est = perimeter_mc(union, s, samples, stream)

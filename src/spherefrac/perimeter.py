@@ -13,15 +13,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import betainc
 
-from .estimation import (
-    Estimate,
-    RadialProposal,
-    adaptive_quad,
-    incomplete_beta,
-    mc_estimate,
-)
-from .geometry import sample_at_distance, sample_uniform, slice_cap_fraction, sphere_surface
+from .estimation import Estimate, RadialProposal, adaptive_quad, mc_estimate
+from .geometry import cap_area, sample_at_distance, sample_uniform, sphere_surface
 from .sets import ArcUnion, TWO_PI
 
 _THETA_MIN_FLOOR = 1e-14
@@ -170,105 +165,101 @@ def seminorm_mc(
 
 
 # ---------------------------------------------------------------------------
-# cap quadrature oracle
+# cap oracle
 
 
-def perimeter_cap(n: int, s: float, r: float, tol: float | None = None) -> float:
-    """Deterministic s-perimeter of a radius-r cap on S^n by nested quadrature.
+# Relative tolerance of the cap oracle, and the relative error it reports.
+CAP_TOL = 1e-8
 
-    Rotational symmetry reduces the double integral to the boundary offset
-    x = r - t of a cap point at colatitude t and the distance theta to the
-    outside point:
+# 48-point Gauss-Legendre rule on [0, 1] for the crescent's radial integral
+_CRESCENT_V, _CRESCENT_W = np.polynomial.legendre.leggauss(48)
+_CRESCENT_V = 0.5 * (_CRESCENT_V + 1.0)
+_CRESCENT_W = 0.5 * _CRESCENT_W
 
-        P_s = omega_n int_0^r sin^(n-1)(r - x) * I(x) dx,
-        I(x) = omega_n [ int_x^(min(pi, 2r-x)) theta^-(n+s) sin^(n-1)(theta)
-                         * slice_cap_fraction(n, phi*(x, theta)) d theta
-                       + int_(min(pi, 2r-x))^pi theta^-(n+s) sin^(n-1)(theta) d theta ],
 
-    with cos(phi*) = (cos r - cos t cos theta)/(sin t sin theta) clamped to
-    [-1, 1].  Below theta = x the distance sphere stays inside the cap
-    (fraction 0); above 2r - x it lies fully outside (fraction 1, the tail
-    term).  phi* is evaluated through the product identity
-    cos r - cos t cos theta = 2 cos t sin((theta+x)/2) sin((theta-x)/2)
-    - sin t sin x, which stays accurate when x is many orders of magnitude
-    below r; the singular theta-range is integrated in log scale.
+def _cap_crescent(n: int, r: float, theta):
+    """Measure K(theta) of the part of a radius-r cap outside a copy of it
+    whose center is moved a distance theta; needs n >= 2 and r <= pi/2.
 
-    For s > 0 the inner integral blows up like A x^-s at the boundary with
-    the flat-limit constant A = omega_(n-1) B((s+1)/2, (n-1)/2) / (2s), so
-    the outer integral is graded at x = 0 with exponent s and the stretch
-    x < 1e-120 (which still carries x^(1-s) mass for s near 1, yet sits
-    beyond float resolution of the integrand) is integrated against the
-    asymptote in closed form.
+    The great sphere bisecting the two centers splits the cap into a near
+    and a far side, and K = |near side| - |far side|, because the copy's
+    part on the near side mirrors the cap's far side.  In polar coordinates
+    (rho, u) about the cap's center, the geodesic sphere of radius rho lies
+    wholly on the near side while rho <= h = min(theta/2, r).  A larger one
+    has direction u on the far side when cos(angle(u, axis)) > tau =
+    tan h / tan rho, so its net share of directions is P(|cos| < tau) =
+    I_(tau^2)(1/2, (n-1)/2), the regularized incomplete beta:
 
-    Default tol is 1e-8 for s <= 0.9 and 1e-6 above.  n = 1 delegates to the
-    exact circle formula.
+        K = cap_area(n, h) + omega_n int_h^r sin^(n-1)(rho) I_(tau^2)(1/2, (n-1)/2) d rho.
+
+    Every term is positive, so small theta loses no digits (unlike
+    cap_area - lens).  The substitution rho = h + (r - h) v^6 makes the
+    (rho - h)^((n-1)/2) start of the integrand smooth and spreads the
+    nodes over its layer of width ~h, for a fixed 48-point rule in v.
+    Vectorized over theta.
+    """
+    h = np.minimum(0.5 * np.asarray(theta, dtype=float), r)[..., None]
+    span = r - h
+    rho = h + span * _CRESCENT_V**6
+    tau2 = np.minimum((np.tan(h) / np.tan(rho)) ** 2, 1.0)
+    share = np.sin(rho) ** (n - 1) * betainc(0.5, 0.5 * (n - 1), tau2)
+    lateral = (share * 6.0 * span * _CRESCENT_V**5) @ _CRESCENT_W
+    return cap_area(n, h[..., 0]) + sphere_surface(n - 1) * lateral
+
+
+def perimeter_cap(n: int, s: float, r: float, tol: float = CAP_TOL) -> float:
+    """Deterministic s-perimeter of a radius-r cap on S^n from its covariogram.
+
+    Grouping the pairs of points by their distance theta gives
+
+        P_s(C_r) = omega_n int_0^pi theta^-(n+s) sin^(n-1)(theta) K(theta) d theta,
+
+    with K the crescent measure of _cap_crescent.  P_s(E) = P_s(E^c) reduces
+    r to at most pi/2; K is then the constant cap_area(n, r) on [2r, pi].
+    On [0, 2r] the integrand is theta^-s R(theta) with
+    R = sinc^(n-1)(theta/pi) K(theta)/theta, which is finite at 0:
+
+        R(0) = H^(n-1)(boundary) Gamma(n/2) / (2 sqrt(pi) Gamma((n+1)/2)),
+
+    so (1-s) P_s tends to omega_n R(0) as s -> 1.  For s > 0 the head
+    R(0) (2r)^(1-s)/(1-s) is taken in closed form and the rest, whose
+    integrand vanishes like theta^(1-s) at 0, by adaptive quadrature.
+
+    tol is the relative accuracy; against 40-digit values for n in {2, 3}
+    the error stays below tol/5 for every tol from 1e-3 to 1e-12.  n = 1
+    delegates to the exact circle formula.
     """
     s = validate_s(s)
     if not (0.0 <= r <= math.pi):
         raise ValueError(f"cap radius must lie in [0, pi], got {r}")
-    if n == 1:
-        if r <= 0.0 or r >= math.pi:
-            return 0.0
-        return perimeter_circle_exact(ArcUnion([(-r, 2.0 * r)]), s)
-    if tol is None:
-        tol = 1e-8 if s <= 0.9 else 1e-6
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
     if r <= 0.0 or r >= math.pi:
         return 0.0
+    if n == 1:
+        return perimeter_circle_exact(ArcUnion([(-r, 2.0 * r)]), s)
+    r = min(r, math.pi - r)
     omega_n = sphere_surface(n - 1)
-    inner_tol = 0.2 * tol
 
-    def radial_factor(theta):
-        # theta^-(n+s) sin^(n-1) collapsed so magnitudes stay representable
-        return theta ** (-1.0 - s) * np.sinc(theta / math.pi) ** (n - 1)
+    def reduced(theta):
+        return np.sinc(theta / math.pi) ** (n - 1) * _cap_crescent(n, r, theta) / theta
 
-    def inner(x: float) -> float:
-        t = r - x
-        hi = min(math.pi, r + t)
-        cos_t, sin_t = math.cos(t), math.sin(t)
-        sin_x = math.sin(x)
-
-        def fraction(theta):
-            num = (
-                2.0 * cos_t * np.sin(0.5 * (theta + x)) * np.sin(0.5 * (theta - x))
-                - sin_t * sin_x
-            )
-            cos_phi = np.clip(num / (sin_t * np.sin(theta)), -1.0, 1.0)
-            return slice_cap_fraction(n, np.arccos(cos_phi))
-
-        if s > 0.0:
-            # log substitution theta = x e^w; the kernel mass piles up at
-            # theta = x, hundreds of binary decades below hi when x is small
-            def h_log(w):
-                theta = x * np.exp(w)
-                return np.exp(-s * w) * np.sinc(theta / math.pi) ** (n - 1) * fraction(theta)
-
-            val = x**-s * adaptive_quad(h_log, 0.0, math.log(hi / x), tol=inner_tol)
-        else:
-
-            def h(theta):
-                return radial_factor(theta) * fraction(theta)
-
-            val = adaptive_quad(h, x, hi, tol=inner_tol)
-        if hi < math.pi:
-            val += adaptive_quad(radial_factor, hi, math.pi, tol=inner_tol)
-        return omega_n * val
-
-    def outer(xs):
-        return np.array(
-            [math.sin(r - x) ** (n - 1) * inner(float(x)) for x in np.atleast_1d(xs)]
+    if s > 0.0:
+        r0 = (
+            omega_n * math.sin(r) ** (n - 1) * math.gamma(0.5 * n)
+            / (2.0 * math.sqrt(math.pi) * math.gamma(0.5 * (n + 1)))
         )
-
-    if s <= 0.0:
-        return omega_n * adaptive_quad(outer, 0.0, r, tol=0.5 * tol)
-    x_min = 1e-120
-    flat_a = (
-        sphere_surface(n - 2)
-        * incomplete_beta(1.0, 0.5 * (s + 1.0), 0.5 * (n - 1.0))
-        / (2.0 * s)
-    )
-    bulk = adaptive_quad(outer, x_min, r, tol=0.5 * tol, grading=(s, x_min))
-    edge = math.sin(r) ** (n - 1) * flat_a * x_min ** (1.0 - s) / (1.0 - s)
-    return omega_n * (bulk + edge)
+        near = r0 * (2.0 * r) ** (1.0 - s) / (1.0 - s) + adaptive_quad(
+            lambda t: t**-s * (reduced(t) - r0), 0.0, 2.0 * r, tol=tol
+        )
+    else:
+        near = adaptive_quad(lambda t: t**-s * reduced(t), 0.0, 2.0 * r, tol=tol)
+    far = 0.0
+    if 2.0 * r < math.pi:
+        far = cap_area(n, r) * adaptive_quad(
+            lambda t: t ** (-n - s) * np.sin(t) ** (n - 1), 2.0 * r, math.pi, tol=tol
+        )
+    return omega_n * (near + far)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from spherefrac import (
     normalized_distance,
     sample_at_distance,
     sample_uniform,
-    slice_cap_fraction,
     sphere_surface,
     unit_vector,
     volume_radius,
@@ -76,18 +75,6 @@ def test_unit_vector_normalizes():
     v = unit_vector((3.0, 0.0, 4.0))
     assert np.allclose(v, (0.6, 0.0, 0.8))
     assert np.linalg.norm(unit_vector((1e-3, -2e-3, 5e-3))) == pytest.approx(1.0, rel=1e-14)
-
-
-def test_slice_cap_fraction_range_and_circle_case():
-    phi = np.linspace(0.0, math.pi, 101)
-    for n in (2, 3, 5):
-        frac = slice_cap_fraction(n, phi)
-        assert frac[0] == pytest.approx(1.0, rel=1e-12)
-        assert abs(frac[-1]) < 1e-12
-        assert np.all(np.diff(frac) <= 1e-14)
-    # on S^2 the direction sphere is a circle, so the outside fraction is
-    # the plain angle ratio
-    assert np.allclose(slice_cap_fraction(2, phi), 1.0 - phi / math.pi, atol=1e-12)
 
 
 def test_sample_uniform_moments():

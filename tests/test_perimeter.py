@@ -23,7 +23,9 @@ from spherefrac import (
     validate_s,
 )
 
-from oracles import circle_perimeter_midpoint
+from spherefrac.perimeter import CAP_TOL, _cap_crescent
+
+from oracles import CAP_PERIMETERS, CAP_RADII, circle_perimeter_midpoint
 
 Z = (0.0, 0.0, 1.0)
 INF = math.inf
@@ -135,6 +137,8 @@ def test_perimeter_cap_validation_and_degenerate_radii():
         perimeter_cap(2, -1.0, -0.1)
     with pytest.raises(ValueError):
         perimeter_cap(2, -1.0, 3.5)
+    with pytest.raises(ValueError):
+        perimeter_cap(2, -1.0, 1.0, tol=0.0)  # would exhaust the quadrature budget
     assert perimeter_cap(2, -1.0, 0.0) == 0.0
     assert perimeter_cap(2, -1.0, math.pi) == 0.0
 
@@ -145,7 +149,7 @@ def test_perimeter_cap_n1_delegates_to_circle_formula():
     assert perimeter_cap(1, -0.7, r) == expected
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_perimeter_cap_pivot_identity(n):
     gen = np.random.default_rng(6)
     omega = sphere_surface(n)
@@ -154,6 +158,33 @@ def test_perimeter_cap_pivot_identity(n):
         assert perimeter_cap(n, -float(n), float(r)) == pytest.approx(
             a * (omega - a), rel=1e-8
         )
+
+
+@pytest.mark.parametrize("n,s", sorted(CAP_PERIMETERS))
+def test_perimeter_cap_error_bar_is_honest(n, s):
+    # the reported error |value| * tol must cover the distance to values
+    # pinned at 40 digits, all the way to s -> 1
+    for r, pinned in zip(CAP_RADII, CAP_PERIMETERS[(n, s)]):
+        value = perimeter_cap(n, s, r)
+        assert abs(value - pinned) <= abs(value) * CAP_TOL, (r, value, pinned)
+
+
+def test_cap_crescent_matches_closed_forms_on_s2_and_s3():
+    for r in (0.2, 1.0, math.pi / 2):
+        theta = np.concatenate((np.logspace(-12, -1, 12), np.linspace(0.1, 2.0 * r, 40)))
+        h = 0.5 * theta
+        # n = 2: full cap minus the lens of two radius-r caps theta apart
+        tau = 2.0 * np.arcsin(np.minimum(np.sin(h) / math.sin(r), 1.0))
+        lens_free = 2.0 * tau - 4.0 * math.cos(r) * np.arcsin(
+            np.minimum(np.tan(h) / math.tan(r), 1.0)
+        )
+        assert np.allclose(_cap_crescent(2, r, theta), lens_free, rtol=1e-12, atol=0.0)
+        s3 = 4.0 * math.pi * (
+            (h / 2.0 - np.sin(2.0 * h) / 4.0) + np.tan(h) * (math.sin(r) ** 2 - np.sin(h) ** 2) / 2.0
+        )
+        assert np.allclose(_cap_crescent(3, r, theta), s3, rtol=1e-12, atol=0.0)
+        # past 2r the copy is disjoint and the crescent is the whole cap
+        assert _cap_crescent(3, r, 2.0 * r + 0.1) == pytest.approx(cap_area(3, r), rel=1e-14)
 
 
 def test_perimeter_cap_complement_symmetry():
