@@ -10,7 +10,6 @@ coordinate axis last.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import beta as _beta_fn, betainc as _betainc
@@ -153,33 +152,6 @@ def sample_at_distance(x: np.ndarray, theta, rng: np.random.Generator) -> np.nda
     th = np.broadcast_to(np.asarray(theta, dtype=float), x.shape[:-1])[..., None]
     y = np.cos(th) * x + np.sin(th) * u
     return y / np.linalg.norm(y, axis=-1, keepdims=True)
-
-
-@dataclass(frozen=True)
-class GreatCircle:
-    """Oriented great circle phi -> cos(phi) e + sin(phi) f on S^n.
-
-    e and f must be orthonormal (checked to 1e-12).  The pair spans the
-    2-plane L through the origin; the trace S^n intersect L is this circle.
-    """
-
-    e: np.ndarray
-    f: np.ndarray
-
-    def __post_init__(self):
-        e = unit_vector(self.e)
-        f = np.asarray(self.f, dtype=float)
-        if f.shape != e.shape:
-            raise ValueError("e and f must have the same dimension")
-        if abs(float(np.linalg.norm(f)) - 1.0) > 1e-12 or abs(float(e @ f)) > 1e-12:
-            raise ValueError("e, f must be orthonormal to 1e-12")
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "f", f)
-
-    def point(self, phi):
-        """Circle point(s) at parameter phi; phi may be an array."""
-        phi = np.asarray(phi, dtype=float)
-        return np.cos(phi)[..., None] * self.e + np.sin(phi)[..., None] * self.f
 
 
 def circle_distance(phi, psi):

@@ -11,6 +11,12 @@ where grad2(x, y) = sqrt(1 - (x.y)^2) and c_n = omega_(n+1) omega_n /
 (omega_1 omega_2).  The Haar average over the Grassmannian of 2-planes is
 normalized to total mass 1.  Crofton: the mean crossing count of the
 boundary of E equals (2/omega_n) H^(n-1)(boundary E).
+
+A circle is a frame (e, f) of sample_plane_batch, parametrized as
+phi -> cos(phi) e + sin(phi) f.  Crossings come from sets.trace: open arcs
+(start, start + length), length 0 for an empty slot and 2 pi for the full
+circle, with circles tangent to the boundary or through a polytope corner
+(margin 1e-9) flagged as degenerate.
 """
 
 from __future__ import annotations
@@ -21,19 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import Estimate, as_stream, mc_estimate
-from .geometry import GreatCircle, sample_uniform, sphere_surface
-from .sets import Cap, DegenerateCircleError, Polytope, PolyconvexUnion, crossing_count
+from .geometry import sample_uniform, sphere_surface
+from .sets import TWO_PI, DegenerateCircleError, trace
 
 
 def bp_constant(n: int) -> float:
     """c_n = omega_(n+1) omega_n / (omega_1 omega_2); c_2 = 2 pi."""
     return sphere_surface(n) * sphere_surface(n - 1) / (sphere_surface(0) * sphere_surface(1))
-
-
-def sample_plane(n: int, rng) -> GreatCircle:
-    """One Haar-distributed 2-plane through the origin of R^(n+1), as a circle."""
-    es, fs = sample_plane_batch(n, 1, as_stream(rng).generator)
-    return GreatCircle(es[0], fs[0])
 
 
 def sample_plane_batch(n: int, count: int, gen: np.random.Generator):
@@ -130,74 +130,24 @@ class CroftonReport:
         return abs(self.crossings.value - self.target) / self.crossings.std_error
 
 
-def _cap_crossings(E: Cap, es, fs):
-    amp = np.hypot(es @ E.center, fs @ E.center)
-    cos_r = math.cos(E.radius)
-    degenerate = np.abs(amp - abs(cos_r)) < 1e-9
-    return 2.0 * (amp > abs(cos_r)), degenerate
-
-
-def _polytope_crossings(E: Polytope, es, fs):
-    # zeros of phi -> point(phi).u_j sit at atan2(f.u, e.u) +- pi/2
-    a = es @ E.normals.T  # (m, k)
-    b = fs @ E.normals.T
-    amp = np.hypot(a, b)
-    base = np.arctan2(b, a)
-    m, k = a.shape
-    counts = np.zeros(m)
-    degenerate = np.zeros(m, dtype=bool)
-    for j in range(k):
-        for offset in (0.5 * math.pi, -0.5 * math.pi):
-            phi = base[:, j] + offset
-            pts = np.cos(phi)[:, None] * es + np.sin(phi)[:, None] * fs
-            vals = pts @ E.normals.T  # includes constraint j, which is ~0 here
-            others = np.delete(np.arange(k), j)
-            if others.size:
-                sub = vals[:, others]
-                degenerate |= np.any(np.abs(sub) < 1e-9, axis=1)
-                good = np.all(sub < 0.0, axis=1)
-            else:
-                good = np.ones(m, dtype=bool)
-            counts += np.where(amp[:, j] > 1e-12, good.astype(float), 0.0)
-    return counts, degenerate
-
-
-def _batch_crossings(E, es, fs):
-    if isinstance(E, Cap):
-        return _cap_crossings(E, es, fs)
-    if isinstance(E, Polytope):
-        return _polytope_crossings(E, es, fs)
-    if isinstance(E, PolyconvexUnion):
-        counts = np.zeros(es.shape[0])
-        degenerate = np.zeros(es.shape[0], dtype=bool)
-        for part in E.parts:
-            c, d = _batch_crossings(part, es, fs)
-            counts += c
-            degenerate |= d
-        return counts, degenerate
-    # generic fallback, one circle at a time
-    counts = np.empty(es.shape[0])
-    degenerate = np.zeros(es.shape[0], dtype=bool)
-    for i in range(es.shape[0]):
-        try:
-            counts[i] = crossing_count(E, GreatCircle(es[i], fs[i]))
-        except DegenerateCircleError:
-            counts[i] = 0.0
-            degenerate[i] = True
-    return counts, degenerate
+def _crossings(E, es, fs):
+    _, length, degenerate = trace(E, es, fs)
+    return 2.0 * np.count_nonzero((length > 0.0) & (length < TWO_PI), axis=1), degenerate
 
 
 def crofton_estimate(E, planes: int = 100_000, rng=None, max_resample_rounds: int = 100) -> CroftonReport:
     """Mean boundary crossing count over Haar circles, with its Crofton target.
 
-    Degenerate circles (tangencies) are resampled in place and counted;
-    the target (2/omega_n) H^(n-1)(boundary E) is attached when the set
-    knows its boundary measure.
+    A circle crosses the boundary twice per arc of its trace (sets.trace)
+    that is neither empty nor the full circle.  Degenerate circles
+    (tangencies and corner passes, margin 1e-9) are resampled in place and
+    counted; the target (2/omega_n) H^(n-1)(boundary E) is attached when
+    the set knows its boundary measure.
     """
     n = E.dimension
     gen = as_stream(rng).generator
     es, fs = sample_plane_batch(n, planes, gen)
-    counts, bad = _batch_crossings(E, es, fs)
+    counts, bad = _crossings(E, es, fs)
     resamples = 0
     rounds = 0
     while np.any(bad):
@@ -208,43 +158,10 @@ def crofton_estimate(E, planes: int = 100_000, rng=None, max_resample_rounds: in
             )
         resamples += int(bad.sum())
         es_new, fs_new = sample_plane_batch(n, int(bad.sum()), gen)
-        c_new, bad_new = _batch_crossings(E, es_new, fs_new)
+        c_new, bad_new = _crossings(E, es_new, fs_new)
         idx = np.flatnonzero(bad)
         counts[idx] = c_new
-        es[idx], fs[idx] = es_new, fs_new
         bad[idx] = bad_new
     bm = E.boundary_measure()
     target = None if bm is None else 2.0 * bm / sphere_surface(n - 1)
     return CroftonReport(Estimate.from_values(counts), target, resamples)
-
-
-def polytope_boundary_measure(E: Polytope, resolution: float = 1e-3) -> float:
-    """Dense-sampling oracle for the boundary length of a polytope on S^2.
-
-    Each face lies on the great circle orthogonal to its normal; walking
-    that circle at the given angular resolution and counting the points
-    satisfying the remaining halfspace constraints approximates the face's
-    arc length to O(resolution).  Independent of the trace and crossing
-    machinery, so it can serve as their cross-check.
-    """
-    if E.dimension != 2:
-        raise ValueError("the dense boundary oracle is implemented for S^2 only")
-    total = 0.0
-    k = E.normals.shape[0]
-    steps = int(math.ceil(2.0 * math.pi / resolution))
-    phis = (np.arange(steps) + 0.5) * (2.0 * math.pi / steps)
-    for j in range(k):
-        u = E.normals[j]
-        # orthonormal basis of the face plane
-        seed = np.array([1.0, 0.0, 0.0]) if abs(u[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-        e = seed - (seed @ u) * u
-        e /= np.linalg.norm(e)
-        f = np.cross(u, e)
-        pts = np.cos(phis)[:, None] * e + np.sin(phis)[:, None] * f
-        others = np.delete(np.arange(k), j)
-        if others.size:
-            ok = np.all(pts @ E.normals[others].T <= 0.0, axis=1)
-        else:
-            ok = np.ones(steps, dtype=bool)
-        total += (2.0 * math.pi / steps) * float(ok.sum())
-    return total

@@ -291,9 +291,10 @@ def perimeter_circle_exact(E: ArcUnion, s: float) -> float:
     """Exact s-perimeter of an arc union on S^1.
 
     Summed in closed form over (arc, complement-gap) pairs: with the gap
-    shifted to a representative [alpha, beta] ahead of the arc [a, b], the
-    pair contributes G(beta-a) - G(beta-b) - G(alpha-a) + G(alpha-b) with G
-    the matched second antiderivative of the intrinsic-distance kernel.
+    shifted by whole turns to a representative [alpha, beta] ahead of the
+    arc [a, b], the pair contributes
+    G(beta-a) - G(beta-b) - G(alpha-a) + G(alpha-b) with G the matched
+    second antiderivative of the intrinsic-distance kernel.
     Empty and full unions have zero perimeter.  s = 0 is rejected.
     """
     s = _check_exponent(s)
@@ -301,13 +302,28 @@ def perimeter_circle_exact(E: ArcUnion, s: float) -> float:
         raise TypeError("perimeter_circle_exact expects an ArcUnion")
     if E.is_empty() or E.is_full():
         return 0.0
+    starts = [a for a, _ in E.arcs]
+    ends = [a + la for a, la in E.arcs]
+    k = len(starts)
     total = 0.0
-    for a, la in E.arcs:
-        b = a + la
-        for g, lg in E.gaps().arcs:
-            alpha = b + ((g - b) % TWO_PI)
-            beta = alpha + lg
-            args = np.array([beta - a, beta - b, alpha - a, alpha - b])
+    for i in range(k):
+        for j in range(k):
+            # gap j runs from ends[j] to starts[nxt], a turn later for the
+            # last gap, and is moved a turn ahead when it lies behind arc i.
+            # Every offset is a difference of these shared endpoint values
+            # plus whole turns, so it is exactly 0 or 2 pi where the gap
+            # meets arc i: G is far from 0 at a roundoff-sized argument.
+            nxt = (j + 1) % k
+            wrap = TWO_PI if nxt == 0 else 0.0
+            if starts[nxt] + wrap - ends[j] <= 1e-12:
+                continue
+            ahead = TWO_PI if j < i else 0.0
+            args = np.array([
+                (starts[nxt] - starts[i]) + (ahead + wrap),
+                (starts[nxt] - ends[i]) + (ahead + wrap),
+                (ends[j] - starts[i]) + ahead,
+                (ends[j] - ends[i]) + ahead,
+            ])
             ga, gb, gc, gd = _circle_G(np.clip(args, 0.0, TWO_PI), s)
             total += float(ga - gb - gc + gd)
     return total

@@ -5,6 +5,13 @@ Membership tests are vectorized: `points` arguments are arrays of shape
 distances are lower bounds on the true distance to the topological boundary,
 which is exactly what the positive-s estimators need (they may only skip a
 shell that is certain to stay on one side).
+
+`trace` is the one great-circle primitive: for a batch of frames (e, f) it
+returns the exact parameter arcs of phi -> cos(phi) e + sin(phi) f inside a
+set, as open arcs (start, start + length) with start reduced mod 2 pi,
+length 0 for an empty slot and 2 pi for the full circle, together with a
+mask of the circles that are tangent to the boundary or pass through a
+polytope corner to within DEGENERACY_MARGIN = 1e-9.
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ import numpy as np
 
 from .estimation import Estimate, as_stream
 from .geometry import (
-    GreatCircle,
     cap_area,
     circle_distance,
     geodesic_distance,
@@ -98,7 +104,24 @@ class Polytope:
         return np.min(np.abs(0.5 * math.pi - angles), axis=-1)
 
     def boundary_measure(self):
-        return None
+        """Boundary length on S^2: each face's arc is the trace of the other
+        faces on that face's great circle.  None for n != 2, and when a face
+        circle is degenerate for the other faces (three faces through one
+        vertex, or two faces on one great circle)."""
+        if self.dimension != 2:
+            return None
+        k = self.normals.shape[0]
+        if k == 1:
+            return TWO_PI
+        total = 0.0
+        for j in range(k):
+            e, f = np.linalg.svd(self.normals[j : j + 1])[2][1:]
+            others = Polytope(np.delete(self.normals, j, axis=0))
+            _, length, degenerate = trace(others, e[None], f[None])
+            if degenerate[0]:
+                return None
+            total += float(length[0, 0])
+        return total
 
     def exact_measure(self):
         return None
@@ -380,115 +403,131 @@ def symmetric_overlap_measure(E, samples: int = 100000, rng=None) -> Estimate:
 # ---------------------------------------------------------------------------
 # traces on great circles
 
-
-def _cap_trace_params(E: Cap, circle: GreatCircle):
-    a = float(circle.e @ E.center)
-    b = float(circle.f @ E.center)
-    amplitude = math.hypot(a, b)
-    c = math.cos(E.radius)
-    return amplitude, c, math.atan2(b, a)
+DEGENERACY_MARGIN = 1e-9
 
 
-def circle_trace(E, circle: GreatCircle, grid: int = 4096) -> ArcUnion:
-    """Parameter arcs of {phi : circle.point(phi) in E}.
+def trace(E, es, fs):
+    """Exact arcs of {phi : cos(phi) e + sin(phi) f in E} on a batch of circles.
 
-    Caps are solved in closed form (the pullback of membership is
-    A cos(phi - phi0) > cos r).  Polytopes and unions are located with a
-    `grid`-point membership probe whose sign changes are refined by
-    bisection to 1e-12; the grid only orders the finitely many arcs, the
-    endpoints come from the bisection.
+    es and fs are orthonormal frames of shape (m, n+1), as
+    integral_geometry.sample_plane_batch returns them.  The result is
+    (start, length, degenerate): start and length have shape (m, K), where
+    K is fixed by the set (1 for a cap or a polytope, the sum over parts for
+    a union, the arc count for an arc union, the inner K but at least 1 for
+    a complement, the inner K for a reflection).
+    Slot k of row i is the open parameter arc (start, start + length) with
+    start reduced mod 2 pi; an empty slot has length 0 and the full circle
+    has length 2 pi, so a row crosses the boundary 2 * #{0 < length < 2 pi}
+    times.  degenerate, shape (m,), flags circles tangent to the boundary or
+    through a polytope corner, to the margin 1e-9; their arcs are not
+    reliable.
 
-    Raises DegenerateCircleError for tangencies (|A - |cos r|| < 1e-9, or a
-    vanishing parameter derivative at a polytope crossing).
+    Caps are solved in closed form (membership pulls back to
+    A cos(phi - phi0) > cos r).  A polytope's arc runs between the zeros
+    atan2(f.u, e.u) +- pi/2 of its faces that satisfy every other face.
+    A complement's arcs are the gaps of the inner trace; a reflection's are
+    the inner arcs shifted by pi, as point(phi + pi) = -point(phi).  On S^1
+    (arc unions) the circle is the whole sphere, so the arcs are the set's
+    own, in the frame's parameter.
     """
+    es = np.asarray(es, dtype=float)
+    fs = np.asarray(fs, dtype=float)
     if isinstance(E, Cap):
-        amplitude, c, phi0 = _cap_trace_params(E, circle)
-        if abs(amplitude - abs(c)) < 1e-9:
-            raise DegenerateCircleError("circle tangent to cap boundary")
-        if amplitude < abs(c):
-            return ArcUnion([(0.0, TWO_PI)]) if c < 0.0 else ArcUnion([])
-        delta = math.acos(c / amplitude)
-        return ArcUnion([((phi0 - delta) % TWO_PI, 2.0 * delta)])
-    if isinstance(E, (Polytope, PolyconvexUnion)):
-        phis = np.arange(grid) * (TWO_PI / grid)
-        inside = E.contains(circle.point(phis))
-        if bool(np.all(inside)):
-            return ArcUnion([(0.0, TWO_PI)])
-        if not bool(np.any(inside)):
-            return ArcUnion([])
-        flips = np.flatnonzero(inside != np.roll(inside, -1))
-        crossings = []
-        for i in flips:
-            lo, hi = phis[i], phis[i] + TWO_PI / grid
-            lo_in = bool(inside[i])
-            for _ in range(48):
-                mid = 0.5 * (lo + hi)
-                if bool(E.contains(circle.point(mid))) == lo_in:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo < 1e-12:
-                    break
-            crossings.append((0.5 * (lo + hi), lo_in))
-            _check_transversal(E, circle, 0.5 * (lo + hi))
-        arcs = []
-        # pair each entry (False -> True) with the following exit
-        entries = [phi for phi, lo_in in crossings if not lo_in]
-        exits = [phi for phi, lo_in in crossings if lo_in]
-        if len(entries) != len(exits):
-            raise DegenerateCircleError("unbalanced trace transitions")
-        for start in entries:
-            following = [e for e in exits if e > start] or [exits[0] + TWO_PI]
-            arcs.append((start % TWO_PI, (min(following) - start) % TWO_PI or TWO_PI))
-        return ArcUnion(arcs)
-    raise TypeError(f"circle_trace supports Cap, Polytope and PolyconvexUnion, got {type(E).__name__}")
-
-
-def _check_transversal(E, circle: GreatCircle, phi: float, tol: float = 1e-9):
-    """Flag crossings where the active constraint has a vanishing phi-derivative."""
-    polys = [E] if isinstance(E, Polytope) else [p for p in getattr(E, "parts", []) if isinstance(p, Polytope)]
-    point = circle.point(phi)
-    velocity = -math.sin(phi) * circle.e + math.cos(phi) * circle.f
-    for poly in polys:
-        vals = poly.normals @ point
-        active = np.abs(vals) < 1e-7
-        if np.any(active) and np.any(np.abs(poly.normals[active] @ velocity) < tol):
-            raise DegenerateCircleError("circle tangent to a polytope face")
-
-
-def crossing_count(E, circle: GreatCircle) -> int:
-    """Number of boundary crossings of the circle through the boundary of E.
-
-    Caps use the closed-form rule (2 when the circle's amplitude toward the
-    center exceeds |cos r|, else 0).  Polytopes count the per-face zeros of
-    phi -> point(phi) . u that satisfy the remaining constraints, which is
-    exactly twice the number of maximal trace arcs.  Disjoint unions sum
-    their parts.  Raises DegenerateCircleError for tangencies and corner
-    grazes (margin 1e-9).
-    """
-    if isinstance(E, Cap):
-        amplitude, c, _ = _cap_trace_params(E, circle)
-        if abs(amplitude - abs(c)) < 1e-9:
-            raise DegenerateCircleError("circle tangent to cap boundary")
-        return 2 if amplitude > abs(c) else 0
+        return _cap_trace(E, es, fs)
     if isinstance(E, Polytope):
-        a = circle.e @ E.normals.T
-        b = circle.f @ E.normals.T
-        amp = np.hypot(a, b)
-        count = 0
-        for j in range(E.normals.shape[0]):
-            if amp[j] < 1e-12:
-                continue  # circle lies inside this face plane; no transversal zeros
-            base = math.atan2(b[j], a[j])
-            for phi in (base + 0.5 * math.pi, base - 0.5 * math.pi):
-                point = circle.point(phi)
-                others = np.delete(np.arange(E.normals.shape[0]), j)
-                vals = E.normals[others] @ point
-                if np.any(np.abs(vals) < 1e-9):
-                    raise DegenerateCircleError("circle passes through a polytope corner")
-                if np.all(vals < 0.0):
-                    count += 1
-        return count
+        return _polytope_trace(E, es, fs)
     if isinstance(E, PolyconvexUnion):
-        return sum(crossing_count(p, circle) for p in E.parts)
-    raise TypeError(f"crossing_count supports Cap, Polytope and PolyconvexUnion, got {type(E).__name__}")
+        parts = [trace(p, es, fs) for p in E.parts]
+        start = np.concatenate([p[0] for p in parts], axis=1)
+        length = np.concatenate([p[1] for p in parts], axis=1)
+        return start, length, np.logical_or.reduce([p[2] for p in parts])
+    if isinstance(E, Complement):
+        start, length, degenerate = trace(E.inner, es, fs)
+        return (*_gaps(start, length), degenerate)
+    if isinstance(E, Reflection):
+        start, length, degenerate = trace(E.inner, es, fs)
+        return (start + math.pi) % TWO_PI, length, degenerate
+    if isinstance(E, ArcUnion):
+        return _arc_union_trace(E, es, fs)
+    raise TypeError(f"no great-circle trace for {type(E).__name__}")
+
+
+def _cap_trace(E: Cap, es, fs):
+    a = es @ E.center
+    b = fs @ E.center
+    amp = np.hypot(a, b)
+    cos_r = math.cos(E.radius)
+    crosses = amp > abs(cos_r)
+    half = np.arccos(np.clip(cos_r / np.maximum(amp, 1e-300), -1.0, 1.0))
+    start = np.where(crosses, (np.arctan2(b, a) - half) % TWO_PI, 0.0)
+    length = np.where(crosses, 2.0 * half, TWO_PI if cos_r < 0.0 else 0.0)
+    degenerate = np.abs(amp - abs(cos_r)) < DEGENERACY_MARGIN
+    return start[:, None], length[:, None], degenerate
+
+
+def _polytope_trace(E: Polytope, es, fs):
+    # face i pulls back to a_i cos(phi) + b_i sin(phi) <= 0, a closed half
+    # circle entered at atan2(b_i, a_i) + pi/2 and left at its - pi/2 zero;
+    # the trace, their intersection, is one arc from the entry to the exit
+    # that satisfy every other face
+    a = es @ E.normals.T  # (m, k)
+    b = fs @ E.normals.T
+    m, k = a.shape
+    degenerate = np.zeros(m, dtype=bool)
+    zeros = []
+    for offset in (0.5 * math.pi, -0.5 * math.pi):
+        at = np.zeros(m)
+        found = np.zeros(m, dtype=bool)
+        for j in range(k):
+            # a face whose plane holds the circle has no transversal zeros
+            in_plane = np.hypot(a[:, j], b[:, j]) < DEGENERACY_MARGIN
+            degenerate |= in_plane
+            phi = np.arctan2(b[:, j], a[:, j]) + offset
+            cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+            good = ~in_plane
+            for i in range(k):
+                if i != j:
+                    val = a[:, i] * cos_phi + b[:, i] * sin_phi
+                    degenerate |= np.abs(val) < DEGENERACY_MARGIN
+                    good &= val < 0.0
+            at = np.where(good, phi, at)
+            found |= good
+        zeros.append((at, found))
+    (entry, has_entry), (leave, has_exit) = zeros
+    arc = has_entry & has_exit
+    start = np.where(arc, entry % TWO_PI, 0.0)
+    length = np.where(arc, (leave - entry) % TWO_PI, 0.0)
+    return start[:, None], length[:, None], degenerate
+
+
+def _gaps(start, length):
+    """Per-row complementary arcs of disjoint (start, length) slots."""
+    m, k = start.shape
+    if k == 0:
+        return np.zeros((m, 1)), np.full((m, 1), TWO_PI)
+    nonempty = length > 0.0
+    order = np.argsort(np.where(nonempty, start, np.inf), axis=1)
+    start = np.take_along_axis(start, order, axis=1)
+    end = start + np.take_along_axis(length, order, axis=1)
+    count = nonempty.sum(axis=1)[:, None]
+    slot = np.arange(k)[None, :]
+    # gap i runs from the end of arc i to the start of arc i + 1, and the
+    # last one to the first start a turn later
+    following = np.where(slot == count - 1, start[:, :1] + TWO_PI, np.roll(start, -1, axis=1))
+    used = slot < count
+    gap_start = np.where(used, end % TWO_PI, 0.0)
+    gap_length = np.where(used, np.maximum(following - end, 0.0), 0.0)
+    gap_length[:, 0] = np.where(count[:, 0] == 0, TWO_PI, gap_length[:, 0])
+    return gap_start, gap_length
+
+
+def _arc_union_trace(E: ArcUnion, es, fs):
+    # the frame maps phi to the angle rotation + phi, or rotation - phi when
+    # it is left-handed
+    rotation = np.arctan2(es[:, 1], es[:, 0])[:, None]
+    forward = (es[:, 0] * fs[:, 1] - es[:, 1] * fs[:, 0] > 0.0)[:, None]
+    arcs = np.array(E.arcs, dtype=float).reshape(-1, 2)
+    arc_start, arc_length = arcs[:, 0], arcs[:, 1]
+    start = np.where(forward, arc_start - rotation, rotation - arc_start - arc_length) % TWO_PI
+    length = np.broadcast_to(arc_length, start.shape).copy()
+    return start, length, np.zeros(es.shape[0], dtype=bool)

@@ -1,10 +1,10 @@
 """Independent reference computations used to pin test targets.
 
 Everything here is deliberately naive and self-contained: dense midpoint
-rules, closed-form recursions, and integer pair counting that share no code
-path with the library routines they check, plus high-precision cap
-perimeters pinned from an mpmath computation (CAP_PERIMETERS, whose comment
-says how they were made).
+rules, dense walks along great circles, closed-form recursions, and integer
+pair counting that share no code path with the library routines they check,
+plus high-precision cap perimeters pinned from an mpmath computation
+(CAP_PERIMETERS, whose comment says how they were made).
 """
 
 import math
@@ -82,6 +82,35 @@ def random_grid_arcs(gen, nodes=2000, max_arcs=3):
         (float(idx[2 * i] * h), float((idx[2 * i + 1] - idx[2 * i]) * h))
         for i in range(n_arcs)
     ]
+
+
+def polytope_boundary_measure(normals, resolution=1e-3):
+    """Dense-sampling boundary length of the polytope {x : x.u_i <= 0} on S^2.
+
+    Each face lies on the great circle orthogonal to its normal; walking
+    that circle at the given angular resolution and counting the points
+    satisfying the remaining halfspace constraints approximates the face's
+    arc length to O(resolution).  Shares no code with the library's traces.
+    """
+    u = np.atleast_2d(np.asarray(normals, dtype=float))
+    if u.shape[1] != 3:
+        raise ValueError("the dense boundary oracle is implemented for S^2 only")
+    u = u / np.linalg.norm(u, axis=1)[:, None]
+    k = u.shape[0]
+    steps = int(math.ceil(TWO_PI / resolution))
+    phis = (np.arange(steps) + 0.5) * (TWO_PI / steps)
+    total = 0.0
+    for j in range(k):
+        # orthonormal basis of the face plane
+        seed = np.array([1.0, 0.0, 0.0]) if abs(u[j, 0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+        e = seed - (seed @ u[j]) * u[j]
+        e /= np.linalg.norm(e)
+        f = np.cross(u[j], e)
+        pts = np.cos(phis)[:, None] * e + np.sin(phis)[:, None] * f
+        others = np.delete(u, j, axis=0)
+        ok = np.all(pts @ others.T <= 0.0, axis=1)
+        total += (TWO_PI / steps) * float(ok.sum())
+    return total
 
 
 def incomplete_beta_riemann(t, a, b, nodes=1_000_000):

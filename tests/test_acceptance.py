@@ -30,7 +30,6 @@ from spherefrac import (
     perimeter_cap,
     perimeter_mc,
     perimeter_minus_n,
-    polytope_boundary_measure,
     s_to_zero_vanishing_check,
     sweep_s_to_1,
     sweep_s_to_minus_inf,
@@ -41,6 +40,7 @@ from spherefrac.cli import main
 from oracles import (
     circle_perimeter_midpoint,
     circle_perimeter_refined,
+    polytope_boundary_measure,
     random_grid_arcs,
 )
 
@@ -211,7 +211,7 @@ def test_criterion_08_crofton_crossing_counts():
         zs.append(report.deviation_sigmas)
     octant = Polytope(-np.eye(3))
     report = crofton_estimate(octant, planes=100_000, rng=stream)
-    target = 2.0 * polytope_boundary_measure(octant) / (2.0 * math.pi)
+    target = 2.0 * polytope_boundary_measure(octant.normals) / (2.0 * math.pi)
     zs.append(abs(report.crossings.value - target) / report.crossings.std_error)
     print("crofton: z-scores " + ", ".join(f"{z:.2f}" for z in zs))
     assert all(z < 3.0 for z in zs)

@@ -146,6 +146,24 @@ def test_json_reruns_are_byte_identical_with_pinned_epoch(tmp_path, monkeypatch)
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_crofton_traces_complements_reflections_and_arcs(tmp_path):
+    # these sets used to end in a TypeError traceback
+    def run(n, desc):
+        out = tmp_path / f"{len(list(tmp_path.iterdir()))}.json"
+        rc = main(["crofton", "--n", n, "--set", desc, "--planes", "20000",
+                   "--format", "json", "--out", str(out)])
+        assert rc in (0, 2)
+        return json.loads(out.read_text())["rows"][0]
+
+    inner = run("2", "cap:0,0,1:0.5")
+    compl = run("2", "compl:cap:0,0,1:0.5")
+    assert (compl["value"], compl["error"]) == (inner["value"], inner["error"])
+    run("2", "refl:poly:-1,0,0;0,-1,0;0,0,-1")
+    run("2", "union:cap:0,0,1:0.5+refl:cap:0,0,1:0.3")
+    arcs = run("1", "arcs:0,1;2,0.5")
+    assert (arcs["value"], arcs["error"], arcs["target"]) == (4.0, 0.0, 4.0)
+
+
 def test_seed_precedence_changes_and_reproduces_output(tmp_path, monkeypatch):
     monkeypatch.delenv("SPHEREFRAC_SEED", raising=False)
     args = ["crofton", "--n", "2", "--set", "cap:0,0,1:0.8", "--planes", "2000"]

@@ -94,6 +94,14 @@ def test_circle_exact_complement_symmetry():
         )
 
 
+@pytest.mark.parametrize("t", [5.11, 2.0 * math.pi - 1.3, 1.0, 3.7, 6.2])
+def test_circle_exact_is_rotation_invariant_near_s_1(t):
+    # an arc ending past the wrap point used to meet its own gap at a
+    # roundoff-sized offset, where G(x) = -x^(1-s)/(s(1-s)) is far from 0
+    ref = perimeter_circle_exact(ArcUnion([(0.0, 1.3)]), 0.99)
+    assert perimeter_circle_exact(ArcUnion([(t, 1.3)]), 0.99) == pytest.approx(ref, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # interval formulas on the line
 

@@ -2,29 +2,30 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from spherefrac import (
     ArcUnion,
     Cap,
     Complement,
-    DegenerateCircleError,
-    GreatCircle,
     Polytope,
     PolyconvexUnion,
     RandomStream,
     Reflection,
     cap_area,
-    crossing_count,
-    circle_trace,
     geodesic_distance,
     measure_mc,
     rearrangement,
     sample_uniform,
     sphere_surface,
     symmetric_overlap_measure,
+    trace,
     unit_vector,
     volume_radius,
 )
+from spherefrac.integral_geometry import sample_plane_batch
+
+from oracles import polytope_boundary_measure
 
 Z = (0.0, 0.0, 1.0)
 
@@ -178,48 +179,162 @@ def test_rearrangement_matches_measure():
 
 
 # ---------------------------------------------------------------------------
-# traces and crossings
+# traces on great circles
+
+EQUATOR = (np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 1.0, 0.0]]))
 
 
-def equator():
-    return GreatCircle((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+def crossings(E, es, fs):
+    _, length, _ = trace(E, es, fs)
+    return 2 * np.count_nonzero((length > 0.0) & (length < 2.0 * math.pi), axis=1)
+
+
+def circle_points(es, fs, phi):
+    return np.cos(phi)[..., None] * es[:, None, :] + np.sin(phi)[..., None] * fs[:, None, :]
 
 
 def test_circle_trace_through_cap_center():
     E = Cap((1.0, 0.0, 0.0), 0.6)
-    trace = circle_trace(E, equator())
-    assert trace.measure() == pytest.approx(1.2, abs=1e-5)
-    mids = np.array([0.0])
-    assert trace.contains_angle(mids)[0]
-    assert crossing_count(E, equator()) == 2
+    start, length, degenerate = trace(E, *EQUATOR)
+    assert start.shape == length.shape == (1, 1)
+    assert degenerate.shape == (1,) and not degenerate[0]
+    assert length[0, 0] == pytest.approx(1.2, abs=1e-12)
+    assert start[0, 0] == pytest.approx(2.0 * math.pi - 0.6, abs=1e-12)
+    assert crossings(E, *EQUATOR)[0] == 2
 
 
 def test_circle_trace_missing_the_set():
     E = Cap(Z, 0.8)  # the equator stays at distance pi/2 - never inside
-    assert circle_trace(E, equator()).is_empty()
-    assert crossing_count(E, equator()) == 0
+    _, length, degenerate = trace(E, *EQUATOR)
+    assert length[0, 0] == 0.0 and not degenerate[0]
+    assert crossings(E, *EQUATOR)[0] == 0
+    # its complement, and a cap holding the equator, take the full circle
+    assert trace(Complement(E), *EQUATOR)[1][0, 0] == 2.0 * math.pi
+    assert trace(Cap(Z, 2.5), *EQUATOR)[1][0, 0] == 2.0 * math.pi
 
 
 def test_crossing_count_polytope_vertices():
     E = octant()
-    # the equator runs along two faces' boundary circles: tangency is
-    # degenerate and must be reported, not silently counted
-    with pytest.raises(DegenerateCircleError):
-        crossing_count(E, equator())
-    tilted = GreatCircle(
-        unit_vector((1.0, 0.2, 0.1)), unit_vector(np.cross((1.0, 0.2, 0.1), (0.0, 0.0, 1.0)))
-    )
-    k = crossing_count(E, tilted)
-    assert k % 2 == 0
+    # the equator lies in one face's plane and passes through two vertices:
+    # the trace is flagged degenerate, not silently counted
+    assert trace(E, *EQUATOR)[2][0]
+    e = unit_vector((1.0, 0.2, 0.1))
+    f = unit_vector(np.cross(e, Z))
+    start, length, degenerate = trace(E, e[None], f[None])
+    assert not degenerate[0]
+    assert crossings(E, e[None], f[None])[0] == 2
+    # both endpoints lie on a face and the midpoint is inside
+    ends = circle_points(e[None], f[None], start + np.array([[0.0, 1.0]]) * length)[0]
+    assert np.all(np.min(np.abs(ends), axis=1) < 1e-12)
+    assert E.contains(circle_points(e[None], f[None], start + 0.5 * length)[0])[0]
 
 
-def test_tangent_circle_raises_degenerate():
-    with pytest.raises(DegenerateCircleError):
-        crossing_count(Cap(Z, math.pi / 2), equator())
+def test_tangent_circle_is_degenerate():
+    assert trace(Cap(Z, math.pi / 2), *EQUATOR)[2][0]
 
 
 def test_union_crossings_add():
     a = Cap((1.0, 0.0, 0.0), 0.4)
     b = Cap((-1.0, 0.0, 0.0), 0.3)
     union = PolyconvexUnion((a, b))
-    assert crossing_count(union, equator()) == 4
+    start, length, _ = trace(union, *EQUATOR)
+    assert np.allclose(length, [[0.8, 0.6]], atol=1e-12)
+    assert np.allclose(start, [[2.0 * math.pi - 0.4, math.pi - 0.3]], atol=1e-12)
+    assert crossings(union, *EQUATOR)[0] == 4
+
+
+def test_arc_union_trace_is_the_set_in_the_frame_parameter():
+    E = ArcUnion([(0.5, 1.0), (3.0, 2.0)])
+    # one right-handed and one left-handed frame
+    es = np.array([[math.cos(1.0), math.sin(1.0)], [math.cos(1.0), math.sin(1.0)]])
+    fs = np.array([[-math.sin(1.0), math.cos(1.0)], [math.sin(1.0), -math.cos(1.0)]])
+    start, length, degenerate = trace(E, es, fs)
+    assert start.shape == (2, 2) and not np.any(degenerate)
+    assert np.allclose(length, [[1.0, 2.0]] * 2, atol=1e-12)
+    for phi, inside in ((start + 0.5 * length, True), (start - 1e-6, False),
+                        (start + length + 1e-6, False)):
+        assert np.all(E.contains(circle_points(es, fs, phi)) == inside)
+    assert crossings(E, es, fs).tolist() == [4, 4]
+    # the empty arc union has no slots; its complement has one full slot
+    assert trace(ArcUnion([]), es, fs)[1].shape == (2, 0)
+    assert np.all(trace(Complement(ArcUnion([])), es, fs)[1] == 2.0 * math.pi)
+
+
+def random_trace_set(gen, kind):
+    """A random cap, polytope with an interior point, or disjoint two-cap union."""
+    if kind == "cap":
+        return Cap(sample_uniform(2, 1, gen)[0], gen.uniform(0.05, math.pi - 0.05))
+    if kind == "polytope":
+        interior = sample_uniform(2, 1, gen)[0]
+        normals = sample_uniform(2, int(gen.integers(1, 6)), gen)
+        return Polytope(-normals * np.sign(normals @ interior)[:, None])
+    c1, c2 = sample_uniform(2, 2, gen)
+    room = float(geodesic_distance(c1, c2)) - 0.05
+    if room <= 0.1:
+        c2 = -c1
+        room = math.pi - 0.05
+    r1 = gen.uniform(0.02, room - 0.04)
+    r2 = gen.uniform(0.01, room - r1)
+    return PolyconvexUnion((Cap(c1, r1), Cap(c2, r2)))
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=st.sampled_from(["cap", "polytope", "union"]),
+    wrap=st.sampled_from([None, Complement, Reflection]),
+)
+def test_trace_arcs_are_exact(seed, kind, wrap):
+    gen = np.random.default_rng(seed)
+    inner = random_trace_set(gen, kind)
+    E = inner if wrap is None else wrap(inner)
+    es, fs = sample_plane_batch(2, 64, gen)
+    start, length, degenerate = trace(E, es, fs)
+    assert start.shape == length.shape and degenerate.shape == (64,)
+    ok = ~degenerate
+    arcs = ok[:, None] & (length > 0.0)
+    proper = arcs & (length < 2.0 * math.pi)
+    # midpoints inside; points 1e-6 beyond either endpoint outside, and
+    # 1e-6 within it inside
+    assert np.all(E.contains(circle_points(es, fs, start + 0.5 * length))[arcs])
+    long_arcs = proper & (length > 1e-5)
+    probes = (
+        (start - 1e-6, proper, False),
+        (start + length + 1e-6, proper, False),
+        (start + 1e-6, long_arcs, True),
+        (start + length - 1e-6, long_arcs, True),
+    )
+    for phi, rows, inside in probes:
+        assert np.all(E.contains(circle_points(es, fs, phi))[rows] == inside)
+    inner_start, inner_length, inner_degenerate = trace(inner, es, fs)
+    assert np.array_equal(degenerate, inner_degenerate)
+    if wrap is Reflection:
+        assert np.array_equal(start, (inner_start + math.pi) % (2.0 * math.pi))
+        assert np.array_equal(length, inner_length)
+    if wrap is Complement:
+        assert np.array_equal(crossings(E, es, fs)[ok], crossings(inner, es, fs)[ok])
+
+
+def test_polytope_boundary_measure_is_exact_on_s2():
+    assert octant().boundary_measure() == pytest.approx(1.5 * math.pi, abs=1e-12)
+    assert Polytope([(0.0, 0.0, 1.0)]).boundary_measure() == 2.0 * math.pi
+    assert Polytope(-np.eye(4)).boundary_measure() is None
+    assert Polytope(-np.eye(2)).boundary_measure() is None
+    # a third face through the octant's vertex (0, 0, 1) makes two face
+    # circles degenerate there: no value rather than a wrong one
+    assert Polytope([(-1, 0, 0), (0, -1, 0), (0, 0, -1), (-1, -1, 0)]).boundary_measure() is None
+    # complements and reflections share the boundary
+    assert Complement(octant()).boundary_measure() == octant().boundary_measure()
+
+
+def test_polytope_boundary_measure_matches_dense_oracle():
+    gen = np.random.default_rng(11)
+    resolution = 1e-3
+    for _ in range(20):
+        k = int(gen.integers(2, 7))
+        interior = sample_uniform(2, 1, gen)[0]
+        normals = sample_uniform(2, k, gen)
+        normals = -normals * np.sign(normals @ interior)[:, None]
+        exact = Polytope(normals).boundary_measure()
+        # each face arc has two endpoints, each off by at most one step
+        step = 2.0 * math.pi / math.ceil(2.0 * math.pi / resolution)
+        assert abs(exact - polytope_boundary_measure(normals, resolution)) <= 2 * k * step
