@@ -13,10 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.special import beta as _beta_fn, betainc as _betainc
-
-from .geometry import sphere_surface
 
 
 class QuadratureError(RuntimeError):
@@ -222,186 +218,46 @@ def adaptive_quad(
     return total_val
 
 
-def incomplete_beta(t: float, a: float, b: float) -> float:
-    """Lower incomplete beta B_t(a, b) = int_0^t u^(a-1) (1-u)^(b-1) du.
-
-    Regularized continued-fraction evaluation times the complete beta.
-    """
-    if not (0.0 <= t <= 1.0):
-        raise ValueError("upper limit must lie in [0, 1]")
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("beta parameters must be positive")
-    return float(_betainc(a, b, t) * _beta_fn(a, b))
-
-
-def _sinc_ratio(theta):
-    """(sin theta / theta), stable at 0; theta in [0, pi]."""
-    return np.sinc(np.asarray(theta, dtype=float) / math.pi)
-
-
 class RadialProposal:
-    """Importance sampler for the radial factor of geodesic polar integrals.
+    """Exact importance sampler for the radial factor of geodesic polar integrals.
 
-    Target density on support [t0, t1] inside [0, pi] proportional to
-    sin^(n-1)(theta) * theta^exponent, or sin^(n-1)(theta) * (theta/pi)^exponent
-    when normalized=True (the two shapes coincide; the flag only fixes which
-    kernel sample_weighted folds in).
+    Target on [0, pi]: sin^(n-1)(theta) * kernel(theta), with kernel
+    theta^exponent, or (theta/pi)^exponent when normalized=True.  The draw is
+    w = theta/pi ~ Beta(a, n) with a = exponent + n; its density
+    w^(a-1) (1-w)^(n-1) has both endpoint orders of the target, so
 
-    Strategies:
-      * Beta: for normalized kernels with exponent >= 1 on the full interval,
-        draw w = theta/pi from Beta(exponent+1, n).  That matches both
-        endpoint orders of the target, and the exact density of the draw is
-        known, so weights carry no table error.  This is the path the large-t
-        antipodal sweeps use.
-      * Tabulated: otherwise, a 4096-node inverse CDF tabulated at
-        Chebyshev-spaced quantiles and interpolated with a monotone cubic.
-        The CDF is accumulated in a power-flattened variable so endpoint
-        behavior theta^kappa (kappa = exponent + n - 1) is resolved exactly.
+        weight * sin^(n-1)(theta) * kernel(theta)
+            = pi^(1+exponent) B(a, n) (sin(pi w) / (w (1-w)))^(n-1),
 
-    sample() returns (theta, weight) with weight = 1 / (density actually
-    sampled); for the tabulated path that density is the interpolant's own,
-    read off its derivative, so weighted means are unbiased with no
-    interpolation bias.  sample_weighted() returns weight * sin^(n-1)(theta)
-    * kernel(theta) evaluated in a collapsed form that never multiplies huge
-    kernel values by vanishing weights.
+    without the pi^exponent factor when normalized=True.  The ratio
+    sin(pi w) / (w (1-w)) = pi (sinc(w) + sinc(1-w)) lies in [pi, 4] and is
+    finite at both ends, also for draws that underflow to w = 0, so every
+    weight lies within a factor (4/pi)^(n-1) of the smallest.
 
-    Construction fails when the density is not normalizable, i.e. t0 = 0 and
-    exponent + n - 1 <= -1 (the s >= 0 singular regime).
+    Construction fails when the target is not normalizable, i.e. a <= 0
+    (the s >= 0 singular regime of the perimeter kernel).
     """
 
-    TABLE_NODES = 4096
-    _BUILD_GRID = 8193
-
-    def __init__(self, n: int, exponent: float, support=(0.0, math.pi), normalized: bool = False):
+    def __init__(self, n: int, exponent: float, normalized: bool = False):
         if n < 1:
             raise ValueError("sphere dimension must be >= 1")
-        t0, t1 = float(support[0]), float(support[1])
-        if not (0.0 <= t0 < t1 <= math.pi + 1e-12):
-            raise ValueError(f"support must be a nondegenerate subinterval of [0, pi], got {support}")
-        t1 = min(t1, math.pi)
-        kappa = exponent + n - 1
-        if t0 == 0.0 and kappa <= -1.0:
+        a = exponent + n
+        if a <= 0.0:
             raise ValueError(
                 "density sin^(n-1)(theta) * theta^exponent is not normalizable at 0 "
                 f"(exponent {exponent}, n {n}); this is the s >= 0 singular regime"
             )
         self.n = int(n)
-        self.exponent = float(exponent)
-        self.support = (t0, t1)
-        self.normalized = bool(normalized)
-        self._kappa = kappa
-        self._use_beta = normalized and exponent >= 1.0 and t0 == 0.0 and t1 == math.pi
-        if self._use_beta:
-            self._beta_a = exponent + 1.0
-            self._log_beta_const = math.lgamma(self._beta_a) + math.lgamma(n) - math.lgamma(self._beta_a + n)
-        else:
-            self._build_table()
-
-    # -- tabulated path ----------------------------------------------------
-
-    def _theta_of_v(self, v):
-        t0, t1 = self.support
-        k1 = self._kappa + 1.0
-        if abs(k1) < 1e-12:
-            # log spacing; t0 > 0 guaranteed by the normalizability check
-            return t0 * np.exp(v * math.log(t1 / t0))
-        lo, hi = t0**k1, t1**k1
-        return (lo + v * (hi - lo)) ** (1.0 / k1)
-
-    def _dtheta_dv_factor(self) -> float:
-        # dtheta/dv = C * theta^(-kappa) with the constant below (log case differs)
-        t0, t1 = self.support
-        k1 = self._kappa + 1.0
-        if abs(k1) < 1e-12:
-            return math.log(t1 / t0)
-        return (t1**k1 - t0**k1) / k1
-
-    def _build_table(self):
-        v_grid = np.linspace(0.0, 1.0, self._BUILD_GRID)
-        theta = self._theta_of_v(v_grid)
-        # density in v is proportional to (sin theta / theta)^(n-1)
-        rho = _sinc_ratio(theta) ** (self.n - 1)
-        cdf = np.concatenate(([0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]) * np.diff(v_grid))))
-        if cdf[-1] <= 0.0:
-            raise ValueError("degenerate radial density (zero mass on support)")
-        self._v_mass = cdf[-1]  # integral of rho over v, used by the weight constant
-        cdf = cdf / cdf[-1]
-        j = np.arange(self.TABLE_NODES)
-        u_nodes = 0.5 * (1.0 - np.cos(math.pi * j / (self.TABLE_NODES - 1)))
-        u_nodes[0], u_nodes[-1] = 0.0, 1.0
-        cdf_mono, keep = np.unique(cdf, return_index=True)
-        v_of_u = np.interp(u_nodes, cdf_mono, v_grid[keep])
-        u_unique, keep_u = np.unique(u_nodes, return_index=True)
-        self._inverse_cdf = PchipInterpolator(u_unique, v_of_u[keep_u], extrapolate=False)
-        self._inverse_cdf_deriv = self._inverse_cdf.derivative()
-
-    # -- sampling ----------------------------------------------------------
-
-    def sample(self, count: int, rng: np.random.Generator):
-        """(theta, weight) arrays; weight = 1/pdf of the drawn theta.
-
-        Means of weight * g(theta) estimate int g over the support.
-        """
-        if self._use_beta:
-            w = rng.beta(self._beta_a, self.n, size=count)
-            theta = math.pi * w
-            log_pdf = (
-                (self._beta_a - 1.0) * np.log(w)
-                + (self.n - 1.0) * np.log1p(-w)
-                - self._log_beta_const
-                - math.log(math.pi)
-            )
-            return theta, np.exp(-log_pdf)
-        u = rng.random(count)
-        v = self._inverse_cdf(u)
-        theta = self._theta_of_v(v)
-        dv_du = self._inverse_cdf_deriv(u)
-        c = self._dtheta_dv_factor()
-        if abs(self._kappa + 1.0) < 1e-12:
-            dtheta_dv = c * theta
-        else:
-            dtheta_dv = c * np.power(theta, -self._kappa, where=theta > 0, out=np.zeros_like(theta))
-        return theta, dv_du * dtheta_dv
+        self._a = a
+        log_beta = math.lgamma(a) + math.lgamma(n) - math.lgamma(a + n)
+        power = 1.0 if normalized else 1.0 + exponent
+        self._scale = math.exp(power * math.log(math.pi) + log_beta)
 
     def sample_weighted(self, count: int, rng: np.random.Generator):
         """(theta, wk) with wk = weight * sin^(n-1)(theta) * kernel(theta).
 
-        Computed in collapsed form: the kernel power cancels against the
-        sampling density analytically, leaving bounded sinc factors, so no
-        inf * 0 can occur even for theta underflowing to 0 or near pi.
+        Means of wk * g(theta) estimate int_0^pi g sin^(n-1) kernel d theta.
         """
-        n = self.n
-        if self._use_beta:
-            w = rng.beta(self._beta_a, n, size=count)
-            theta = math.pi * w
-            # weight * sin^(n-1) * (theta/pi)^exponent = pi B(a, n) (pi sinc(1-w))^(n-1)
-            wk = math.pi * math.exp(self._log_beta_const) * (math.pi * np.sinc(1.0 - w)) ** (n - 1)
-            return theta, wk
-        u = rng.random(count)
-        v = self._inverse_cdf(u)
-        theta = self._theta_of_v(v)
-        c = self._dtheta_dv_factor()
-        wk = self._inverse_cdf_deriv(u) * c * _sinc_ratio(theta) ** (n - 1)
-        if self.normalized:
-            wk = wk * math.pi ** (-self.exponent)
-        return theta, wk
-
-    # -- diagnostics -------------------------------------------------------
-
-    def cdf(self, theta):
-        """Exact-target CDF (quadrature-accurate), for goodness-of-fit tests."""
-        if self._use_beta:
-            w = np.asarray(theta, dtype=float) / math.pi
-            return _betainc(self._beta_a, self.n, np.clip(w, 0.0, 1.0))
-        v_grid = np.linspace(0.0, 1.0, self._BUILD_GRID)
-        th_grid = self._theta_of_v(v_grid)
-        rho = _sinc_ratio(th_grid) ** (self.n - 1)
-        cdf = np.concatenate(([0.0], np.cumsum(0.5 * (rho[1:] + rho[:-1]) * np.diff(v_grid))))
-        cdf /= cdf[-1]
-        return np.interp(np.asarray(theta, dtype=float), th_grid, cdf)
-
-
-def radial_sample(proposal: RadialProposal, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (theta, weight) from a RadialProposal with a stream or generator."""
-    gen = rng if isinstance(rng, np.random.Generator) else as_stream(rng).generator
-    return proposal.sample(count, gen)
+        w = rng.beta(self._a, self.n, size=count)
+        ratio = math.pi * (np.sinc(w) + np.sinc(1.0 - w))
+        return math.pi * w, self._scale * ratio ** (self.n - 1)

@@ -11,6 +11,7 @@ and s < -n flips the kernel into one that rewards antipodal separation
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 from scipy.special import betainc
@@ -55,6 +56,26 @@ def perimeter_minus_n(n: int, measure: float) -> float:
 # Monte Carlo estimators
 
 
+def _power_law_above_boundary(E, x, s: float, gen):
+    """(theta, weight * sinc^(n-1)) for theta ~ theta^(-1-s) on [t_min(x), pi].
+
+    t_min is the set's boundary-distance lower bound at x, so the shell that
+    cannot reach the complement is never sampled.  s = 0 takes the power
+    law's logarithmic limit theta = t_min (pi/t_min)^u.
+    """
+    t_min = np.maximum(E.boundary_distance(x), _THETA_MIN_FLOOR)
+    u = gen.random(len(x))
+    if s == 0.0:
+        z = np.log(math.pi / t_min)
+        theta = t_min * np.exp(u * z)
+    else:
+        lo = t_min ** (-s)
+        hi = math.pi ** (-s)
+        theta = (lo + u * (hi - lo)) ** (-1.0 / s)
+        z = (lo - hi) / s
+    return theta, z * np.sinc(theta / math.pi) ** (E.dimension - 1)
+
+
 def perimeter_mc(
     E,
     s: float,
@@ -65,63 +86,64 @@ def perimeter_mc(
 ) -> Estimate:
     """Monte Carlo s-perimeter of E.
 
-    Scheme: x uniform on S^n (contributing only when x lands in E), a radial
-    distance theta drawn by importance sampling, y uniform on the distance-
-    theta sphere around x, and the indicator of y outside E.  For s <= 0 the
-    radial draw uses the shared RadialProposal for the kernel; for s > 0 it
-    uses an exact power-law proposal ~ theta^(-1-s) on [theta_min(x), pi],
-    where theta_min is the set's boundary-distance lower bound, so the
-    singular shell that cannot contribute is never sampled.  Weights are
-    exact densities; the weighted kernel is evaluated in collapsed form
-    (bounded by the proposal constant), so values stay finite.
+    Scheme: x uniform on S^n, kept when it lands in E; for each kept x a
+    radial distance theta drawn by importance sampling, y uniform on the
+    distance-theta sphere around x, and the indicator of y outside E.  For
+    s < 0 theta comes from RadialProposal, whose weighted kernel lies within
+    a factor (4/pi)^(n-1) of a constant.  For s >= 0 the kernel is not
+    integrable at 0, and theta follows the power law theta^(-1-s) on
+    [t_min(x), pi], with t_min the set's boundary-distance lower bound; the
+    weighted kernel is then at most t_min^-s / s, or log(pi/t_min) at s = 0.
+
+    For s >= 1/2 that weight has infinite variance, because t_min is
+    roughly uniform near 0: the estimate stays unbiased, but its standard
+    error is no valid error bar, and a RuntimeWarning says so.
 
     Returns an Estimate of the perimeter (kernel (d/pi)^-(n+s) when
     normalized=True).
     """
     s = validate_s(s)
     n = E.dimension
-    omega = sphere_surface(n) * sphere_surface(n - 1)
-    if s > 0.0:
+    scale = sphere_surface(n) * sphere_surface(n - 1)
+    if s >= 0.0:
         probe = np.zeros((1, n + 1))
         probe[0, 0] = 1.0
         if E.boundary_distance(probe) is None:
-            raise ValueError("positive s needs a set with a boundary_distance bound")
-        scale = omega * (math.pi ** (n + s) if normalized else 1.0)
+            raise ValueError("s >= 0 needs a set with a boundary_distance bound")
+        if normalized:
+            scale *= math.pi ** (n + s)
 
-        def sampler(count, gen):
-            x = sample_uniform(n, count, gen)
-            inside = E.contains(x)
-            wk = np.zeros(count)
-            y = x
-            if np.any(inside):
-                t_min = np.maximum(E.boundary_distance(x[inside]), _THETA_MIN_FLOOR)
-                lo = t_min ** (-s)
-                hi = math.pi ** (-s)
-                u = gen.random(int(inside.sum()))
-                theta = (lo + u * (hi - lo)) ** (-1.0 / s)
-                z = (lo - hi) / s
-                y = x.copy()
-                y[inside] = sample_at_distance(x[inside], theta, gen)
-                wk[inside] = z * np.sinc(theta / math.pi) ** (n - 1)
-            return x, inside, wk, y
+        def radial(x, gen):
+            return _power_law_above_boundary(E, x, s, gen)
 
-        def integrand(batch):
-            x, inside, wk, y = batch
-            return scale * wk * inside * ~E.contains(y)
+    else:
+        # normalized in the proposal's weight: for large -s the plain
+        # weight's factor pi^(1-n-s) overflows
+        proposal = RadialProposal(n, -(n + s), normalized=normalized)
 
-        return mc_estimate(sampler, integrand, samples, rng, chunk_size)
+        def radial(x, gen):
+            return proposal.sample_weighted(len(x), gen)
 
-    proposal = RadialProposal(n, -(n + s), normalized=normalized)
+    if s >= 0.5:
+        warnings.warn(
+            f"perimeter_mc at s = {s} >= 1/2 has infinite variance; "
+            "its standard error is not a valid error bar",
+            RuntimeWarning,
+            stacklevel=2,
+        )
 
     def sampler(count, gen):
         x = sample_uniform(n, count, gen)
-        theta, wk = proposal.sample_weighted(count, gen)
-        y = sample_at_distance(x, theta, gen)
-        return x, wk, y
+        inside = E.contains(x)
+        x = x[inside]
+        theta, wk = radial(x, gen)
+        return inside, wk, sample_at_distance(x, theta, gen)
 
     def integrand(batch):
-        x, wk, y = batch
-        return omega * wk * E.contains(x) * ~E.contains(y)
+        inside, wk, y = batch
+        values = np.zeros(inside.size)
+        values[inside] = scale * wk * ~E.contains(y)
+        return values
 
     return mc_estimate(sampler, integrand, samples, rng, chunk_size)
 

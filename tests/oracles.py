@@ -113,13 +113,6 @@ def polytope_boundary_measure(normals, resolution=1e-3):
     return total
 
 
-def incomplete_beta_riemann(t, a, b, nodes=1_000_000):
-    """Midpoint Riemann sum of x^(a-1)(1-x)^(b-1) on [0, t]."""
-    h = t / nodes
-    x = (np.arange(nodes) + 0.5) * h
-    return h * float(np.sum(x ** (a - 1.0) * (1.0 - x) ** (b - 1.0)))
-
-
 def sine_moment(k, nodes=200_000):
     """Midpoint rule for the moment integral of sin^k over [0, pi]."""
     h = math.pi / nodes

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import spherefrac
-from spherefrac import Cap, cap_area, perimeter_minus_n, sample_uniform
+from spherefrac import Cap, cap_area, perimeter_cap, perimeter_minus_n, sample_uniform
 from spherefrac.cli import (
     DEFAULT_SEED,
     SetSyntaxError,
@@ -257,6 +257,17 @@ def test_perimeter_pivot_attaches_exact_target(tmp_path):
     assert row["deviation"] <= 1e-6
     assert rec["verdicts"] == {"within_threshold": True}
     assert rec["detail"]["method"] == "cap_oracle"
+
+
+def test_perimeter_mc_runs_at_s_zero(tmp_path):
+    out = tmp_path / "s0.csv"
+    rc = main([
+        "perimeter", "--n", "2", "--set", "cap:0,0,1:1", "--s", "0", "--method", "mc",
+        "--samples", "200000", "--out", str(out),
+    ])
+    assert rc == 0
+    _, value, error = out.read_text().splitlines()[1].split(",")[:3]
+    assert abs(float(value) - perimeter_cap(2, 0.0, 1.0)) < 4.0 * float(error)
 
 
 def test_sweep_s1_appends_limit_row_at_param_1(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -212,8 +213,9 @@ def test_perimeter_cap_monotone_in_radius_up_to_hemisphere():
 
 
 def test_perimeter_mc_agrees_with_oracle_mild_and_singular():
+    # s = 0 is the power law's logarithmic limit above the boundary distance
     cap = Cap(Z, 1.0)
-    for s in (-0.5, 0.5):
+    for s in (-0.5, 0.0, 0.5):
         oracle = perimeter_cap(2, s, 1.0)
         est = perimeter_mc(cap, s, 200_000, RandomStream(11))
         assert abs(est.value - oracle) < 4.0 * est.std_error
@@ -226,23 +228,23 @@ def test_perimeter_mc_complement_symmetry_statistical():
     assert abs(a.value - b.value) < 4.0 * math.hypot(a.std_error, b.std_error)
 
 
-def test_perimeter_mc_normalized_scaling_exact_for_tabulated_path():
-    # same seed, same draws: the normalized kernel rescales by pi^(n+s)
+@pytest.mark.parametrize("s", [-8.0, -0.5, 0.3])
+def test_perimeter_mc_normalized_scaling_is_exact(s):
+    # one sampler per regime: the same seed gives the same draws, and the
+    # normalized kernel only rescales them by pi^(n+s)
     cap = Cap(Z, 1.0)
-    plain = perimeter_mc(cap, -0.5, 50_000, RandomStream(14))
-    tilde = perimeter_mc(cap, -0.5, 50_000, RandomStream(14), normalized=True)
-    assert tilde.value == pytest.approx(math.pi**1.5 * plain.value, rel=1e-12)
+    plain = perimeter_mc(cap, s, 50_000, RandomStream(14))
+    tilde = perimeter_mc(cap, s, 50_000, RandomStream(14), normalized=True)
+    assert tilde.value == pytest.approx(math.pi ** (2.0 + s) * plain.value, rel=1e-12)
 
 
-def test_perimeter_mc_normalized_scaling_statistical_for_beta_path():
-    # deep smooth regime: the normalized proposal switches to the Beta
-    # sampler, so only distributional agreement is available
-    cap = Cap(Z, math.pi / 2)
-    plain = perimeter_mc(cap, -8.0, 400_000, RandomStream(15))
-    tilde = perimeter_mc(cap, -8.0, 400_000, RandomStream(16), normalized=True)
-    scale = math.pi ** (2.0 - 8.0)
-    err = math.hypot(scale * plain.std_error, tilde.std_error)
-    assert abs(scale * plain.value - tilde.value) < 4.0 * err
+def test_perimeter_mc_warns_that_its_error_bar_fails_from_s_one_half():
+    cap = Cap(Z, 1.0)
+    with pytest.warns(RuntimeWarning, match="infinite variance"):
+        perimeter_mc(cap, 0.5, 1000, RandomStream(17))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        perimeter_mc(cap, 0.3, 1000, RandomStream(17))
 
 
 def test_perimeter_mc_positive_s_requires_boundary_distance():
@@ -255,8 +257,9 @@ def test_perimeter_mc_positive_s_requires_boundary_distance():
         def boundary_distance(self, points):
             return None
 
-    with pytest.raises(ValueError):
-        perimeter_mc(Blob(), 0.5, 1000, RandomStream(1))
+    for s in (0.0, 0.5):
+        with pytest.raises(ValueError):
+            perimeter_mc(Blob(), s, 1000, RandomStream(1))
 
 
 # ---------------------------------------------------------------------------
