@@ -9,9 +9,11 @@ result record carrying the config, a sha256 hash of its canonical form, all
 rows, the limit report, and the pass/fail verdicts.
 
 Exit codes: 0 success, 1 usage or config error, 2 verdict failure,
-3 numerical failure.  Seeds come from --seed, else the SPHEREFRAC_SEED
-environment variable (decimal or 0x-hex), else the fixed default 0xC0FFEE,
-and identical configs rerun to byte-identical rows.
+3 numerical failure.  A warning from the library, such as perimeter_mc's
+infinite-variance warning, goes to stderr as one `spherefrac: warning:`
+line and leaves the exit code alone.  Seeds come from --seed, else the
+SPHEREFRAC_SEED environment variable (decimal or 0x-hex), else the fixed
+default 0xC0FFEE, and identical configs rerun to byte-identical rows.
 
 Set grammar (angles in radians):
     cap:<x,y,...>:<r>        geodesic cap with the given center and radius
@@ -33,6 +35,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -656,7 +659,17 @@ def _config_dict(args) -> dict:
     return out
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"spherefrac: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        return _main(argv)
+
+
+def _main(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
         seed = resolve_seed(args.seed)

@@ -229,8 +229,9 @@ class RadialProposal:
         weight * sin^(n-1)(theta) * kernel(theta)
             = pi^(1+exponent) B(a, n) (sin(pi w) / (w (1-w)))^(n-1),
 
-    without the pi^exponent factor when normalized=True.  The ratio
-    sin(pi w) / (w (1-w)) = pi (sinc(w) + sinc(1-w)) lies in [pi, 4] and is
+    without the pi^exponent factor when normalized=True.  With
+    m = min(w, 1-w), so that w (1-w) = m (1-m), the ratio
+    sin(pi w) / (w (1-w)) = pi sinc(m) / (1-m) lies in [pi, 4] and is
     finite at both ends, also for draws that underflow to w = 0, so every
     weight lies within a factor (4/pi)^(n-1) of the smallest.
 
@@ -259,5 +260,6 @@ class RadialProposal:
         Means of wk * g(theta) estimate int_0^pi g sin^(n-1) kernel d theta.
         """
         w = rng.beta(self._a, self.n, size=count)
-        ratio = math.pi * (np.sinc(w) + np.sinc(1.0 - w))
+        m = np.minimum(w, 1.0 - w)
+        ratio = math.pi * np.sinc(m) / (1.0 - m)
         return math.pi * w, self._scale * ratio ** (self.n - 1)

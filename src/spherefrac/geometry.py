@@ -117,41 +117,64 @@ def volume_radius(n: int, alpha: float, tol: float = 1e-12, max_iter: int = 200)
 def sample_uniform(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     """count independent uniform points on S^n, shape (count, n+1).
 
-    Normalized standard Gaussians; the zero draw has probability 0 but is
-    resampled anyway.
+    Standard Gaussians normalized in place; the zero draw has probability 0
+    but is resampled anyway.
     """
     g = rng.standard_normal((count, n + 1))
-    norms = np.linalg.norm(g, axis=-1)
+    norms = _row_norms(g)
     while np.any(norms == 0.0):
         bad = norms == 0.0
         g[bad] = rng.standard_normal((int(bad.sum()), n + 1))
-        norms = np.linalg.norm(g, axis=-1)
-    return g / norms[..., None]
+        norms = _row_norms(g)
+    g /= norms[:, None]
+    return g
 
 
 def sample_at_distance(x: np.ndarray, theta, rng: np.random.Generator) -> np.ndarray:
     """Uniform points on the geodesic sphere at distance theta around x.
 
-    x has shape (..., n+1); theta broadcasts against its leading shape.  The
-    tangent direction is an isotropic Gaussian projected off x, so for each
-    row the output is uniform on the distance-theta sphere.  Output rows are
-    renormalized; the realized distance matches theta to ~1e-10.
+    x has shape (..., n+1), or (n+1,) for one point; theta broadcasts
+    against its leading shape.  An isotropic Gaussian projected off x gives
+    the tangent direction u, uniform on the unit tangent sphere, and the
+    point is cos(theta) x + sin(theta) u.  One Gaussian row is drawn per
+    point, and a row that projects to zero is redrawn.  The work is done in
+    place on the Gaussian array.  Output rows are renormalized; the realized
+    distance matches theta to ~1e-10.
     """
     x = np.asarray(x, dtype=float)
     g = rng.standard_normal(x.shape)
-    g = g - np.sum(g * x, axis=-1, keepdims=True) * x
-    norms = np.linalg.norm(g, axis=-1)
+    g -= _row_dots(g, x)[..., None] * x
+    norms = _row_norms(g)
     while np.any(norms == 0.0):
         bad = norms == 0.0
         fresh = rng.standard_normal((int(bad.sum()), x.shape[-1]))
         xb = x[bad] if x.ndim > 1 else x[None]
-        fresh = fresh - np.sum(fresh * xb, axis=-1, keepdims=True) * xb
+        fresh -= _row_dots(fresh, xb)[..., None] * xb
         g[bad] = fresh
-        norms = np.linalg.norm(g, axis=-1)
-    u = g / norms[..., None]
-    th = np.broadcast_to(np.asarray(theta, dtype=float), x.shape[:-1])[..., None]
-    y = np.cos(th) * x + np.sin(th) * u
-    return y / np.linalg.norm(y, axis=-1, keepdims=True)
+        norms = _row_norms(g)
+    th = np.broadcast_to(np.asarray(theta, dtype=float), x.shape[:-1])
+    g /= norms[..., None]
+    g *= np.sin(th)[..., None]
+    g += np.cos(th)[..., None] * x
+    g /= _row_norms(g)[..., None]
+    return g
+
+
+def _row_dots(a, b):
+    """Dot products of matching rows (last axis) of a and b.
+
+    One pass per coordinate, added in coordinate order.  Below 8
+    coordinates that is the order of np.sum(a * b, axis=-1), so the sums
+    are the same to the bit, without the (..., n+1) product array.
+    """
+    out = a[..., 0] * b[..., 0]
+    for i in range(1, a.shape[-1]):
+        out += a[..., i] * b[..., i]
+    return out
+
+
+def _row_norms(a):
+    return np.sqrt(_row_dots(a, a))
 
 
 def circle_distance(phi, psi):

@@ -14,7 +14,7 @@ import math
 import warnings
 
 import numpy as np
-from scipy.special import betainc
+from scipy.special import betainc, xlogy
 
 from .estimation import Estimate, RadialProposal, adaptive_quad, mc_estimate
 from .geometry import cap_area, sample_at_distance, sample_uniform, sphere_surface
@@ -288,22 +288,21 @@ def perimeter_cap(n: int, s: float, r: float, tol: float = CAP_TOL) -> float:
 # exact one-dimensional formulas
 
 
-def _check_exponent(s: float) -> float:
-    s = validate_s(s)
-    if s == 0.0:
-        raise ValueError("s = 0 hits the logarithmic antiderivative; not supported")
-    return s
-
-
 def _circle_G(x, s: float):
     """Second antiderivative of the periodic kernel delta(x)^-(1+s) on [0, 2 pi].
 
     G''(x) = min(x, 2pi - x)^-(1+s), matched C^1 at pi.  Double integrals of
     the kernel over a rectangle [a,b] x [alpha,beta] reduce to
-    G(beta-a) - G(beta-b) - G(alpha-a) + G(alpha-b).
+    G(beta-a) - G(beta-b) - G(alpha-a) + G(alpha-b), in which affine terms
+    of G cancel.  s = 0 takes the logarithmic limit x log x, continued
+    above pi by (2pi - x) log(2pi - x) + 2 (1 + log pi)(x - pi).
     """
-    c = 1.0 / (s * (1.0 - s))
     x = np.asarray(x, dtype=float)
+    if s == 0.0:
+        lower = xlogy(x, x)
+        upper = xlogy(TWO_PI - x, TWO_PI - x) + 2.0 * (1.0 + math.log(math.pi)) * (x - math.pi)
+        return np.where(x <= math.pi, lower, upper)
+    c = 1.0 / (s * (1.0 - s))
     lower = -c * x ** (1.0 - s)
     upper = -c * (TWO_PI - x) ** (1.0 - s) - (2.0 / s) * math.pi ** (-s) * (x - math.pi)
     return np.where(x <= math.pi, lower, upper)
@@ -317,9 +316,9 @@ def perimeter_circle_exact(E: ArcUnion, s: float) -> float:
     arc [a, b], the pair contributes
     G(beta-a) - G(beta-b) - G(alpha-a) + G(alpha-b) with G the matched
     second antiderivative of the intrinsic-distance kernel.
-    Empty and full unions have zero perimeter.  s = 0 is rejected.
+    Empty and full unions have zero perimeter.
     """
-    s = _check_exponent(s)
+    s = validate_s(s)
     if not isinstance(E, ArcUnion):
         raise TypeError("perimeter_circle_exact expects an ArcUnion")
     if E.is_empty() or E.is_full():

@@ -41,7 +41,13 @@ class DegenerateCircleError(RuntimeError):
 
 @dataclass(frozen=True)
 class Cap:
-    """Open geodesic cap {x : d(center, x) < radius} on S^n."""
+    """Open geodesic cap {x : d(center, x) < radius} on S^n.
+
+    Membership is the dot product test x . center > cos(radius), the same
+    open cap as d(center, x) < radius: radius 0 is empty (a dot product may
+    exceed 1 by an ulp, so it gets no threshold) and radius pi is everything
+    but the antipode of the center.
+    """
 
     center: np.ndarray
     radius: float
@@ -58,7 +64,8 @@ class Cap:
         return self.center.size - 1
 
     def contains(self, points) -> np.ndarray:
-        return geodesic_distance(points, self.center) < self.radius
+        threshold = math.cos(self.radius) if self.radius > 0.0 else math.inf
+        return np.asarray(points, dtype=float) @ self.center > threshold
 
     def boundary_distance(self, points) -> np.ndarray:
         return np.abs(self.radius - geodesic_distance(points, self.center))
@@ -75,7 +82,9 @@ class Cap:
 class Polytope:
     """Intersection of closed hemispheres {x : x . u <= 0} over outward normals u.
 
-    The nonempty-interior flag is caller-asserted; nothing here verifies it.
+    Membership ANDs one matrix-vector product x . u <= 0 per face, which
+    holds no (N, k) array.  The nonempty-interior flag is caller-asserted;
+    nothing here verifies it.
     """
 
     normals: np.ndarray
@@ -95,8 +104,11 @@ class Polytope:
         return self.normals.shape[1] - 1
 
     def contains(self, points) -> np.ndarray:
-        dots = np.asarray(points, dtype=float) @ self.normals.T
-        return np.all(dots <= 0.0, axis=-1)
+        points = np.asarray(points, dtype=float)
+        inside = points @ self.normals[0] <= 0.0
+        for u in self.normals[1:]:
+            inside &= points @ u <= 0.0
+        return inside
 
     def boundary_distance(self, points) -> np.ndarray:
         # distance to the nearest face great-subsphere: |pi/2 - angle to its normal|

@@ -1,15 +1,18 @@
 """Independent reference computations used to pin test targets.
 
 Everything here is deliberately naive and self-contained: dense midpoint
-rules, dense walks along great circles, closed-form recursions, and integer
-pair counting that share no code path with the library routines they check,
-plus high-precision cap perimeters pinned from an mpmath computation
-(CAP_PERIMETERS, whose comment says how they were made).
+rules, dense walks along great circles, closed-form recursions, integer
+pair counting, a covariogram quadrature on the circle, and the plain forms
+of membership tests and samplers that the library computes faster,
+sharing no code path with the routines they check, plus high-precision
+cap perimeters pinned from an mpmath computation (CAP_PERIMETERS, whose
+comment says how they were made).
 """
 
 import math
 
 import numpy as np
+from scipy.integrate import quad
 
 TWO_PI = 2.0 * math.pi
 
@@ -68,6 +71,42 @@ def circle_perimeter_refined(arcs, s, nodes=2000):
     return (w * fine - coarse) / (w - 1.0)
 
 
+def circle_perimeter_quad(arcs, s):
+    """Circle s-perimeter from the pair-distance covariogram, by scipy quad.
+
+    With g(t) = |{x in E : x + t not in E}|, the double integral over
+    E x E^c is int_0^pi delta^-(1+s) (g(delta) + g(-delta)) d delta.  g is
+    |E| minus the overlap of E with its shift, summed over whole-turn
+    translates of interval pairs; it is piecewise linear, with kinks at the
+    endpoint differences, which are handed to quad as break points.  Near
+    0, g(delta) grows like delta, so the integrand is bounded for s <= 0.
+    """
+    arcs = [(float(a) % TWO_PI, float(la)) for a, la in arcs]
+    total = sum(la for _, la in arcs)
+
+    def g(t):
+        overlap = 0.0
+        for a, la in arcs:
+            for b, lb in arcs:
+                for k in range(-2, 3):
+                    lo = max(a, b - t + k * TWO_PI)
+                    hi = min(a + la, b - t + lb + k * TWO_PI)
+                    overlap += max(0.0, hi - lo)
+        return total - overlap
+
+    ends = [e for a, la in arcs for e in (a, a + la)]
+    kinks = sorted({
+        d for e in ends for f in ends
+        for d in (abs(e - f) % TWO_PI, TWO_PI - abs(e - f) % TWO_PI)
+        if 0.0 < d < math.pi
+    })
+    value, _ = quad(
+        lambda d: d ** (-1.0 - s) * (g(d) + g(-d)),
+        0.0, math.pi, points=kinks or None, limit=500, epsabs=0.0, epsrel=1e-12,
+    )
+    return value
+
+
 def random_grid_arcs(gen, nodes=2000, max_arcs=3):
     """Random disjoint (start, length) arcs with endpoints on the cell edges
     of an `nodes`-cell midpoint partition, so the midpoint oracle represents
@@ -111,6 +150,41 @@ def polytope_boundary_measure(normals, resolution=1e-3):
         ok = np.all(pts @ others.T <= 0.0, axis=1)
         total += (TWO_PI / steps) * float(ok.sum())
     return total
+
+
+def cap_contains_arccos(center, radius, points):
+    """Open-cap membership by geodesic distance: arccos(<x, c>) < radius,
+    with the inner product clamped to [-1, 1]."""
+    dot = np.sum(np.asarray(points, dtype=float) * np.asarray(center, dtype=float), axis=-1)
+    return np.arccos(np.clip(dot, -1.0, 1.0)) < radius
+
+
+def polytope_contains_matmul(normals, points):
+    """Polytope membership from the full (N, k) matrix of face dot products."""
+    dots = np.asarray(points, dtype=float) @ np.asarray(normals, dtype=float).T
+    return np.all(dots <= 0.0, axis=-1)
+
+
+def sample_at_distance_projected(x, theta, rng):
+    """Points at geodesic distance theta from x: a Gaussian projected off x,
+    normalized to the tangent direction u, and cos(theta) x + sin(theta) u
+    renormalized.  Draws the same random numbers as the library sampler,
+    one Gaussian row per point and a fresh row for each zero projection."""
+    x = np.asarray(x, dtype=float)
+    g = rng.standard_normal(x.shape)
+    g = g - np.sum(g * x, axis=-1, keepdims=True) * x
+    norms = np.linalg.norm(g, axis=-1)
+    while np.any(norms == 0.0):
+        bad = norms == 0.0
+        fresh = rng.standard_normal((int(bad.sum()), x.shape[-1]))
+        xb = x[bad] if x.ndim > 1 else x[None]
+        fresh = fresh - np.sum(fresh * xb, axis=-1, keepdims=True) * xb
+        g[bad] = fresh
+        norms = np.linalg.norm(g, axis=-1)
+    u = g / norms[..., None]
+    th = np.broadcast_to(np.asarray(theta, dtype=float), x.shape[:-1])[..., None]
+    y = np.cos(th) * x + np.sin(th) * u
+    return y / np.linalg.norm(y, axis=-1, keepdims=True)
 
 
 def sine_moment(k, nodes=200_000):

@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -268,6 +269,32 @@ def test_perimeter_mc_runs_at_s_zero(tmp_path):
     assert rc == 0
     _, value, error = out.read_text().splitlines()[1].split(",")[:3]
     assert abs(float(value) - perimeter_cap(2, 0.0, 1.0)) < 4.0 * float(error)
+
+
+def test_library_warning_is_one_spherefrac_line(capsys):
+    argv = [
+        "perimeter", "--n", "2", "--set", "cap:0,0,1:1", "--s", "0.6", "--method", "mc",
+        "--samples", "20000",
+    ]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err.splitlines() == [
+        "spherefrac: warning: perimeter_mc at s = 0.6 >= 1/2 has infinite variance; "
+        "its standard error is not a valid error bar"
+    ]
+    # stdout is the same as when the warning is ignored
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(argv) == 0
+    assert capsys.readouterr() == (out, "")
+
+
+def test_circle_exact_runs_at_s_zero(capsys):
+    rc = main(["perimeter", "--n", "1", "--set", "arcs:0,1", "--s", "0"])
+    assert rc == 0
+    # one arc of length 1: 2 int_0^pi min(delta, 1) / delta d delta
+    value = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
+    assert value == pytest.approx(2.0 * (1.0 + math.log(math.pi)), rel=1e-12)
 
 
 def test_sweep_s1_appends_limit_row_at_param_1(tmp_path):

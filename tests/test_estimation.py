@@ -195,6 +195,31 @@ def test_radial_proposal_beta_path_matches_tabulated_shape():
     assert abs(est.value - target) < 5.0 * est.std_error
 
 
+class ScriptedBeta:
+    """Stands in for a Generator whose beta draws are the given w."""
+
+    def __init__(self, w):
+        self.w = np.asarray(w, dtype=float)
+
+    def beta(self, a, b, size):
+        assert size == self.w.size
+        return self.w.copy()
+
+
+def test_radial_proposal_weight_is_the_two_sinc_ratio():
+    # pi sinc(m) / (1 - m) with m = min(w, 1 - w) equals
+    # pi (sinc(w) + sinc(1 - w)) = sin(pi w) / (w (1 - w)); on S^2 the
+    # weight is the ratio times a constant
+    edges = [0.0, 1.0, 1e-300, 5e-324, 1e-17, 0.5, 1.0 - 1e-16, 1.0 - 2.0**-53]
+    w = np.concatenate([edges, np.random.default_rng(5).random(100_000)])
+    proposal = RadialProposal(2, -1.3)
+    theta, wk = proposal.sample_weighted(w.size, ScriptedBeta(w))
+    assert np.array_equal(theta, math.pi * w)
+    two_sinc = math.pi * (np.sinc(w) + np.sinc(1.0 - w))
+    ratio = wk / wk[5] * two_sinc[5]
+    assert np.max(np.abs(ratio / two_sinc - 1.0)) <= 1e-15
+
+
 def test_radial_proposal_rejects_non_normalizable_kernel():
     with pytest.raises(ValueError):
         RadialProposal(2, -3.0)  # sin^1 * theta^-3 ~ theta^-2 at 0

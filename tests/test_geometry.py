@@ -16,7 +16,7 @@ from spherefrac import (
     volume_radius,
 )
 
-from oracles import cap_area_midpoint, sphere_surface_recursive
+from oracles import cap_area_midpoint, sample_at_distance_projected, sphere_surface_recursive
 
 
 def test_sphere_surface_closed_forms():
@@ -94,6 +94,56 @@ def test_sample_at_distance_hits_requested_distance():
     y = sample_at_distance(x, theta, gen)
     assert np.allclose(np.linalg.norm(y, axis=1), 1.0, atol=1e-10)
     assert np.allclose(geodesic_distance(x, y), theta, atol=1e-7)
+
+
+def realized_distance(x, y):
+    # 2 atan2(|y - x|, |y + x|) keeps full precision near 0 and pi
+    return 2.0 * np.arctan2(np.linalg.norm(y - x, axis=-1), np.linalg.norm(y + x, axis=-1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_samplers_match_plain_forms_on_the_same_seed(n):
+    count = 200_000
+    x = sample_uniform(n, count, np.random.default_rng(7))
+    g = np.random.default_rng(7).standard_normal((count, n + 1))
+    assert np.max(np.abs(x - g / np.linalg.norm(g, axis=1)[:, None])) <= 1e-13
+    theta = np.random.default_rng(8).uniform(0.0, math.pi, count)
+    theta[:2] = (0.0, math.pi)
+    y = sample_at_distance(x, theta, np.random.default_rng(9))
+    ref = sample_at_distance_projected(x, theta, np.random.default_rng(9))
+    assert np.max(np.abs(y - ref)) <= 1e-13
+    assert np.max(np.abs(realized_distance(x, y) - theta)) <= 1e-10
+    # one point and a scalar distance
+    y1 = sample_at_distance(x[0], 0.5, np.random.default_rng(10))
+    assert y1.shape == (n + 1,)
+    assert np.max(np.abs(y1 - sample_at_distance_projected(x[0], 0.5, np.random.default_rng(10)))) <= 1e-13
+    assert abs(realized_distance(x[0], y1) - 0.5) <= 1e-10
+
+
+class ScriptedNormals:
+    """Stands in for a Generator: standard_normal returns the scripted
+    arrays in turn, so a draw can be made to fail on purpose."""
+
+    def __init__(self, *arrays):
+        self.arrays = list(arrays)
+
+    def standard_normal(self, shape):
+        out = np.array(self.arrays.pop(0), dtype=float)
+        assert out.shape == tuple(np.atleast_1d(shape))
+        return out
+
+
+def test_samplers_redraw_degenerate_rows():
+    # a zero Gaussian row, and one parallel to x, have no direction
+    x = sample_uniform(2, 1, ScriptedNormals([[0.0, 0.0, 0.0]], [[0.0, 3.0, 4.0]]))
+    assert np.array_equal(x, [[0.0, 0.6, 0.8]])
+    z = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    rng = ScriptedNormals([[0.0, 0.0, 2.0], [0.0, 1.0, 0.0]], [[1.0, 0.0, 5.0]])
+    y = sample_at_distance(z, 0.5, rng)
+    assert np.allclose(y, [[math.sin(0.5), 0.0, math.cos(0.5)],
+                           [math.cos(0.5), math.sin(0.5), 0.0]], atol=1e-15)
+    y1 = sample_at_distance(z[0], 0.5, ScriptedNormals([0.0, 0.0, -1.0], [[0.0, 2.0, 0.0]]))
+    assert np.allclose(y1, [0.0, math.sin(0.5), math.cos(0.5)], atol=1e-15)
 
 
 def test_sample_at_distance_azimuth_is_isotropic():

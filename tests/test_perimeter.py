@@ -26,7 +26,7 @@ from spherefrac import (
 
 from spherefrac.perimeter import CAP_TOL, _cap_crescent
 
-from oracles import CAP_PERIMETERS, CAP_RADII, circle_perimeter_midpoint
+from oracles import CAP_PERIMETERS, CAP_RADII, circle_perimeter_midpoint, circle_perimeter_quad
 
 Z = (0.0, 0.0, 1.0)
 INF = math.inf
@@ -81,10 +81,28 @@ def test_circle_exact_edge_cases():
     assert perimeter_circle_exact(ArcUnion([]), -0.5) == 0.0
     full = ArcUnion([(0.0, 2.0 * math.pi)])
     assert perimeter_circle_exact(full, -0.5) == 0.0
+    assert perimeter_circle_exact(full, 0.0) == 0.0
     with pytest.raises(ValueError):
-        perimeter_circle_exact(ArcUnion([(0.0, 1.0)]), 0.0)
+        perimeter_circle_exact(ArcUnion([(0.0, 1.0)]), 1.0)
     with pytest.raises(TypeError):
         perimeter_circle_exact(Cap(Z, 1.0), -0.5)
+
+
+@pytest.mark.parametrize("arcs", [[(0.0, 1.0)], [(0.3, 1.7), (2.9, 0.4), (4.0, 1.5)]])
+def test_circle_exact_at_s_zero_is_the_logarithmic_limit(arcs):
+    E = ArcUnion(arcs)
+    p0 = perimeter_circle_exact(E, 0.0)
+    assert p0 == pytest.approx(circle_perimeter_quad(E.arcs, 0.0), rel=1e-12)
+    assert perimeter_circle_exact(E.gaps(), 0.0) == pytest.approx(p0, rel=1e-12)
+    # s = +-1e-7 move P by about 1e-7 P' and lose ~1e-9 to cancellation
+    below, above = perimeter_circle_exact(E, -1e-7), perimeter_circle_exact(E, 1e-7)
+    assert below == pytest.approx(p0, rel=1e-6) and above == pytest.approx(p0, rel=1e-6)
+    assert 0.5 * (below + above) == pytest.approx(p0, rel=1e-8)
+    # the quadrature oracle itself, where the power-law formula holds
+    for s in (-0.5, 0.3):
+        assert perimeter_circle_exact(E, s) == pytest.approx(
+            circle_perimeter_quad(E.arcs, s), rel=1e-12
+        )
 
 
 def test_circle_exact_complement_symmetry():

@@ -25,7 +25,7 @@ from spherefrac import (
 )
 from spherefrac.integral_geometry import sample_plane_batch
 
-from oracles import polytope_boundary_measure
+from oracles import cap_contains_arccos, polytope_boundary_measure, polytope_contains_matmul
 
 Z = (0.0, 0.0, 1.0)
 
@@ -58,6 +58,34 @@ def test_cap_validation():
         Cap(Z, 3.5)
 
 
+def points_at_distance(center, d, gen, count):
+    """count points at geodesic distance d from center, built from a unit
+    tangent direction v as cos(d) center + sin(d) v."""
+    v = sample_uniform(center.size - 1, count, gen)
+    v -= (v @ center)[:, None] * center
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    return math.cos(d) * center + math.sin(d) * v
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cap_dot_product_membership_matches_arccos_form(n):
+    gen = np.random.default_rng(10 + n)
+    x = sample_uniform(n, 1_000_000, gen)
+    for radius in (0.0, 1e-3, 0.8, math.pi / 2, 2.5, math.pi):
+        cap = Cap(sample_uniform(n, 1, gen)[0], radius)
+        c = cap.center
+        pts = np.concatenate([x, [c, -c]])
+        assert np.array_equal(cap.contains(pts), cap_contains_arccos(c, radius, pts))
+        assert cap.contains(c) == (radius > 0.0)
+    for radius in (1e-3, 0.8, math.pi / 2, 2.5, math.pi - 1e-3):
+        cap = Cap(sample_uniform(n, 1, gen)[0], radius)
+        for offset, inside in ((-1e-9, True), (1e-9, False)):
+            pts = points_at_distance(cap.center, radius + offset, gen, 10_000)
+            got = cap.contains(pts)
+            assert np.all(got == inside)
+            assert np.array_equal(got, cap_contains_arccos(cap.center, radius, pts))
+
+
 # ---------------------------------------------------------------------------
 # polytopes
 
@@ -72,6 +100,43 @@ def test_octant_membership_and_boundary_distance():
     expected = math.asin(1.0 / math.sqrt(3.0))
     got = float(E.boundary_distance(np.array([inside]))[0])
     assert got == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_polytope_facewise_membership_matches_matmul_form(seed):
+    gen = np.random.default_rng(20 + seed)
+    E = octant() if seed == 0 else random_trace_set(gen, "polytope")
+    x = sample_uniform(2, 1_000_000, gen)
+    assert np.array_equal(E.contains(x), polytope_contains_matmul(E.normals, x))
+    tested = 0
+    for j, u in enumerate(E.normals):
+        # points of face j's great circle well inside the other faces,
+        # moved 1e-9 into and out of the halfspace of face j
+        q = sample_uniform(2, 4000, gen)
+        q -= (q @ u)[:, None] * u
+        q /= np.linalg.norm(q, axis=1)[:, None]
+        q = q[np.all(q @ np.delete(E.normals, j, axis=0).T < -1e-6, axis=1)]
+        for offset, inside in ((-1e-9, True), (1e-9, False)):
+            pts = math.cos(offset) * q + math.sin(offset) * u
+            got = E.contains(pts)
+            assert np.all(got == inside)
+            assert np.array_equal(got, polytope_contains_matmul(E.normals, pts))
+        tested += len(q)
+    assert tested > 1000
+
+
+def test_membership_takes_one_point():
+    p = unit_vector((1.0, 1.0, 1.0))
+    cap, E = Cap(p, 0.5), octant()
+    union = PolyconvexUnion((Cap(-p, 0.3), E))
+    for S in (cap, E, union, Complement(cap), Reflection(E)):
+        assert np.ndim(S.contains(p)) == 0
+        assert S.contains(p) == S.contains(p[None])[0]
+    assert cap.contains(p) and E.contains(p) and union.contains(-p)
+    assert not (cap.contains(-p) or E.contains(-p) or Complement(cap).contains(p))
+    assert Reflection(E).contains(-p)
+    # p . p = 1 + 2^-52 > cos(0), yet the radius-0 cap stays empty
+    assert p @ p > 1.0 and not Cap(p, 0.0).contains(p)
 
 
 def test_octant_measure_against_mc():
