@@ -40,7 +40,7 @@ import warnings
 import numpy as np
 
 from .estimation import NonFiniteSampleError, QuadratureError, RandomStream
-from .geometry import sphere_surface
+from .geometry import _row_dots, sphere_surface
 from .integral_geometry import bp_check, crofton_estimate
 from .limits import (
     DEFAULT_S0_GRID,
@@ -580,11 +580,20 @@ def _run_crofton(args, stream):
     return rows, None, verdicts, detail
 
 
+def dot2_kernel(x, y):
+    """bp-check's dot2 kernel (1 + x.y)^2, broadcast over leading axes.
+
+    The dot product comes from row-wise passes, which add in np.sum's order
+    without the (..., n+1) product array.
+    """
+    return (1.0 + _row_dots(x, y)) ** 2
+
+
 def _run_bp_check(args, stream):
     if args.kernel == "const":
         f = lambda x, y: np.ones(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]))
     else:
-        f = lambda x, y: (1.0 + np.sum(x * y, axis=-1)) ** 2
+        f = dot2_kernel
     report = bp_check(args.n, f, pairs=args.pairs, planes=args.planes, rng=stream)
     combined = math.hypot(report.direct.std_error, report.plane_side.std_error)
     rel = _rel_dev(report.direct.value, report.plane_side.value)

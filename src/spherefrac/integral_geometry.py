@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import Estimate, as_stream, mc_estimate
-from .geometry import sample_uniform, sphere_surface
+from .geometry import _row_dots, _row_norms, sample_uniform, sphere_surface
 from .sets import TWO_PI, DegenerateCircleError, trace
 
 
@@ -39,28 +39,33 @@ def bp_constant(n: int) -> float:
 def sample_plane_batch(n: int, count: int, gen: np.random.Generator):
     """Orthonormal frames (es, fs) of count Haar planes, shape (count, n+1) each.
 
-    Gram-Schmidt on two Gaussian vectors; degenerate draws (norms below
-    1e-12 after projection) are resampled, a probability-zero event.
+    Gram-Schmidt in place: es and fs are drawn as two (count, n+1) Gaussian
+    arrays, es is normalized, and fs is projected off es and normalized.
+    Rows with a norm of 1e-12 or below, before or after the projection (a
+    probability-zero event), are redrawn in rounds: each round draws new es
+    rows, then new fs rows, for the rows still bad, in row order.
     """
-    es = np.empty((count, n + 1))
-    fs = np.empty((count, n + 1))
-    need = np.ones(count, dtype=bool)
-    while np.any(need):
-        k = int(need.sum())
-        g1 = gen.standard_normal((k, n + 1))
-        g2 = gen.standard_normal((k, n + 1))
-        n1 = np.linalg.norm(g1, axis=1)
-        ok1 = n1 > 1e-12
-        e = np.where(ok1[:, None], g1 / np.maximum(n1, 1e-300)[:, None], 0.0)
-        g2 = g2 - np.sum(g2 * e, axis=1, keepdims=True) * e
-        n2 = np.linalg.norm(g2, axis=1)
-        ok = ok1 & (n2 > 1e-12)
-        f = np.where(ok[:, None], g2 / np.maximum(n2, 1e-300)[:, None], 0.0)
-        slots = np.flatnonzero(need)[ok]
-        es[slots] = e[ok]
-        fs[slots] = f[ok]
-        need[np.flatnonzero(need)[ok]] = False
+    es = gen.standard_normal((count, n + 1))
+    fs = gen.standard_normal((count, n + 1))
+    bad = _orthonormalize(es, fs)
+    while np.any(bad):
+        idx = np.flatnonzero(bad)
+        e_new = gen.standard_normal((idx.size, n + 1))
+        f_new = gen.standard_normal((idx.size, n + 1))
+        bad[idx] = _orthonormalize(e_new, f_new)
+        es[idx] = e_new
+        fs[idx] = f_new
     return es, fs
+
+
+def _orthonormalize(es, fs):
+    """Gram-Schmidt of matching rows in place; True where a norm is <= 1e-12."""
+    n1 = _row_norms(es)
+    es /= np.maximum(n1, 1e-300)[:, None]
+    fs -= _row_dots(fs, es)[:, None] * es
+    n2 = _row_norms(fs)
+    fs /= np.maximum(n2, 1e-300)[:, None]
+    return (n1 <= 1e-12) | (n2 <= 1e-12)
 
 
 @dataclass(frozen=True)
@@ -85,8 +90,10 @@ def bp_check(n: int, f, pairs: int = 1_000_000, planes: int = 1000, rng=None, no
     direct side samples independent uniform pairs.  The plane side draws
     Haar circles and evaluates the in-circle double integral by a midpoint
     tensor rule at nodes^2 points; the midpoint offset keeps the |sin|^(n-1)
-    weight kink off the grid diagonal.
+    weight kink off the grid diagonal.  planes < 1 is a ValueError.
     """
+    if planes < 1:
+        raise ValueError("need at least one plane")
     stream = as_stream(rng)
     direct_stream, plane_stream = stream.split(2)
     total = sphere_surface(n)
@@ -107,8 +114,9 @@ def bp_check(n: int, f, pairs: int = 1_000_000, planes: int = 1000, rng=None, no
     c = bp_constant(n)
     vals = np.empty(planes)
     es, fs = sample_plane_batch(n, planes, gen)
+    cos_phi, sin_phi = np.cos(phis)[:, None], np.sin(phis)[:, None]
     for i in range(planes):
-        pts = np.cos(phis)[:, None] * es[i] + np.sin(phis)[:, None] * fs[i]
+        pts = cos_phi * es[i] + sin_phi * fs[i]
         fmat = np.asarray(f(pts[:, None, :], pts[None, :, :]), dtype=float)
         vals[i] = h * h * float(np.sum(fmat * weights))
     plane_est = Estimate.from_values(c * vals)
@@ -130,9 +138,21 @@ class CroftonReport:
         return abs(self.crossings.value - self.target) / self.crossings.std_error
 
 
+# circles per sets.trace call in crofton_estimate: the trace's temporaries
+# then stay in cache, and the counts do not depend on it
+_TRACE_BLOCK = 1 << 16
+
+
 def _crossings(E, es, fs):
-    _, length, degenerate = trace(E, es, fs)
-    return 2.0 * np.count_nonzero((length > 0.0) & (length < TWO_PI), axis=1), degenerate
+    m = es.shape[0]
+    counts = np.empty(m)
+    degenerate = np.empty(m, dtype=bool)
+    for lo in range(0, m, _TRACE_BLOCK):
+        block = slice(lo, lo + _TRACE_BLOCK)
+        _, length, bad = trace(E, es[block], fs[block])
+        counts[block] = 2.0 * np.count_nonzero((length > 0.0) & (length < TWO_PI), axis=1)
+        degenerate[block] = bad
+    return counts, degenerate
 
 
 def crofton_estimate(E, planes: int = 100_000, rng=None, max_resample_rounds: int = 100) -> CroftonReport:
@@ -142,8 +162,11 @@ def crofton_estimate(E, planes: int = 100_000, rng=None, max_resample_rounds: in
     that is neither empty nor the full circle.  Degenerate circles
     (tangencies and corner passes, margin 1e-9) are resampled in place and
     counted; the target (2/omega_n) H^(n-1)(boundary E) is attached when
-    the set knows its boundary measure.
+    the set knows its boundary measure.  planes < 1 is a ValueError: a mean
+    over no circles is not an exact zero.
     """
+    if planes < 1:
+        raise ValueError("need at least one plane")
     n = E.dimension
     gen = as_stream(rng).generator
     es, fs = sample_plane_batch(n, planes, gen)

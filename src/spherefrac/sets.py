@@ -83,8 +83,10 @@ class Polytope:
     """Intersection of closed hemispheres {x : x . u <= 0} over outward normals u.
 
     Membership ANDs one matrix-vector product x . u <= 0 per face, which
-    holds no (N, k) array.  The nonempty-interior flag is caller-asserted;
-    nothing here verifies it.
+    holds no (N, k) array.  The boundary distance takes the face dot
+    products face-major, as (k, N), so that each face's arccos runs on one
+    contiguous row before the np.minimum fold.  The nonempty-interior flag
+    is caller-asserted; nothing here verifies it.
     """
 
     normals: np.ndarray
@@ -111,9 +113,14 @@ class Polytope:
         return inside
 
     def boundary_distance(self, points) -> np.ndarray:
-        # distance to the nearest face great-subsphere: |pi/2 - angle to its normal|
-        angles = np.arccos(np.clip(np.asarray(points, dtype=float) @ self.normals.T, -1.0, 1.0))
-        return np.min(np.abs(0.5 * math.pi - angles), axis=-1)
+        # distance to the nearest face great-subsphere: |pi/2 - angle to its
+        # normal|, folded over the faces' rows of dot products
+        points = np.asarray(points, dtype=float)
+        out = None
+        for dots in self.normals @ points.reshape(-1, points.shape[-1]).T:
+            d = np.abs(0.5 * math.pi - np.arccos(np.clip(dots, -1.0, 1.0)))
+            out = d if out is None else np.minimum(out, d)
+        return out.reshape(points.shape[:-1])
 
     def boundary_measure(self):
         """Boundary length on S^2: each face's arc is the trace of the other
@@ -436,7 +443,8 @@ def trace(E, es, fs):
 
     Caps are solved in closed form (membership pulls back to
     A cos(phi - phi0) > cos r).  A polytope's arc runs between the zeros
-    atan2(f.u, e.u) +- pi/2 of its faces that satisfy every other face.
+    atan2(f.u, e.u) +- pi/2 of its faces that satisfy every other face,
+    which one cross product per face pair decides (_polytope_trace).
     A complement's arcs are the gaps of the inner trace; a reflection's are
     the inner arcs shifted by pi, as point(phi + pi) = -point(phi).  On S^1
     (arc unions) the circle is the whole sphere, so the arcs are the set's
@@ -471,45 +479,71 @@ def _cap_trace(E: Cap, es, fs):
     cos_r = math.cos(E.radius)
     crosses = amp > abs(cos_r)
     half = np.arccos(np.clip(cos_r / np.maximum(amp, 1e-300), -1.0, 1.0))
-    start = np.where(crosses, (np.arctan2(b, a) - half) % TWO_PI, 0.0)
+    start = np.where(crosses, _wrap(np.arctan2(b, a) - half), 0.0)
     length = np.where(crosses, 2.0 * half, TWO_PI if cos_r < 0.0 else 0.0)
     degenerate = np.abs(amp - abs(cos_r)) < DEGENERACY_MARGIN
     return start[:, None], length[:, None], degenerate
 
 
 def _polytope_trace(E: Polytope, es, fs):
-    # face i pulls back to a_i cos(phi) + b_i sin(phi) <= 0, a closed half
-    # circle entered at atan2(b_i, a_i) + pi/2 and left at its - pi/2 zero;
-    # the trace, their intersection, is one arc from the entry to the exit
-    # that satisfy every other face
-    a = es @ E.normals.T  # (m, k)
-    b = fs @ E.normals.T
-    m, k = a.shape
-    degenerate = np.zeros(m, dtype=bool)
-    zeros = []
-    for offset in (0.5 * math.pi, -0.5 * math.pi):
-        at = np.zeros(m)
-        found = np.zeros(m, dtype=bool)
-        for j in range(k):
-            # a face whose plane holds the circle has no transversal zeros
-            in_plane = np.hypot(a[:, j], b[:, j]) < DEGENERACY_MARGIN
-            degenerate |= in_plane
-            phi = np.arctan2(b[:, j], a[:, j]) + offset
-            cos_phi, sin_phi = np.cos(phi), np.sin(phi)
-            good = ~in_plane
-            for i in range(k):
-                if i != j:
-                    val = a[:, i] * cos_phi + b[:, i] * sin_phi
-                    degenerate |= np.abs(val) < DEGENERACY_MARGIN
-                    good &= val < 0.0
-            at = np.where(good, phi, at)
-            found |= good
-        zeros.append((at, found))
-    (entry, has_entry), (leave, has_exit) = zeros
-    arc = has_entry & has_exit
-    start = np.where(arc, entry % TWO_PI, 0.0)
-    length = np.where(arc, (leave - entry) % TWO_PI, 0.0)
-    return start[:, None], length[:, None], degenerate
+    """Face i pulls back to a_i cos(phi) + b_i sin(phi) <= 0, a closed half
+    circle entered at phi_j = atan2(b_j, a_j) + pi/2 and left at its - pi/2
+    zero; the trace, their intersection, is one arc from the entry to the
+    exit that satisfy every other face.
+
+    With rho_j = sqrt(a_j^2 + b_j^2), face i at face j's entry takes the
+    value a_i cos(phi_j) + b_i sin(phi_j) = (a_j b_i - a_i b_j) / rho_j, and
+    at j's exit the same with the sign flipped.  The cross product is
+    antisymmetric in i and j, so one per face pair decides by its sign
+    whether face i holds at j's entry (cross < 0) and exit (cross > 0), and
+    face j at i's entry (cross > 0) and exit (cross < 0); the 1e-9 margin
+    reads |cross| < 1e-9 rho.  No trig is taken except arctan2 for the
+    entry and exit that each arc keeps.
+    """
+    a = E.normals @ es.T  # (k, m): row j is face j's a_j on every circle
+    b = E.normals @ fs.T
+    k, m = a.shape
+    rho = np.sqrt(a * a + b * b)
+    # a face whose plane holds the circle has no transversal zeros
+    in_plane = rho < DEGENERACY_MARGIN
+    degenerate = np.logical_or.reduce(in_plane, axis=0)
+    tol = DEGENERACY_MARGIN * rho
+    enters = ~in_plane
+    leaves = ~in_plane
+    for j in range(k):
+        for i in range(j + 1, k):
+            cross = a[j] * b[i] - a[i] * b[j]  # face i at j's entry, times rho_j
+            size = np.abs(cross)
+            degenerate |= (size < tol[j]) | (size < tol[i])
+            neg = cross < 0.0
+            pos = cross > 0.0
+            enters[j] &= neg
+            leaves[j] &= pos
+            enters[i] &= pos
+            leaves[i] &= neg
+    # the last valid face wins; several only occur on degenerate circles
+    entry_face = np.full(m, -1)
+    exit_face = np.full(m, -1)
+    for j in range(k):
+        entry_face[enters[j]] = j
+        exit_face[leaves[j]] = j
+    rows = np.flatnonzero((entry_face >= 0) & (exit_face >= 0))
+    at_entry = entry_face[rows] * m + rows  # flat indices into (k, m)
+    at_exit = exit_face[rows] * m + rows
+    a, b = a.ravel(), b.ravel()
+    entry = np.arctan2(b[at_entry], a[at_entry]) + 0.5 * math.pi
+    leave = np.arctan2(b[at_exit], a[at_exit]) - 0.5 * math.pi
+    start = np.zeros((m, 1))
+    length = np.zeros((m, 1))
+    start[rows, 0] = _wrap(entry)
+    length[rows, 0] = _wrap(leave - entry)
+    return start, length, degenerate
+
+
+def _wrap(x):
+    """x mod 2 pi for x in [-2 pi, 2 pi), the value np.remainder gives
+    there, at a fraction of its cost: one conditional whole turn."""
+    return np.where(x < 0.0, x + TWO_PI, x)
 
 
 def _gaps(start, length):

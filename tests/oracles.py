@@ -165,6 +165,72 @@ def polytope_contains_matmul(normals, points):
     return np.all(dots <= 0.0, axis=-1)
 
 
+def polytope_boundary_distance_matmul(normals, points):
+    """Polytope boundary distance from the full (N, k) matrix of face dot
+    products: the least |pi/2 - angle to a face normal|."""
+    dots = np.asarray(points, dtype=float) @ np.asarray(normals, dtype=float).T
+    angles = np.arccos(np.clip(dots, -1.0, 1.0))
+    return np.min(np.abs(0.5 * math.pi - angles), axis=-1)
+
+
+def sample_plane_batch_masked(n, count, gen):
+    """Haar frames by Gram-Schmidt on fresh Gaussian pairs, redrawing every
+    pair with a norm of 1e-12 or below and scattering the good rows through
+    boolean masks.  Draws the same random numbers as the library sampler."""
+    es = np.empty((count, n + 1))
+    fs = np.empty((count, n + 1))
+    need = np.ones(count, dtype=bool)
+    while np.any(need):
+        k = int(need.sum())
+        g1 = gen.standard_normal((k, n + 1))
+        g2 = gen.standard_normal((k, n + 1))
+        n1 = np.linalg.norm(g1, axis=1)
+        ok1 = n1 > 1e-12
+        e = np.where(ok1[:, None], g1 / np.maximum(n1, 1e-300)[:, None], 0.0)
+        g2 = g2 - np.sum(g2 * e, axis=1, keepdims=True) * e
+        n2 = np.linalg.norm(g2, axis=1)
+        ok = ok1 & (n2 > 1e-12)
+        f = np.where(ok[:, None], g2 / np.maximum(n2, 1e-300)[:, None], 0.0)
+        slots = np.flatnonzero(need)[ok]
+        es[slots] = e[ok]
+        fs[slots] = f[ok]
+        need[slots] = False
+    return es, fs
+
+
+def polytope_trace_trig(normals, es, fs, margin=1e-9):
+    """Polytope trace on great circles by evaluating every other face at each
+    face's zeros atan2(b_j, a_j) +- pi/2 through cos and sin.  Returns
+    (start, length, degenerate) with start and length of shape (m,)."""
+    a = es @ normals.T
+    b = fs @ normals.T
+    m, k = a.shape
+    degenerate = np.zeros(m, dtype=bool)
+    zeros = []
+    for offset in (0.5 * math.pi, -0.5 * math.pi):
+        at = np.zeros(m)
+        found = np.zeros(m, dtype=bool)
+        for j in range(k):
+            in_plane = np.hypot(a[:, j], b[:, j]) < margin
+            degenerate |= in_plane
+            phi = np.arctan2(b[:, j], a[:, j]) + offset
+            cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+            good = ~in_plane
+            for i in range(k):
+                if i != j:
+                    val = a[:, i] * cos_phi + b[:, i] * sin_phi
+                    degenerate |= np.abs(val) < margin
+                    good &= val < 0.0
+            at = np.where(good, phi, at)
+            found |= good
+        zeros.append((at, found))
+    (entry, has_entry), (leave, has_exit) = zeros
+    arc = has_entry & has_exit
+    start = np.where(arc, entry % TWO_PI, 0.0)
+    length = np.where(arc, (leave - entry) % TWO_PI, 0.0)
+    return start, length, degenerate
+
+
 def sample_at_distance_projected(x, theta, rng):
     """Points at geodesic distance theta from x: a Gaussian projected off x,
     normalized to the tangent direction u, and cos(theta) x + sin(theta) u

@@ -16,6 +16,7 @@ from spherefrac import Cap, cap_area, perimeter_cap, perimeter_minus_n, sample_u
 from spherefrac.cli import (
     DEFAULT_SEED,
     SetSyntaxError,
+    dot2_kernel,
     main,
     parse_function,
     parse_set,
@@ -165,6 +166,29 @@ def test_crofton_traces_complements_reflections_and_arcs(tmp_path):
     assert (arcs["value"], arcs["error"], arcs["target"]) == (4.0, 0.0, 4.0)
 
 
+def test_dot2_kernel_matches_the_summed_product_form():
+    gen = np.random.default_rng(12)
+    pts = sample_uniform(2, 256, gen)
+    pairs = (sample_uniform(2, 100_000, gen), sample_uniform(2, 100_000, gen))
+    for x, y in ((pts[:, None, :], pts[None, :, :]), pairs):
+        assert np.array_equal(dot2_kernel(x, y), (1.0 + np.sum(x * y, axis=-1)) ** 2)
+
+
+def test_bp_check_and_crofton_records_are_pinned(tmp_path):
+    # pinned from the masked Gram-Schmidt, trig polytope trace and summed
+    # product kernel that the fast paths replaced; they draw the same numbers
+    out = tmp_path / "bp.json"
+    assert main(["bp-check", "--kernel", "dot2", "--pairs", "20000", "--planes", "20",
+                 "--seed", "5", "--format", "json", "--out", str(out)]) == 0
+    row = json.loads(out.read_text())["rows"][0]
+    assert (row["value"], row["error"], row["target"]) == (
+        211.27782722466316, 1.3399654731985138, 210.53570557555548)
+    out = tmp_path / "crofton.csv"
+    assert main(["crofton", "--n", "2", "--set", "poly:-1,0,0;0,-1,0;0,0,-1", "--planes", "20000",
+                 "--seed", "5", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == "20000,1.4923,0.00615499225803614,1.5,0.0051333333333333604"
+
+
 def test_seed_precedence_changes_and_reproduces_output(tmp_path, monkeypatch):
     monkeypatch.delenv("SPHEREFRAC_SEED", raising=False)
     args = ["crofton", "--n", "2", "--set", "cap:0,0,1:0.8", "--planes", "2000"]
@@ -197,6 +221,13 @@ def test_exit_1_on_config_errors(tmp_path, capsys):
     # invalid s (the closed endpoint) is a config error too
     assert main(["perimeter", "--n", "2", "--set", "cap:0,0,1:1.0", "--s", "1.0"]) == 1
     capsys.readouterr()
+    # no planes is a config error, not an exact-looking zero
+    assert main(["crofton", "--n", "2", "--set", "cap:0,0,1:1.0", "--planes", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "at least one plane" in captured.err and captured.out == ""
+    assert main(["bp-check", "--pairs", "100", "--planes", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "at least one plane" in captured.err and captured.out == ""
 
 
 def test_exit_1_on_bad_usage():

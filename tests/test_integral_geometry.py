@@ -11,10 +11,12 @@ from spherefrac import (
     bp_check,
     bp_constant,
     crofton_estimate,
+    trace,
 )
-from spherefrac.integral_geometry import sample_plane_batch
+from spherefrac.integral_geometry import _crossings, sample_plane_batch
 
-from oracles import polytope_boundary_measure
+from oracles import polytope_boundary_measure, sample_plane_batch_masked
+from test_geometry import ScriptedNormals
 
 
 def octant():
@@ -32,6 +34,33 @@ def test_sample_plane_batch_frames_are_orthonormal():
     assert np.allclose(np.linalg.norm(es, axis=1), 1.0, atol=1e-12)
     assert np.allclose(np.linalg.norm(fs, axis=1), 1.0, atol=1e-12)
     assert np.allclose(np.sum(es * fs, axis=1), 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sample_plane_batch_matches_masked_form_on_the_same_seed(n):
+    es, fs = sample_plane_batch(n, 200_000, np.random.default_rng(30 + n))
+    es_ref, fs_ref = sample_plane_batch_masked(n, 200_000, np.random.default_rng(30 + n))
+    assert np.array_equal(es, es_ref)
+    assert np.array_equal(fs, fs_ref)
+
+
+def test_sample_plane_batch_redraws_degenerate_rows():
+    # row 0 has a zero e, row 2 an f parallel to e; both are redrawn, in
+    # order, from the second pair of draws, and row 2 once more from the third
+    script = [
+        [[0.0, 0.0, 0.0], [1.0, 2.0, 2.0], [0.0, 0.0, 3.0]],
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -2.0]],
+        [[0.0, 4.0, 3.0], [1.0, 1.0, 1.0]],
+        [[1.0, 0.0, 0.0], [2.0, 2.0, 2.0]],
+        [[0.0, 0.0, 5.0]],
+        [[3.0, 4.0, 0.0]],
+    ]
+    es, fs = sample_plane_batch(2, 3, ScriptedNormals(*script))
+    es_ref, fs_ref = sample_plane_batch_masked(2, 3, ScriptedNormals(*script))
+    assert np.array_equal(es, es_ref)
+    assert np.array_equal(fs, fs_ref)
+    assert np.array_equal(es, [[0.0, 0.8, 0.6], [1 / 3, 2 / 3, 2 / 3], [0.0, 0.0, 1.0]])
+    assert np.array_equal(fs, [[1.0, 0.0, 0.0], fs_ref[1], [0.6, 0.8, 0.0]])
 
 
 def test_sample_plane_batch_is_isotropic():
@@ -61,6 +90,28 @@ def test_bp_check_quadratic_kernel():
     assert abs(report.direct.value - exact) < 4.0 * report.direct.std_error
     assert report.deviation_sigmas < 4.0
     assert report.constant == pytest.approx(2.0 * math.pi, rel=1e-14)
+
+
+def test_plane_counts_below_one_are_rejected():
+    E = Cap((0.0, 0.0, 1.0), 0.8)
+    with pytest.raises(ValueError, match="at least one plane"):
+        crofton_estimate(E, planes=0, rng=RandomStream(1))
+    with pytest.raises(ValueError, match="at least one plane"):
+        bp_check(2, lambda x, y: np.ones(np.broadcast(x, y).shape[:-1]),
+                 pairs=100, planes=0, rng=RandomStream(1))
+
+
+def test_blocked_crossings_match_one_trace():
+    # more circles than one block, and a partial last block
+    gen = np.random.default_rng(27)
+    es, fs = sample_plane_batch(2, 150_000, gen)
+    union = PolyconvexUnion((Cap((0.0, 0.0, 1.0), 0.5), Cap((1.0, 0.0, 0.0), 0.7)))
+    for E in (Cap((0.0, 0.6, 0.8), 1.1), octant(), union):
+        counts, degenerate = _crossings(E, es, fs)
+        _, length, bad = trace(E, es, fs)
+        assert np.array_equal(counts, 2.0 * np.sum((length > 0.0) & (length < 2.0 * math.pi), axis=1))
+        assert np.array_equal(degenerate, bad)
+        assert 0.0 < counts.mean() < 4.0
 
 
 def test_crofton_cap_matches_boundary_length():

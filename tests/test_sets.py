@@ -25,7 +25,13 @@ from spherefrac import (
 )
 from spherefrac.integral_geometry import sample_plane_batch
 
-from oracles import cap_contains_arccos, polytope_boundary_measure, polytope_contains_matmul
+from oracles import (
+    cap_contains_arccos,
+    polytope_boundary_distance_matmul,
+    polytope_boundary_measure,
+    polytope_contains_matmul,
+    polytope_trace_trig,
+)
 
 Z = (0.0, 0.0, 1.0)
 
@@ -123,6 +129,27 @@ def test_polytope_facewise_membership_matches_matmul_form(seed):
             assert np.array_equal(got, polytope_contains_matmul(E.normals, pts))
         tested += len(q)
     assert tested > 1000
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_polytope_facewise_boundary_distance_matches_matmul_form(seed):
+    gen = np.random.default_rng(60 + seed)
+    E = octant() if seed == 0 else polytope_around(gen, 2 + seed)
+    x = sample_uniform(2, 65536, gen)
+    # points within 1e-12 to 1e-6 of a face great circle
+    u = E.normals[gen.integers(0, len(E.normals), 4096)]
+    q = sample_uniform(2, 4096, gen)
+    q -= np.sum(q * u, axis=1)[:, None] * u
+    q /= np.linalg.norm(q, axis=1)[:, None]
+    eps = 10.0 ** gen.uniform(-12.0, -6.0, 4096)[:, None]
+    x = np.concatenate([x, np.cos(eps) * q + np.sin(eps) * u])
+    got = E.boundary_distance(x)
+    ref = polytope_boundary_distance_matmul(E.normals, x)
+    assert np.max(np.abs(got - ref)) <= 1e-15
+    # any leading shape, and one point
+    assert np.array_equal(E.boundary_distance(x[:6].reshape(2, 3, 3)), got[:6].reshape(2, 3))
+    assert E.boundary_distance(x[0]).shape == ()
+    assert E.boundary_distance(x[0]) == got[0]
 
 
 def test_membership_takes_one_point():
@@ -377,6 +404,63 @@ def test_trace_arcs_are_exact(seed, kind, wrap):
         assert np.array_equal(length, inner_length)
     if wrap is Complement:
         assert np.array_equal(crossings(E, es, fs)[ok], crossings(inner, es, fs)[ok])
+
+
+def polytope_around(gen, k):
+    """k random faces around a random interior point."""
+    interior = sample_uniform(2, 1, gen)[0]
+    normals = sample_uniform(2, k, gen)
+    return Polytope(-normals * np.sign(normals @ interior)[:, None])
+
+
+def frames_through(points, gen):
+    """Frames of random great circles through the given unit points."""
+    f = sample_uniform(2, len(points), gen)
+    f -= np.sum(f * points, axis=1)[:, None] * points
+    return points, f / np.linalg.norm(f, axis=1)[:, None]
+
+
+def aimed_frames(E, gen, count):
+    """Circles within 1e-12 to 1e-6 of a vertex (two face circles meeting),
+    and circles within 1e-12 to 1e-6 of lying in a face's plane."""
+    u = E.normals
+    k = len(u)
+    eps = 10.0 ** gen.uniform(-12.0, -6.0, count)[:, None]
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    pick = np.array(pairs)[gen.integers(0, len(pairs), count)]
+    v = np.cross(u[pick[:, 0]], u[pick[:, 1]])
+    v *= gen.choice((-1.0, 1.0), count)[:, None] / np.linalg.norm(v, axis=1)[:, None]
+    t = sample_uniform(2, count, gen)
+    t -= np.sum(t * v, axis=1)[:, None] * v
+    t /= np.linalg.norm(t, axis=1)[:, None]
+    p = v + eps * t
+    near_vertex = frames_through(p / np.linalg.norm(p, axis=1)[:, None], gen)
+    w = u[gen.integers(0, k, count)]
+    e = sample_uniform(2, count, gen)
+    e -= np.sum(e * w, axis=1)[:, None] * w
+    e /= np.linalg.norm(e, axis=1)[:, None]
+    g = np.cross(w, e)
+    near_face = (e, np.cos(eps) * g + np.sin(eps) * w)
+    return near_vertex, near_face
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_polytope_trace_matches_trig_form(seed):
+    gen = np.random.default_rng(40 + seed)
+    E = octant() if seed == 0 else polytope_around(gen, 2 + seed)
+    frames = [sample_plane_batch(2, 200_000, gen), *aimed_frames(E, gen, 20_000)]
+    degenerate_seen = 0
+    for es, fs in frames:
+        start, length, degenerate = trace(E, es, fs)
+        s_ref, l_ref, d_ref = polytope_trace_trig(E.normals, es, fs)
+        assert np.array_equal(length[:, 0], l_ref)
+        assert np.array_equal(degenerate, d_ref)
+        assert np.max(np.abs(start[:, 0] - s_ref)) <= 1e-15
+        crossings = (length[:, 0] > 0.0) & (length[:, 0] < 2.0 * math.pi)
+        assert np.array_equal(crossings, (l_ref > 0.0) & (l_ref < 2.0 * math.pi))
+        degenerate_seen += int(degenerate.sum())
+    # the aimed circles reach both sides of the 1e-9 margin
+    assert 5_000 < degenerate_seen < 35_000
 
 
 def test_polytope_boundary_measure_is_exact_on_s2():
