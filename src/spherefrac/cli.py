@@ -113,10 +113,15 @@ def _parse_vector(text: str, offset: int) -> np.ndarray:
     return np.asarray(vals)
 
 
+def _warn(message) -> None:
+    print(f"spherefrac: warning: {message}", file=sys.stderr)
+
+
 def _warn_if_unnormalized(v: np.ndarray, label: str) -> None:
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-6:
-        print(f"warning: {label} had |v| = {norm:.8g}, normalizing", file=sys.stderr)
+    # a zero or non-finite vector is not normalized but rejected by the set
+    if 0.0 < norm < math.inf and abs(norm - 1.0) > 1e-6:
+        _warn(f"{label} had |v| = {norm:.8g}, normalizing")
 
 
 def _split_union(body: str):
@@ -195,11 +200,7 @@ def parse_set(text: str, offset: int = 0):
         # the sampled check uses its own fixed stream so output stays
         # deterministic regardless of --seed
         if not union.probably_disjoint(RandomStream(0)):
-            print(
-                "warning: union parts overlap in sampling; "
-                "exact measure and targets are disabled",
-                file=sys.stderr,
-            )
+            _warn("union parts overlap in sampling; exact measure and targets are disabled")
             union = PolyconvexUnion(parts, assume_disjoint=False)
         return union
     raise SetSyntaxError(offset, f"unknown set kind {kind!r}")
@@ -669,7 +670,7 @@ def _config_dict(args) -> dict:
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None):
-    print(f"spherefrac: warning: {message}", file=sys.stderr)
+    _warn(message)
 
 
 def main(argv=None) -> int:

@@ -3,13 +3,17 @@
 Everything here is deterministic given a seed: random state is carried by
 RandomStream, a splittable wrapper over numpy's SeedSequence, and chunked
 estimators derive one child stream per chunk so results depend only on
-(seed, sample count, chunk size).
+(seed, sample count, chunk size), not on how many CPUs evaluate the chunks.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import heapq
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,38 +122,64 @@ class Estimate:
         return Estimate(mean, se, n)
 
 
+def _worker_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
 def mc_estimate(sampler, integrand, n_samples: int, rng, chunk_size: int = 1 << 16) -> Estimate:
     """Chunked Monte Carlo mean of integrand over sampler draws.
 
     sampler(count, generator) returns a batch; integrand(batch) returns a
     float array of per-sample values whose mean estimates the target.
-    Chunks use split child streams and are merged with exact pooling, so the
-    result is a deterministic function of (seed, n_samples, chunk_size) and
-    insensitive to merge order beyond roundoff.
+    Each chunk draws from its own split child stream and is reduced to an
+    Estimate; the chunk Estimates are pooled in chunk order, so the result is
+    a deterministic function of (seed, n_samples, chunk_size).
+
+    Chunks run concurrently on worker threads, one per CPU this process may
+    use (capped at the chunk count; a single worker or a single chunk runs in
+    the calling thread).  sampler and integrand may therefore be called from
+    several threads at once, one chunk per call with its own generator, and
+    must not share mutable state.  The result is the same, to the bit, on
+    any number of CPUs.
 
     Raises NonFiniteSampleError if any integrand value is NaN or infinite.
+    When several chunks fail, the lowest-numbered chunk's error is raised and
+    chunks that have not started are cancelled.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
     stream = as_stream(rng)
     n_chunks = (n_samples + chunk_size - 1) // chunk_size
     children = stream.split(n_chunks)
-    total: Estimate | None = None
-    done = 0
-    for child in children:
-        count = min(chunk_size, n_samples - done)
-        done += count
-        values = np.asarray(integrand(sampler(count, child.generator)), dtype=float)
+
+    def chunk(i: int) -> Estimate:
+        start = i * chunk_size
+        count = min(chunk_size, n_samples - start)
+        values = np.asarray(integrand(sampler(count, children[i].generator)), dtype=float)
         if values.shape != (count,):
             raise ValueError(f"integrand returned shape {values.shape}, expected ({count},)")
         if not np.all(np.isfinite(values)):
             idx = int(np.flatnonzero(~np.isfinite(values))[0])
             raise NonFiniteSampleError(
-                f"non-finite integrand value {values[idx]!r} at sample {done - count + idx}"
+                f"non-finite integrand value {values[idx]!r} at sample {start + idx}"
             )
-        part = Estimate.from_values(values)
-        total = part if total is None else total.merge(part)
-    return total
+        return Estimate.from_values(values)
+
+    workers = min(_worker_count(), n_chunks)
+    if workers <= 1:
+        return functools.reduce(Estimate.merge, map(chunk, range(n_chunks)))
+    pool = ThreadPoolExecutor(workers)
+    try:
+        # each chunk runs in a copy of the caller's context, so context-local
+        # settings such as np.errstate apply as they would in the caller
+        futures = [pool.submit(contextvars.copy_context().run, chunk, i) for i in range(n_chunks)]
+        return functools.reduce(Estimate.merge, (f.result() for f in futures))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 # 7- and 15-point Gauss-Legendre nodes for the embedded error estimate.

@@ -26,6 +26,7 @@ from .sets import ArcUnion, Cap, PolyconvexUnion, symmetric_overlap_measure
 DEFAULT_S1_GRID = (0.9, 0.95, 0.99)
 DEFAULT_T_GRID = (20.0, 40.0, 80.0)
 DEFAULT_S0_GRID = (-0.3, -0.1, -0.03, -0.01)
+_TARGET_BLOCK = 1 << 16  # points per block of the seminorm target's draw
 
 
 @dataclass(frozen=True)
@@ -212,8 +213,15 @@ def sweep_seminorm_to_minus_inf(
     for i, t in enumerate(grid):
         est = seminorm_mc(f, n, p, -t, samples, streams[i])
         rows.append(SweepRow(t, t**n * est.value, t**n * est.std_error, "mc"))
-    x = sample_uniform(n, target_samples, streams[-1].generator)
-    diffs = np.abs(np.asarray(f(x), dtype=float) - np.asarray(f(-x), dtype=float)) ** p
+    # drawn in blocks: consecutive draws continue one stream, so the target
+    # equals a one-shot draw without holding all target_samples points
+    gen = streams[-1].generator
+    diffs = np.empty(target_samples)
+    for start in range(0, target_samples, _TARGET_BLOCK):
+        x = sample_uniform(n, min(_TARGET_BLOCK, target_samples - start), gen)
+        diffs[start : start + len(x)] = (
+            np.abs(np.asarray(f(x), dtype=float) - np.asarray(f(-x), dtype=float)) ** p
+        )
     target = concentration_constant(n, p) * sphere_surface(n) * float(np.mean(diffs))
     report = extrapolate([1.0 / t for t in grid], [row.value for row in rows], target)
     return rows, report

@@ -6,13 +6,21 @@ pair counting, a covariogram quadrature on the circle, and the plain forms
 of membership tests and samplers that the library computes faster,
 sharing no code path with the routines they check, plus high-precision
 cap perimeters pinned from an mpmath computation (CAP_PERIMETERS, whose
-comment says how they were made).
+comment says how they were made).  Two references are the serial forms of
+faster library paths that must equal them to the bit, so they reuse the
+library's pooling and samplers: the one-thread chunk loop of mc_estimate
+and the one-shot draw of the antipodal seminorm target.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import quad
+
+from spherefrac.estimation import Estimate, NonFiniteSampleError, as_stream
+from spherefrac.geometry import sample_uniform, sphere_surface
+from spherefrac.limits import SweepRow, concentration_constant, extrapolate
+from spherefrac.perimeter import seminorm_mc
 
 TWO_PI = 2.0 * math.pi
 
@@ -315,3 +323,41 @@ CAP_PERIMETERS = {
     (3, 0.99): (906.555709154446, 3956.096144566835, 3270.0694993327443),
     (3, 0.999): (9073.201464260685, 39486.60059359661, 32647.467387797897),
 }
+
+
+def mc_estimate_serial(sampler, integrand, n_samples, rng, chunk_size=1 << 16):
+    """mc_estimate's chunk loop in the calling thread, chunk after chunk."""
+    if n_samples < 1:
+        raise ValueError("need at least one sample")
+    stream = as_stream(rng)
+    n_chunks = (n_samples + chunk_size - 1) // chunk_size
+    total = None
+    done = 0
+    for child in stream.split(n_chunks):
+        count = min(chunk_size, n_samples - done)
+        done += count
+        values = np.asarray(integrand(sampler(count, child.generator)), dtype=float)
+        if values.shape != (count,):
+            raise ValueError(f"integrand returned shape {values.shape}, expected ({count},)")
+        if not np.all(np.isfinite(values)):
+            idx = int(np.flatnonzero(~np.isfinite(values))[0])
+            raise NonFiniteSampleError(
+                f"non-finite integrand value {values[idx]!r} at sample {done - count + idx}"
+            )
+        part = Estimate.from_values(values)
+        total = part if total is None else total.merge(part)
+    return total
+
+
+def sweep_seminorm_one_shot(n, f, p, t_grid, samples, rng, target_samples):
+    """sweep_seminorm_to_minus_inf with its antipodal target drawn at once."""
+    grid = [float(t) for t in t_grid]
+    streams = as_stream(rng).split(len(grid) + 1)
+    rows = []
+    for i, t in enumerate(grid):
+        est = seminorm_mc(f, n, p, -t, samples, streams[i])
+        rows.append(SweepRow(t, t**n * est.value, t**n * est.std_error, "mc"))
+    x = sample_uniform(n, target_samples, streams[-1].generator)
+    diffs = np.abs(np.asarray(f(x), dtype=float) - np.asarray(f(-x), dtype=float)) ** p
+    target = concentration_constant(n, p) * sphere_surface(n) * float(np.mean(diffs))
+    return rows, extrapolate([1.0 / t for t in grid], [row.value for row in rows], target)

@@ -272,6 +272,36 @@ def test_unnormalized_center_warning(capsys):
     assert scaled == unit  # same cap after normalization, same oracle value
 
 
+def test_description_warnings_are_spherefrac_lines(capsys):
+    rc = main(["perimeter", "--n", "2", "--set", "poly:0,0,-2;0,-1,0", "--s", "-1",
+               "--method", "mc", "--samples", "1000"])
+    assert rc == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "spherefrac: warning: polytope normal had |v| = 2, normalizing"
+    ]
+    rc = main(["perimeter", "--n", "2", "--set", "union:cap:0,0,1:1+cap:0,0.2,1:1", "--s", "-1",
+               "--method", "mc", "--samples", "1000"])
+    assert rc == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "spherefrac: warning: cap center had |v| = 1.0198039, normalizing",
+        "spherefrac: warning: union parts overlap in sampling; "
+        "exact measure and targets are disabled",
+    ]
+
+
+@pytest.mark.parametrize("desc, message", [
+    ("poly:0,0,0", "normals must be finite and nonzero"),
+    ("poly:inf,0,0", "normals must be finite and nonzero"),
+    ("cap:0,0,0:1", "cannot normalize the zero vector"),
+])
+def test_zero_or_infinite_vector_is_rejected_without_normalizing_warning(capsys, desc, message):
+    rc = main(["perimeter", "--n", "2", "--set", desc, "--s", "-1"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"spherefrac: config error in description: at position 0: {message}"
+    ]
+
+
 # ---------------------------------------------------------------------------
 # subcommand behavior
 
