@@ -130,6 +130,27 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
+def _map_ordered(fn, count: int) -> list:
+    """[fn(0), ..., fn(count - 1)], with the calls spread over worker threads.
+
+    One call starts min(_worker_count(), count) threads; with a single
+    worker or a single task, fn runs in the calling thread and no thread
+    starts.  Each task runs in a copy of the caller's context, so
+    context-local settings such as np.errstate apply as they would in the
+    caller.  When tasks fail, the lowest-index task's error is raised and
+    tasks that have not started are cancelled; no thread outlives the call.
+    """
+    workers = min(_worker_count(), count)
+    if workers <= 1:
+        return [fn(i) for i in range(count)]
+    pool = ThreadPoolExecutor(workers)
+    try:
+        futures = [pool.submit(contextvars.copy_context().run, fn, i) for i in range(count)]
+        return [f.result() for f in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def mc_estimate(sampler, integrand, n_samples: int, rng, chunk_size: int = 1 << 16) -> Estimate:
     """Chunked Monte Carlo mean of integrand over sampler draws.
 
@@ -169,17 +190,7 @@ def mc_estimate(sampler, integrand, n_samples: int, rng, chunk_size: int = 1 << 
             )
         return Estimate.from_values(values)
 
-    workers = min(_worker_count(), n_chunks)
-    if workers <= 1:
-        return functools.reduce(Estimate.merge, map(chunk, range(n_chunks)))
-    pool = ThreadPoolExecutor(workers)
-    try:
-        # each chunk runs in a copy of the caller's context, so context-local
-        # settings such as np.errstate apply as they would in the caller
-        futures = [pool.submit(contextvars.copy_context().run, chunk, i) for i in range(n_chunks)]
-        return functools.reduce(Estimate.merge, (f.result() for f in futures))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    return functools.reduce(Estimate.merge, _map_ordered(chunk, n_chunks))
 
 
 # 7- and 15-point Gauss-Legendre nodes for the embedded error estimate.

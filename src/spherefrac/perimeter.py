@@ -14,7 +14,7 @@ import math
 import warnings
 
 import numpy as np
-from scipy.special import betainc, xlogy
+from scipy.special import betainc
 
 from .estimation import Estimate, RadialProposal, adaptive_quad, mc_estimate
 from .geometry import cap_area, sample_at_distance, sample_uniform, sphere_surface
@@ -288,23 +288,48 @@ def perimeter_cap(n: int, s: float, r: float, tol: float = CAP_TOL) -> float:
 # exact one-dimensional formulas
 
 
+def _power_quotient(x, s: float):
+    """(x^-s - 1) / s for x > 0, with its limit -log x at s = 0; 0 at x = 0.
+
+    expm1 keeps the difference exact to roundoff when s log x is small;
+    below |s log x| = 1e-8 the series -log x (1 - s log x / 2) takes over,
+    which also covers s = 0 and subnormal s.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    pos = x > 0.0
+    log_x = np.log(x[pos])
+    z = -s * log_x
+    small = np.abs(z) < 1e-8
+    q = np.empty_like(z)
+    q[small] = -log_x[small] * (1.0 + 0.5 * z[small])
+    q[~small] = np.expm1(z[~small]) / s
+    out[pos] = q
+    return out
+
+
 def _circle_G(x, s: float):
     """Second antiderivative of the periodic kernel delta(x)^-(1+s) on [0, 2 pi].
 
     G''(x) = min(x, 2pi - x)^-(1+s), matched C^1 at pi.  Double integrals of
     the kernel over a rectangle [a,b] x [alpha,beta] reduce to
     G(beta-a) - G(beta-b) - G(alpha-a) + G(alpha-b), in which affine terms
-    of G cancel.  s = 0 takes the logarithmic limit x log x, continued
-    above pi by (2pi - x) log(2pi - x) + 2 (1 + log pi)(x - pi).
+    of G cancel.  G is therefore taken up to the affine term
+    x / (s (1-s)), which leaves
+
+        G(x) = -x q(x) / (1-s)                                  (x <= pi),
+        G(x) = -y q(y) / (1-s) + 2 (x - pi) (1/(1-s) - q(pi))   (x > pi),
+
+    with y = 2pi - x and q(x) = (x^-s - 1)/s (_power_quotient).  No term
+    grows like 1/s, so s near 0 loses no digits to cancellation, and s = 0
+    is the logarithmic limit x log x, continued above pi by
+    y log y + 2 (1 + log pi)(x - pi).
     """
     x = np.asarray(x, dtype=float)
-    if s == 0.0:
-        lower = xlogy(x, x)
-        upper = xlogy(TWO_PI - x, TWO_PI - x) + 2.0 * (1.0 + math.log(math.pi)) * (x - math.pi)
-        return np.where(x <= math.pi, lower, upper)
-    c = 1.0 / (s * (1.0 - s))
-    lower = -c * x ** (1.0 - s)
-    upper = -c * (TWO_PI - x) ** (1.0 - s) - (2.0 / s) * math.pi ** (-s) * (x - math.pi)
+    y = TWO_PI - x
+    inv = 1.0 / (1.0 - s)
+    lower = -inv * x * _power_quotient(x, s)
+    upper = -inv * y * _power_quotient(y, s) + 2.0 * (x - math.pi) * (inv - _power_quotient(math.pi, s))
     return np.where(x <= math.pi, lower, upper)
 
 

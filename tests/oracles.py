@@ -6,10 +6,12 @@ pair counting, a covariogram quadrature on the circle, and the plain forms
 of membership tests and samplers that the library computes faster,
 sharing no code path with the routines they check, plus high-precision
 cap perimeters pinned from an mpmath computation (CAP_PERIMETERS, whose
-comment says how they were made).  Two references are the serial forms of
+comment says how they were made).  Four references are the serial forms of
 faster library paths that must equal them to the bit, so they reuse the
-library's pooling and samplers: the one-thread chunk loop of mc_estimate
-and the one-shot draw of the antipodal seminorm target.
+library's pooling and samplers: the one-thread chunk loop of mc_estimate,
+the one-shot draw of the antipodal seminorm target, crofton_estimate with
+one trace per batch of circles, and bp_check's plane side as one loop over
+the planes.
 """
 
 import math
@@ -19,8 +21,10 @@ from scipy.integrate import quad
 
 from spherefrac.estimation import Estimate, NonFiniteSampleError, as_stream
 from spherefrac.geometry import sample_uniform, sphere_surface
+from spherefrac.integral_geometry import CroftonReport
 from spherefrac.limits import SweepRow, concentration_constant, extrapolate
 from spherefrac.perimeter import seminorm_mc
+from spherefrac.sets import trace
 
 TWO_PI = 2.0 * math.pi
 
@@ -361,3 +365,42 @@ def sweep_seminorm_one_shot(n, f, p, t_grid, samples, rng, target_samples):
     diffs = np.abs(np.asarray(f(x), dtype=float) - np.asarray(f(-x), dtype=float)) ** p
     target = concentration_constant(n, p) * sphere_surface(n) * float(np.mean(diffs))
     return rows, extrapolate([1.0 / t for t in grid], [row.value for row in rows], target)
+
+
+def crofton_estimate_serial(E, planes, rng, max_resample_rounds=100):
+    """crofton_estimate in the calling thread: masked Haar frames, one trace
+    of the whole batch, and the same in-place resampling of degenerate
+    circles."""
+    n = E.dimension
+    gen = as_stream(rng).generator
+
+    def crossings(count):
+        es, fs = sample_plane_batch_masked(n, count, gen)
+        _, length, bad = trace(E, es, fs)
+        return 2.0 * np.count_nonzero((length > 0.0) & (length < TWO_PI), axis=1), bad
+
+    counts, bad = crossings(planes)
+    resamples = 0
+    for _ in range(max_resample_rounds):
+        if not np.any(bad):
+            break
+        resamples += int(bad.sum())
+        idx = np.flatnonzero(bad)
+        counts[idx], bad[idx] = crossings(idx.size)
+    assert not np.any(bad)
+    bm = E.boundary_measure()
+    target = None if bm is None else 2.0 * bm / sphere_surface(n - 1)
+    return CroftonReport(Estimate.from_values(counts), target, resamples)
+
+
+def circle_integrals_serial(n, f, es, fs, nodes):
+    """bp_check's per-plane midpoint tensor rule, one plane after another."""
+    h = TWO_PI / nodes
+    phis = (np.arange(nodes) + 0.5) * h
+    weights = np.abs(np.sin(phis[:, None] - phis[None, :])) ** (n - 1)
+    vals = np.empty(len(es))
+    for i in range(len(es)):
+        pts = np.cos(phis)[:, None] * es[i] + np.sin(phis)[:, None] * fs[i]
+        fmat = np.asarray(f(pts[:, None, :], pts[None, :, :]), dtype=float)
+        vals[i] = h * h * float(np.sum(fmat * weights))
+    return vals

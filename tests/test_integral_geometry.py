@@ -92,6 +92,20 @@ def test_bp_check_quadratic_kernel():
     assert report.constant == pytest.approx(2.0 * math.pi, rel=1e-14)
 
 
+def test_bp_check_plane_dependent_kernel_matches_haar_average():
+    # f = x_0^2 y_1^2 integrates to (4 pi / 3)^2.  Unlike const and dot2 it
+    # is not rotation invariant, so its circle integral varies with the
+    # plane and the plane side averages it over the frame sampler's planes
+    def x0_y1_squared(x, y):
+        return x[..., 0] ** 2 * y[..., 1] ** 2
+
+    report = bp_check(2, x0_y1_squared, pairs=200_000, planes=2000, rng=RandomStream(28))
+    exact = (4.0 * math.pi / 3.0) ** 2
+    assert report.plane_side.std_error > 0.01 * exact
+    assert abs(report.direct.value - exact) < 4.0 * report.direct.std_error
+    assert abs(report.plane_side.value - exact) < 4.0 * report.plane_side.std_error
+
+
 def test_plane_counts_below_one_are_rejected():
     E = Cap((0.0, 0.0, 1.0), 0.8)
     with pytest.raises(ValueError, match="at least one plane"):

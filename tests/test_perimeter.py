@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from spherefrac import (
     ArcUnion,
@@ -88,16 +89,40 @@ def test_circle_exact_edge_cases():
         perimeter_circle_exact(Cap(Z, 1.0), -0.5)
 
 
+def random_arc_union(gen):
+    """1 to 4 disjoint arcs between sorted uniform cut points."""
+    cuts = np.sort(gen.uniform(0.0, 2.0 * math.pi, 2 * int(gen.integers(1, 5))))
+    return ArcUnion([(float(a), float(b - a)) for a, b in zip(cuts[::2], cuts[1::2])])
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    s=st.one_of(st.just(0.0), st.floats(min_value=-0.5, max_value=0.999)),
+)
+def test_circle_exact_is_rotation_complement_and_reflection_invariant(seed, s):
+    gen = np.random.default_rng(seed)
+    E = random_arc_union(gen)
+    p = perimeter_circle_exact(E, s)
+    assert p > 0.0
+    rotated = E.shifted(float(gen.uniform(0.0, 2.0 * math.pi)))
+    for image in (rotated, E.gaps(), E.shifted(math.pi)):
+        assert perimeter_circle_exact(image, s) == pytest.approx(p, rel=1e-12)
+
+
 @pytest.mark.parametrize("arcs", [[(0.0, 1.0)], [(0.3, 1.7), (2.9, 0.4), (4.0, 1.5)]])
 def test_circle_exact_at_s_zero_is_the_logarithmic_limit(arcs):
     E = ArcUnion(arcs)
     p0 = perimeter_circle_exact(E, 0.0)
     assert p0 == pytest.approx(circle_perimeter_quad(E.arcs, 0.0), rel=1e-12)
     assert perimeter_circle_exact(E.gaps(), 0.0) == pytest.approx(p0, rel=1e-12)
-    # s = +-1e-7 move P by about 1e-7 P' and lose ~1e-9 to cancellation
+    # s = +-1e-7 move P by about 1e-7 P'; the kernel's antiderivative has
+    # no 1/s term, so their mean is P(0) up to the s^2 term
     below, above = perimeter_circle_exact(E, -1e-7), perimeter_circle_exact(E, 1e-7)
     assert below == pytest.approx(p0, rel=1e-6) and above == pytest.approx(p0, rel=1e-6)
-    assert 0.5 * (below + above) == pytest.approx(p0, rel=1e-8)
+    assert 0.5 * (below + above) == pytest.approx(p0, rel=1e-12)
+    # a subnormal or tiny s is P(0), not an overflow of 1/s
+    for tiny in (5e-324, -1e-300, 1e-12):
+        assert perimeter_circle_exact(E, tiny) == pytest.approx(p0, rel=1e-11)
     # the quadrature oracle itself, where the power-law formula holds
     for s in (-0.5, 0.3):
         assert perimeter_circle_exact(E, s) == pytest.approx(
