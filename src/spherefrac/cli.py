@@ -563,7 +563,15 @@ def _run_seminorm_sweep(args, stream):
     return _sweep_rows(rows, report, math.inf), _limit_dict(report), verdicts, detail
 
 
+def _need_two(count: int, what: str) -> None:
+    """One sample has an infinite error bar, under which every 3-sigma
+    verdict would pass; fewer than two is a config error."""
+    if count < 2:
+        raise ValueError(f"need at least two {what} for an error bar, got {count}")
+
+
 def _run_crofton(args, stream):
+    _need_two(args.planes, "planes")
     E = parse_set(args.set_desc)
     _check_dimension(E, args.n)
     report = crofton_estimate(E, planes=args.planes, rng=stream)
@@ -595,6 +603,8 @@ def _run_bp_check(args, stream):
         f = lambda x, y: np.ones(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]))
     else:
         f = dot2_kernel
+    _need_two(args.pairs, "pairs")
+    _need_two(args.planes, "planes")
     report = bp_check(args.n, f, pairs=args.pairs, planes=args.planes, rng=stream)
     combined = math.hypot(report.direct.std_error, report.plane_side.std_error)
     rel = _rel_dev(report.direct.value, report.plane_side.value)

@@ -17,6 +17,12 @@ phi -> cos(phi) e + sin(phi) f.  Crossings come from sets.trace: open arcs
 (start, start + length), length 0 for an empty slot and 2 pi for the full
 circle, with circles tangent to the boundary or through a polytope corner
 (margin 1e-9) flagged as degenerate.
+
+crofton_estimate follows the chunk contract of mc_estimate: each chunk of
+_TRACE_BLOCK circles draws its frames from its own child stream, traces
+them and resamples its own degenerate circles, on a worker thread, so the
+report depends only on (seed, planes, _TRACE_BLOCK).  bp_check draws its
+planes in the calling thread and integrates them on worker threads.
 """
 
 from __future__ import annotations
@@ -45,19 +51,12 @@ def sample_plane_batch(n: int, count: int, gen: np.random.Generator):
     probability-zero event), are redrawn in rounds: each round draws new es
     rows, then new fs rows, for the rows still bad, in row order.
 
-    The two Gaussian draws are made in the calling thread; the Gram-Schmidt
-    runs in row blocks on worker threads (_for_blocks).  Every row is
-    computed on its own, so the frames are the same to the bit on any
-    number of CPUs.
+    Runs in the calling thread; callers that want every CPU call it once
+    per chunk, each with its own generator (crofton_estimate).
     """
     es = gen.standard_normal((count, n + 1))
     fs = gen.standard_normal((count, n + 1))
-    bad = np.empty(count, dtype=bool)
-
-    def block(rows):
-        bad[rows] = _orthonormalize(es[rows], fs[rows])
-
-    _for_blocks(block, count, _TRACE_BLOCK)
+    bad = _orthonormalize(es, fs)
     while np.any(bad):
         idx = np.flatnonzero(bad)
         e_new = gen.standard_normal((idx.size, n + 1))
@@ -78,21 +77,15 @@ def _orthonormalize(es, fs):
     return (n1 <= 1e-12) | (n2 <= 1e-12)
 
 
-# Rows per task of sample_plane_batch and circles per sets.trace call in
-# crofton_estimate; no result depends on it.  Every worker holds one block's
-# trace temporaries, several times the block's frames, so the block is half
-# the 1 << 16 of the serial path: octant crofton at 1e6 planes on 2 CPUs
-# peaks at about 130 MB, against 136 MB with 1 << 16 and 148 MB serial.
-# 1 << 14 made the traces 20% slower.
+# Circles per chunk of crofton_estimate: each chunk draws, traces and
+# resamples its circles from its own child stream, so the report depends
+# on this value.  Every worker holds one chunk's frames and trace
+# temporaries, and nothing holds all planes: octant crofton at 1e6 planes
+# on 2 CPUs peaks at 75 MB RSS (58 MB before the call), against 91 MB with
+# 1 << 16, 67 MB with 1 << 14, and 141 MB when all frames were drawn first.
 _TRACE_BLOCK = 1 << 15
 # planes per task of bp_check's plane side
 _PLANE_BLOCK = 16
-
-
-def _for_blocks(fn, count: int, size: int) -> None:
-    """fn(rows) for the slices rows = [lo, lo + size) covering range(count),
-    as tasks on worker threads (estimation._map_ordered)."""
-    _map_ordered(lambda i: fn(slice(i * size, (i + 1) * size)), -(-count // size))
 
 
 @dataclass(frozen=True)
@@ -105,8 +98,12 @@ class BPReport:
 
     @property
     def deviation_sigmas(self) -> float:
+        """|direct - plane side| over the combined error; inf on a gap with
+        zero error, NaN when an error is infinite (a side of one sample)."""
         gap = abs(self.direct.value - self.plane_side.value)
         combined = math.hypot(self.direct.std_error, self.plane_side.std_error)
+        if math.isinf(combined):
+            return math.nan
         return gap / combined if combined > 0 else math.inf
 
 
@@ -116,15 +113,18 @@ def bp_check(n: int, f, pairs: int = 1_000_000, planes: int = 1000, rng=None, no
     f(x, y) must broadcast over point arrays of shape (..., n+1).  The
     direct side samples independent uniform pairs.  The plane side draws
     Haar circles and evaluates the in-circle double integral by a midpoint
-    tensor rule at nodes^2 points; the midpoint offset keeps the |sin|^(n-1)
-    weight kink off the grid diagonal.  planes < 1 and nodes < 2 are
+    tensor rule at nodes^2 points.  The grid holds the diagonal x = y,
+    where the |sin|^(n-1) weight is 0, so f must be finite there: a kernel
+    singular on the diagonal, such as d(x, y)^-(n+s), gives inf * 0 = NaN
+    and raises NonFiniteSampleError.  planes < 1 and nodes < 2 are
     ValueErrors.
 
-    Both sides run on worker threads (mc_estimate, and ranges of planes),
-    so f may be called from several threads at once and must not share
-    mutable state; the report is the same to the bit on any number of
-    CPUs.  Raises NonFiniteSampleError if a direct sample or a plane's
-    integral is NaN or infinite, naming the lowest-numbered failing plane.
+    The planes are drawn in the calling thread; the direct side's chunks
+    (mc_estimate) and ranges of planes run on worker threads, so f may be
+    called from several threads at once and must not share mutable state.
+    The report is the same to the bit on any number of CPUs.  Raises
+    NonFiniteSampleError if a direct sample or a plane's integral is NaN or
+    infinite, naming the lowest-numbered failing plane.
     """
     if planes < 1:
         raise ValueError("need at least one plane")
@@ -157,8 +157,8 @@ def _circle_integrals(n, f, es, fs, nodes):
     cos_phi, sin_phi = np.cos(phis)[:, None], np.sin(phis)[:, None]
     vals = np.empty(es.shape[0])
 
-    def block(planes):
-        for i in range(vals.size)[planes]:
+    def block(k):
+        for i in range(k * _PLANE_BLOCK, min((k + 1) * _PLANE_BLOCK, vals.size)):
             pts = cos_phi * es[i] + sin_phi * fs[i]
             fmat = np.asarray(f(pts[:, None, :], pts[None, :, :]), dtype=float)
             value = h * h * float(np.sum(fmat * weights))
@@ -166,7 +166,7 @@ def _circle_integrals(n, f, es, fs, nodes):
                 raise NonFiniteSampleError(f"non-finite circle integral {value!r} at plane {i}")
             vals[i] = value
 
-    _for_blocks(block, vals.size, _PLANE_BLOCK)
+    _map_ordered(block, -(-vals.size // _PLANE_BLOCK))
     return vals
 
 
@@ -178,25 +178,15 @@ class CroftonReport:
 
     @property
     def deviation_sigmas(self) -> float | None:
+        """|mean - target| over the standard error; None without a target,
+        NaN when the error is infinite (one circle)."""
         if self.target is None:
             return None
+        if math.isinf(self.crossings.std_error):
+            return math.nan
         if self.crossings.std_error == 0.0:
             return math.inf if self.crossings.value != self.target else 0.0
         return abs(self.crossings.value - self.target) / self.crossings.std_error
-
-
-def _crossings(E, es, fs):
-    m = es.shape[0]
-    counts = np.empty(m)
-    degenerate = np.empty(m, dtype=bool)
-
-    def block(rows):
-        _, length, bad = trace(E, es[rows], fs[rows])
-        counts[rows] = 2.0 * np.count_nonzero((length > 0.0) & (length < TWO_PI), axis=1)
-        degenerate[rows] = bad
-
-    _for_blocks(block, m, _TRACE_BLOCK)
-    return counts, degenerate
 
 
 def crofton_estimate(E, planes: int = 100_000, rng=None, max_resample_rounds: int = 100) -> CroftonReport:
@@ -209,30 +199,41 @@ def crofton_estimate(E, planes: int = 100_000, rng=None, max_resample_rounds: in
     the set knows its boundary measure.  planes < 1 is a ValueError: a mean
     over no circles is not an exact zero.
 
-    Frames and traces run in blocks of _TRACE_BLOCK circles on worker
-    threads, one per CPU this process may use; each block writes its own
-    rows, so the report is the same to the bit on any number of CPUs.
+    An mc_estimate over circles in chunks of _TRACE_BLOCK: each chunk draws
+    its frames from its own child stream, traces them, and redraws its
+    degenerate circles from that same generator, at most
+    max_resample_rounds times (then DegenerateCircleError).  Chunks run on
+    worker threads, so the report is a deterministic function of
+    (seed, planes, _TRACE_BLOCK), the same to the bit on any number of CPUs.
     """
     if planes < 1:
         raise ValueError("need at least one plane")
     n = E.dimension
-    gen = as_stream(rng).generator
-    es, fs = sample_plane_batch(n, planes, gen)
-    counts, bad = _crossings(E, es, fs)
-    resamples = 0
-    rounds = 0
-    while np.any(bad):
-        rounds += 1
-        if rounds > max_resample_rounds:
-            raise DegenerateCircleError(
-                f"{int(bad.sum())} circles still degenerate after {max_resample_rounds} resample rounds"
-            )
-        resamples += int(bad.sum())
-        es_new, fs_new = sample_plane_batch(n, int(bad.sum()), gen)
-        c_new, bad_new = _crossings(E, es_new, fs_new)
+    resamples = []  # one entry per chunk, in any order
+
+    def traced(count, gen):
+        es, fs = sample_plane_batch(n, count, gen)
+        _, length, bad = trace(E, es, fs)
+        return 2.0 * np.count_nonzero((length > 0.0) & (length < TWO_PI), axis=1), bad
+
+    def crossings(count, gen):
+        counts, bad = traced(count, gen)
         idx = np.flatnonzero(bad)
-        counts[idx] = c_new
-        bad[idx] = bad_new
+        redrawn = 0
+        for _ in range(max_resample_rounds):
+            if idx.size == 0:
+                break
+            redrawn += idx.size
+            counts[idx], bad = traced(idx.size, gen)
+            idx = idx[bad]
+        if idx.size:
+            raise DegenerateCircleError(
+                f"{idx.size} circles still degenerate after {max_resample_rounds} resample rounds"
+            )
+        resamples.append(redrawn)
+        return counts
+
+    est = mc_estimate(crossings, lambda counts: counts, planes, rng, chunk_size=_TRACE_BLOCK)
     bm = E.boundary_measure()
     target = None if bm is None else 2.0 * bm / sphere_surface(n - 1)
-    return CroftonReport(Estimate.from_values(counts), target, resamples)
+    return CroftonReport(est, target, sum(resamples))

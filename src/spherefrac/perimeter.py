@@ -375,18 +375,25 @@ def perimeter_circle_exact(E: ArcUnion, s: float) -> float:
     return total
 
 
-def _finite_power_terms(s: float, *diffs) -> float:
-    """Sum of signed |diff|^(1-s) terms, skipping infinite differences.
+def _interval_gap_pair(a: float, b: float, alpha: float, beta: float, s: float) -> float:
+    """Double integral of |x - y|^-(1+s) over an interval (a, b) and a
+    disjoint gap (alpha, beta), either of whose ends may be infinite.
 
-    Infinite endpoints always enter in cancelling pairs, so dropping them
-    realizes the finite limit of the antiderivative formula.
+    In closed form it is (1/(s(1-s))) sum sign |d|^(1-s) over
+    d = a - alpha (+), a - beta (-), b - beta (+), b - alpha (-).  With
+    |d|^(1-s) = |d| + s |d| q(|d|), q = _power_quotient, the |d| parts sum
+    to 0, which leaves sum sign |d| q(|d|) / (1-s): no term grows like
+    1/s, so small s loses no digits to cancellation.  An infinite gap end
+    drops its two terms, whose |d|^(1-s) parts cancel in the limit, but
+    whose |d| q(|d|) parts tend to (b - a)/s; that term is added back.
     """
-    out = 0.0
-    for sign, d in diffs:
-        if math.isinf(d):
-            continue
-        out += sign * abs(d) ** (1.0 - s)
-    return out
+    diffs = np.array([a - alpha, a - beta, b - beta, b - alpha])
+    finite = np.isfinite(diffs)
+    d = np.abs(diffs[finite])
+    total = float(np.array([1.0, -1.0, 1.0, -1.0])[finite] @ (d * _power_quotient(d, s)))
+    if not finite.all():
+        total += (b - a) / s
+    return total / (1.0 - s)
 
 
 def interval_perimeter_exact(intervals, window, s: float) -> float:
@@ -399,8 +406,9 @@ def interval_perimeter_exact(intervals, window, s: float) -> float:
         (1/(s(1-s))) [ (a-alpha)^(1-s) - (a-beta)^(1-s)
                        + (b-beta)^(1-s) - (b-alpha)^(1-s) ]
 
-    with |.| powers; unbounded gaps drop their two cancelling terms.
-    Requires 0 < s < 1.
+    with |.| powers; unbounded gaps drop their two cancelling terms.  Each
+    pair is summed without the 1/s prefactor (_interval_gap_pair), so the
+    value keeps full relative precision as s -> 0.  Requires 0 < s < 1.
     """
     s = validate_s(s)
     if not 0.0 < s < 1.0:
@@ -425,14 +433,7 @@ def interval_perimeter_exact(intervals, window, s: float) -> float:
             gaps.append((b1, a2))
     if hi > ivs[-1][1]:
         gaps.append((ivs[-1][1], hi))
-    c = 1.0 / (s * (1.0 - s))
-    total = 0.0
-    for a, b in ivs:
-        for alpha, beta in gaps:
-            total += c * _finite_power_terms(
-                s, (1.0, a - alpha), (-1.0, a - beta), (1.0, b - beta), (-1.0, b - alpha)
-            )
-    return total
+    return sum(_interval_gap_pair(a, b, alpha, beta, s) for a, b in ivs for alpha, beta in gaps)
 
 
 def interval_perimeter_localized(intervals, window, s: float, eps: float) -> float:

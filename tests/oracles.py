@@ -9,9 +9,9 @@ cap perimeters pinned from an mpmath computation (CAP_PERIMETERS, whose
 comment says how they were made).  Four references are the serial forms of
 faster library paths that must equal them to the bit, so they reuse the
 library's pooling and samplers: the one-thread chunk loop of mc_estimate,
-the one-shot draw of the antipodal seminorm target, crofton_estimate with
-one trace per batch of circles, and bp_check's plane side as one loop over
-the planes.
+the one-shot draw of the antipodal seminorm target, crofton_estimate as
+that chunk loop with one trace per chunk, and bp_check's plane side as one
+loop over the planes.
 """
 
 import math
@@ -367,30 +367,34 @@ def sweep_seminorm_one_shot(n, f, p, t_grid, samples, rng, target_samples):
     return rows, extrapolate([1.0 / t for t in grid], [row.value for row in rows], target)
 
 
-def crofton_estimate_serial(E, planes, rng, max_resample_rounds=100):
-    """crofton_estimate in the calling thread: masked Haar frames, one trace
-    of the whole batch, and the same in-place resampling of degenerate
-    circles."""
+def crofton_estimate_serial(E, planes, rng, chunk_size, max_resample_rounds=100):
+    """crofton_estimate as mc_estimate_serial's chunk loop: each chunk draws
+    masked Haar frames from its child stream, traces them at once, and
+    redraws its degenerate circles from the same generator."""
     n = E.dimension
-    gen = as_stream(rng).generator
+    resamples = 0
 
-    def crossings(count):
+    def crossings(count, gen):
         es, fs = sample_plane_batch_masked(n, count, gen)
         _, length, bad = trace(E, es, fs)
         return 2.0 * np.count_nonzero((length > 0.0) & (length < TWO_PI), axis=1), bad
 
-    counts, bad = crossings(planes)
-    resamples = 0
-    for _ in range(max_resample_rounds):
-        if not np.any(bad):
-            break
-        resamples += int(bad.sum())
-        idx = np.flatnonzero(bad)
-        counts[idx], bad[idx] = crossings(idx.size)
-    assert not np.any(bad)
+    def chunk(count, gen):
+        nonlocal resamples
+        counts, bad = crossings(count, gen)
+        for _ in range(max_resample_rounds):
+            if not np.any(bad):
+                break
+            resamples += int(bad.sum())
+            idx = np.flatnonzero(bad)
+            counts[idx], bad[idx] = crossings(idx.size, gen)
+        assert not np.any(bad)
+        return counts
+
+    est = mc_estimate_serial(chunk, lambda counts: counts, planes, rng, chunk_size)
     bm = E.boundary_measure()
     target = None if bm is None else 2.0 * bm / sphere_surface(n - 1)
-    return CroftonReport(Estimate.from_values(counts), target, resamples)
+    return CroftonReport(est, target, resamples)
 
 
 def circle_integrals_serial(n, f, es, fs, nodes):

@@ -175,8 +175,10 @@ def test_dot2_kernel_matches_the_summed_product_form():
 
 
 def test_bp_check_and_crofton_records_are_pinned(tmp_path):
-    # pinned from the masked Gram-Schmidt, trig polytope trace and summed
-    # product kernel that the fast paths replaced; they draw the same numbers
+    # bp: pinned from the masked Gram-Schmidt, trig polytope trace and summed
+    # product kernel that the fast paths replaced; they draw the same numbers.
+    # crofton: pinned from oracles.crofton_estimate_serial(octant, 20000,
+    # RandomStream(5), 1 << 15), the chunk loop with masked frames
     out = tmp_path / "bp.json"
     assert main(["bp-check", "--kernel", "dot2", "--pairs", "20000", "--planes", "20",
                  "--seed", "5", "--format", "json", "--out", str(out)]) == 0
@@ -186,7 +188,7 @@ def test_bp_check_and_crofton_records_are_pinned(tmp_path):
     out = tmp_path / "crofton.csv"
     assert main(["crofton", "--n", "2", "--set", "poly:-1,0,0;0,-1,0;0,0,-1", "--planes", "20000",
                  "--seed", "5", "--out", str(out)]) == 0
-    assert out.read_text().splitlines()[1] == "20000,1.4923,0.00615499225803614,1.5,0.0051333333333333604"
+    assert out.read_text().splitlines()[1] == "20000,1.4977,0.0061332386494262993,1.5,0.0015333333333333126"
 
 
 def test_seed_precedence_changes_and_reproduces_output(tmp_path, monkeypatch):
@@ -224,10 +226,24 @@ def test_exit_1_on_config_errors(tmp_path, capsys):
     # no planes is a config error, not an exact-looking zero
     assert main(["crofton", "--n", "2", "--set", "cap:0,0,1:1.0", "--planes", "0"]) == 1
     captured = capsys.readouterr()
-    assert "at least one plane" in captured.err and captured.out == ""
+    assert "at least two planes" in captured.err and captured.out == ""
     assert main(["bp-check", "--pairs", "100", "--planes", "0"]) == 1
     captured = capsys.readouterr()
-    assert "at least one plane" in captured.err and captured.out == ""
+    assert "at least two planes" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["crofton", "--n", "2", "--set", "cap:0,0,1:1.0", "--planes", "1"], "planes"),
+    (["bp-check", "--pairs", "1", "--planes", "20"], "pairs"),
+    (["bp-check", "--pairs", "100", "--planes", "1"], "planes"),
+])
+def test_exit_1_on_one_sample_with_an_infinite_error_bar(capsys, argv, what):
+    # one sample has std_error inf, under which a 3-sigma verdict passes on
+    # any value (crofton --planes 1 used to report within_3_sigma at 0.0
+    # against the target 1.43)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert f"at least two {what}" in captured.err and captured.out == ""
 
 
 def test_exit_1_on_bad_usage():

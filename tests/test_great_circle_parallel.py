@@ -1,9 +1,10 @@
 """The threaded great-circle path against its serial forms.
 
-sample_plane_batch, crofton_estimate and bp_check's plane side run blocks
-of rows or planes on worker threads (estimation._map_ordered).  Each must
-return the same bits as a one-thread reference from oracles.py for any
-worker count; the worker count is forced by patching the private helper
+crofton_estimate runs chunks of circles (mc_estimate) and bp_check's plane
+side ranges of planes on worker threads (estimation._map_ordered);
+sample_plane_batch runs in its caller's thread.  Each must return the same
+bits as a one-thread reference from oracles.py for any worker count; the
+worker count is forced by patching the private helper
 estimation._worker_count.
 """
 
@@ -11,12 +12,14 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import spherefrac.integral_geometry as ig
 from spherefrac import (
+    DegenerateCircleError,
     Estimate,
     NonFiniteSampleError,
     RandomStream,
@@ -24,6 +27,7 @@ from spherefrac import (
     bp_constant,
     crofton_estimate,
     estimation,
+    sets,
 )
 from spherefrac.cli import parse_set
 
@@ -51,7 +55,7 @@ def x0_y1_squared(x, y):
 @pytest.mark.parametrize("workers", WORKERS)
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_sample_plane_batch_equals_masked_form(monkeypatch, n, workers):
-    count = 2 * ig._TRACE_BLOCK + 123  # two full blocks and a partial one
+    count = 2 * ig._TRACE_BLOCK + 123  # more rows than two crofton chunks
     force_workers(monkeypatch, workers)
     es, fs = sample_plane_batch_masked(n, count, np.random.default_rng(50 + n))
     got_es, got_fs = ig.sample_plane_batch(n, count, np.random.default_rng(50 + n))
@@ -61,8 +65,8 @@ def test_sample_plane_batch_equals_masked_form(monkeypatch, n, workers):
 
 @pytest.mark.parametrize("workers", WORKERS)
 def test_sample_plane_batch_redraws_rows_of_several_blocks(monkeypatch, workers):
-    # rows 0 and 2 are degenerate and, with two rows per block, lie in
-    # different blocks; row 2 is redrawn twice
+    # rows 0 and 2 are degenerate and row 2 is redrawn twice; the chunk size
+    # and the worker count, which only crofton_estimate uses, change nothing
     script = [
         [[0.0, 0.0, 0.0], [1.0, 2.0, 2.0], [0.0, 0.0, 3.0]],
         [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -2.0]],
@@ -84,11 +88,33 @@ def test_sample_plane_batch_redraws_rows_of_several_blocks(monkeypatch, workers)
 def test_crofton_estimate_equals_serial_form(monkeypatch, name):
     E = parse_set(SETS[name])
     planes = 3 * ig._TRACE_BLOCK + 1001  # not a multiple of the block
-    reference = crofton_estimate_serial(E, planes, RandomStream(51))
+    reference = crofton_estimate_serial(E, planes, RandomStream(51), ig._TRACE_BLOCK)
     assert reference.crossings.samples == planes
     for count in WORKERS:
         force_workers(monkeypatch, count)
         assert crofton_estimate(E, planes, RandomStream(51)) == reference
+
+
+@pytest.mark.parametrize("workers", (1, 2, 3, 8))
+def test_degenerate_circles_of_later_chunks_are_resampled_in_their_chunk(monkeypatch, workers):
+    # a wide margin makes about one circle in 150 degenerate; none falls in
+    # chunk 0, whose child stream is the same in a one-chunk run
+    E = parse_set(SETS["cap"])
+    monkeypatch.setattr(sets, "DEGENERACY_MARGIN", 5e-3)
+    monkeypatch.setattr(ig, "_TRACE_BLOCK", 200)
+    assert crofton_estimate_serial(E, 200, RandomStream(58), 200).degenerate_resamples == 0
+    reference = crofton_estimate_serial(E, 1000, RandomStream(58), 200)
+    assert reference.degenerate_resamples > 0
+    force_workers(monkeypatch, workers)
+    report = crofton_estimate(E, 1000, RandomStream(58))
+    assert report.degenerate_resamples == reference.degenerate_resamples
+    assert report == reference
+
+
+def test_circles_degenerate_after_the_last_round_raise(monkeypatch):
+    monkeypatch.setattr(sets, "DEGENERACY_MARGIN", 5e-3)
+    with pytest.raises(DegenerateCircleError, match="after 0 resample rounds"):
+        crofton_estimate(parse_set(SETS["cap"]), 2000, RandomStream(58), max_resample_rounds=0)
 
 
 @pytest.mark.parametrize("n", (2, 3))
@@ -116,10 +142,11 @@ def test_bp_check_plane_side_equals_serial_loop(monkeypatch):
 
 
 def test_small_blocks_on_more_workers_than_cpus_with_fast_switching(monkeypatch):
-    # hundreds of tasks write their own slices of shared arrays while the
-    # interpreter switches threads every microsecond
+    # hundreds of chunks and plane ranges (the latter writing their own
+    # slices of a shared array) while the interpreter switches threads
+    # every microsecond
     E = parse_set(SETS["union"])
-    crofton_ref = crofton_estimate_serial(E, 20_001, RandomStream(56))
+    crofton_ref = crofton_estimate_serial(E, 20_001, RandomStream(56), 97)
     es, fs = ig.sample_plane_batch(2, 301, np.random.default_rng(57))
     circles_ref = circle_integrals_serial(2, x0_y1_squared, es, fs, 16)
     monkeypatch.setattr(ig, "_TRACE_BLOCK", 97)
@@ -134,6 +161,24 @@ def test_small_blocks_on_more_workers_than_cpus_with_fast_switching(monkeypatch)
         sys.setswitchinterval(interval)
     assert crofton == crofton_ref
     assert np.array_equal(circles, circles_ref)
+
+
+@pytest.mark.parametrize("name", ("cap", "octant", "union"))
+def test_crofton_memory_is_flat_in_the_plane_count(monkeypatch, name):
+    # chunks draw their own frames, so no array grows with the plane count;
+    # drawing every frame first peaked at 70 MB at 1e6 planes against
+    # 15-24 MB at 2e5
+    E = parse_set(SETS[name])
+    force_workers(monkeypatch, 2)
+    peaks = []
+    for planes in (200_000, 1_000_000):
+        tracemalloc.start()
+        try:
+            crofton_estimate(E, planes, RandomStream(59))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,8 @@ from spherefrac import (
     bp_check,
     bp_constant,
     crofton_estimate,
-    trace,
 )
-from spherefrac.integral_geometry import _crossings, sample_plane_batch
+from spherefrac.integral_geometry import sample_plane_batch
 
 from oracles import polytope_boundary_measure, sample_plane_batch_masked
 from test_geometry import ScriptedNormals
@@ -115,17 +114,16 @@ def test_plane_counts_below_one_are_rejected():
                  pairs=100, planes=0, rng=RandomStream(1))
 
 
-def test_blocked_crossings_match_one_trace():
-    # more circles than one block, and a partial last block
-    gen = np.random.default_rng(27)
-    es, fs = sample_plane_batch(2, 150_000, gen)
-    union = PolyconvexUnion((Cap((0.0, 0.0, 1.0), 0.5), Cap((1.0, 0.0, 0.0), 0.7)))
-    for E in (Cap((0.0, 0.6, 0.8), 1.1), octant(), union):
-        counts, degenerate = _crossings(E, es, fs)
-        _, length, bad = trace(E, es, fs)
-        assert np.array_equal(counts, 2.0 * np.sum((length > 0.0) & (length < 2.0 * math.pi), axis=1))
-        assert np.array_equal(degenerate, bad)
-        assert 0.0 < counts.mean() < 4.0
+def test_one_sample_gives_nan_sigmas_not_zero():
+    # one circle or one pair has an infinite error bar: no deviation is
+    # measured, where 0 sigmas would read as agreement
+    report = crofton_estimate(Cap((0.0, 0.0, 1.0), 0.8), planes=1, rng=RandomStream(2))
+    assert report.crossings.std_error == math.inf
+    assert math.isnan(report.deviation_sigmas)
+    bp = bp_check(2, lambda x, y: np.ones(np.broadcast(x, y).shape[:-1]),
+                  pairs=1, planes=3, rng=RandomStream(2), nodes=8)
+    assert bp.direct.std_error == math.inf
+    assert math.isnan(bp.deviation_sigmas)
 
 
 def test_crofton_cap_matches_boundary_length():

@@ -172,6 +172,16 @@ def test_interval_perimeter_exact_window_and_validation():
         interval_perimeter_exact([(0.0, 1.0)], (-INF, INF), -0.5)
 
 
+@pytest.mark.parametrize("s", (1e-12, 1e-8, 1e-6, 0.5, 0.999))
+def test_interval_perimeter_exact_is_translation_invariant(s):
+    # the 1/(s(1-s)) prefactor of the closed form once cost about eps/s:
+    # 1.5e-4 relative at s = 1e-12 under this shift
+    for ivs in ([(0.3, 0.5)], [(0.1, 0.2), (0.45, 0.8)]):
+        base = interval_perimeter_exact(ivs, (0.0, 1.0), s)
+        moved = interval_perimeter_exact([(a + 0.1, b + 0.1) for a, b in ivs], (0.1, 1.1), s)
+        assert moved == pytest.approx(base, rel=1e-12)
+
+
 def test_interval_perimeter_localized_closed_form():
     for s, eps in ((0.3, 0.2), (0.9, 0.4)):
         v = interval_perimeter_localized([(0.0, 1.0)], (-INF, INF), s, eps)
