@@ -130,27 +130,6 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _map_ordered(fn, count: int) -> list:
-    """[fn(0), ..., fn(count - 1)], with the calls spread over worker threads.
-
-    One call starts min(_worker_count(), count) threads; with a single
-    worker or a single task, fn runs in the calling thread and no thread
-    starts.  Each task runs in a copy of the caller's context, so
-    context-local settings such as np.errstate apply as they would in the
-    caller.  When tasks fail, the lowest-index task's error is raised and
-    tasks that have not started are cancelled; no thread outlives the call.
-    """
-    workers = min(_worker_count(), count)
-    if workers <= 1:
-        return [fn(i) for i in range(count)]
-    pool = ThreadPoolExecutor(workers)
-    try:
-        futures = [pool.submit(contextvars.copy_context().run, fn, i) for i in range(count)]
-        return [f.result() for f in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def mc_estimate(sampler, integrand, n_samples: int, rng, chunk_size: int = 1 << 16) -> Estimate:
     """Chunked Monte Carlo mean of integrand over sampler draws.
 
@@ -160,16 +139,20 @@ def mc_estimate(sampler, integrand, n_samples: int, rng, chunk_size: int = 1 << 
     Estimate; the chunk Estimates are pooled in chunk order, so the result is
     a deterministic function of (seed, n_samples, chunk_size).
 
-    Chunks run concurrently on worker threads, one per CPU this process may
-    use (capped at the chunk count; a single worker or a single chunk runs in
-    the calling thread).  sampler and integrand may therefore be called from
-    several threads at once, one chunk per call with its own generator, and
-    must not share mutable state.  The result is the same, to the bit, on
-    any number of CPUs.
+    This is the only place in the library where threads start.  Chunks run
+    concurrently on worker threads, one per CPU this process may use (capped
+    at the chunk count; a single worker or a single chunk runs in the
+    calling thread and no thread starts).  sampler and integrand may
+    therefore be called from several threads at once, one chunk per call
+    with its own generator, and must not share mutable state.  Each chunk
+    runs in a copy of the caller's context, so context-local settings such
+    as np.errstate apply as they would in the caller.  The result is the
+    same, to the bit, on any number of CPUs.
 
-    Raises NonFiniteSampleError if any integrand value is NaN or infinite.
-    When several chunks fail, the lowest-numbered chunk's error is raised and
-    chunks that have not started are cancelled.
+    Raises NonFiniteSampleError if any integrand value is NaN or infinite,
+    naming the sample's index in 0 .. n_samples - 1.  When several chunks
+    fail, the lowest-numbered chunk's error is raised and chunks that have
+    not started are cancelled; no thread outlives the call.
     """
     if n_samples < 1:
         raise ValueError("need at least one sample")
@@ -190,7 +173,17 @@ def mc_estimate(sampler, integrand, n_samples: int, rng, chunk_size: int = 1 << 
             )
         return Estimate.from_values(values)
 
-    return functools.reduce(Estimate.merge, _map_ordered(chunk, n_chunks))
+    workers = min(_worker_count(), n_chunks)
+    if workers <= 1:
+        parts = [chunk(i) for i in range(n_chunks)]
+    else:
+        pool = ThreadPoolExecutor(workers)
+        try:
+            futures = [pool.submit(contextvars.copy_context().run, chunk, i) for i in range(n_chunks)]
+            parts = [f.result() for f in futures]
+        finally:
+            pool.shutdown(cancel_futures=True)
+    return functools.reduce(Estimate.merge, parts)
 
 
 # 7- and 15-point Gauss-Legendre nodes for the embedded error estimate.

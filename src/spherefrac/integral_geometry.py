@@ -18,11 +18,12 @@ phi -> cos(phi) e + sin(phi) f.  Crossings come from sets.trace: open arcs
 circle, with circles tangent to the boundary or through a polytope corner
 (margin 1e-9) flagged as degenerate.
 
-crofton_estimate follows the chunk contract of mc_estimate: each chunk of
-_TRACE_BLOCK circles draws its frames from its own child stream, traces
-them and resamples its own degenerate circles, on a worker thread, so the
-report depends only on (seed, planes, _TRACE_BLOCK).  bp_check draws its
-planes in the calling thread and integrates them on worker threads.
+Both estimators are mc_estimate means over Haar circles: each chunk draws
+its frames from its own child stream, on a worker thread.  A crofton_estimate
+chunk of _TRACE_BLOCK circles traces them and resamples its own degenerate
+circles, so its report depends only on (seed, planes, _TRACE_BLOCK); a
+bp_check chunk of _PLANE_BLOCK planes integrates f over each circle, so the
+plane side depends only on (seed, planes, nodes, _PLANE_BLOCK).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import Estimate, NonFiniteSampleError, _map_ordered, as_stream, mc_estimate
+from .estimation import Estimate, as_stream, mc_estimate
 from .geometry import _row_dots, _row_norms, sample_uniform, sphere_surface
 from .sets import TWO_PI, DegenerateCircleError, trace
 
@@ -49,11 +50,14 @@ def sample_plane_batch(n: int, count: int, gen: np.random.Generator):
     arrays, es is normalized, and fs is projected off es and normalized.
     Rows with a norm of 1e-12 or below, before or after the projection (a
     probability-zero event), are redrawn in rounds: each round draws new es
-    rows, then new fs rows, for the rows still bad, in row order.
+    rows, then new fs rows, for the rows still bad, in row order.  n < 1 is
+    a ValueError: S^0 holds no great circle, and every projection is 0.
 
     Runs in the calling thread; callers that want every CPU call it once
-    per chunk, each with its own generator (crofton_estimate).
+    per mc_estimate chunk, each with its own generator.
     """
+    if n < 1:
+        raise ValueError(f"great circles need a sphere of dimension n >= 1, got {n}")
     es = gen.standard_normal((count, n + 1))
     fs = gen.standard_normal((count, n + 1))
     bad = _orthonormalize(es, fs)
@@ -84,7 +88,9 @@ def _orthonormalize(es, fs):
 # on 2 CPUs peaks at 75 MB RSS (58 MB before the call), against 91 MB with
 # 1 << 16, 67 MB with 1 << 14, and 141 MB when all frames were drawn first.
 _TRACE_BLOCK = 1 << 15
-# planes per task of bp_check's plane side
+# Planes per chunk of bp_check's plane side: each chunk draws its frames
+# from its own child stream, so the report depends on this value.  The
+# tensor rule runs one plane at a time, so a chunk holds one nodes^2 grid.
 _PLANE_BLOCK = 16
 
 
@@ -116,16 +122,19 @@ def bp_check(n: int, f, pairs: int = 1_000_000, planes: int = 1000, rng=None, no
     tensor rule at nodes^2 points.  The grid holds the diagonal x = y,
     where the |sin|^(n-1) weight is 0, so f must be finite there: a kernel
     singular on the diagonal, such as d(x, y)^-(n+s), gives inf * 0 = NaN
-    and raises NonFiniteSampleError.  planes < 1 and nodes < 2 are
-    ValueErrors.
+    and raises NonFiniteSampleError.  n < 1, planes < 1 and nodes < 2 are
+    ValueErrors, raised before either side runs.
 
-    The planes are drawn in the calling thread; the direct side's chunks
-    (mc_estimate) and ranges of planes run on worker threads, so f may be
-    called from several threads at once and must not share mutable state.
-    The report is the same to the bit on any number of CPUs.  Raises
-    NonFiniteSampleError if a direct sample or a plane's integral is NaN or
-    infinite, naming the lowest-numbered failing plane.
+    Both sides are mc_estimate means: the direct side over pairs, the plane
+    side over planes in chunks of _PLANE_BLOCK, each chunk drawing its
+    frames from its own child stream.  Chunks run on worker threads, so f
+    may be called from several threads at once and must not share mutable
+    state.  The report is the same to the bit on any number of CPUs.
+    Raises NonFiniteSampleError if a direct sample or a plane's integral is
+    NaN or infinite, naming the lowest-numbered failing sample or plane.
     """
+    if n < 1:
+        raise ValueError(f"great circles need a sphere of dimension n >= 1, got {n}")
     if planes < 1:
         raise ValueError("need at least one plane")
     if nodes < 2:
@@ -142,32 +151,27 @@ def bp_check(n: int, f, pairs: int = 1_000_000, planes: int = 1000, rng=None, no
         return np.asarray(f(x, y), dtype=float) * total * total
 
     direct = mc_estimate(sampler, integrand, pairs, direct_stream)
-    es, fs = sample_plane_batch(n, planes, plane_stream.generator)
+
     c = bp_constant(n)
-    plane_est = Estimate.from_values(c * _circle_integrals(n, f, es, fs, nodes))
-    return BPReport(direct, plane_est, c)
-
-
-def _circle_integrals(n, f, es, fs, nodes):
-    """Midpoint tensor rule for the double integral of f |sin|^(n-1) over
-    each circle (es[i], fs[i]), in ranges of _PLANE_BLOCK planes per task."""
     h = 2.0 * math.pi / nodes
     phis = (np.arange(nodes) + 0.5) * h
     weights = np.abs(np.sin(phis[:, None] - phis[None, :])) ** (n - 1)
     cos_phi, sin_phi = np.cos(phis)[:, None], np.sin(phis)[:, None]
-    vals = np.empty(es.shape[0])
 
-    def block(k):
-        for i in range(k * _PLANE_BLOCK, min((k + 1) * _PLANE_BLOCK, vals.size)):
+    def circle_integrals(frames):
+        # midpoint tensor rule for c * the double integral of f |sin|^(n-1)
+        # over each circle (es[i], fs[i]) of the chunk
+        es, fs = frames
+        vals = np.empty(len(es))
+        for i in range(len(es)):
             pts = cos_phi * es[i] + sin_phi * fs[i]
             fmat = np.asarray(f(pts[:, None, :], pts[None, :, :]), dtype=float)
-            value = h * h * float(np.sum(fmat * weights))
-            if not math.isfinite(value):
-                raise NonFiniteSampleError(f"non-finite circle integral {value!r} at plane {i}")
-            vals[i] = value
+            vals[i] = h * h * float(np.sum(fmat * weights))
+        return c * vals
 
-    _map_ordered(block, -(-vals.size // _PLANE_BLOCK))
-    return vals
+    haar_frames = lambda count, gen: sample_plane_batch(n, count, gen)
+    plane_est = mc_estimate(haar_frames, circle_integrals, planes, plane_stream, chunk_size=_PLANE_BLOCK)
+    return BPReport(direct, plane_est, c)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import beta
 
-from .estimation import Estimate, as_stream
+from .estimation import Estimate, as_stream, mc_estimate
 from .geometry import geodesic_distance, sample_uniform, sphere_surface, volume_radius
 from .perimeter import CAP_TOL, perimeter_cap, perimeter_circle_exact, perimeter_mc, seminorm_mc
 from .sets import ArcUnion, Cap, PolyconvexUnion, symmetric_overlap_measure
@@ -26,7 +26,6 @@ from .sets import ArcUnion, Cap, PolyconvexUnion, symmetric_overlap_measure
 DEFAULT_S1_GRID = (0.9, 0.95, 0.99)
 DEFAULT_T_GRID = (20.0, 40.0, 80.0)
 DEFAULT_S0_GRID = (-0.3, -0.1, -0.03, -0.01)
-_TARGET_BLOCK = 1 << 16  # points per block of the seminorm target's draw
 
 
 @dataclass(frozen=True)
@@ -202,8 +201,9 @@ def sweep_seminorm_to_minus_inf(
 ):
     """Rows of t^n [f]^p at s = -t with the antipodal-difference target.
 
-    Target: c_(n,p) * integral of |f(x) - f(-x)|^p, itself estimated by
-    plain MC (the integrand is bounded, so this is the easy part).
+    Target: c_(n,p) * integral of |f(x) - f(-x)|^p, itself an mc_estimate
+    of omega_(n+1) |f(x) - f(-x)|^p over target_samples uniform points (the
+    integrand is bounded, so this is the easy part).
     """
     grid = [float(t) for t in t_grid]
     if grid != sorted(grid) or grid[0] <= n / p:
@@ -213,16 +213,15 @@ def sweep_seminorm_to_minus_inf(
     for i, t in enumerate(grid):
         est = seminorm_mc(f, n, p, -t, samples, streams[i])
         rows.append(SweepRow(t, t**n * est.value, t**n * est.std_error, "mc"))
-    # drawn in blocks: consecutive draws continue one stream, so the target
-    # equals a one-shot draw without holding all target_samples points
-    gen = streams[-1].generator
-    diffs = np.empty(target_samples)
-    for start in range(0, target_samples, _TARGET_BLOCK):
-        x = sample_uniform(n, min(_TARGET_BLOCK, target_samples - start), gen)
-        diffs[start : start + len(x)] = (
-            np.abs(np.asarray(f(x), dtype=float) - np.asarray(f(-x), dtype=float)) ** p
-        )
-    target = concentration_constant(n, p) * sphere_surface(n) * float(np.mean(diffs))
+    total = sphere_surface(n)
+
+    def antipodal_gap(x):
+        return total * np.abs(np.asarray(f(x), dtype=float) - np.asarray(f(-x), dtype=float)) ** p
+
+    gap = mc_estimate(
+        lambda count, gen: sample_uniform(n, count, gen), antipodal_gap, target_samples, streams[-1]
+    )
+    target = concentration_constant(n, p) * gap.value
     report = extrapolate([1.0 / t for t in grid], [row.value for row in rows], target)
     return rows, report
 
@@ -380,6 +379,8 @@ def isoperimetric_comparison(
     extra sample batches (each doubling the pool) merged into the estimate;
     the reported margin is still a plain z-score of the pooled estimate.
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     if s == -float(n):
         raise ValueError("s = -n makes both sides equal; nothing to compare")
     direction = 1 if s > -float(n) else -1

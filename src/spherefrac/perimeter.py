@@ -82,7 +82,6 @@ def perimeter_mc(
     samples: int = 1_000_000,
     rng=None,
     normalized: bool = False,
-    chunk_size: int = 1 << 16,
 ) -> Estimate:
     """Monte Carlo s-perimeter of E.
 
@@ -145,7 +144,7 @@ def perimeter_mc(
         values[inside] = scale * wk * ~E.contains(y)
         return values
 
-    return mc_estimate(sampler, integrand, samples, rng, chunk_size)
+    return mc_estimate(sampler, integrand, samples, rng)
 
 
 def seminorm_mc(
@@ -155,7 +154,6 @@ def seminorm_mc(
     s: float,
     samples: int = 1_000_000,
     rng=None,
-    chunk_size: int = 1 << 16,
 ) -> Estimate:
     """Gagliardo-type seminorm: double integral of |f(x)-f(y)|^p / dtilde^(n+sp).
 
@@ -183,7 +181,7 @@ def seminorm_mc(
         fy = np.asarray(f(y), dtype=float)
         return omega * wk * np.abs(fx - fy) ** p
 
-    return mc_estimate(sampler, integrand, samples, rng, chunk_size)
+    return mc_estimate(sampler, integrand, samples, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import Estimate, as_stream
+from .estimation import Estimate, as_stream, mc_estimate
 from .geometry import (
     cap_area,
     circle_distance,
@@ -388,21 +388,12 @@ def rearrangement(n: int, measure: float, center) -> Cap:
     return Cap(np.asarray(center, dtype=float), volume_radius(n, measure))
 
 
-def measure_mc(E, samples: int, rng) -> Estimate:
-    """Monte Carlo H^n measure of E: omega_(n+1) times the hit fraction."""
-    gen = as_stream(rng).generator
-    total = sphere_surface(E.dimension)
-    x = sample_uniform(E.dimension, samples, gen)
-    values = E.contains(x).astype(float) * total
-    return Estimate.from_values(values)
-
-
 def symmetric_overlap_measure(E, samples: int = 100000, rng=None) -> Estimate:
     """H^n((-E) intersect E^c), the mass the antipodal image gains over E.
 
     Exact for caps (a(min(r, pi - r))) and for arc unions (arc algebra);
-    Monte Carlo with a standard error otherwise, in which case rng is
-    required.
+    otherwise an mc_estimate over samples uniform points, with a standard
+    error, in which case rng is required.
     """
     if isinstance(E, Cap):
         r = E.radius
@@ -411,12 +402,13 @@ def symmetric_overlap_measure(E, samples: int = 100000, rng=None) -> Estimate:
         return Estimate.exact(E.shifted(math.pi).intersect(E.gaps()).measure())
     if rng is None:
         raise ValueError("Monte Carlo overlap needs an rng")
-    gen = as_stream(rng).generator
-    total = sphere_surface(E.dimension)
-    x = sample_uniform(E.dimension, samples, gen)
-    inside_reflected = E.contains(-x)
-    outside = ~E.contains(x)
-    return Estimate.from_values((inside_reflected & outside).astype(float) * total)
+    n = E.dimension
+    total = sphere_surface(n)
+
+    def gained(x):
+        return (E.contains(-x) & ~E.contains(x)) * total
+
+    return mc_estimate(lambda count, gen: sample_uniform(n, count, gen), gained, samples, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,11 @@ pair counting, a covariogram quadrature on the circle, and the plain forms
 of membership tests and samplers that the library computes faster,
 sharing no code path with the routines they check, plus high-precision
 cap perimeters pinned from an mpmath computation (CAP_PERIMETERS, whose
-comment says how they were made).  Four references are the serial forms of
-faster library paths that must equal them to the bit, so they reuse the
+comment says how they were made).  Three references are the serial forms
+of faster library paths that must equal them to the bit, so they reuse the
 library's pooling and samplers: the one-thread chunk loop of mc_estimate,
-the one-shot draw of the antipodal seminorm target, crofton_estimate as
-that chunk loop with one trace per chunk, and bp_check's plane side as one
-loop over the planes.
+crofton_estimate as that chunk loop with one trace per chunk, and
+bp_check's plane side as that chunk loop with one plane after another.
 """
 
 import math
@@ -20,10 +19,8 @@ import numpy as np
 from scipy.integrate import quad
 
 from spherefrac.estimation import Estimate, NonFiniteSampleError, as_stream
-from spherefrac.geometry import sample_uniform, sphere_surface
-from spherefrac.integral_geometry import CroftonReport
-from spherefrac.limits import SweepRow, concentration_constant, extrapolate
-from spherefrac.perimeter import seminorm_mc
+from spherefrac.geometry import sphere_surface
+from spherefrac.integral_geometry import CroftonReport, bp_constant
 from spherefrac.sets import trace
 
 TWO_PI = 2.0 * math.pi
@@ -353,20 +350,6 @@ def mc_estimate_serial(sampler, integrand, n_samples, rng, chunk_size=1 << 16):
     return total
 
 
-def sweep_seminorm_one_shot(n, f, p, t_grid, samples, rng, target_samples):
-    """sweep_seminorm_to_minus_inf with its antipodal target drawn at once."""
-    grid = [float(t) for t in t_grid]
-    streams = as_stream(rng).split(len(grid) + 1)
-    rows = []
-    for i, t in enumerate(grid):
-        est = seminorm_mc(f, n, p, -t, samples, streams[i])
-        rows.append(SweepRow(t, t**n * est.value, t**n * est.std_error, "mc"))
-    x = sample_uniform(n, target_samples, streams[-1].generator)
-    diffs = np.abs(np.asarray(f(x), dtype=float) - np.asarray(f(-x), dtype=float)) ** p
-    target = concentration_constant(n, p) * sphere_surface(n) * float(np.mean(diffs))
-    return rows, extrapolate([1.0 / t for t in grid], [row.value for row in rows], target)
-
-
 def crofton_estimate_serial(E, planes, rng, chunk_size, max_resample_rounds=100):
     """crofton_estimate as mc_estimate_serial's chunk loop: each chunk draws
     masked Haar frames from its child stream, traces them at once, and
@@ -408,3 +391,18 @@ def circle_integrals_serial(n, f, es, fs, nodes):
         fmat = np.asarray(f(pts[:, None, :], pts[None, :, :]), dtype=float)
         vals[i] = h * h * float(np.sum(fmat * weights))
     return vals
+
+
+def bp_plane_side_serial(n, f, planes, rng, nodes, chunk_size):
+    """bp_check's plane side as mc_estimate_serial's chunk loop: each chunk
+    draws masked Haar frames from its child stream and integrates f over
+    its circles one after another.  rng is bp_check's own seed."""
+    plane_stream = as_stream(rng).split(2)[1]
+
+    def integrals(frames):
+        return bp_constant(n) * circle_integrals_serial(n, f, *frames, nodes)
+
+    return mc_estimate_serial(
+        lambda count, gen: sample_plane_batch_masked(n, count, gen),
+        integrals, planes, plane_stream, chunk_size,
+    )

@@ -175,16 +175,19 @@ def test_dot2_kernel_matches_the_summed_product_form():
 
 
 def test_bp_check_and_crofton_records_are_pinned(tmp_path):
-    # bp: pinned from the masked Gram-Schmidt, trig polytope trace and summed
-    # product kernel that the fast paths replaced; they draw the same numbers.
+    # bp: the plane side pinned from oracles.bp_plane_side_serial(2,
+    # dot2_kernel, 20, RandomStream(5), 256, 16), the chunk loop with masked
+    # frames; dot2 gives every plane the same integral, so its error is 0.
     # crofton: pinned from oracles.crofton_estimate_serial(octant, 20000,
     # RandomStream(5), 1 << 15), the chunk loop with masked frames
     out = tmp_path / "bp.json"
     assert main(["bp-check", "--kernel", "dot2", "--pairs", "20000", "--planes", "20",
                  "--seed", "5", "--format", "json", "--out", str(out)]) == 0
-    row = json.loads(out.read_text())["rows"][0]
+    record = json.loads(out.read_text())
+    row = record["rows"][0]
     assert (row["value"], row["error"], row["target"]) == (
         211.27782722466316, 1.3399654731985138, 210.53570557555548)
+    assert record["detail"]["plane_side"] == {"value": 210.53570557555548, "std_error": 0.0}
     out = tmp_path / "crofton.csv"
     assert main(["crofton", "--n", "2", "--set", "poly:-1,0,0;0,-1,0;0,0,-1", "--planes", "20000",
                  "--seed", "5", "--out", str(out)]) == 0
@@ -230,6 +233,30 @@ def test_exit_1_on_config_errors(tmp_path, capsys):
     assert main(["bp-check", "--pairs", "100", "--planes", "0"]) == 1
     captured = capsys.readouterr()
     assert "at least two planes" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("n", ("0", "-1"))
+def test_bp_check_without_great_circles_exits_1(n):
+    # in a child with a timeout: on S^0 the plane sampler's redraw loop used
+    # to spin forever
+    proc = subprocess.run(
+        [sys.executable, "-m", "spherefrac", "bp-check", "--n", n, "--pairs", "100",
+         "--planes", "3"],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "config error" in proc.stderr and "dimension n >= 1" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("trials", ("0", "-1"))
+def test_isoperimetric_without_trials_exits_1(capsys, trials):
+    # 0 trials passed with no rows and a vacuous all_trials_directional
+    # verdict; -1 died in SeedSequence.spawn with an OverflowError
+    assert main(["isoperimetric", "--s", "0.3", "--trials", trials]) == 1
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "at least one trial" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv, what", [
@@ -431,15 +458,19 @@ def _declared_console_script(name):
     return target
 
 
-def _run_entry_point(cmd):
+def _child_env():
     # the child imports the same spherefrac package as this test, installed or not
     package_root = str(Path(spherefrac.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def _run_entry_point(cmd):
     proc = subprocess.run(
-        cmd + ["beta-check", "--n", "2"], capture_output=True, text=True, env=env
+        cmd + ["beta-check", "--n", "2"], capture_output=True, text=True, env=_child_env()
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == CSV_HEADER

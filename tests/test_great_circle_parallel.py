@@ -1,11 +1,10 @@
 """The threaded great-circle path against its serial forms.
 
-crofton_estimate runs chunks of circles (mc_estimate) and bp_check's plane
-side ranges of planes on worker threads (estimation._map_ordered);
-sample_plane_batch runs in its caller's thread.  Each must return the same
-bits as a one-thread reference from oracles.py for any worker count; the
-worker count is forced by patching the private helper
-estimation._worker_count.
+crofton_estimate and bp_check's plane side are mc_estimate means over
+chunks of circles, run on worker threads; sample_plane_batch runs in its
+caller's thread, once per chunk.  Each must return the same bits as a
+one-thread reference from oracles.py for any worker count; the worker count
+is forced by patching the private helper estimation._worker_count.
 """
 
 import math
@@ -20,22 +19,21 @@ import pytest
 import spherefrac.integral_geometry as ig
 from spherefrac import (
     DegenerateCircleError,
-    Estimate,
     NonFiniteSampleError,
     RandomStream,
     bp_check,
-    bp_constant,
     crofton_estimate,
     estimation,
     sets,
 )
 from spherefrac.cli import parse_set
 
-from oracles import circle_integrals_serial, crofton_estimate_serial, sample_plane_batch_masked
+from oracles import bp_plane_side_serial, crofton_estimate_serial, sample_plane_batch_masked
 from test_geometry import ScriptedNormals
 from test_mc_parallel import SETS
 
 WORKERS = (1, 2, 3)
+BP_WORKERS = (1, 2, 3, 8)
 
 
 def force_workers(monkeypatch, count):
@@ -117,38 +115,42 @@ def test_circles_degenerate_after_the_last_round_raise(monkeypatch):
         crofton_estimate(parse_set(SETS["cap"]), 2000, RandomStream(58), max_resample_rounds=0)
 
 
+def plane_side(n, planes, seed, nodes):
+    return bp_check(n, x0_y1_squared, pairs=1000, planes=planes, rng=RandomStream(seed),
+                    nodes=nodes).plane_side
+
+
 @pytest.mark.parametrize("n", (2, 3))
 def test_circle_integrals_equal_serial_loop(monkeypatch, n):
-    planes = 3 * ig._PLANE_BLOCK + 5
-    es, fs = ig.sample_plane_batch(n, planes, np.random.default_rng(52))
-    reference = circle_integrals_serial(n, x0_y1_squared, es, fs, 64)
-    # a value written to another plane's slot would show
-    assert np.unique(reference).size == planes
-    for count in WORKERS:
+    planes = 3 * ig._PLANE_BLOCK + 5  # not a multiple of the chunk size
+    reference = bp_plane_side_serial(n, x0_y1_squared, planes, RandomStream(52), 64, ig._PLANE_BLOCK)
+    assert reference.samples == planes
+    for count in BP_WORKERS:
         force_workers(monkeypatch, count)
-        assert np.array_equal(ig._circle_integrals(n, x0_y1_squared, es, fs, 64), reference)
+        assert plane_side(n, planes, 52, 64) == reference
 
 
 def test_bp_check_plane_side_equals_serial_loop(monkeypatch):
-    planes = 2 * ig._PLANE_BLOCK + 3
-    rng = RandomStream(53)
-    es, fs = ig.sample_plane_batch(2, planes, rng.split(2)[1].generator)
-    vals = circle_integrals_serial(2, x0_y1_squared, es, fs, 64)
-    reference = Estimate.from_values(bp_constant(2) * vals)
-    for count in WORKERS:
-        force_workers(monkeypatch, count)
-        report = bp_check(2, x0_y1_squared, pairs=1000, planes=planes, rng=RandomStream(53), nodes=64)
-        assert report.plane_side == reference
+    # the plane side is a function of the chunk size, as crofton_estimate's
+    # report is of _TRACE_BLOCK
+    planes = 35
+    sides = set()
+    for block in (1, 7, 35):
+        reference = bp_plane_side_serial(2, x0_y1_squared, planes, RandomStream(53), 64, block)
+        sides.add(reference)
+        monkeypatch.setattr(ig, "_PLANE_BLOCK", block)
+        for count in BP_WORKERS:
+            force_workers(monkeypatch, count)
+            assert plane_side(2, planes, 53, 64) == reference
+    assert len(sides) == 3
 
 
 def test_small_blocks_on_more_workers_than_cpus_with_fast_switching(monkeypatch):
-    # hundreds of chunks and plane ranges (the latter writing their own
-    # slices of a shared array) while the interpreter switches threads
-    # every microsecond
+    # hundreds of chunks of circles and of single planes while the
+    # interpreter switches threads every microsecond
     E = parse_set(SETS["union"])
     crofton_ref = crofton_estimate_serial(E, 20_001, RandomStream(56), 97)
-    es, fs = ig.sample_plane_batch(2, 301, np.random.default_rng(57))
-    circles_ref = circle_integrals_serial(2, x0_y1_squared, es, fs, 16)
+    bp_ref = bp_plane_side_serial(2, x0_y1_squared, 301, RandomStream(57), 16, 1)
     monkeypatch.setattr(ig, "_TRACE_BLOCK", 97)
     monkeypatch.setattr(ig, "_PLANE_BLOCK", 1)
     force_workers(monkeypatch, 8)
@@ -156,11 +158,11 @@ def test_small_blocks_on_more_workers_than_cpus_with_fast_switching(monkeypatch)
     sys.setswitchinterval(1e-6)
     try:
         crofton = crofton_estimate(E, 20_001, RandomStream(56))
-        circles = ig._circle_integrals(2, x0_y1_squared, es, fs, 16)
+        bp = plane_side(2, 301, 57, 16)
     finally:
         sys.setswitchinterval(interval)
     assert crofton == crofton_ref
-    assert np.array_equal(circles, circles_ref)
+    assert bp == bp_ref
 
 
 @pytest.mark.parametrize("name", ("cap", "octant", "union"))
@@ -188,27 +190,35 @@ def test_crofton_memory_is_flat_in_the_plane_count(monkeypatch, name):
 @pytest.mark.parametrize("workers", WORKERS)
 def test_circle_integral_error_names_the_first_failing_plane(monkeypatch, workers):
     # circle i lies in the plane spanned by (cos a_i, sin a_i, 0) and e_2,
-    # a_i = 0.01 i, so the kernel reads i off its first node
+    # a_i = 0.01 i, so the kernel reads i off its first node; chunk k gets
+    # circles k * _PLANE_BLOCK onward
     planes = 4 * ig._PLANE_BLOCK
     angles = 0.01 * np.arange(planes)
     es = np.column_stack([np.cos(angles), np.sin(angles), np.zeros(planes)])
     fs = np.tile([0.0, 0.0, 1.0], (planes, 1))
 
+    def chunk_planes(n, count, gen):
+        start = gen.bit_generator.seed_seq.spawn_key[-1] * ig._PLANE_BLOCK
+        return es[start : start + count], fs[start : start + count]
+
     def kernel(x, y):
+        if x.ndim == 2:  # the direct side's pairs
+            return np.ones(len(x))
         first = x.reshape(-1, 3)[0]
         plane = round(math.atan2(first[1], first[0]) / 0.01)
         values = np.ones(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]))
         if plane == 5:
-            time.sleep(0.05)  # the block of plane 40 fails first in wall time
+            time.sleep(0.05)  # the chunk of plane 40 fails first in wall time
             values[3, 7] = np.nan
         elif plane == 40:
             values[0, 1] = np.inf
         return values
 
+    monkeypatch.setattr(ig, "sample_plane_batch", chunk_planes)
     force_workers(monkeypatch, workers)
     before = threading.active_count()
-    with pytest.raises(NonFiniteSampleError, match=r"nan at plane 5$"):
-        ig._circle_integrals(2, kernel, es, fs, 16)
+    with pytest.raises(NonFiniteSampleError, match=r"nan\) at sample 5$"):
+        bp_check(2, kernel, pairs=100, planes=planes, rng=RandomStream(60), nodes=16)
     assert threading.active_count() == before
 
 
@@ -222,7 +232,7 @@ def test_bp_check_raises_on_a_kernel_singular_on_the_circle(monkeypatch, workers
             return 1.0 / np.sum((x - y) ** 2, axis=-1)
 
     force_workers(monkeypatch, workers)
-    with pytest.raises(NonFiniteSampleError, match=r"nan at plane 0$"):
+    with pytest.raises(NonFiniteSampleError, match=r"nan\) at sample 0$"):
         bp_check(2, singular, pairs=1000, planes=40, rng=RandomStream(54), nodes=16)
 
 
@@ -230,3 +240,23 @@ def test_bp_check_raises_on_a_kernel_singular_on_the_circle(monkeypatch, workers
 def test_bp_check_rejects_fewer_than_two_nodes(nodes):
     with pytest.raises(ValueError, match="at least two nodes"):
         bp_check(2, x0_y1_squared, pairs=100, planes=3, rng=RandomStream(55), nodes=nodes)
+
+
+class NoDraws:
+    def standard_normal(self, shape):
+        raise AssertionError("drew normals")
+
+
+@pytest.mark.parametrize("n", (0, -1))
+def test_plane_sampler_and_bp_check_reject_spheres_without_circles(monkeypatch, n):
+    # S^0 has no great circle: every projection of f onto e is exactly 0,
+    # and the redraw loop used to spin forever.  Neither call may draw.
+    with pytest.raises(ValueError, match="dimension n >= 1"):
+        ig.sample_plane_batch(n, 3, NoDraws())
+
+    def direct_side(*args, **kwargs):
+        raise AssertionError("the direct side ran")
+
+    monkeypatch.setattr(ig, "mc_estimate", direct_side)
+    with pytest.raises(ValueError, match="dimension n >= 1"):
+        bp_check(n, x0_y1_squared, pairs=100, planes=3, rng=RandomStream(61))

@@ -20,15 +20,20 @@ from spherefrac import (
     NonFiniteSampleError,
     RandomStream,
     bp_check,
+    concentration_constant,
     estimation,
     mc_estimate,
     perimeter_mc,
+    sample_uniform,
     seminorm_mc,
+    sphere_surface,
     sweep_seminorm_to_minus_inf,
+    symmetric_overlap_measure,
 )
 from spherefrac.cli import dot2_kernel, parse_function, parse_set
+from spherefrac.limits import SweepRow
 
-from oracles import mc_estimate_serial, sweep_seminorm_one_shot
+from oracles import mc_estimate_serial
 
 WORKERS = (1, 2, 3)
 
@@ -228,16 +233,49 @@ def test_chunks_run_in_the_callers_errstate(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the blocked antipodal target of the seminorm sweep
+# antipodal volumes: the seminorm target and the overlap measure
+
+
+def uniform_points(n):
+    return lambda count, gen: sample_uniform(n, count, gen)
 
 
 @pytest.mark.parametrize("target_samples", (400_000, 100_003))
 @pytest.mark.parametrize("desc, p", (("coord:0", 1.0), ("abs-coord:1", 1.5)))
-def test_blocked_seminorm_target_equals_one_shot_draw(desc, p, target_samples):
+def test_seminorm_target_equals_serial_mc_estimate(monkeypatch, desc, p, target_samples):
     f, _ = parse_function(desc, 2)
-    args = (2, f, p, (20.0, 40.0, 80.0), 20_000)
-    rows, report = sweep_seminorm_to_minus_inf(*args, RandomStream(40), target_samples)
-    ref_rows, ref_report = sweep_seminorm_one_shot(*args, RandomStream(40), target_samples)
-    assert rows == ref_rows
-    assert report.target == ref_report.target
-    assert report.extrapolated == ref_report.extrapolated
+    t_grid = (20.0, 40.0, 80.0)
+    streams = RandomStream(40).split(len(t_grid) + 1)
+    # the rows draw from the first streams, as before the target was chunked
+    ref_rows = []
+    for t, stream in zip(t_grid, streams):
+        est = seminorm_mc(f, 2, p, -t, 20_000, stream)
+        ref_rows.append(SweepRow(t, t**2 * est.value, t**2 * est.std_error, "mc"))
+    gap = mc_estimate_serial(
+        uniform_points(2),
+        lambda x: sphere_surface(2) * np.abs(f(x) - f(-x)) ** p,
+        target_samples,
+        streams[-1],
+    )
+    for count in WORKERS:
+        force_workers(monkeypatch, count)
+        rows, report = sweep_seminorm_to_minus_inf(
+            2, f, p, t_grid, 20_000, RandomStream(40), target_samples
+        )
+        assert rows == ref_rows
+        assert report.target == concentration_constant(2, p) * gap.value
+
+
+@pytest.mark.parametrize("name", ("octant", "union", "refl-octant"))
+def test_overlap_measure_mc_route_equals_serial_mc_estimate(monkeypatch, name):
+    E = parse_set(SETS[name])
+    reference = mc_estimate_serial(
+        uniform_points(2),
+        lambda x: (E.contains(-x) & ~E.contains(x)) * sphere_surface(2),
+        200_001,
+        RandomStream(42),
+    )
+    assert reference.samples == 200_001
+    for count in WORKERS:
+        force_workers(monkeypatch, count)
+        assert symmetric_overlap_measure(E, 200_001, RandomStream(42)) == reference

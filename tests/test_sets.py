@@ -14,7 +14,7 @@ from spherefrac import (
     Reflection,
     cap_area,
     geodesic_distance,
-    measure_mc,
+    mc_estimate,
     rearrangement,
     sample_uniform,
     sphere_surface,
@@ -168,7 +168,13 @@ def test_membership_takes_one_point():
 
 def test_octant_measure_against_mc():
     E = octant()
-    est = measure_mc(E, 200_000, RandomStream(1))
+    total = sphere_surface(2)
+    est = mc_estimate(
+        lambda count, gen: sample_uniform(2, count, gen),
+        lambda x: E.contains(x) * total,
+        200_000,
+        RandomStream(1),
+    )
     assert abs(est.value - math.pi / 2.0) < 4.0 * est.std_error
 
 
