@@ -390,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", default=None, help="RNG seed (decimal or 0x-hex)")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--samples", type=int, default=1_000_000, help="MC samples per estimate")
+        p.add_argument("--samples", type=int, default=1_000_000,
+                       help="MC samples per estimate (at least 2 where samples are drawn)")
         p.add_argument("--tol", type=float, default=CAP_TOL,
                        help="relative tolerance of the cap oracle, also its reported "
                             "relative error (default %(default)g)")
@@ -489,6 +490,7 @@ def _run_perimeter(args, stream):
             raise ValueError("circle_exact needs an arcs set")
         value, error = perimeter_circle_exact(E, s), 0.0
     else:
+        _need_two(args.samples, "samples")
         est = perimeter_mc(E, s, args.samples, stream)
         value, error = est.value, est.std_error
     target = None
@@ -504,6 +506,7 @@ def _run_perimeter(args, stream):
 
 
 def _run_isoperimetric(args, stream):
+    _need_two(args.samples, "samples")
     report = isoperimetric_comparison(
         args.n, args.s, trials=args.trials, samples=args.samples,
         rng=stream, cap_tol=args.tol,
@@ -526,6 +529,8 @@ def _run_sweep_s1(args, stream):
     E = parse_set(args.set_desc)
     _check_dimension(E, args.n)
     method = _auto_method(E, args.method)
+    if method == "mc":
+        _need_two(args.samples, "samples")
     rng = stream if method == "mc" else None
     rows, report = sweep_s_to_1(
         args.n, E, args.s_grid, method, samples=args.samples, rng=rng, tol=args.tol
@@ -539,6 +544,7 @@ def _run_sweep_s1(args, stream):
 
 
 def _run_sweep_sinf(args, stream):
+    _need_two(args.samples, "samples")
     E = parse_set(args.set_desc)
     _check_dimension(E, args.n)
     rows, report = sweep_s_to_minus_inf(
@@ -551,6 +557,7 @@ def _run_sweep_sinf(args, stream):
 
 
 def _run_seminorm_sweep(args, stream):
+    _need_two(args.samples, "samples")
     f, _ = parse_function(args.function, args.n)
     rows, report = sweep_seminorm_to_minus_inf(
         args.n, f, args.p, args.t_grid, samples=args.samples, rng=stream
@@ -629,6 +636,7 @@ def _run_beta_check(args, stream):
 
 
 def _run_s0_check(args, stream):
+    _need_two(args.samples, "samples")
     f, lipschitz = parse_function(args.function, args.n)
     rows, report = s_to_zero_vanishing_check(
         args.n, f, lipschitz, args.s_grid, samples=args.samples, rng=stream

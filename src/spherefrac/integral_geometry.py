@@ -18,12 +18,17 @@ phi -> cos(phi) e + sin(phi) f.  Crossings come from sets.trace: open arcs
 circle, with circles tangent to the boundary or through a polytope corner
 (margin 1e-9) flagged as degenerate.
 
-Both estimators are mc_estimate means over Haar circles: each chunk draws
-its frames from its own child stream, on a worker thread.  A crofton_estimate
-chunk of _TRACE_BLOCK circles traces them and resamples its own degenerate
-circles, so its report depends only on (seed, planes, _TRACE_BLOCK); a
-bp_check chunk of _PLANE_BLOCK planes integrates f over each circle, so the
-plane side depends only on (seed, planes, nodes, _PLANE_BLOCK).
+Both estimators are mc_estimate means whose chunks draw from their own
+child streams, on worker threads.  On S^2, a crofton_estimate chunk is one
+Haar rotation of a Fibonacci lattice of poles, and the estimate is the
+randomized quasi-Monte Carlo mean of the rotations' mean crossing counts
+(Owen, Monte Carlo theory, methods and examples, 2013), whose error bar is
+the spread of _ROTATIONS rotation means.  On other spheres a chunk is
+_TRACE_BLOCK iid Haar circles.  Either way a chunk resamples its own
+degenerate circles, so the report depends only on (seed, planes,
+_TRACE_BLOCK).  A bp_check chunk of _PLANE_BLOCK Haar planes integrates f
+over each circle, so the plane side depends only on (seed, planes, nodes,
+_PLANE_BLOCK).
 """
 
 from __future__ import annotations
@@ -81,13 +86,20 @@ def _orthonormalize(es, fs):
     return (n1 <= 1e-12) | (n2 <= 1e-12)
 
 
-# Circles per chunk of crofton_estimate: each chunk draws, traces and
-# resamples its circles from its own child stream, so the report depends
-# on this value.  Every worker holds one chunk's frames and trace
-# temporaries, and nothing holds all planes: octant crofton at 1e6 planes
-# on 2 CPUs peaks at 75 MB RSS (58 MB before the call), against 91 MB with
-# 1 << 16, 67 MB with 1 << 14, and 141 MB when all frames were drawn first.
+# Most circles crofton_estimate builds and traces at once: a chunk of iid
+# circles (n != 2), or a block of one rotated lattice (n = 2).  Degenerate
+# circles are redrawn per block from the chunk's generator, so the report
+# depends on this value.  Every worker holds one block's frames and trace
+# temporaries, and nothing holds all planes: octant crofton at 1e6 iid
+# planes on 2 CPUs peaked at 75 MB RSS (58 MB before the call), against
+# 91 MB with 1 << 16, 67 MB with 1 << 14, and 141 MB when all frames were
+# drawn first.  At 1e6 planes a lattice of 31250 poles is one block.
 _TRACE_BLOCK = 1 << 15
+# Haar rotations of the pole lattice behind crofton_estimate on S^2: each is
+# one mc_estimate sample, so the error bar has _ROTATIONS - 1 degrees of
+# freedom.
+_ROTATIONS = 32
+_GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # Planes per chunk of bp_check's plane side: each chunk draws its frames
 # from its own child stream, so the report depends on this value.  The
 # tensor rule runs one plane at a time, so a chunk holds one nodes^2 grid.
@@ -193,42 +205,90 @@ class CroftonReport:
         return abs(self.crossings.value - self.target) / self.crossings.std_error
 
 
+def _haar_rotation(gen: np.random.Generator) -> np.ndarray:
+    """Haar-random 3x3 orthogonal matrix: the Q of a Gaussian matrix's QR,
+    its columns' signs fixed by the diagonal of R."""
+    q, r = np.linalg.qr(gen.standard_normal((3, 3)))
+    return q * np.sign(np.diag(r))
+
+
+def _lattice_frames(start: int, stop: int, poles: int, q: np.ndarray):
+    """Frames (es, fs) of rows start .. stop-1 of a rotated Fibonacci lattice.
+
+    Row i of the poles-point lattice on S^2 has the pole
+    (rho cos phi, rho sin phi, z), z = 1 - (2i+1)/poles, rho = sqrt(1 - z^2),
+    phi = i pi (3 - sqrt 5), and its great circle the frame
+    e = (-sin phi, cos phi, 0), f = (-z cos phi, -z sin phi, rho).  The rows
+    returned are (q e, q f), written column by column from cos phi, sin phi
+    and z, so no unrotated lattice is held.
+    """
+    i = np.arange(start, stop, dtype=float)
+    z = 1.0 - (2.0 * i + 1.0) / poles
+    rho = np.sqrt((1.0 - z) * (1.0 + z))
+    i *= _GOLDEN_ANGLE
+    cos_phi, sin_phi = np.cos(i), np.sin(i)
+    z_cos, z_sin = z * cos_phi, z * sin_phi
+    es = np.empty((stop - start, 3))
+    fs = np.empty((stop - start, 3))
+    for k in range(3):
+        es[:, k] = cos_phi * q[k, 1] - sin_phi * q[k, 0]
+        fs[:, k] = rho * q[k, 2] - (z_cos * q[k, 0] + z_sin * q[k, 1])
+    return es, fs
+
+
+def _crossing_counts(E, es, fs):
+    """Boundary crossings of each circle (twice its arcs that are neither
+    empty nor full) and its degeneracy mask, from sets.trace."""
+    _, length, bad = trace(E, es, fs)
+    return 2.0 * np.count_nonzero((length > 0.0) & (length < TWO_PI), axis=1), bad
+
+
 def crofton_estimate(E, planes: int = 100_000, rng=None, max_resample_rounds: int = 100) -> CroftonReport:
     """Mean boundary crossing count over Haar circles, with its Crofton target.
 
     A circle crosses the boundary twice per arc of its trace (sets.trace)
     that is neither empty nor the full circle.  Degenerate circles
-    (tangencies and corner passes, margin 1e-9) are resampled in place and
-    counted; the target (2/omega_n) H^(n-1)(boundary E) is attached when
-    the set knows its boundary measure.  planes < 1 is a ValueError: a mean
-    over no circles is not an exact zero.
+    (tangencies and corner passes, margin 1e-9) are redrawn as iid Haar
+    circles (sample_plane_batch) and counted; the target
+    (2/omega_n) H^(n-1)(boundary E) is attached when the set knows its
+    boundary measure.  planes < 1 is a ValueError: a mean over no circles is
+    not an exact zero.
 
-    An mc_estimate over circles in chunks of _TRACE_BLOCK: each chunk draws
-    its frames from its own child stream, traces them, and redraws its
-    degenerate circles from that same generator, at most
-    max_resample_rounds times (then DegenerateCircleError).  Chunks run on
-    worker threads, so the report is a deterministic function of
+    On S^2 (n = 2) the circles are R = min(_ROTATIONS, planes) independent
+    Haar rotations of a Fibonacci lattice of planes // R poles, so
+    R * (planes // R) circles are traced, up to R - 1 fewer than planes.
+    Every rotated pole is uniform, so each rotation's mean crossing count is
+    unbiased, and the lattice makes it far less variable than a mean of as
+    many iid circles.  The estimate is an mc_estimate over rotations:
+    crossings.samples is R, and its standard error is the spread of the R
+    rotation means, with R - 1 degrees of freedom.  Each rotation draws its
+    orthogonal matrix and its redraws from its own child stream and traces
+    its lattice in blocks of at most _TRACE_BLOCK rows.
+
+    On other spheres there is no lattice, and the estimate is an
+    mc_estimate over iid Haar circles in chunks of _TRACE_BLOCK, each drawn
+    from the chunk's own child stream; crossings.samples is planes.
+
+    A block or chunk redraws its degenerate circles from its own generator
+    at most max_resample_rounds times (then DegenerateCircleError).  Chunks
+    run on worker threads, so the report is a deterministic function of
     (seed, planes, _TRACE_BLOCK), the same to the bit on any number of CPUs.
     """
     if planes < 1:
         raise ValueError("need at least one plane")
     n = E.dimension
-    resamples = []  # one entry per chunk, in any order
+    resamples = []  # one entry per block, in any order
 
-    def traced(count, gen):
-        es, fs = sample_plane_batch(n, count, gen)
-        _, length, bad = trace(E, es, fs)
-        return 2.0 * np.count_nonzero((length > 0.0) & (length < TWO_PI), axis=1), bad
-
-    def crossings(count, gen):
-        counts, bad = traced(count, gen)
+    def resolved(es, fs, gen):
+        # crossing counts of the circles (es, fs), degenerate ones redrawn
+        counts, bad = _crossing_counts(E, es, fs)
         idx = np.flatnonzero(bad)
         redrawn = 0
         for _ in range(max_resample_rounds):
             if idx.size == 0:
                 break
             redrawn += idx.size
-            counts[idx], bad = traced(idx.size, gen)
+            counts[idx], bad = _crossing_counts(E, *sample_plane_batch(n, idx.size, gen))
             idx = idx[bad]
         if idx.size:
             raise DegenerateCircleError(
@@ -237,7 +297,22 @@ def crofton_estimate(E, planes: int = 100_000, rng=None, max_resample_rounds: in
         resamples.append(redrawn)
         return counts
 
-    est = mc_estimate(crossings, lambda counts: counts, planes, rng, chunk_size=_TRACE_BLOCK)
+    if n == 2:
+        rotations = min(_ROTATIONS, planes)
+        poles = planes // rotations
+
+        def rotation_mean(count, gen):  # count is 1: a chunk is one rotation
+            q = _haar_rotation(gen)
+            total = 0.0
+            for start in range(0, poles, _TRACE_BLOCK):
+                es, fs = _lattice_frames(start, min(start + _TRACE_BLOCK, poles), poles, q)
+                total += float(np.sum(resolved(es, fs, gen)))
+            return np.array([total / poles])
+
+        est = mc_estimate(rotation_mean, lambda means: means, rotations, rng, chunk_size=1)
+    else:
+        iid = lambda count, gen: resolved(*sample_plane_batch(n, count, gen), gen)
+        est = mc_estimate(iid, lambda counts: counts, planes, rng, chunk_size=_TRACE_BLOCK)
     bm = E.boundary_measure()
     target = None if bm is None else 2.0 * bm / sphere_surface(n - 1)
     return CroftonReport(est, target, sum(resamples))

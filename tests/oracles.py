@@ -6,11 +6,14 @@ pair counting, a covariogram quadrature on the circle, and the plain forms
 of membership tests and samplers that the library computes faster,
 sharing no code path with the routines they check, plus high-precision
 cap perimeters pinned from an mpmath computation (CAP_PERIMETERS, whose
-comment says how they were made).  Three references are the serial forms
-of faster library paths that must equal them to the bit, so they reuse the
-library's pooling and samplers: the one-thread chunk loop of mc_estimate,
-crofton_estimate as that chunk loop with one trace per chunk, and
-bp_check's plane side as that chunk loop with one plane after another.
+comment says how they were made).  The perimeter of a disjoint cap union
+adds the cap oracle's perimeters to a Gauss-Legendre cross term, to check
+the point-pair estimator on a set with two boundaries.  Three references
+are the serial forms of faster library paths that must equal them to the
+bit, so they reuse the library's pooling and samplers: the one-thread chunk
+loop of mc_estimate, crofton_estimate as that chunk loop (with one trace
+per chunk of iid circles, or one rotated pole lattice per chunk on S^2),
+and bp_check's plane side as that chunk loop with one plane after another.
 """
 
 import math
@@ -21,6 +24,7 @@ from scipy.integrate import quad
 from spherefrac.estimation import Estimate, NonFiniteSampleError, as_stream
 from spherefrac.geometry import sphere_surface
 from spherefrac.integral_geometry import CroftonReport, bp_constant
+from spherefrac.perimeter import perimeter_cap
 from spherefrac.sets import trace
 
 TWO_PI = 2.0 * math.pi
@@ -378,6 +382,102 @@ def crofton_estimate_serial(E, planes, rng, chunk_size, max_resample_rounds=100)
     bm = E.boundary_measure()
     target = None if bm is None else 2.0 * bm / sphere_surface(n - 1)
     return CroftonReport(est, target, resamples)
+
+
+def fibonacci_lattice(poles):
+    """Poles p_i = (rho cos phi, rho sin phi, z) of the Fibonacci lattice on
+    S^2, z = 1 - (2i+1)/poles, phi = i pi (3 - sqrt 5), with the frames
+    e_i = (-sin phi, cos phi, 0) and f_i = (-z cos phi, -z sin phi, rho) of
+    the great circles orthogonal to them.  Returns (p, e, f), each (poles, 3).
+    rho is sqrt((1 - z)(1 + z)), exact to an ulp also near the poles, and
+    phi is i times the rounded golden angle, the lattice's definition."""
+    i = np.arange(poles, dtype=float)
+    z = 1.0 - (2.0 * i + 1.0) / poles
+    rho = np.sqrt((1.0 - z) * (1.0 + z))
+    phi = i * (math.pi * (3.0 - math.sqrt(5.0)))
+    p = np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
+    e = np.column_stack([-np.sin(phi), np.cos(phi), np.zeros(poles)])
+    f = np.column_stack([-z * np.cos(phi), -z * np.sin(phi), rho])
+    return p, e, f
+
+
+def crofton_lattice_serial(E, planes, rng, block, max_resample_rounds=100):
+    """crofton_estimate on S^2 as mc_estimate_serial's loop over rotations,
+    one child stream each: the rotation q, the whole pole lattice rotated by
+    one matmul, traced in slices of `block` rows, each slice's degenerate
+    circles redrawn as masked Haar frames from the rotation's generator.
+    Counts are integers, so frames that differ from the library's in the
+    last bit give the same means unless a circle sits within roundoff of
+    the degeneracy margin."""
+    rotations = min(32, planes)
+    poles = planes // rotations
+    _, e, f = fibonacci_lattice(poles)
+    resamples = 0
+
+    def crossings(es, fs):
+        _, length, bad = trace(E, es, fs)
+        return 2.0 * np.count_nonzero((length > 0.0) & (length < TWO_PI), axis=1), bad
+
+    def rotation(count, gen):
+        nonlocal resamples
+        assert count == 1
+        # Haar on O(3): Q of a Gaussian matrix's QR times the signs of diag R
+        q, r = np.linalg.qr(gen.standard_normal((3, 3)))
+        q = q @ np.diag(np.sign(np.diag(r)))
+        es, fs = e @ q.T, f @ q.T
+        total = 0.0
+        for start in range(0, poles, block):
+            counts, bad = crossings(es[start : start + block], fs[start : start + block])
+            for _ in range(max_resample_rounds):
+                if not np.any(bad):
+                    break
+                resamples += int(bad.sum())
+                idx = np.flatnonzero(bad)
+                counts[idx], bad[idx] = crossings(*sample_plane_batch_masked(2, idx.size, gen))
+            assert not np.any(bad)
+            total += float(counts.sum())
+        return np.array([total / poles])
+
+    est = mc_estimate_serial(rotation, lambda means: means, rotations, rng, 1)
+    return CroftonReport(est, 2.0 * E.boundary_measure() / TWO_PI, resamples)
+
+
+def disjoint_cap_union_perimeter(caps, s, nodes=64):
+    """P_s of a union of disjoint caps on S^2, caps a list of (center, radius).
+
+    P_s(A u B) = P_s(A) + P_s(B) - 2 X(A, B) with X(A, B) the integral of
+    d(x, y)^-(2+s) over A x B, which is smooth as the caps are apart.  Each
+    X is a tensor Gauss-Legendre rule in geodesic polar coordinates
+    (rho, psi) about each cap's center, area element sin(rho) d rho d psi,
+    nodes points per axis; the cap perimeters come from perimeter_cap at
+    tol 1e-12.  For radii 0.6 and 0.8 with centers pi/2 apart, at
+    s in {0.3, -0.5}, the sum moves by under 3e-14 from 64 to 80 nodes
+    (by 8e-12 from 48 to 64)."""
+    x_gl, w_gl = np.polynomial.legendre.leggauss(nodes)
+
+    def polar_rule(center, radius):
+        # points and area weights of the cap, on a frame (c, u, v)
+        c = np.asarray(center, dtype=float)
+        c = c / np.linalg.norm(c)
+        u = np.cross(c, [1.0, 0.0, 0.0] if abs(c[0]) < 0.9 else [0.0, 1.0, 0.0])
+        u /= np.linalg.norm(u)
+        v = np.cross(c, u)
+        rho = 0.5 * radius * (x_gl + 1.0)
+        psi = math.pi * (x_gl + 1.0)
+        w = np.outer(0.5 * radius * w_gl * np.sin(rho), math.pi * w_gl).ravel()
+        rr, pp = np.meshgrid(rho, psi, indexing="ij")
+        pts = (np.cos(rr)[..., None] * c
+               + np.sin(rr)[..., None] * (np.cos(pp)[..., None] * u + np.sin(pp)[..., None] * v))
+        return pts.reshape(-1, 3), w
+
+    rules = [polar_rule(c, r) for c, r in caps]
+    total = sum(perimeter_cap(2, s, r, tol=1e-12) for _, r in caps)
+    for a in range(len(rules)):
+        for b in range(a + 1, len(rules)):
+            (xa, wa), (xb, wb) = rules[a], rules[b]
+            d = np.arccos(np.clip(xa @ xb.T, -1.0, 1.0))
+            total -= 2.0 * float(wa @ d ** (-(2.0 + s)) @ wb)
+    return total
 
 
 def circle_integrals_serial(n, f, es, fs, nodes):

@@ -178,8 +178,8 @@ def test_bp_check_and_crofton_records_are_pinned(tmp_path):
     # bp: the plane side pinned from oracles.bp_plane_side_serial(2,
     # dot2_kernel, 20, RandomStream(5), 256, 16), the chunk loop with masked
     # frames; dot2 gives every plane the same integral, so its error is 0.
-    # crofton: pinned from oracles.crofton_estimate_serial(octant, 20000,
-    # RandomStream(5), 1 << 15), the chunk loop with masked frames
+    # crofton: pinned from oracles.crofton_lattice_serial(octant, 20000,
+    # RandomStream(5), 1 << 15), 32 rotations of a 625-pole lattice
     out = tmp_path / "bp.json"
     assert main(["bp-check", "--kernel", "dot2", "--pairs", "20000", "--planes", "20",
                  "--seed", "5", "--format", "json", "--out", str(out)]) == 0
@@ -191,7 +191,8 @@ def test_bp_check_and_crofton_records_are_pinned(tmp_path):
     out = tmp_path / "crofton.csv"
     assert main(["crofton", "--n", "2", "--set", "poly:-1,0,0;0,-1,0;0,0,-1", "--planes", "20000",
                  "--seed", "5", "--out", str(out)]) == 0
-    assert out.read_text().splitlines()[1] == "20000,1.4977,0.0061332386494262993,1.5,0.0015333333333333126"
+    assert out.read_text().splitlines()[1] == (
+        "20000,1.4990000000000003,0.0015603969718239754,1.5,0.00066666666666644525")
 
 
 def test_seed_precedence_changes_and_reproduces_output(tmp_path, monkeypatch):
@@ -271,6 +272,33 @@ def test_exit_1_on_one_sample_with_an_infinite_error_bar(capsys, argv, what):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert f"at least two {what}" in captured.err and captured.out == ""
+
+
+OCTANT_DESC = "poly:-1,0,0;0,-1,0;0,0,-1"
+
+
+@pytest.mark.parametrize("argv", [
+    ["perimeter", "--n", "2", "--set", "cap:0,0,1:1", "--s", "0.3", "--method", "mc"],
+    ["isoperimetric", "--s", "0.3", "--trials", "2"],
+    ["sweep-s1", "--n", "2", "--set", "cap:0,0,1:1", "--method", "mc"],
+    ["sweep-sinf", "--n", "2", "--set", OCTANT_DESC],
+    ["seminorm-sweep", "--n", "2", "--function", "coord:0"],
+    ["s0-check", "--n", "2"],
+], ids=lambda argv: argv[0])
+def test_exit_1_on_one_monte_carlo_sample(capsys, argv):
+    # rows of one sample have std_error inf: the sweeps extrapolated from
+    # them and exited 2, perimeter and s0-check exited 0 with `0, inf` rows,
+    # and isoperimetric ran its trials on one sample
+    assert main(argv + ["--samples", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "at least two samples" in captured.err and captured.out == ""
+
+
+def test_one_sample_is_fine_where_samples_are_not_drawn(capsys):
+    # the cap oracle draws nothing, so --samples does not apply to it
+    assert main(["perimeter", "--n", "2", "--set", "cap:0,0,1:1", "--s", "0.3",
+                 "--samples", "1"]) == 0
+    assert main(["sweep-s1", "--n", "2", "--set", "cap:0,0,1:1", "--samples", "1"]) == 0
 
 
 def test_exit_1_on_bad_usage():

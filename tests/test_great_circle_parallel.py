@@ -1,10 +1,12 @@
 """The threaded great-circle path against its serial forms.
 
 crofton_estimate and bp_check's plane side are mc_estimate means over
-chunks of circles, run on worker threads; sample_plane_batch runs in its
-caller's thread, once per chunk.  Each must return the same bits as a
-one-thread reference from oracles.py for any worker count; the worker count
-is forced by patching the private helper estimation._worker_count.
+chunks run on worker threads: a crofton chunk is one rotated pole lattice
+on S^2 and _TRACE_BLOCK iid circles elsewhere, a bp_check chunk
+_PLANE_BLOCK planes; sample_plane_batch runs in its caller's thread.  Each
+must return the same bits as a one-thread reference from oracles.py for any
+worker count; the worker count is forced by patching the private helper
+estimation._worker_count.
 """
 
 import math
@@ -28,12 +30,18 @@ from spherefrac import (
 )
 from spherefrac.cli import parse_set
 
-from oracles import bp_plane_side_serial, crofton_estimate_serial, sample_plane_batch_masked
+from oracles import (
+    bp_plane_side_serial,
+    crofton_estimate_serial,
+    crofton_lattice_serial,
+    fibonacci_lattice,
+    sample_plane_batch_masked,
+)
 from test_geometry import ScriptedNormals
 from test_mc_parallel import SETS
 
 WORKERS = (1, 2, 3)
-BP_WORKERS = (1, 2, 3, 8)
+CIRCLE_WORKERS = (1, 2, 3, 8)
 
 
 def force_workers(monkeypatch, count):
@@ -84,27 +92,79 @@ def test_sample_plane_batch_redraws_rows_of_several_blocks(monkeypatch, workers)
 
 @pytest.mark.parametrize("name", sorted(SETS))
 def test_crofton_estimate_equals_serial_form(monkeypatch, name):
+    # every set is on S^2, so each chunk is one rotation of a lattice of
+    # planes // 32 poles, traced in one block
     E = parse_set(SETS[name])
-    planes = 3 * ig._TRACE_BLOCK + 1001  # not a multiple of the block
-    reference = crofton_estimate_serial(E, planes, RandomStream(51), ig._TRACE_BLOCK)
-    assert reference.crossings.samples == planes
-    for count in WORKERS:
+    planes = 3 * ig._TRACE_BLOCK + 1001  # not a multiple of the rotation count
+    reference = crofton_lattice_serial(E, planes, RandomStream(51), ig._TRACE_BLOCK)
+    assert reference.crossings.samples == ig._ROTATIONS
+    for count in CIRCLE_WORKERS:
         force_workers(monkeypatch, count)
         assert crofton_estimate(E, planes, RandomStream(51)) == reference
 
 
-@pytest.mark.parametrize("workers", (1, 2, 3, 8))
+@pytest.mark.parametrize("desc", ("cap:0,0,0,1:1", "poly:-1,0,0,0;0,-1,0,0;0,0,-1,0"))
+def test_crofton_estimate_off_s2_equals_iid_serial_form(monkeypatch, desc):
+    # S^3 has no pole lattice: chunks of _TRACE_BLOCK iid circles, as before
+    E = parse_set(desc)
+    planes = 3 * ig._TRACE_BLOCK + 1001  # not a multiple of the block
+    reference = crofton_estimate_serial(E, planes, RandomStream(51), ig._TRACE_BLOCK)
+    assert reference.crossings.samples == planes
+    for count in CIRCLE_WORKERS:
+        force_workers(monkeypatch, count)
+        assert crofton_estimate(E, planes, RandomStream(51)) == reference
+
+
+@pytest.mark.parametrize("planes", (2, 31, 32, 33, 1000))
+def test_crofton_lattice_rounds_the_plane_count_down_per_rotation(monkeypatch, planes):
+    # min(32, planes) rotations of planes // rotations poles each
+    E = parse_set(SETS["octant"])
+    traced = []
+
+    def counting_trace(E, es, fs):
+        traced.append(len(es))
+        return sets.trace(E, es, fs)
+
+    monkeypatch.setattr(ig, "trace", counting_trace)
+    force_workers(monkeypatch, 1)
+    report = crofton_estimate(E, planes, RandomStream(62))
+    rotations = min(32, planes)
+    assert report.crossings.samples == rotations
+    assert sum(traced) == rotations * (planes // rotations) + report.degenerate_resamples
+    assert report == crofton_lattice_serial(E, planes, RandomStream(62), ig._TRACE_BLOCK)
+
+
+def test_lattice_frames_are_orthonormal_and_orthogonal_to_the_rotated_pole():
+    gen = np.random.default_rng(63)
+    poles = 10_007
+    p, _, _ = fibonacci_lattice(poles)
+    for _ in range(5):
+        q = ig._haar_rotation(gen)
+        assert np.allclose(q @ q.T, np.eye(3), rtol=0.0, atol=1e-15)
+        pole = p @ q.T
+        # in blocks, as crofton_estimate builds them
+        blocks = [ig._lattice_frames(a, min(a + 4096, poles), poles, q)
+                  for a in range(0, poles, 4096)]
+        es = np.vstack([e for e, _ in blocks])
+        fs = np.vstack([f for _, f in blocks])
+        for a, b in ((es, es), (fs, fs)):
+            assert np.max(np.abs(np.sum(a * b, axis=1) - 1.0)) <= 1e-15
+        for a, b in ((es, fs), (es, pole), (fs, pole)):
+            assert np.max(np.abs(np.sum(a * b, axis=1))) <= 1e-15
+
+
+@pytest.mark.parametrize("workers", CIRCLE_WORKERS)
 def test_degenerate_circles_of_later_chunks_are_resampled_in_their_chunk(monkeypatch, workers):
-    # a wide margin makes about one circle in 150 degenerate; none falls in
-    # chunk 0, whose child stream is the same in a one-chunk run
+    # a wide margin makes about one circle in 150 degenerate; each rotation
+    # of 50 poles is traced in blocks of 20, 20 and 10 and redraws its
+    # degenerate circles as Haar circles from its own generator
     E = parse_set(SETS["cap"])
     monkeypatch.setattr(sets, "DEGENERACY_MARGIN", 5e-3)
-    monkeypatch.setattr(ig, "_TRACE_BLOCK", 200)
-    assert crofton_estimate_serial(E, 200, RandomStream(58), 200).degenerate_resamples == 0
-    reference = crofton_estimate_serial(E, 1000, RandomStream(58), 200)
+    monkeypatch.setattr(ig, "_TRACE_BLOCK", 20)
+    reference = crofton_lattice_serial(E, 32 * 50, RandomStream(58), 20)
     assert reference.degenerate_resamples > 0
     force_workers(monkeypatch, workers)
-    report = crofton_estimate(E, 1000, RandomStream(58))
+    report = crofton_estimate(E, 32 * 50, RandomStream(58))
     assert report.degenerate_resamples == reference.degenerate_resamples
     assert report == reference
 
@@ -125,7 +185,7 @@ def test_circle_integrals_equal_serial_loop(monkeypatch, n):
     planes = 3 * ig._PLANE_BLOCK + 5  # not a multiple of the chunk size
     reference = bp_plane_side_serial(n, x0_y1_squared, planes, RandomStream(52), 64, ig._PLANE_BLOCK)
     assert reference.samples == planes
-    for count in BP_WORKERS:
+    for count in CIRCLE_WORKERS:
         force_workers(monkeypatch, count)
         assert plane_side(n, planes, 52, 64) == reference
 
@@ -139,7 +199,7 @@ def test_bp_check_plane_side_equals_serial_loop(monkeypatch):
         reference = bp_plane_side_serial(2, x0_y1_squared, planes, RandomStream(53), 64, block)
         sides.add(reference)
         monkeypatch.setattr(ig, "_PLANE_BLOCK", block)
-        for count in BP_WORKERS:
+        for count in CIRCLE_WORKERS:
             force_workers(monkeypatch, count)
             assert plane_side(2, planes, 53, 64) == reference
     assert len(sides) == 3
@@ -149,7 +209,7 @@ def test_small_blocks_on_more_workers_than_cpus_with_fast_switching(monkeypatch)
     # hundreds of chunks of circles and of single planes while the
     # interpreter switches threads every microsecond
     E = parse_set(SETS["union"])
-    crofton_ref = crofton_estimate_serial(E, 20_001, RandomStream(56), 97)
+    crofton_ref = crofton_lattice_serial(E, 20_001, RandomStream(56), 97)
     bp_ref = bp_plane_side_serial(2, x0_y1_squared, 301, RandomStream(57), 16, 1)
     monkeypatch.setattr(ig, "_TRACE_BLOCK", 97)
     monkeypatch.setattr(ig, "_PLANE_BLOCK", 1)
@@ -167,10 +227,13 @@ def test_small_blocks_on_more_workers_than_cpus_with_fast_switching(monkeypatch)
 
 @pytest.mark.parametrize("name", ("cap", "octant", "union"))
 def test_crofton_memory_is_flat_in_the_plane_count(monkeypatch, name):
-    # chunks draw their own frames, so no array grows with the plane count;
+    # chunks build their own frames, so no array grows with the plane count;
     # drawing every frame first peaked at 70 MB at 1e6 planes against
-    # 15-24 MB at 2e5
+    # 15-24 MB at 2e5.  A rotation's lattice has planes // 32 poles, 6250
+    # and 31250 here, so blocks of 4096 rows make both runs trace full
+    # blocks, as iid chunks of _TRACE_BLOCK circles did
     E = parse_set(SETS[name])
+    monkeypatch.setattr(ig, "_TRACE_BLOCK", 1 << 12)
     force_workers(monkeypatch, 2)
     peaks = []
     for planes in (200_000, 1_000_000):

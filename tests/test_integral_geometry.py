@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from spherefrac import (
     Cap,
@@ -11,6 +12,7 @@ from spherefrac import (
     bp_check,
     bp_constant,
     crofton_estimate,
+    estimation,
 )
 from spherefrac.integral_geometry import sample_plane_batch
 
@@ -158,3 +160,32 @@ def test_crofton_union_crossings_add():
     report = crofton_estimate(caps, planes=20_000, rng=RandomStream(26))
     assert report.target == pytest.approx(4.0 * math.sin(0.5), rel=1e-12)
     assert report.deviation_sigmas < 4.0
+
+
+def test_crofton_error_bar_covers_at_the_nominal_rate(monkeypatch):
+    # on S^2 the error bar is the spread of 32 rotation means, so
+    # |mean - target| / error is t-distributed with 31 degrees of freedom;
+    # over 200 seeds per set, the share inside the two-sided 95% quantile
+    # must lie within 3 binomial sigma of 95%.  Reports are the same on any
+    # worker count; one worker saves the thread start-up of 800 small calls
+    # (about 8 s against 14 s on 2 CPUs).
+    monkeypatch.setattr(estimation, "_worker_count", lambda: 1)
+    sets = {
+        "cap r=0.5": Cap((0.0, 0.0, 1.0), 0.5),
+        "cap r=2": Cap((0.0, 0.0, 1.0), 2.0),
+        "octant": octant(),
+        "union": PolyconvexUnion((Cap((0.0, 0.0, 1.0), 0.6), Cap((1.0, 0.0, 0.0), 0.8))),
+    }
+    runs = 200
+    quantile = stats.t.ppf(0.975, 31)
+    allowed = 3.0 * math.sqrt(0.95 * 0.05 / runs)
+    shares = {}
+    for k, (name, E) in enumerate(sets.items()):
+        covered = 0
+        for stream in RandomStream(70 + k).split(runs):
+            report = crofton_estimate(E, planes=32 * 256, rng=stream)
+            assert report.crossings.samples == 32
+            covered += abs(report.crossings.value - report.target) <= quantile * report.crossings.std_error
+        shares[name] = covered / runs
+    print("crofton coverage: " + ", ".join(f"{name} {share:.3f}" for name, share in shares.items()))
+    assert all(abs(share - 0.95) <= allowed for share in shares.values()), shares

@@ -9,6 +9,7 @@ from spherefrac import (
     ArcUnion,
     Cap,
     Complement,
+    PolyconvexUnion,
     RandomStream,
     adaptive_quad,
     antipodal_concentration_quad,
@@ -27,7 +28,13 @@ from spherefrac import (
 
 from spherefrac.perimeter import CAP_TOL, _cap_crescent
 
-from oracles import CAP_PERIMETERS, CAP_RADII, circle_perimeter_midpoint, circle_perimeter_quad
+from oracles import (
+    CAP_PERIMETERS,
+    CAP_RADII,
+    circle_perimeter_midpoint,
+    circle_perimeter_quad,
+    disjoint_cap_union_perimeter,
+)
 
 Z = (0.0, 0.0, 1.0)
 INF = math.inf
@@ -272,6 +279,26 @@ def test_perimeter_mc_agrees_with_oracle_mild_and_singular():
         oracle = perimeter_cap(2, s, 1.0)
         est = perimeter_mc(cap, s, 200_000, RandomStream(11))
         assert abs(est.value - oracle) < 4.0 * est.std_error
+
+
+UNION_CAPS = (((0.0, 0.0, 1.0), 0.6), ((1.0, 0.0, 0.0), 0.8))
+
+
+def test_disjoint_cap_union_oracle_is_exact_at_the_pivot():
+    # at s = -2 the kernel is 1, so the cross term is |A| |B|
+    measure = sum(cap_area(2, r) for _, r in UNION_CAPS)
+    assert disjoint_cap_union_perimeter(UNION_CAPS, -2.0) == pytest.approx(
+        perimeter_minus_n(2, measure), rel=1e-13)
+
+
+@pytest.mark.parametrize("s, exact", [(0.3, 28.294650), (-0.5, 19.903141)])
+def test_perimeter_mc_on_a_two_cap_union_agrees_with_the_exact_oracle(s, exact):
+    # the benchmark's union: radii 0.6 and 0.8, centers pi/2 apart
+    oracle = disjoint_cap_union_perimeter(UNION_CAPS, s)
+    assert oracle == pytest.approx(exact, abs=5e-7)
+    union = PolyconvexUnion(tuple(Cap(c, r) for c, r in UNION_CAPS))
+    est = perimeter_mc(union, s, 4_000_000, RandomStream(18))
+    assert abs(est.value - oracle) < 4.0 * est.std_error
 
 
 def test_perimeter_mc_complement_symmetry_statistical():
