@@ -95,7 +95,12 @@ class Estimate:
         dev = values - shift
         mean = float(shift + dev.mean())
         if count > 1:
-            se = float(dev.std(ddof=1) / math.sqrt(count))
+            # square at a power-of-two scale near 1, as merge() does: exact
+            # where the squares stay in range, and keeps them in range at any
+            # scale
+            scale = math.frexp(float(np.max(np.abs(dev))))[1]
+            sd = math.ldexp(float(np.ldexp(dev, -scale).std(ddof=1)), scale)
+            se = sd / math.sqrt(count)
         else:
             se = math.inf
         return Estimate(mean, se, count)
@@ -104,11 +109,12 @@ class Estimate:
     def exact(value: float) -> "Estimate":
         return Estimate(float(value), 0.0, 0)
 
-    def _m2(self) -> float:
-        # second central moment sum; undefined spread for < 2 samples is 0
+    def _m2(self, scale: int) -> float:
+        # second central moment sum, times 2^(-2 scale); undefined spread
+        # for < 2 samples is 0
         if self.samples < 2:
             return 0.0
-        return self.std_error**2 * self.samples * (self.samples - 1)
+        return math.ldexp(self.std_error, -scale) ** 2 * self.samples * (self.samples - 1)
 
     def merge(self, other: "Estimate") -> "Estimate":
         na, nb = self.samples, other.samples
@@ -117,8 +123,13 @@ class Estimate:
         n = na + nb
         delta = other.value - self.value
         mean = self.value + delta * nb / n
-        m2 = self._m2() + other._m2() + delta * delta * na * nb / n
-        se = math.sqrt(m2 / (n - 1) / n) if n > 1 else math.inf
+        # moments at a power-of-two scale near 1, which moves no bit where
+        # the squares stay in range and keeps them in range at any scale
+        scale = math.frexp(max(self.std_error if na > 1 else 0.0,
+                               other.std_error if nb > 1 else 0.0, abs(delta)))[1]
+        d = math.ldexp(delta, -scale)
+        m2 = self._m2(scale) + other._m2(scale) + d * d * na * nb / n
+        se = math.ldexp(math.sqrt(m2 / (n - 1) / n), scale) if n > 1 else math.inf
         return Estimate(mean, se, n)
 
 

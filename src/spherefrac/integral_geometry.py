@@ -27,8 +27,15 @@ the spread of _ROTATIONS rotation means.  On other spheres a chunk is
 _TRACE_BLOCK iid Haar circles.  Either way a chunk resamples its own
 degenerate circles, so the report depends only on (seed, planes,
 _TRACE_BLOCK).  A bp_check chunk of _PLANE_BLOCK Haar planes integrates f
-over each circle, so the plane side depends only on (seed, planes, nodes,
-_PLANE_BLOCK).
+over all its circles at once, so the plane side depends only on (seed,
+planes, nodes, _PLANE_BLOCK).
+
+The in-circle double integral is a spectral product rule (Trefethen and
+Weideman, "The exponentially convergent trapezoidal rule", SIAM Review 56,
+2014): f is sampled on a nodes x nodes grid of the circle, and the weight
+|sin(phi - psi)|^(n-1), kinked on the diagonal for even n, is integrated
+exactly through its Fourier series (_circle_weights).  The rule is exact
+for every f whose degree in each circle angle is below nodes / 2.
 """
 
 from __future__ import annotations
@@ -101,9 +108,17 @@ _TRACE_BLOCK = 1 << 15
 _ROTATIONS = 32
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # Planes per chunk of bp_check's plane side: each chunk draws its frames
-# from its own child stream, so the report depends on this value.  The
-# tensor rule runs one plane at a time, so a chunk holds one nodes^2 grid.
-_PLANE_BLOCK = 16
+# from its own child stream, so the report depends on this value.  At the
+# default 32 nodes a chunk calls f once on 64 grids of 32^2 points,
+# _GRID_POINTS in all; larger grids are split into calls of at most
+# _GRID_POINTS points, which bounds f's temporaries and changes no bit.
+# 1000 dot2 planes on a 2-CPU machine took 16 ms on 2 threads against 19 ms
+# on one (medians of 30); with blocks of 16 and 32 two threads were slower.
+_PLANE_BLOCK = 64
+_GRID_POINTS = 1 << 16
+# Largest sphere bp_check runs on: from n = 261 omega_(n+1)^2, the scale of
+# both sides, is subnormal, and from n = 343 omega_(n+1) overflows.
+_MAX_BP_DIMENSION = 260
 
 
 @dataclass(frozen=True)
@@ -125,28 +140,86 @@ class BPReport:
         return gap / combined if combined > 0 else math.inf
 
 
-def bp_check(n: int, f, pairs: int = 1_000_000, planes: int = 1000, rng=None, nodes: int = 256) -> BPReport:
+def _circle_weights(n: int, nodes: int) -> np.ndarray:
+    """Product-rule weights of the in-circle double integral, (nodes, nodes).
+
+    The double integral of F(phi, psi) |sin(phi - psi)|^(n-1) over the
+    torus is sum_ij F(phi_i, phi_j) W[i, j] on the nodes phi_i = i h,
+    h = 2 pi / nodes, with W[i, j] = W_((i - j) mod nodes) and
+
+        W_m = h^2 sum_(|k| <= nodes/2) w_k cos(k m h),
+
+    the +-nodes/2 terms halved for even nodes.  w_k are the Fourier
+    coefficients of w(u) = |sin u|^(n-1), which has no odd modes:
+    w_0 = Gamma(n/2) / (sqrt(pi) Gamma((n+1)/2)) and
+    w_(k+2) = w_k (k - n + 1) / (k + n + 1), a recurrence that ends by
+    itself for odd n.  The sum is exact whenever F is a trigonometric
+    polynomial of degree below nodes / 2 in each angle.
+    """
+    half = nodes // 2
+    coef = np.zeros(half + 1)
+    coef[0] = math.exp(math.lgamma(0.5 * n) - math.lgamma(0.5 * (n + 1))) / math.sqrt(math.pi)
+    for k in range(0, half - 1, 2):
+        coef[k + 2] = coef[k] * (k - n + 1) / (k + n + 1)
+    # cos(k m h) pairs the +k and -k modes; the +-nodes/2 pair is halved
+    coef[1:] *= 2.0
+    if nodes % 2 == 0:
+        coef[half] *= 0.5
+    h = 2.0 * math.pi / nodes
+    m = np.arange(nodes)
+    table = h * h * (np.cos(h * (np.outer(m, np.arange(half + 1)) % nodes)) @ coef)
+    return table[(m[:, None] - m[None, :]) % nodes]
+
+
+def _circle_integrals(f, es, fs, weights: np.ndarray) -> np.ndarray:
+    """Double integrals of f(x, y) |sin(phi - psi)|^(n-1) over the circles
+    (es[b], fs[b]), by the product rule of _circle_weights.  f is called on
+    points of shapes (B, N, 1, n+1) and (B, 1, N, n+1), for as many circles
+    B at a time as fit in _GRID_POINTS grid points (at least one)."""
+    nodes = weights.shape[0]
+    phis = (2.0 * math.pi / nodes) * np.arange(nodes)
+    cos_phi, sin_phi = np.cos(phis)[:, None], np.sin(phis)[:, None]
+    step = max(1, _GRID_POINTS // (nodes * nodes))
+    out = np.empty(len(es))
+    for i in range(0, len(es), step):
+        pts = cos_phi * es[i : i + step, None, :] + sin_phi * fs[i : i + step, None, :]
+        fvals = np.asarray(f(pts[:, :, None, :], pts[:, None, :, :]), dtype=float)
+        out[i : i + step] = np.einsum("bij,ij->b", fvals, weights)
+    return out
+
+
+def bp_check(n: int, f, pairs: int = 1_000_000, planes: int = 1000, rng=None, nodes: int = 32) -> BPReport:
     """Monte Carlo check of the two-point plane identity for a kernel f.
 
     f(x, y) must broadcast over point arrays of shape (..., n+1).  The
     direct side samples independent uniform pairs.  The plane side draws
-    Haar circles and evaluates the in-circle double integral by a midpoint
-    tensor rule at nodes^2 points.  The grid holds the diagonal x = y,
-    where the |sin|^(n-1) weight is 0, so f must be finite there: a kernel
-    singular on the diagonal, such as d(x, y)^-(n+s), gives inf * 0 = NaN
-    and raises NonFiniteSampleError.  n < 1, planes < 1 and nodes < 2 are
-    ValueErrors, raised before either side runs.
+    Haar circles and evaluates each in-circle double integral by the
+    spectral product rule of _circle_weights on a nodes x nodes grid: the
+    |sin|^(n-1) weight is integrated exactly, and the rule is exact for any
+    f whose degree in each circle angle is below nodes / 2 (degree 2 for
+    the const and dot2 kernels and for x_0^2 y_1^2).  The grid holds the
+    diagonal x = y, whose weight is not 0, so f must be finite there: a
+    kernel singular on the diagonal, such as d(x, y)^-(n+s), gives an
+    infinite or NaN integral and raises NonFiniteSampleError.  n < 1,
+    n > 260 (where omega_(n+1)^2 is subnormal), planes < 1 and nodes < 2
+    are ValueErrors, raised before either side runs.
 
     Both sides are mc_estimate means: the direct side over pairs, the plane
     side over planes in chunks of _PLANE_BLOCK, each chunk drawing its
-    frames from its own child stream.  Chunks run on worker threads, so f
-    may be called from several threads at once and must not share mutable
-    state.  The report is the same to the bit on any number of CPUs.
-    Raises NonFiniteSampleError if a direct sample or a plane's integral is
-    NaN or infinite, naming the lowest-numbered failing sample or plane.
+    frames from its own child stream and calling f once for all its
+    circles.  Chunks run on worker threads, so f may be called from several
+    threads at once and must not share mutable state.  The report is the
+    same to the bit on any number of CPUs.  Raises NonFiniteSampleError if
+    a direct sample or a plane's integral is NaN or infinite, naming the
+    lowest-numbered failing sample or plane.
     """
     if n < 1:
         raise ValueError(f"great circles need a sphere of dimension n >= 1, got {n}")
+    if n > _MAX_BP_DIMENSION:
+        raise ValueError(
+            f"bp_check supports n <= {_MAX_BP_DIMENSION}, got {n}: beyond it omega_(n+1)^2 "
+            "is subnormal or overflows"
+        )
     if planes < 1:
         raise ValueError("need at least one plane")
     if nodes < 2:
@@ -165,23 +238,9 @@ def bp_check(n: int, f, pairs: int = 1_000_000, planes: int = 1000, rng=None, no
     direct = mc_estimate(sampler, integrand, pairs, direct_stream)
 
     c = bp_constant(n)
-    h = 2.0 * math.pi / nodes
-    phis = (np.arange(nodes) + 0.5) * h
-    weights = np.abs(np.sin(phis[:, None] - phis[None, :])) ** (n - 1)
-    cos_phi, sin_phi = np.cos(phis)[:, None], np.sin(phis)[:, None]
-
-    def circle_integrals(frames):
-        # midpoint tensor rule for c * the double integral of f |sin|^(n-1)
-        # over each circle (es[i], fs[i]) of the chunk
-        es, fs = frames
-        vals = np.empty(len(es))
-        for i in range(len(es)):
-            pts = cos_phi * es[i] + sin_phi * fs[i]
-            fmat = np.asarray(f(pts[:, None, :], pts[None, :, :]), dtype=float)
-            vals[i] = h * h * float(np.sum(fmat * weights))
-        return c * vals
-
+    weights = _circle_weights(n, nodes)
     haar_frames = lambda count, gen: sample_plane_batch(n, count, gen)
+    circle_integrals = lambda frames: c * _circle_integrals(f, *frames, weights)
     plane_est = mc_estimate(haar_frames, circle_integrals, planes, plane_stream, chunk_size=_PLANE_BLOCK)
     return BPReport(direct, plane_est, c)
 

@@ -122,28 +122,56 @@ class Polytope:
             out = d if out is None else np.minimum(out, d)
         return out.reshape(points.shape[:-1])
 
-    def boundary_measure(self):
-        """Boundary length on S^2: each face's arc is the trace of the other
-        faces on that face's great circle.  None for n != 2, and when a face
-        circle is degenerate for the other faces (three faces through one
-        vertex, or two faces on one great circle)."""
+    def _face_arcs(self):
+        """Each face's trace arc on S^2: (j, e, f, start, length) for face j
+        with its circle phi -> cos(phi) e + sin(phi) f, where the arc is the
+        trace of the other faces (the full circle for a single face).  None
+        for n != 2, and when a face circle is degenerate for the other faces
+        (three faces through one vertex, or two faces on one great circle)."""
         if self.dimension != 2:
             return None
         k = self.normals.shape[0]
-        if k == 1:
-            return TWO_PI
-        total = 0.0
+        arcs = []
         for j in range(k):
             e, f = np.linalg.svd(self.normals[j : j + 1])[2][1:]
+            if k == 1:
+                return [(j, e, f, 0.0, TWO_PI)]
             others = Polytope(np.delete(self.normals, j, axis=0))
-            _, length, degenerate = trace(others, e[None], f[None])
+            start, length, degenerate = trace(others, e[None], f[None])
             if degenerate[0]:
                 return None
-            total += float(length[0, 0])
-        return total
+            arcs.append((j, e, f, float(start[0, 0]), float(length[0, 0])))
+        return arcs
+
+    def boundary_measure(self):
+        """Boundary length on S^2: the sum of the face arcs; None wherever
+        _face_arcs is None."""
+        arcs = self._face_arcs()
+        return None if arcs is None else sum(length for *_, length in arcs)
 
     def exact_measure(self):
-        return None
+        """Area on S^2 by Gauss-Bonnet: 2 pi minus the exterior angles
+        arccos(u_i . u_j) at the vertices, where faces i and j meet at an end
+        of face j's arc (face i is the one whose great circle passes closest
+        to that end).  Every vertex ends two arcs, so each end adds half its
+        angle; a boundary with no vertex is one great circle.  Faces with no
+        arc enclose nothing: the area is 0.  None wherever _face_arcs is
+        None."""
+        arcs = self._face_arcs()
+        if arcs is None:
+            return None
+        if not any(length > 0.0 for *_, length in arcs):
+            return 0.0
+        total = TWO_PI
+        for j, e, f, start, length in arcs:
+            if 0.0 < length < TWO_PI:
+                for phi in (start, start + length):
+                    vertex = math.cos(phi) * e + math.sin(phi) * f
+                    dots = np.abs(self.normals @ vertex)
+                    dots[j] = math.inf
+                    cos_angle = float(self.normals[j] @ self.normals[int(np.argmin(dots))])
+                    total -= 0.5 * math.acos(min(1.0, max(-1.0, cos_angle)))
+        return total
 
 
 @dataclass(frozen=True)

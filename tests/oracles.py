@@ -13,7 +13,8 @@ are the serial forms of faster library paths that must equal them to the
 bit, so they reuse the library's pooling and samplers: the one-thread chunk
 loop of mc_estimate, crofton_estimate as that chunk loop (with one trace
 per chunk of iid circles, or one rotated pole lattice per chunk on S^2),
-and bp_check's plane side as that chunk loop with one plane after another.
+and bp_check's plane side as that chunk loop with one plane after another
+on the library's weight table.
 """
 
 import math
@@ -23,7 +24,7 @@ from scipy.integrate import quad
 
 from spherefrac.estimation import Estimate, NonFiniteSampleError, as_stream
 from spherefrac.geometry import sphere_surface
-from spherefrac.integral_geometry import CroftonReport, bp_constant
+from spherefrac.integral_geometry import CroftonReport, _circle_weights, bp_constant
 from spherefrac.perimeter import perimeter_cap
 from spherefrac.sets import trace
 
@@ -481,15 +482,15 @@ def disjoint_cap_union_perimeter(caps, s, nodes=64):
 
 
 def circle_integrals_serial(n, f, es, fs, nodes):
-    """bp_check's per-plane midpoint tensor rule, one plane after another."""
-    h = TWO_PI / nodes
-    phis = (np.arange(nodes) + 0.5) * h
-    weights = np.abs(np.sin(phis[:, None] - phis[None, :])) ** (n - 1)
+    """bp_check's per-plane product rule, one plane after another, on the
+    library's weight table (checked on its own against quadrature)."""
+    weights = _circle_weights(n, nodes)
+    phis = TWO_PI / nodes * np.arange(nodes)
     vals = np.empty(len(es))
     for i in range(len(es)):
         pts = np.cos(phis)[:, None] * es[i] + np.sin(phis)[:, None] * fs[i]
         fmat = np.asarray(f(pts[:, None, :], pts[None, :, :]), dtype=float)
-        vals[i] = h * h * float(np.sum(fmat * weights))
+        vals[i] = np.einsum("ij,ij->", fmat, weights)
     return vals
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import spherefrac
-from spherefrac import Cap, cap_area, perimeter_cap, perimeter_minus_n, sample_uniform
+from spherefrac import Cap, cap_area, perimeter_cap, perimeter_minus_n, sample_uniform, sphere_surface
 from spherefrac.cli import (
     DEFAULT_SEED,
     SetSyntaxError,
@@ -176,8 +176,9 @@ def test_dot2_kernel_matches_the_summed_product_form():
 
 def test_bp_check_and_crofton_records_are_pinned(tmp_path):
     # bp: the plane side pinned from oracles.bp_plane_side_serial(2,
-    # dot2_kernel, 20, RandomStream(5), 256, 16), the chunk loop with masked
-    # frames; dot2 gives every plane the same integral, so its error is 0.
+    # dot2_kernel, 20, RandomStream(5), 32, 64), the chunk loop with masked
+    # frames; the product rule is exact on dot2, so every plane gives
+    # 64 pi^2 / 3 up to roundoff and the error is roundoff too.
     # crofton: pinned from oracles.crofton_lattice_serial(octant, 20000,
     # RandomStream(5), 1 << 15), 32 rotations of a 625-pole lattice
     out = tmp_path / "bp.json"
@@ -186,8 +187,9 @@ def test_bp_check_and_crofton_records_are_pinned(tmp_path):
     record = json.loads(out.read_text())
     row = record["rows"][0]
     assert (row["value"], row["error"], row["target"]) == (
-        211.27782722466316, 1.3399654731985138, 210.53570557555548)
-    assert record["detail"]["plane_side"] == {"value": 210.53570557555548, "std_error": 0.0}
+        211.27782722466316, 1.3399654731985138, 210.55156055657272)
+    assert record["detail"]["plane_side"] == {"value": 210.55156055657272,
+                                              "std_error": 4.263256414560601e-15}
     out = tmp_path / "crofton.csv"
     assert main(["crofton", "--n", "2", "--set", "poly:-1,0,0;0,-1,0;0,0,-1", "--planes", "20000",
                  "--seed", "5", "--out", str(out)]) == 0
@@ -248,6 +250,34 @@ def test_bp_check_without_great_circles_exits_1(n):
     assert proc.returncode == 1
     assert "config error" in proc.stderr and "dimension n >= 1" in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("n", ("261", "343", "400"))
+def test_bp_check_beyond_the_largest_sphere_exits_1(n):
+    # from n = 261 omega_(n+1)^2 is subnormal, and from n = 343 math.gamma
+    # overflowed in sphere_surface with a traceback
+    proc = subprocess.run(
+        [sys.executable, "-m", "spherefrac", "bp-check", "--n", n, "--pairs", "100",
+         "--planes", "3"],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+    )
+    assert proc.returncode == 1
+    assert "config error" in proc.stderr and "n <= 260" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_bp_check_at_the_largest_sphere_runs(capsys):
+    # n = 260 is the last sphere whose omega_(n+1)^2 is a normal float, and
+    # n = 171 reported a direct-side error of 0 before the Estimate moments
+    # were scaled; both now carry a positive error and agree
+    assert sphere_surface(260) ** 2 >= sys.float_info.min > sphere_surface(261) ** 2
+    for n in ("171", "260"):
+        assert main(["bp-check", "--n", n, "--pairs", "20000", "--planes", "20",
+                     "--seed", "5", "--format", "json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["detail"]["direct"]["std_error"] > 0.0
+        assert record["detail"]["sigmas"] < 3.0
 
 
 @pytest.mark.parametrize("trials", ("0", "-1"))
@@ -390,6 +420,18 @@ def test_perimeter_pivot_attaches_exact_target(tmp_path):
     assert row["deviation"] <= 1e-6
     assert rec["verdicts"] == {"within_threshold": True}
     assert rec["detail"]["method"] == "cap_oracle"
+
+
+def test_perimeter_pivot_attaches_exact_target_to_polytopes(capsys):
+    # Polytope.exact_measure (Gauss-Bonnet) gives the octant's pi/2, so its
+    # s = -2 Monte Carlo row, and its complement's, carry the exact target
+    for desc in ("poly:-1,0,0;0,-1,0;0,0,-1", "compl:poly:-1,0,0;0,-1,0;0,0,-1"):
+        assert main(["perimeter", "--n", "2", "--set", desc, "--s", "-2", "--method", "mc",
+                     "--samples", "20000", "--seed", "3", "--format", "json"]) == 0
+        row = json.loads(capsys.readouterr().out)["rows"][0]
+        target = perimeter_minus_n(2, 0.5 * math.pi)
+        assert row["target"] == pytest.approx(target, rel=1e-14)
+        assert abs(row["value"] - target) < 4.0 * row["error"]
 
 
 def test_perimeter_mc_runs_at_s_zero(tmp_path):

@@ -79,6 +79,50 @@ def test_estimate_merge_is_associative_and_pools_exactly(seed):
         assert left.samples == other.samples
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c", (1e-200, 1e-160, 1e160, 1e200))
+def test_std_error_scales_with_values_at_extreme_magnitudes(c):
+    # squaring raw deviations gave 0 at 1e-160 and inf (with an overflow
+    # warning) at 1e160; the error bar must scale with the values
+    v = np.array([1.0, 1.01, 0.99, 1.02])
+    many = np.tile(v, 25) * np.linspace(1.0, 1.1, 100)
+    pick = lambda values: lambda count, gen: values[gen.integers(0, values.size, count)]
+    pairs = [
+        (Estimate.from_values(c * v), Estimate.from_values(v)),
+        (Estimate.from_values(c * v[:1]).merge(Estimate.from_values(c * v[1:])),
+         Estimate.from_values(v[:1]).merge(Estimate.from_values(v[1:]))),
+        (Estimate.from_values(c * v[:2]).merge(Estimate.from_values(c * v[2:])),
+         Estimate.from_values(v[:2]).merge(Estimate.from_values(v[2:]))),
+        (mc_estimate(pick(c * many), lambda x: x, 1000, RandomStream(9), chunk_size=64),
+         mc_estimate(pick(many), lambda x: x, 1000, RandomStream(9), chunk_size=64)),
+    ]
+    for scaled, plain in pairs:
+        assert plain.std_error > 0.0
+        assert scaled.std_error == pytest.approx(c * plain.std_error, rel=1e-12, abs=0.0)
+
+
+def test_std_error_is_unchanged_at_normal_magnitudes():
+    # the power-of-two scaling moves no bit where the squares neither
+    # underflow nor overflow
+    gen = np.random.default_rng(4)
+    for size in (2, 3, 1000, 1 << 16):
+        for scale in (1e-100, 1e-3, 1.0, 7.0, 1e100):
+            for v in (scale * gen.normal(size=size), scale * gen.random(size)):
+                dev = v - v[0]
+                expected = float(dev.std(ddof=1) / math.sqrt(v.size))
+                assert Estimate.from_values(v).std_error == expected
+    for scale in (1e-100, 1e-3, 1.0, 7.0, 1e100):
+        v = scale * gen.normal(size=257)
+        dev = v - v[0]
+        est = Estimate.from_values(v)
+        assert est.std_error == float(dev.std(ddof=1) / math.sqrt(v.size))
+        a, b = Estimate.from_values(v[:100]), Estimate.from_values(v[100:])
+        n, delta = v.size, b.value - a.value
+        m2 = (a.std_error**2 * 100 * 99 + b.std_error**2 * 157 * 156
+              + delta * delta * 100 * 157 / n)
+        assert a.merge(b).std_error == math.sqrt(m2 / (n - 1) / n)
+
+
 def test_mc_estimate_deterministic_and_chunked():
     sampler = lambda count, gen: gen.random(count)
     integrand = lambda u: u * u

@@ -9,7 +9,6 @@ worker count; the worker count is forced by patching the private helper
 estimation._worker_count.
 """
 
-import math
 import sys
 import threading
 import time
@@ -253,12 +252,15 @@ def test_crofton_memory_is_flat_in_the_plane_count(monkeypatch, name):
 @pytest.mark.parametrize("workers", WORKERS)
 def test_circle_integral_error_names_the_first_failing_plane(monkeypatch, workers):
     # circle i lies in the plane spanned by (cos a_i, sin a_i, 0) and e_2,
-    # a_i = 0.01 i, so the kernel reads i off its first node; chunk k gets
-    # circles k * _PLANE_BLOCK onward
+    # a_i = 0.01 i, so the kernel reads i off each circle's first node; chunk
+    # k gets circles k * _PLANE_BLOCK onward and the kernel sees them all in
+    # one call.  Planes 5 and 9 fail in chunk 0, which sleeps, and plane
+    # _PLANE_BLOCK + 8 in chunk 1, which fails first in wall time
     planes = 4 * ig._PLANE_BLOCK
     angles = 0.01 * np.arange(planes)
     es = np.column_stack([np.cos(angles), np.sin(angles), np.zeros(planes)])
     fs = np.tile([0.0, 0.0, 1.0], (planes, 1))
+    late = ig._PLANE_BLOCK + 8
 
     def chunk_planes(n, count, gen):
         start = gen.bit_generator.seed_seq.spawn_key[-1] * ig._PLANE_BLOCK
@@ -267,20 +269,25 @@ def test_circle_integral_error_names_the_first_failing_plane(monkeypatch, worker
     def kernel(x, y):
         if x.ndim == 2:  # the direct side's pairs
             return np.ones(len(x))
-        first = x.reshape(-1, 3)[0]
-        plane = round(math.atan2(first[1], first[0]) / 0.01)
+        first = x[:, 0, 0, :]  # (circles, 3): node 0 of each circle
+        plane = np.rint(np.arctan2(first[:, 1], first[:, 0]) / 0.01).astype(int)
         values = np.ones(np.broadcast_shapes(x.shape[:-1], y.shape[:-1]))
-        if plane == 5:
-            time.sleep(0.05)  # the chunk of plane 40 fails first in wall time
-            values[3, 7] = np.nan
-        elif plane == 40:
-            values[0, 1] = np.inf
+        if 5 in plane:
+            time.sleep(0.05)  # the chunk of plane `late` fails first in wall time
+        values[plane == 5, 3, 7] = np.nan
+        values[plane == 9, 0, 1] = np.inf
+        values[plane == late, 0, 1] = np.inf
         return values
 
     monkeypatch.setattr(ig, "sample_plane_batch", chunk_planes)
     force_workers(monkeypatch, workers)
     before = threading.active_count()
     with pytest.raises(NonFiniteSampleError, match=r"nan\) at sample 5$"):
+        bp_check(2, kernel, pairs=100, planes=planes, rng=RandomStream(60), nodes=16)
+    # with planes 5 and 9 mended, the later chunk's plane is named
+    angles[:10] = 0.01 * (planes + np.arange(10))
+    es[:10] = np.column_stack([np.cos(angles[:10]), np.sin(angles[:10]), np.zeros(10)])
+    with pytest.raises(NonFiniteSampleError, match=rf"inf\) at sample {late}$"):
         bp_check(2, kernel, pairs=100, planes=planes, rng=RandomStream(60), nodes=16)
     assert threading.active_count() == before
 
@@ -289,13 +296,13 @@ def test_circle_integral_error_names_the_first_failing_plane(monkeypatch, worker
 @pytest.mark.parametrize("workers", WORKERS)
 def test_bp_check_raises_on_a_kernel_singular_on_the_circle(monkeypatch, workers):
     # |x - y|^-2 is finite on independent pairs but infinite on the grid
-    # diagonal of every circle, where the |sin| weight is 0
+    # diagonal of every circle, whose product-rule weight is not 0
     def singular(x, y):
         with np.errstate(divide="ignore", invalid="ignore"):
             return 1.0 / np.sum((x - y) ** 2, axis=-1)
 
     force_workers(monkeypatch, workers)
-    with pytest.raises(NonFiniteSampleError, match=r"nan\) at sample 0$"):
+    with pytest.raises(NonFiniteSampleError, match=r"(nan|inf)\) at sample 0$"):
         bp_check(2, singular, pairs=1000, planes=40, rng=RandomStream(54), nodes=16)
 
 

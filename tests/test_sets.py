@@ -481,6 +481,61 @@ def test_polytope_boundary_measure_is_exact_on_s2():
     assert Complement(octant()).boundary_measure() == octant().boundary_measure()
 
 
+def regular_polygon(k, inradius):
+    """Outward normals of the regular k-gon about the north pole whose edges
+    lie at distance inradius from the pole."""
+    phi = 2.0 * math.pi * np.arange(k) / k
+    return np.column_stack([np.cos(phi) * math.cos(inradius), np.sin(phi) * math.cos(inradius),
+                            np.full(k, -math.sin(inradius))])
+
+
+def test_polytope_exact_measure_closed_forms():
+    assert octant().exact_measure() == pytest.approx(0.5 * math.pi, rel=0.0, abs=1e-15)
+    assert Polytope([(0.0, 0.0, 1.0)]).exact_measure() == 2.0 * math.pi
+    for theta in (0.2, 1.0, 0.5 * math.pi, 2.5):
+        # the lune 0 <= longitude <= theta, angle theta at both poles
+        lune = Polytope([(0.0, -1.0, 0.0), (-math.sin(theta), math.cos(theta), 0.0)])
+        assert lune.exact_measure() == pytest.approx(2.0 * theta, rel=0.0, abs=1e-14)
+    for k in (3, 4, 5, 8):
+        for inradius in (0.3, 0.7, 1.2):
+            # Girard: k interior angles 2 arccos(cos rho sin(pi/k)) less (k - 2) pi
+            girard = 2 * k * math.acos(math.cos(inradius) * math.sin(math.pi / k)) - (k - 2) * math.pi
+            P = Polytope(regular_polygon(k, inradius))
+            assert P.exact_measure() == pytest.approx(girard, rel=0.0, abs=1e-14)
+            assert Complement(P).exact_measure() == pytest.approx(4.0 * math.pi - girard,
+                                                                  rel=0.0, abs=1e-14)
+            assert Reflection(P).exact_measure() == P.exact_measure()
+
+
+def test_polytope_exact_measure_is_none_with_boundary_measure():
+    for P in (Polytope(-np.eye(4)), Polytope(-np.eye(2)),
+              Polytope([(-1, 0, 0), (0, -1, 0), (0, 0, -1), (-1, -1, 0)])):
+        assert P.boundary_measure() is None
+        assert P.exact_measure() is None
+        assert Complement(P).exact_measure() is None
+
+
+def test_polytope_exact_measure_matches_mc_and_ignores_redundant_faces():
+    gen = np.random.default_rng(12)
+    total = sphere_surface(2)
+    for seed in range(6):
+        k = int(gen.integers(2, 7))
+        interior = sample_uniform(2, 1, gen)[0]
+        normals = sample_uniform(2, k, gen)
+        normals = -normals * np.sign(normals @ interior)[:, None]
+        P = Polytope(normals)
+        est = mc_estimate(lambda count, g: sample_uniform(2, count, g),
+                          lambda x: P.contains(x) * total, 200_000, RandomStream(seed))
+        assert abs(P.exact_measure() - est.value) < 4.0 * est.std_error
+    # a face whose circle misses the octant adds no vertex
+    redundant = Polytope(np.vstack([-np.eye(3), [[-1.0, -1.0, -1.0]]]))
+    assert redundant.exact_measure() == pytest.approx(0.5 * math.pi, rel=0.0, abs=1e-15)
+    # faces that enclose nothing have no arc, and no area
+    empty = Polytope(np.vstack([-np.eye(3), [[1.0, 1.0, 1.0]]]), assume_nonempty_interior=False)
+    assert empty.boundary_measure() == 0.0
+    assert empty.exact_measure() == 0.0
+
+
 def test_polytope_boundary_measure_matches_dense_oracle():
     gen = np.random.default_rng(11)
     resolution = 1e-3
