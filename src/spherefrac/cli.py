@@ -9,16 +9,18 @@ result record carrying the config, a sha256 hash of its canonical form, all
 rows, the limit report, and the pass/fail verdicts.
 
 Exit codes: 0 success, 1 usage or config error, 2 verdict failure,
-3 numerical failure.  A warning from the library, such as perimeter_mc's
-infinite-variance warning, goes to stderr as one `spherefrac: warning:`
-line and leaves the exit code alone.  Seeds come from --seed, else the
+3 numerical failure.  A warning from the library, such as numpy's overflow
+warning from the cap oracle at s = -700, goes to stderr as one
+`spherefrac: warning:` line and leaves the exit code alone.  --n must lie
+in [1, 342] (bp-check: [1, 260]).  Seeds come from --seed, else the
 SPHEREFRAC_SEED environment variable (decimal or 0x-hex), else the fixed
 default 0xC0FFEE, and identical configs rerun to byte-identical rows.
 
 Set grammar (angles in radians):
     cap:<x,y,...>:<r>        geodesic cap with the given center and radius
     poly:<u1;u2;...>         intersection of halfspaces x.u_i <= 0
-    union:<desc>+<desc>      disjoint union (disjointness spot-checked)
+    union:<desc>+<desc>      union; parts that overlap in a sampled check
+                             are merged on every circle, without targets
     compl:<desc>             complement
     refl:<desc>              antipodal image
     arcs:<start,len;...>     arc union on the circle (n = 1)
@@ -456,7 +458,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Largest --n: from n = 343 the measure omega_(n+1) of S^n overflows a
+# float (math.gamma((n + 1) / 2) does), and every subcommand needs it.
+# bp-check keeps its own, lower bound (integral_geometry._MAX_BP_DIMENSION).
+MAX_DIMENSION = 342
+
+
+def _check_n(n: int) -> None:
+    if not 1 <= n <= MAX_DIMENSION:
+        raise ValueError(f"--n must lie in [1, {MAX_DIMENSION}], got {n}")
+
+
 def _check_dimension(E, n: int) -> None:
+    _check_n(n)
     if E.dimension != n:
         raise ValueError(f"set lives on S^{E.dimension} but --n is {n}")
 
@@ -506,6 +520,7 @@ def _run_perimeter(args, stream):
 
 
 def _run_isoperimetric(args, stream):
+    _check_n(args.n)
     _need_two(args.samples, "samples")
     report = isoperimetric_comparison(
         args.n, args.s, trials=args.trials, samples=args.samples,
@@ -557,6 +572,7 @@ def _run_sweep_sinf(args, stream):
 
 
 def _run_seminorm_sweep(args, stream):
+    _check_n(args.n)
     _need_two(args.samples, "samples")
     f, _ = parse_function(args.function, args.n)
     rows, report = sweep_seminorm_to_minus_inf(
@@ -628,6 +644,7 @@ def _run_bp_check(args, stream):
 
 
 def _run_beta_check(args, stream):
+    _check_n(args.n)
     rows, report = beta_asymptotic_check(args.n, args.p, args.t_grid)
     threshold = args.threshold if args.threshold is not None else THRESHOLDS["beta-check"]
     verdicts = {"within_threshold": report.deviation <= threshold}
@@ -636,6 +653,7 @@ def _run_beta_check(args, stream):
 
 
 def _run_s0_check(args, stream):
+    _check_n(args.n)
     _need_two(args.samples, "samples")
     f, lipschitz = parse_function(args.function, args.n)
     rows, report = s_to_zero_vanishing_check(
@@ -651,6 +669,7 @@ def _run_s0_check(args, stream):
 
 
 def _run_profile(args, stream):
+    _check_n(args.n)
     total = sphere_surface(args.n)
     grid = args.alpha_grid
     if grid is None:

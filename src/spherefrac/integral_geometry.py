@@ -18,17 +18,18 @@ phi -> cos(phi) e + sin(phi) f.  Crossings come from sets.trace: open arcs
 circle, with circles tangent to the boundary or through a polytope corner
 (margin 1e-9) flagged as degenerate.
 
-Both estimators are mc_estimate means whose chunks draw from their own
-child streams, on worker threads.  On S^2, a crofton_estimate chunk is one
-Haar rotation of a Fibonacci lattice of poles, and the estimate is the
-randomized quasi-Monte Carlo mean of the rotations' mean crossing counts
-(Owen, Monte Carlo theory, methods and examples, 2013), whose error bar is
-the spread of _ROTATIONS rotation means.  On other spheres a chunk is
-_TRACE_BLOCK iid Haar circles.  Either way a chunk resamples its own
-degenerate circles, so the report depends only on (seed, planes,
-_TRACE_BLOCK).  A bp_check chunk of _PLANE_BLOCK Haar planes integrates f
-over all its circles at once, so the plane side depends only on (seed,
-planes, nodes, _PLANE_BLOCK).
+All estimators are mc_estimate means whose chunks draw from their own
+child streams, on worker threads.  Crofton counts and the sliced perimeter
+of perimeter.py are means of a per-circle value over great circles, both
+taken by _circle_mean.  On S^2 its chunk is one Haar rotation of a
+Fibonacci lattice of poles, and the estimate is the randomized
+quasi-Monte Carlo mean of the rotations' means (Owen, Monte Carlo theory,
+methods and examples, 2013), whose error bar is the spread of _ROTATIONS
+rotation means.  On other spheres a chunk is _TRACE_BLOCK iid Haar
+circles.  Either way a chunk resamples its own degenerate circles, so the
+report depends only on (seed, planes, _TRACE_BLOCK).  A bp_check chunk of
+_PLANE_BLOCK Haar planes integrates f over all its circles at once, so the
+plane side depends only on (seed, planes, nodes, _PLANE_BLOCK).
 
 The in-circle double integral is a spectral product rule (Trefethen and
 Weideman, "The exponentially convergent trapezoidal rule", SIAM Review 56,
@@ -47,7 +48,7 @@ import numpy as np
 
 from .estimation import Estimate, as_stream, mc_estimate
 from .geometry import _row_dots, _row_norms, sample_uniform, sphere_surface
-from .sets import TWO_PI, DegenerateCircleError, trace
+from .sets import TWO_PI, DegenerateCircleError, rotated, trace
 
 
 def bp_constant(n: int) -> float:
@@ -271,35 +272,99 @@ def _haar_rotation(gen: np.random.Generator) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _lattice_frames(start: int, stop: int, poles: int, q: np.ndarray):
-    """Frames (es, fs) of rows start .. stop-1 of a rotated Fibonacci lattice.
+def _lattice_frames(start: int, stop: int, poles: int):
+    """Frames (es, fs) of rows start .. stop-1 of the Fibonacci lattice.
 
     Row i of the poles-point lattice on S^2 has the pole
     (rho cos phi, rho sin phi, z), z = 1 - (2i+1)/poles, rho = sqrt(1 - z^2),
     phi = i pi (3 - sqrt 5), and its great circle the frame
-    e = (-sin phi, cos phi, 0), f = (-z cos phi, -z sin phi, rho).  The rows
-    returned are (q e, q f), written column by column from cos phi, sin phi
-    and z, so no unrotated lattice is held.
+    e = (-sin phi, cos phi, 0), f = (-z cos phi, -z sin phi, rho).
     """
     i = np.arange(start, stop, dtype=float)
     z = 1.0 - (2.0 * i + 1.0) / poles
     rho = np.sqrt((1.0 - z) * (1.0 + z))
     i *= _GOLDEN_ANGLE
     cos_phi, sin_phi = np.cos(i), np.sin(i)
-    z_cos, z_sin = z * cos_phi, z * sin_phi
-    es = np.empty((stop - start, 3))
+    es = np.zeros((stop - start, 3))
     fs = np.empty((stop - start, 3))
-    for k in range(3):
-        es[:, k] = cos_phi * q[k, 1] - sin_phi * q[k, 0]
-        fs[:, k] = rho * q[k, 2] - (z_cos * q[k, 0] + z_sin * q[k, 1])
+    es[:, 0] = -sin_phi
+    es[:, 1] = cos_phi
+    fs[:, 0] = -z * cos_phi
+    fs[:, 1] = -z * sin_phi
+    fs[:, 2] = rho
     return es, fs
 
 
-def _crossing_counts(E, es, fs):
-    """Boundary crossings of each circle (twice its arcs that are neither
-    empty nor full) and its degeneracy mask, from sets.trace."""
-    _, length, bad = trace(E, es, fs)
-    return 2.0 * np.count_nonzero((length > 0.0) & (length < TWO_PI), axis=1), bad
+def _circle_mean(E, circle_values, planes: int, rng, max_resample_rounds: int):
+    """Mean of circle_values(start, length) over Haar great circles, and the
+    count of degenerate circles redrawn.
+
+    circle_values maps a block of sets.trace arcs, shapes (m, K), to the m
+    circles' values.  On S^2 (n = 2) the mean is an mc_estimate over
+    R = min(_ROTATIONS, planes) Haar rotations of a Fibonacci lattice of
+    planes // R poles, one sample per rotation, so R * (planes // R) circles
+    are traced.  The unrotated lattice is built once per call when it fits
+    in one block of _TRACE_BLOCK rows, and block by block in every rotation
+    otherwise, so memory stays flat in the plane count.  A rotation q traces
+    the rotated set sets.rotated(E, q^T) on the unrotated lattice, which is
+    the lattice rotated by q traced on E.  On other spheres the mean is an
+    mc_estimate over iid Haar circles in chunks of _TRACE_BLOCK.
+
+    Each rotation or chunk draws from its own child stream: first q, then
+    the iid Haar circles (sample_plane_batch) that replace its degenerate
+    circles, at most max_resample_rounds times per block (then
+    DegenerateCircleError).  The result is therefore a deterministic
+    function of (seed, planes, _TRACE_BLOCK), the same to the bit on any
+    number of CPUs.
+    """
+    n = E.dimension
+    resamples = []  # one entry per block, in any order
+
+    def resolved(traced, es, fs, gen):
+        # values of the circles (es, fs) on the set traced, degenerate ones redrawn
+        start, length, bad = trace(traced, es, fs)
+        values = circle_values(start, length)
+        idx = np.flatnonzero(bad)
+        redrawn = 0
+        for _ in range(max_resample_rounds):
+            if idx.size == 0:
+                break
+            redrawn += idx.size
+            start, length, bad = trace(E, *sample_plane_batch(n, idx.size, gen))
+            values[idx] = circle_values(start, length)
+            idx = idx[bad]
+        if idx.size:
+            raise DegenerateCircleError(
+                f"{idx.size} circles still degenerate after {max_resample_rounds} resample rounds"
+            )
+        resamples.append(redrawn)
+        return values
+
+    if n == 2:
+        rotations = min(_ROTATIONS, planes)
+        poles = planes // rotations
+        blocks = [(a, min(a + _TRACE_BLOCK, poles)) for a in range(0, poles, _TRACE_BLOCK)]
+        shared = _lattice_frames(0, poles, poles) if len(blocks) == 1 else None
+
+        def rotation_mean(count, gen):  # count is 1: a chunk is one rotation
+            turned = rotated(E, _haar_rotation(gen).T)
+            total = 0.0
+            for a, b in blocks:
+                frames = shared if shared is not None else _lattice_frames(a, b, poles)
+                total += float(np.sum(resolved(turned, *frames, gen)))
+            return np.array([total / poles])
+
+        est = mc_estimate(rotation_mean, lambda means: means, rotations, rng, chunk_size=1)
+    else:
+        iid = lambda count, gen: resolved(E, *sample_plane_batch(n, count, gen), gen)
+        est = mc_estimate(iid, lambda values: values, planes, rng, chunk_size=_TRACE_BLOCK)
+    return est, sum(resamples)
+
+
+def _crossing_counts(start, length):
+    """Boundary crossings of each circle: twice its arcs that are neither
+    empty nor full."""
+    return 2.0 * np.count_nonzero((length > 0.0) & (length < TWO_PI), axis=1)
 
 
 def crofton_estimate(E, planes: int = 100_000, rng=None, max_resample_rounds: int = 100) -> CroftonReport:
@@ -313,65 +378,22 @@ def crofton_estimate(E, planes: int = 100_000, rng=None, max_resample_rounds: in
     boundary measure.  planes < 1 is a ValueError: a mean over no circles is
     not an exact zero.
 
-    On S^2 (n = 2) the circles are R = min(_ROTATIONS, planes) independent
-    Haar rotations of a Fibonacci lattice of planes // R poles, so
-    R * (planes // R) circles are traced, up to R - 1 fewer than planes.
-    Every rotated pole is uniform, so each rotation's mean crossing count is
-    unbiased, and the lattice makes it far less variable than a mean of as
-    many iid circles.  The estimate is an mc_estimate over rotations:
-    crossings.samples is R, and its standard error is the spread of the R
-    rotation means, with R - 1 degrees of freedom.  Each rotation draws its
-    orthogonal matrix and its redraws from its own child stream and traces
-    its lattice in blocks of at most _TRACE_BLOCK rows.
-
-    On other spheres there is no lattice, and the estimate is an
-    mc_estimate over iid Haar circles in chunks of _TRACE_BLOCK, each drawn
-    from the chunk's own child stream; crossings.samples is planes.
-
-    A block or chunk redraws its degenerate circles from its own generator
-    at most max_resample_rounds times (then DegenerateCircleError).  Chunks
-    run on worker threads, so the report is a deterministic function of
-    (seed, planes, _TRACE_BLOCK), the same to the bit on any number of CPUs.
+    The mean is _circle_mean's.  On S^2 (n = 2) the circles are
+    R = min(_ROTATIONS, planes) independent Haar rotations of a Fibonacci
+    lattice of planes // R poles, so R * (planes // R) circles are traced,
+    up to R - 1 fewer than planes.  Every rotated pole is uniform, so each
+    rotation's mean crossing count is unbiased, and the lattice makes it far
+    less variable than a mean of as many iid circles: crossings.samples is
+    R, and its standard error is the spread of the R rotation means, with
+    R - 1 degrees of freedom.  On other spheres the circles are iid and
+    crossings.samples is planes.  A block or chunk redraws its degenerate
+    circles at most max_resample_rounds times (then DegenerateCircleError),
+    and the report is the same to the bit on any number of CPUs.
     """
     if planes < 1:
         raise ValueError("need at least one plane")
+    est, resamples = _circle_mean(E, _crossing_counts, planes, rng, max_resample_rounds)
     n = E.dimension
-    resamples = []  # one entry per block, in any order
-
-    def resolved(es, fs, gen):
-        # crossing counts of the circles (es, fs), degenerate ones redrawn
-        counts, bad = _crossing_counts(E, es, fs)
-        idx = np.flatnonzero(bad)
-        redrawn = 0
-        for _ in range(max_resample_rounds):
-            if idx.size == 0:
-                break
-            redrawn += idx.size
-            counts[idx], bad = _crossing_counts(E, *sample_plane_batch(n, idx.size, gen))
-            idx = idx[bad]
-        if idx.size:
-            raise DegenerateCircleError(
-                f"{idx.size} circles still degenerate after {max_resample_rounds} resample rounds"
-            )
-        resamples.append(redrawn)
-        return counts
-
-    if n == 2:
-        rotations = min(_ROTATIONS, planes)
-        poles = planes // rotations
-
-        def rotation_mean(count, gen):  # count is 1: a chunk is one rotation
-            q = _haar_rotation(gen)
-            total = 0.0
-            for start in range(0, poles, _TRACE_BLOCK):
-                es, fs = _lattice_frames(start, min(start + _TRACE_BLOCK, poles), poles, q)
-                total += float(np.sum(resolved(es, fs, gen)))
-            return np.array([total / poles])
-
-        est = mc_estimate(rotation_mean, lambda means: means, rotations, rng, chunk_size=1)
-    else:
-        iid = lambda count, gen: resolved(*sample_plane_batch(n, count, gen), gen)
-        est = mc_estimate(iid, lambda counts: counts, planes, rng, chunk_size=_TRACE_BLOCK)
     bm = E.boundary_measure()
     target = None if bm is None else 2.0 * bm / sphere_surface(n - 1)
-    return CroftonReport(est, target, sum(resamples))
+    return CroftonReport(est, target, resamples)

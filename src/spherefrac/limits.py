@@ -123,9 +123,9 @@ def sweep_s_to_1(
     is attached when the boundary measure is known to the set or supplied.
     Methods: cap_oracle (E a Cap), circle_exact (n=1 arc unions), mc.
 
-    samples may be one count or a per-row sequence: the MC estimator's tail
-    gets heavier as s grows, so the rows closest to 1 need far more samples
-    than the rest.
+    samples may be one count or a per-row sequence.  The mc method is
+    perimeter_mc's sliced estimator, whose variance stays finite up to
+    s -> 1, so one count serves every row.
     """
     grid = [float(s) for s in s_grid]
     if any(not (0.0 < s < 1.0) for s in grid) or grid != sorted(grid):
@@ -375,9 +375,13 @@ def isoperimetric_comparison(
     s < -n the inequality reverses.  s = -n is the degenerate pivot where
     the perimeter depends on the measure alone, so it is rejected here.
 
-    A trial whose margin lands near the 3-sigma line gets up to max_boosts
-    extra sample batches (each doubling the pool) merged into the estimate;
-    the reported margin is still a plain z-score of the pooled estimate.
+    The union's perimeter is perimeter_mc's: point pairs for s < 0, the
+    sliced great-circle estimator for s >= 0.  A trial whose margin lands
+    near the 3-sigma line gets up to max_boosts extra batches, each asking
+    for twice the samples requested so far, merged into the estimate; the
+    reported margin is still a plain z-score of the pooled estimate.  That
+    is optional stopping, which biases the verdict toward passing; the loop
+    is kept for now, and dropping it is left to a later change.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -398,11 +402,14 @@ def isoperimetric_comparison(
             return direction * (e.value - cap_value) / combined if combined > 0 else math.inf
 
         est = perimeter_mc(union, s, samples, stream)
+        requested = samples
         margin = margin_of(est)
         for _ in range(max_boosts):
             if margin > 3.5:
                 break
-            est = est.merge(perimeter_mc(union, s, 2 * est.samples, stream))
+            # est.samples counts rotations, not circles, on the sliced path
+            est = est.merge(perimeter_mc(union, s, 2 * requested, stream))
+            requested *= 3
             margin = margin_of(est)
         out.append(
             ComparisonTrial((cap1.radius, cap2.radius), alpha, est, cap_value, margin)

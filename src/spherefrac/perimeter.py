@@ -6,21 +6,27 @@ normalized variant replaces d by d/pi.  Positive s concentrates the kernel
 at the boundary (singular regime), s in [-n, 0] keeps it integrable (mild),
 and s < -n flips the kernel into one that rewards antipodal separation
 (smooth regime).
+
+perimeter_mc has one estimator per sign of s.  For s >= 0 it is the
+sliced estimator: by the two-point great-circle identity of
+integral_geometry.bp_check, P_s(E) is c_n times the Haar mean of a circle
+double integral over the set's trace, which _GreatCircleKernel evaluates
+exactly from one matched antiderivative of the kernel, so its variance is
+finite for every s < 1.  For s < 0 it samples point pairs with
+RadialProposal, independently of any great-circle identity.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 from scipy.special import betainc
 
 from .estimation import Estimate, RadialProposal, adaptive_quad, mc_estimate
 from .geometry import cap_area, sample_at_distance, sample_uniform, sphere_surface
-from .sets import ArcUnion, TWO_PI
-
-_THETA_MIN_FLOOR = 1e-14
+from .integral_geometry import _circle_mean, bp_constant
+from .sets import ArcUnion, TWO_PI, trace
 
 
 def validate_s(s: float) -> float:
@@ -56,26 +62,6 @@ def perimeter_minus_n(n: int, measure: float) -> float:
 # Monte Carlo estimators
 
 
-def _power_law_above_boundary(E, x, s: float, gen):
-    """(theta, weight * sinc^(n-1)) for theta ~ theta^(-1-s) on [t_min(x), pi].
-
-    t_min is the set's boundary-distance lower bound at x, so the shell that
-    cannot reach the complement is never sampled.  s = 0 takes the power
-    law's logarithmic limit theta = t_min (pi/t_min)^u.
-    """
-    t_min = np.maximum(E.boundary_distance(x), _THETA_MIN_FLOOR)
-    u = gen.random(len(x))
-    if s == 0.0:
-        z = np.log(math.pi / t_min)
-        theta = t_min * np.exp(u * z)
-    else:
-        lo = t_min ** (-s)
-        hi = math.pi ** (-s)
-        theta = (lo + u * (hi - lo)) ** (-1.0 / s)
-        z = (lo - hi) / s
-    return theta, z * np.sinc(theta / math.pi) ** (E.dimension - 1)
-
-
 def perimeter_mc(
     E,
     s: float,
@@ -85,57 +71,37 @@ def perimeter_mc(
 ) -> Estimate:
     """Monte Carlo s-perimeter of E.
 
-    Scheme: x uniform on S^n, kept when it lands in E; for each kept x a
-    radial distance theta drawn by importance sampling, y uniform on the
-    distance-theta sphere around x, and the indicator of y outside E.  For
-    s < 0 theta comes from RadialProposal, whose weighted kernel lies within
-    a factor (4/pi)^(n-1) of a constant.  For s >= 0 the kernel is not
-    integrable at 0, and theta follows the power law theta^(-1-s) on
-    [t_min(x), pi], with t_min the set's boundary-distance lower bound; the
-    weighted kernel is then at most t_min^-s / s, or log(pi/t_min) at s = 0.
+    For s >= 0 this is the sliced estimator of _perimeter_sliced: samples
+    great circles, each contributing c_n times the exact circle double
+    integral of its trace.  On S^2 the circles are 32 rotations of a
+    Fibonacci lattice and the Estimate's samples is 32, the rotation count;
+    elsewhere it is samples.  The set needs a great-circle trace
+    (sets.trace); one without is a ValueError.
 
-    For s >= 1/2 that weight has infinite variance, because t_min is
-    roughly uniform near 0: the estimate stays unbiased, but its standard
-    error is no valid error bar, and a RuntimeWarning says so.
+    For s < 0 it is the point-pair estimator: x uniform on S^n, kept when
+    it lands in E; for each kept x a radial distance theta drawn from
+    RadialProposal, whose weighted kernel lies within a factor
+    (4/pi)^(n-1) of a constant, y uniform on the distance-theta sphere
+    around x, and the indicator of y outside E.  It rests on no great-circle
+    identity, so it is the independent side of the cap oracle's checks.
 
     Returns an Estimate of the perimeter (kernel (d/pi)^-(n+s) when
     normalized=True).
     """
     s = validate_s(s)
+    if s >= 0.0:
+        return _perimeter_sliced(E, s, samples, rng, normalized)
     n = E.dimension
     scale = sphere_surface(n) * sphere_surface(n - 1)
-    if s >= 0.0:
-        probe = np.zeros((1, n + 1))
-        probe[0, 0] = 1.0
-        if E.boundary_distance(probe) is None:
-            raise ValueError("s >= 0 needs a set with a boundary_distance bound")
-        if normalized:
-            scale *= math.pi ** (n + s)
-
-        def radial(x, gen):
-            return _power_law_above_boundary(E, x, s, gen)
-
-    else:
-        # normalized in the proposal's weight: for large -s the plain
-        # weight's factor pi^(1-n-s) overflows
-        proposal = RadialProposal(n, -(n + s), normalized=normalized)
-
-        def radial(x, gen):
-            return proposal.sample_weighted(len(x), gen)
-
-    if s >= 0.5:
-        warnings.warn(
-            f"perimeter_mc at s = {s} >= 1/2 has infinite variance; "
-            "its standard error is not a valid error bar",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    # normalized in the proposal's weight: for large -s the plain weight's
+    # factor pi^(1-n-s) overflows
+    proposal = RadialProposal(n, -(n + s), normalized=normalized)
 
     def sampler(count, gen):
         x = sample_uniform(n, count, gen)
         inside = E.contains(x)
         x = x[inside]
-        theta, wk = radial(x, gen)
+        theta, wk = proposal.sample_weighted(len(x), gen)
         return inside, wk, sample_at_distance(x, theta, gen)
 
     def integrand(batch):
@@ -289,46 +255,185 @@ def perimeter_cap(n: int, s: float, r: float, tol: float = CAP_TOL) -> float:
 def _power_quotient(x, s: float):
     """(x^-s - 1) / s for x > 0, with its limit -log x at s = 0; 0 at x = 0.
 
-    expm1 keeps the difference exact to roundoff when s log x is small;
-    below |s log x| = 1e-8 the series -log x (1 - s log x / 2) takes over,
-    which also covers s = 0 and subnormal s.
+    Taken as expm1(-s log x) / s, which keeps its digits wherever s log x
+    is a normal number, that is for |s| >= 1e-200 (|log x| is at least
+    1.1e-16 unless x is 1, where q is 0).  Below that the limit -log x is
+    exact to |s log x| / 2 relative, which also covers s = 0 and subnormal
+    s.
     """
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    pos = x > 0.0
-    log_x = np.log(x[pos])
-    z = -s * log_x
-    small = np.abs(z) < 1e-8
-    q = np.empty_like(z)
-    q[small] = -log_x[small] * (1.0 + 0.5 * z[small])
-    q[~small] = np.expm1(z[~small]) / s
-    out[pos] = q
-    return out
+    log_x = np.log(np.where(x > 0.0, x, 1.0))
+    if abs(s) < 1e-200:
+        return -log_x
+    return np.expm1(-s * log_x) / s
 
 
-def _circle_G(x, s: float):
-    """Second antiderivative of the periodic kernel delta(x)^-(1+s) on [0, 2 pi].
+# Largest sum_j |c_j| pi^(2j) that _GreatCircleKernel accepts: its series then
+# loses at most about 4 of the 16 digits to cancellation near pi.  This
+# holds up to n = 12 (3.6e3; n = 13 gives 1.1e4), where the hemisphere's
+# value still matches perimeter_cap to 1.3e-11.
+_MAX_REMAINDER_GROWTH = 1e4
 
-    G''(x) = min(x, 2pi - x)^-(1+s), matched C^1 at pi.  Double integrals of
-    the kernel over a rectangle [a,b] x [alpha,beta] reduce to
+
+class _GreatCircleKernel:
+    """Matched second antiderivative G of the great-circle kernel
+    k(delta) = delta^-(n+s) |sin delta|^(n-1), delta = min(x, 2 pi - x),
+    and the circle double integrals built from it.
+
+    Double integrals of k over a rectangle [a,b] x [alpha,beta] reduce to
     G(beta-a) - G(beta-b) - G(alpha-a) + G(alpha-b), in which affine terms
-    of G cancel.  G is therefore taken up to the affine term
-    x / (s (1-s)), which leaves
+    of G cancel.  G is therefore taken up to the affine term x / (s (1-s))
+    of the circle's own kernel delta^-(1+s), which leaves its singular part
+    -x q(x) / (1-s), q(x) = (x^-s - 1)/s (_power_quotient): no term grows
+    like 1/s, so s near 0 loses no digits to cancellation, and s = 0 is the
+    logarithmic limit x log x.  The rest is the remainder R, whose second
+    derivative is delta^-(1+s) ((sin delta / delta)^(n-1) - 1):
 
-        G(x) = -x q(x) / (1-s)                                  (x <= pi),
-        G(x) = -y q(y) / (1-s) + 2 (x - pi) (1/(1-s) - q(pi))   (x > pi),
+        G(x) = -x q(x) / (1-s) + R(x),
+        R(x) = x^(1-s) sum_(j>=1) c_j x^(2j),   c_j = a_j / ((2j-s)(2j+1-s)),
 
-    with y = 2pi - x and q(x) = (x^-s - 1)/s (_power_quotient).  No term
-    grows like 1/s, so s near 0 loses no digits to cancellation, and s = 0
-    is the logarithmic limit x log x, continued above pi by
-    y log y + 2 (1 + log pi)(x - pi).
+    on [0, pi], with a_j the Taylor coefficients of (sin delta / delta)^(n-1)
+    in delta^2, and G(x) = G(2 pi - x) + 2 (x - pi) G'(pi) above pi, so that
+    G is C^1 at pi and G(0) = 0.  The series is summed until its terms at pi
+    drop below roundoff (14 terms for n = 2, 18 for n = 3); n = 1, the
+    circle itself, has no remainder.  A dimension whose series would cancel
+    more than _MAX_REMAINDER_GROWTH allows is a ValueError.
     """
-    x = np.asarray(x, dtype=float)
-    y = TWO_PI - x
-    inv = 1.0 / (1.0 - s)
-    lower = -inv * x * _power_quotient(x, s)
-    upper = -inv * y * _power_quotient(y, s) + 2.0 * (x - math.pi) * (inv - _power_quotient(math.pi, s))
-    return np.where(x <= math.pi, lower, upper)
+
+    def __init__(self, n: int, s: float):
+        self.s = s
+        # powers of sin(x)/x = sum_i f_i t^i in t = x^2 by Miller's
+        # recurrence b_k = (1/k) sum_(i=1..k) (n i - k) f_i b_(k-i)
+        p2 = math.pi * math.pi
+        f = [1.0]
+        b = [1.0]
+        coef = []
+        growth = 0.0
+        for k in range(1, 200 if n > 1 else 1):
+            f.append(-f[-1] / ((2 * k) * (2 * k + 1)))
+            b.append(sum((n * i - k) * f[i] * b[k - i] for i in range(1, k + 1)) / k)
+            coef.append(b[k] / ((2 * k - s) * (2 * k + 1 - s)))
+            size = abs(coef[-1]) * p2**k
+            growth += size
+            if size < 1e-18 * max(growth, 1.0) and k > 2:
+                break
+        if growth > _MAX_REMAINDER_GROWTH:
+            raise ValueError(
+                f"the sliced perimeter supports n <= 12, got n = {n}: "
+                "its kernel series would cancel too many digits"
+            )
+        self.coef = np.array(coef)
+        # G'(pi) = 1/(1-s) - q(pi) + R'(pi), R'(x) = sum_j c_j (2j+1-s) x^(2j-s)
+        j = np.arange(1, len(coef) + 1)
+        pi_s = math.pi**-s
+        self.slope = (
+            1.0 / (1.0 - s)
+            - float(_power_quotient(math.pi, s))
+            + pi_s * float(np.sum(self.coef * (2 * j + 1 - s) * p2**j))
+        )
+
+    def lower(self, x):
+        """G on [0, pi]."""
+        x = np.asarray(x, dtype=float)
+        q = _power_quotient(x, self.s)
+        out = x * q
+        out *= -1.0 / (1.0 - self.s)
+        if self.coef.size:
+            t = x * x
+            acc = t * self.coef[-1]
+            acc += self.coef[-2]
+            for c in self.coef[-3::-1]:
+                acc *= t
+                acc += c
+            # x^(1-s) = x (1 + s q)
+            q *= self.s
+            q += 1.0
+            q *= x
+            acc *= t
+            acc *= q
+            out += acc
+        return out
+
+    def G(self, x):
+        """G on [0, 2 pi]."""
+        x = np.asarray(x, dtype=float)
+        g = self.lower(np.minimum(x, TWO_PI - x))
+        return np.where(x > math.pi, g + 2.0 * (x - math.pi) * self.slope, g)
+
+    def W(self, length):
+        """Double integral of k over an arc of the given length and its gap:
+        2 (m G'(pi) - G(m)) with m = min(length, 2 pi - length), which is 0
+        for an empty or full arc."""
+        m = np.minimum(length, TWO_PI - length)
+        out = m * self.slope
+        out -= self.lower(m)
+        out *= 2.0
+        return out
+
+    def circle_values(self, start, length):
+        """V = int_A int_(A^c) k over each row's trace A, from sets.trace
+        arcs (start, length) of shape (m, K) with disjoint slots:
+
+            V = sum_i W(l_i) - 2 sum_(i<j) X(I_i, I_j),
+
+        X the double integral of k over two arcs.  With I_i = [0, l_i] and
+        I_j = [d, d + l_j], d the start of j a turn ahead of the start of i,
+        X = G(d + l_j) - G(d + l_j - l_i) - G(d) + G(d - l_i).  W is 0 on
+        empty and full slots (a full slot is alone on its row), and X is
+        only evaluated on rows where both slots hold an arc."""
+        V = self.W(length).sum(axis=1)
+        start, length = start.T, length.T  # slot-major: contiguous rows
+        k = length.shape[0]
+        proper = (length > 0.0) & (length < TWO_PI)
+        for i in range(k):
+            for j in range(i + 1, k):
+                both = np.flatnonzero(proper[i] & proper[j])
+                if both.size == 0:
+                    continue
+                li, lj = length[i, both], length[j, both]
+                d = start[j, both] - start[i, both]
+                d += np.where(d < 0.0, TWO_PI, 0.0)
+                far = d + lj
+                args = np.clip(np.stack([far, far - li, d, d - li]), 0.0, TWO_PI)
+                ga, gb, gc, gd = self.G(args)
+                V[both] -= 2.0 * (ga - gb - gc + gd)
+        return V
+
+
+def _perimeter_sliced(E, s: float, circles: int, rng, normalized: bool = False) -> Estimate:
+    """Sliced s-perimeter of E from the two-point great-circle identity.
+
+    With f(x, y) = 1_E(x) 1_(E^c)(y) d(x, y)^-(n+s) the identity checked
+    by integral_geometry.bp_check gives P_s(E) = c_n E_L[V(trace_L E)] for
+    a Haar great circle L, where V is the circle double integral of
+    _GreatCircleKernel over the trace's arcs and their gaps.  sets.trace gives
+    the arcs exactly, so each circle's value is exact, and bounded for
+    every s < 1: the estimate's variance is finite where the point-pair
+    estimator's is not (s >= 1/2).
+
+    The mean over circles is integral_geometry._circle_mean: on S^2, 32
+    Haar rotations of a Fibonacci lattice of circles // 32 poles, one
+    sample each (randomized quasi-Monte Carlo; the error bar has 31 degrees
+    of freedom); elsewhere iid circles in chunks.  Degenerate circles are
+    redrawn as in crofton_estimate.  Valid for every s < 1; perimeter_mc
+    takes it for s >= 0.
+    """
+    n = E.dimension
+    axes = np.eye(n + 1)
+    try:
+        trace(E, axes[:1], axes[1:2])
+    except TypeError:
+        raise ValueError(f"no great-circle trace for {type(E).__name__}: "
+                         "the sliced perimeter needs sets.trace") from None
+    if circles < 1:
+        raise ValueError("need at least one sample")
+    kernel = _GreatCircleKernel(n, s)
+    scale = bp_constant(n)
+    if normalized:
+        scale *= math.pi ** (n + s)
+    values = lambda start, length: scale * kernel.circle_values(start, length)
+    est, _ = _circle_mean(E, values, circles, rng, 100)
+    return est
 
 
 def perimeter_circle_exact(E: ArcUnion, s: float) -> float:
@@ -338,7 +443,8 @@ def perimeter_circle_exact(E: ArcUnion, s: float) -> float:
     shifted by whole turns to a representative [alpha, beta] ahead of the
     arc [a, b], the pair contributes
     G(beta-a) - G(beta-b) - G(alpha-a) + G(alpha-b) with G the matched
-    second antiderivative of the intrinsic-distance kernel.
+    second antiderivative of the intrinsic-distance kernel,
+    _GreatCircleKernel(1, s).G.
     Empty and full unions have zero perimeter.
     """
     s = validate_s(s)
@@ -346,6 +452,7 @@ def perimeter_circle_exact(E: ArcUnion, s: float) -> float:
         raise TypeError("perimeter_circle_exact expects an ArcUnion")
     if E.is_empty() or E.is_full():
         return 0.0
+    G = _GreatCircleKernel(1, s).G
     starts = [a for a, _ in E.arcs]
     ends = [a + la for a, la in E.arcs]
     k = len(starts)
@@ -368,7 +475,7 @@ def perimeter_circle_exact(E: ArcUnion, s: float) -> float:
                 (ends[j] - starts[i]) + ahead,
                 (ends[j] - ends[i]) + ahead,
             ])
-            ga, gb, gc, gd = _circle_G(np.clip(args, 0.0, TWO_PI), s)
+            ga, gb, gc, gd = G(np.clip(args, 0.0, TWO_PI))
             total += float(ga - gb - gc + gd)
     return total
 

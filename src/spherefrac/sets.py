@@ -2,16 +2,19 @@
 
 Membership tests are vectorized: `points` arguments are arrays of shape
 (..., n+1) of unit vectors and the result has the leading shape.  Boundary
-distances are lower bounds on the true distance to the topological boundary,
-which is exactly what the positive-s estimators need (they may only skip a
-shell that is certain to stay on one side).
+distances are lower bounds on the true distance to the topological
+boundary; no estimator uses them since the sliced great-circle estimator
+took over s >= 0 from the point-pair one, which skipped the shell they
+certify to stay on one side.
 
 `trace` is the one great-circle primitive: for a batch of frames (e, f) it
 returns the exact parameter arcs of phi -> cos(phi) e + sin(phi) f inside a
 set, as open arcs (start, start + length) with start reduced mod 2 pi,
 length 0 for an empty slot and 2 pi for the full circle, together with a
 mask of the circles that are tangent to the boundary or pass through a
-polytope corner to within DEGENERACY_MARGIN = 1e-9.
+polytope corner to within DEGENERACY_MARGIN = 1e-9.  `rotated` turns a set
+on S^2, so that a rotated batch of circles can be traced as the fixed batch
+on the set turned back.
 """
 
 from __future__ import annotations
@@ -439,6 +442,29 @@ def symmetric_overlap_measure(E, samples: int = 100000, rng=None) -> Estimate:
     return mc_estimate(lambda count, gen: sample_uniform(n, count, gen), gained, samples, rng)
 
 
+def rotated(E, q):
+    """The image {q x : x in E} of a set on S^2 under an orthogonal 3x3 q.
+
+    A circle traces a set as its rotated copy traces the rotated set:
+    trace(E, es @ q.T, fs @ q.T) equals trace(rotated(E, q.T), es, fs) up
+    to roundoff, since (q e) . c = e . (q^T c).  Rotating the set costs a
+    few vector products where rotating the frames costs two (m, 3) matrix
+    products.  Unions keep their disjointness flag.
+    """
+    q = np.asarray(q, dtype=float)
+    if isinstance(E, Cap):
+        return Cap(q @ E.center, E.radius)
+    if isinstance(E, Polytope):
+        return Polytope(E.normals @ q.T, E.assume_nonempty_interior)
+    if isinstance(E, PolyconvexUnion):
+        return PolyconvexUnion(tuple(rotated(p, q) for p in E.parts), E.assume_disjoint)
+    if isinstance(E, Complement):
+        return Complement(rotated(E.inner, q))
+    if isinstance(E, Reflection):
+        return Reflection(rotated(E.inner, q))
+    raise TypeError(f"cannot rotate {type(E).__name__}")
+
+
 # ---------------------------------------------------------------------------
 # traces on great circles
 
@@ -453,7 +479,9 @@ def trace(E, es, fs):
     (start, length, degenerate): start and length have shape (m, K), where
     K is fixed by the set (1 for a cap or a polytope, the sum over parts for
     a union, the arc count for an arc union, the inner K but at least 1 for
-    a complement, the inner K for a reflection).
+    a complement, the inner K for a reflection).  Slots are disjoint: the
+    parts of a union not flagged assume_disjoint are merged per row
+    (_merge_slots); a disjoint union's slots are the parts' own.
     Slot k of row i is the open parameter arc (start, start + length) with
     start reduced mod 2 pi; an empty slot has length 0 and the full circle
     has length 2 pi, so a row crosses the boundary 2 * #{0 < length < 2 pi}
@@ -480,13 +508,16 @@ def trace(E, es, fs):
         parts = [trace(p, es, fs) for p in E.parts]
         start = np.concatenate([p[0] for p in parts], axis=1)
         length = np.concatenate([p[1] for p in parts], axis=1)
+        if not E.assume_disjoint:
+            start, length = _merge_slots(start, length)
         return start, length, np.logical_or.reduce([p[2] for p in parts])
     if isinstance(E, Complement):
         start, length, degenerate = trace(E.inner, es, fs)
         return (*_gaps(start, length), degenerate)
     if isinstance(E, Reflection):
         start, length, degenerate = trace(E.inner, es, fs)
-        return (start + math.pi) % TWO_PI, length, degenerate
+        start = start + math.pi
+        return np.where(start >= TWO_PI, start - TWO_PI, start), length, degenerate
     if isinstance(E, ArcUnion):
         return _arc_union_trace(E, es, fs)
     raise TypeError(f"no great-circle trace for {type(E).__name__}")
@@ -517,8 +548,8 @@ def _polytope_trace(E: Polytope, es, fs):
     antisymmetric in i and j, so one per face pair decides by its sign
     whether face i holds at j's entry (cross < 0) and exit (cross > 0), and
     face j at i's entry (cross > 0) and exit (cross < 0); the 1e-9 margin
-    reads |cross| < 1e-9 rho.  No trig is taken except arctan2 for the
-    entry and exit that each arc keeps.
+    reads |cross| < 1e-9 rho.  No trig is taken except one arctan2 per face,
+    for its entry and exit.
     """
     a = E.normals @ es.T  # (k, m): row j is face j's a_j on every circle
     b = E.normals @ fs.T
@@ -542,21 +573,15 @@ def _polytope_trace(E: Polytope, es, fs):
             enters[i] &= pos
             leaves[i] &= neg
     # the last valid face wins; several only occur on degenerate circles
-    entry_face = np.full(m, -1)
-    exit_face = np.full(m, -1)
+    entry = np.zeros(m)
+    leave = np.zeros(m)
     for j in range(k):
-        entry_face[enters[j]] = j
-        exit_face[leaves[j]] = j
-    rows = np.flatnonzero((entry_face >= 0) & (exit_face >= 0))
-    at_entry = entry_face[rows] * m + rows  # flat indices into (k, m)
-    at_exit = exit_face[rows] * m + rows
-    a, b = a.ravel(), b.ravel()
-    entry = np.arctan2(b[at_entry], a[at_entry]) + 0.5 * math.pi
-    leave = np.arctan2(b[at_exit], a[at_exit]) - 0.5 * math.pi
-    start = np.zeros((m, 1))
-    length = np.zeros((m, 1))
-    start[rows, 0] = _wrap(entry)
-    length[rows, 0] = _wrap(leave - entry)
+        phi = np.arctan2(b[j], a[j])
+        entry = np.where(enters[j], phi + 0.5 * math.pi, entry)
+        leave = np.where(leaves[j], phi - 0.5 * math.pi, leave)
+    arc = enters.any(axis=0) & leaves.any(axis=0)
+    start = np.where(arc, _wrap(entry), 0.0)[:, None]
+    length = np.where(arc, _wrap(leave - entry), 0.0)[:, None]
     return start, length, degenerate
 
 
@@ -566,24 +591,71 @@ def _wrap(x):
     return np.where(x < 0.0, x + TWO_PI, x)
 
 
+def _merge_slots(start, length):
+    """Per-row union of (start, length) slots that may overlap, as disjoint
+    slots of the same shape.
+
+    A slot's start begins a union arc unless another slot holds the points
+    just before it, and its end closes one unless another slot holds the
+    points just after it; of slots that share a start or an end, the first
+    one keeps it.  Each surviving start runs to the first surviving end
+    ahead of it.  A row with a full slot, or whose slots leave no start or
+    no end, is the full circle, in slot 0.
+    """
+    m, k = start.shape
+    live = length > 0.0
+    end = start + length
+    other = ~np.eye(k, dtype=bool)[None]  # [row, point i, slot j]: j != i
+    first = np.tril(np.ones((k, k), dtype=bool), -1)[None]  # j < i
+    slot_start, slot_length = start[:, None, :], length[:, None, :]
+    before = (start[:, :, None] - slot_start) % TWO_PI
+    after = (end[:, :, None] - slot_start) % TWO_PI
+    tied_start = first & (before == 0.0)
+    tied_end = first & ((end[:, :, None] - end[:, None, :]) % TWO_PI == 0.0)
+    held = other & live[:, None, :]
+    opens = live & ~np.any(held & (((before > 0.0) & (before <= slot_length)) | tied_start), axis=2)
+    closes = live & ~np.any(held & ((after < slot_length) | tied_end), axis=2)
+    # forward distance from each start i to each end j; 0 means a whole turn
+    reach = (end[:, None, :] - start[:, :, None]) % TWO_PI
+    reach = np.where(closes[:, None, :], np.where(reach > 0.0, reach, TWO_PI), np.inf)
+    merged = np.where(opens, np.min(reach, axis=2), 0.0)
+    out_start = np.where(opens, start, 0.0)
+    # no start or no end left: the slots cover the circle
+    covered = ~(opens.any(axis=1) & closes.any(axis=1))
+    full = np.any(length >= TWO_PI, axis=1) | (live.any(axis=1) & covered)
+    out_start[full] = 0.0
+    merged[full] = 0.0
+    merged[full, 0] = TWO_PI
+    return out_start, merged
+
+
 def _gaps(start, length):
-    """Per-row complementary arcs of disjoint (start, length) slots."""
+    """Per-row complementary arcs of disjoint (start, length) slots.
+
+    Gap i runs from the end of arc i to the nearest start ahead of it, a
+    turn later when that start lies behind the end (its own start for a
+    lone arc); its length is that start, plus the turn, minus the end, so
+    touching arcs leave a gap of exactly 0.  Gap i takes slot i, empty
+    where arc i is; a row with no arc has one full gap in slot 0.
+    """
     m, k = start.shape
     if k == 0:
         return np.zeros((m, 1)), np.full((m, 1), TWO_PI)
+    # slot-major rows, so every step below runs on contiguous (m,) arrays
+    start, length = start.T, length.T
     nonempty = length > 0.0
-    order = np.argsort(np.where(nonempty, start, np.inf), axis=1)
-    start = np.take_along_axis(start, order, axis=1)
-    end = start + np.take_along_axis(length, order, axis=1)
-    count = nonempty.sum(axis=1)[:, None]
-    slot = np.arange(k)[None, :]
-    # gap i runs from the end of arc i to the start of arc i + 1, and the
-    # last one to the first start a turn later
-    following = np.where(slot == count - 1, start[:, :1] + TWO_PI, np.roll(start, -1, axis=1))
-    used = slot < count
-    gap_start = np.where(used, end % TWO_PI, 0.0)
-    gap_length = np.where(used, np.maximum(following - end, 0.0), 0.0)
-    gap_length[:, 0] = np.where(count[:, 0] == 0, TWO_PI, gap_length[:, 0])
+    end = start + length
+    gap_start = np.zeros((k, m))
+    gap_length = np.zeros((k, m))
+    for i in range(k):
+        gap = np.full(m, np.inf)
+        for j in range(k):
+            following = start[j] + np.where(start[j] < end[i], TWO_PI, 0.0)
+            np.minimum(gap, np.where(nonempty[j], following - end[i], np.inf), out=gap)
+        gap_length[i] = np.where(nonempty[i], np.maximum(gap, 0.0), 0.0)
+        gap_start[i] = np.where(nonempty[i], np.where(end[i] >= TWO_PI, end[i] - TWO_PI, end[i]), 0.0)
+    gap_length[0] = np.where(nonempty.any(axis=0), gap_length[0], TWO_PI)
+    gap_start, gap_length = gap_start.T, gap_length.T
     return gap_start, gap_length
 
 

@@ -14,7 +14,9 @@ bit, so they reuse the library's pooling and samplers: the one-thread chunk
 loop of mc_estimate, crofton_estimate as that chunk loop (with one trace
 per chunk of iid circles, or one rotated pole lattice per chunk on S^2),
 and bp_check's plane side as that chunk loop with one plane after another
-on the library's weight table.
+on the library's weight table.  The sliced perimeter's circle values have a
+scalar form: perimeter_circle_exact's (arc, gap) loop, one circle after
+another, on the library's matched antiderivative of the kernel.
 """
 
 import math
@@ -26,7 +28,7 @@ from spherefrac.estimation import Estimate, NonFiniteSampleError, as_stream
 from spherefrac.geometry import sphere_surface
 from spherefrac.integral_geometry import CroftonReport, _circle_weights, bp_constant
 from spherefrac.perimeter import perimeter_cap
-from spherefrac.sets import trace
+from spherefrac.sets import ArcUnion, trace
 
 TWO_PI = 2.0 * math.pi
 
@@ -441,6 +443,43 @@ def crofton_lattice_serial(E, planes, rng, block, max_resample_rounds=100):
 
     est = mc_estimate_serial(rotation, lambda means: means, rotations, rng, 1)
     return CroftonReport(est, 2.0 * E.boundary_measure() / TWO_PI, resamples)
+
+
+def sliced_value_serial(arcs, kernel):
+    """One circle's V = int_A int_(A^c) k for the arcs A = [(start, length)],
+    by perimeter_circle_exact's scalar (arc, gap) sum, with the matched
+    antiderivative kernel.G of the dimension at hand in place of the
+    circle's: every offset is a difference of shared endpoint values plus
+    whole turns."""
+    E = ArcUnion([(a, la) for a, la in arcs if la > 0.0])
+    if E.is_empty() or E.is_full():
+        return 0.0
+    starts = [a for a, _ in E.arcs]
+    ends = [a + la for a, la in E.arcs]
+    k = len(starts)
+    total = 0.0
+    for i in range(k):
+        for j in range(k):
+            nxt = (j + 1) % k
+            wrap = TWO_PI if nxt == 0 else 0.0
+            if starts[nxt] + wrap - ends[j] <= 1e-12:
+                continue
+            ahead = TWO_PI if j < i else 0.0
+            args = np.array([
+                (starts[nxt] - starts[i]) + (ahead + wrap),
+                (starts[nxt] - ends[i]) + (ahead + wrap),
+                (ends[j] - starts[i]) + ahead,
+                (ends[j] - ends[i]) + ahead,
+            ])
+            ga, gb, gc, gd = kernel.G(np.clip(args, 0.0, TWO_PI))
+            total += float(ga - gb - gc + gd)
+    return total
+
+
+def sliced_values_serial(start, length, kernel):
+    """sliced_value_serial row by row over sets.trace arcs of shape (m, K)."""
+    return np.array([sliced_value_serial(list(zip(a, la)), kernel)
+                     for a, la in zip(start, length)])
 
 
 def disjoint_cap_union_perimeter(caps, s, nodes=64):

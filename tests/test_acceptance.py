@@ -135,27 +135,25 @@ def test_criterion_04_interval_limit_s_to_1():
 def test_criterion_05_surface_area_limit_s_to_1():
     """(1-s) P_s extrapolates to (omega_3/omega_2) H^1(boundary): hemisphere
     and r=1 caps via the quadrature oracle within 2%, and a disjoint two-cap
-    union via the MC sweep within 5% of the summed target."""
+    union via the sliced MC sweep on the default grid within 0.5% of the
+    summed target."""
     _, hemi = sweep_s_to_1(2, Cap(Z, math.pi / 2))
     assert hemi.target == 4.0 * math.pi
     _, tilted = sweep_s_to_1(2, Cap(Z, 1.0))
     assert abs(tilted.target - 4.0 * math.pi * math.sin(1.0)) < 1e-12
 
     union = PolyconvexUnion((Cap(Z, 0.7), Cap(X, 0.5)))
-    # rows nearer s=1 suffer the heavy-tail MC deficit, so the grid stops at
-    # 0.7 and the sample counts grow with s
-    _, poly = sweep_s_to_1(
-        2, union, s_grid=(0.6, 0.65, 0.7), method="mc",
-        samples=(10_000_000, 30_000_000, 200_000_000), rng=RandomStream(SEED),
-    )
+    # 1e6 circles per row; over 20 seeds the limit sat 0.026% to 0.041%
+    # below the target (sd 0.005%), the linear fit's own bias
+    _, poly = sweep_s_to_1(2, union, method="mc", samples=1_000_000, rng=RandomStream(SEED))
     assert abs(poly.target - 4.0 * math.pi * (math.sin(0.7) + math.sin(0.5))) < 1e-12
     print(
         f"surface-area limit: hemisphere dev {hemi.deviation:.2%}, "
-        f"r=1 dev {tilted.deviation:.2%}, union dev {poly.deviation:.2%}"
+        f"r=1 dev {tilted.deviation:.2%}, union dev {poly.deviation:.3%}"
     )
     assert hemi.deviation < 0.02
     assert tilted.deviation < 0.02
-    assert poly.deviation < 0.05
+    assert poly.deviation < 0.005
 
 
 def test_criterion_06_isoperimetric_inequality_trials():

@@ -446,21 +446,58 @@ def test_perimeter_mc_runs_at_s_zero(tmp_path):
 
 
 def test_library_warning_is_one_spherefrac_line(capsys):
-    argv = [
-        "perimeter", "--n", "2", "--set", "cap:0,0,1:1", "--s", "0.6", "--method", "mc",
-        "--samples", "20000",
-    ]
+    # numpy warns from inside the cap oracle: at s = -700 its kernel
+    # theta^700 overflows
+    argv = ["perimeter", "--n", "2", "--set", "cap:0,0,1:1", "--s", "-700"]
     assert main(argv) == 0
     out, err = capsys.readouterr()
-    assert err.splitlines() == [
-        "spherefrac: warning: perimeter_mc at s = 0.6 >= 1/2 has infinite variance; "
-        "its standard error is not a valid error bar"
-    ]
+    assert err.splitlines() == ["spherefrac: warning: overflow encountered in power"]
     # stdout is the same as when the warning is ignored
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert main(argv) == 0
     assert capsys.readouterr() == (out, "")
+
+
+@pytest.mark.parametrize("n", ("0", "343", "400"))
+@pytest.mark.parametrize("argv", [
+    ["perimeter", "--set", "cap:0,0,1:1", "--s", "0.3"],
+    ["isoperimetric", "--s", "0.3"],
+    ["sweep-s1", "--set", "cap:0,0,1:1"],
+    ["sweep-sinf", "--set", "cap:0,0,1:1"],
+    ["seminorm-sweep", "--function", "coord:0"],
+    ["crofton", "--set", "cap:0,0,1:1"],
+    ["beta-check"],
+    ["s0-check"],
+    ["profile", "--s", "-3"],
+], ids=lambda argv: argv[0])
+def test_every_subcommand_bounds_n(capsys, argv, n):
+    # from n = 343 math.gamma overflowed in sphere_surface with a traceback
+    # (profile --n 400 --s -3); bp-check has its own, lower bound
+    assert main(argv + ["--n", n]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"spherefrac: config error: --n must lie in [1, 342], got {n}"]
+    assert captured.out == ""
+
+
+def test_sweep_s1_on_the_octant_reaches_its_surface_area_limit(capsys):
+    # the point-pair rows fell from 9.6 to 1.0 and extrapolated to 0.52;
+    # the sliced rows extrapolate within 2% of 3 pi, the default threshold
+    assert main(["sweep-s1", "--n", "2", "--set", "poly:-1,0,0;0,-1,0;0,0,-1",
+                 "--seed", "5", "--format", "json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["limit"]["target"] == pytest.approx(3.0 * math.pi, rel=1e-12)
+    assert record["limit"]["deviation"] < 0.02
+    assert record["verdicts"] == {"within_threshold": True}
+
+
+def test_crofton_on_an_overlapping_union_counts_its_boundary(capsys):
+    # 3.366 before, the two caps' counts added; the union's boundary is
+    # about 6.013 long, so the count is about 2 L / 2 pi = 1.914
+    assert main(["crofton", "--n", "2", "--set", "union:cap:0,0,1:1+cap:0,0.6,0.8:1",
+                 "--planes", "100000", "--seed", "3"]) == 0
+    _, value, error = capsys.readouterr().out.splitlines()[1].split(",")[:3]
+    assert abs(float(value) - 1.9141) < 4.0 * float(error) + 1e-4
 
 
 def test_circle_exact_runs_at_s_zero(capsys):

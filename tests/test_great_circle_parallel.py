@@ -134,21 +134,22 @@ def test_crofton_lattice_rounds_the_plane_count_down_per_rotation(monkeypatch, p
 
 
 def test_lattice_frames_are_orthonormal_and_orthogonal_to_the_rotated_pole():
+    # the lattice is built unrotated, in blocks as _circle_mean builds it,
+    # and a rotation q turns frames and poles alike
     gen = np.random.default_rng(63)
     poles = 10_007
-    p, _, _ = fibonacci_lattice(poles)
+    p, e, f = fibonacci_lattice(poles)
+    blocks = [ig._lattice_frames(a, min(a + 4096, poles), poles) for a in range(0, poles, 4096)]
+    es = np.vstack([e for e, _ in blocks])
+    fs = np.vstack([f for _, f in blocks])
+    assert np.array_equal(es, e) and np.array_equal(fs, f)
     for _ in range(5):
         q = ig._haar_rotation(gen)
         assert np.allclose(q @ q.T, np.eye(3), rtol=0.0, atol=1e-15)
-        pole = p @ q.T
-        # in blocks, as crofton_estimate builds them
-        blocks = [ig._lattice_frames(a, min(a + 4096, poles), poles, q)
-                  for a in range(0, poles, 4096)]
-        es = np.vstack([e for e, _ in blocks])
-        fs = np.vstack([f for _, f in blocks])
-        for a, b in ((es, es), (fs, fs)):
+        pole, turned_es, turned_fs = p @ q.T, es @ q.T, fs @ q.T
+        for a, b in ((turned_es, turned_es), (turned_fs, turned_fs)):
             assert np.max(np.abs(np.sum(a * b, axis=1) - 1.0)) <= 1e-15
-        for a, b in ((es, fs), (es, pole), (fs, pole)):
+        for a, b in ((turned_es, turned_fs), (turned_es, pole), (turned_fs, pole)):
             assert np.max(np.abs(np.sum(a * b, axis=1))) <= 1e-15
 
 
