@@ -19,9 +19,10 @@ circle, with circles tangent to the boundary or through a polytope corner
 (margin 1e-9) flagged as degenerate.
 
 All estimators are mc_estimate means whose chunks draw from their own
-child streams, on worker threads.  Crofton counts and the sliced perimeter
-of perimeter.py are means of a per-circle value over great circles, both
-taken by _circle_mean.  On S^2 its chunk is one Haar rotation of a
+child streams, on worker threads.  Crofton counts, antipodal gains
+(symmetric_overlap_measure) and the sliced perimeter of perimeter.py are
+means of a per-circle value over great circles, all taken by
+_circle_mean.  On S^2 its chunk is one Haar rotation of a
 Fibonacci lattice of poles, and the estimate is the randomized
 quasi-Monte Carlo mean of the rotations' means (Owen, Monte Carlo theory,
 methods and examples, 2013), whose error bar is the spread of _ROTATIONS
@@ -47,8 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimation import Estimate, as_stream, mc_estimate
-from .geometry import _row_dots, _row_norms, sample_uniform, sphere_surface
-from .sets import TWO_PI, DegenerateCircleError, rotated, trace
+from .geometry import _row_dots, _row_norms, cap_area, sample_uniform, sphere_surface
+from .sets import TWO_PI, Cap, DegenerateCircleError, _half_turn, _merge_slots, rotated, trace
 
 
 def bp_constant(n: int) -> float:
@@ -103,6 +104,9 @@ def _orthonormalize(es, fs):
 # 91 MB with 1 << 16, 67 MB with 1 << 14, and 141 MB when all frames were
 # drawn first.  At 1e6 planes a lattice of 31250 poles is one block.
 _TRACE_BLOCK = 1 << 15
+# Rounds of redraws a block of circles gets for its degenerate circles, after
+# which _circle_mean raises DegenerateCircleError.
+_MAX_RESAMPLE_ROUNDS = 100
 # Haar rotations of the pole lattice behind crofton_estimate on S^2: each is
 # one mc_estimate sample, so the error bar has _ROTATIONS - 1 degrees of
 # freedom.
@@ -295,7 +299,7 @@ def _lattice_frames(start: int, stop: int, poles: int):
     return es, fs
 
 
-def _circle_mean(E, circle_values, planes: int, rng, max_resample_rounds: int):
+def _circle_mean(E, circle_values, planes: int, rng):
     """Mean of circle_values(start, length) over Haar great circles, and the
     count of degenerate circles redrawn.
 
@@ -312,11 +316,13 @@ def _circle_mean(E, circle_values, planes: int, rng, max_resample_rounds: int):
 
     Each rotation or chunk draws from its own child stream: first q, then
     the iid Haar circles (sample_plane_batch) that replace its degenerate
-    circles, at most max_resample_rounds times per block (then
+    circles, at most _MAX_RESAMPLE_ROUNDS times per block (then
     DegenerateCircleError).  The result is therefore a deterministic
     function of (seed, planes, _TRACE_BLOCK), the same to the bit on any
-    number of CPUs.
+    number of CPUs.  planes < 1 is a ValueError.
     """
+    if planes < 1:
+        raise ValueError("need at least one plane")
     n = E.dimension
     resamples = []  # one entry per block, in any order
 
@@ -326,7 +332,7 @@ def _circle_mean(E, circle_values, planes: int, rng, max_resample_rounds: int):
         values = circle_values(start, length)
         idx = np.flatnonzero(bad)
         redrawn = 0
-        for _ in range(max_resample_rounds):
+        for _ in range(_MAX_RESAMPLE_ROUNDS):
             if idx.size == 0:
                 break
             redrawn += idx.size
@@ -335,7 +341,7 @@ def _circle_mean(E, circle_values, planes: int, rng, max_resample_rounds: int):
             idx = idx[bad]
         if idx.size:
             raise DegenerateCircleError(
-                f"{idx.size} circles still degenerate after {max_resample_rounds} resample rounds"
+                f"{idx.size} circles still degenerate after {_MAX_RESAMPLE_ROUNDS} resample rounds"
             )
         resamples.append(redrawn)
         return values
@@ -367,7 +373,7 @@ def _crossing_counts(start, length):
     return 2.0 * np.count_nonzero((length > 0.0) & (length < TWO_PI), axis=1)
 
 
-def crofton_estimate(E, planes: int = 100_000, rng=None, max_resample_rounds: int = 100) -> CroftonReport:
+def crofton_estimate(E, planes: int = 100_000, rng=None) -> CroftonReport:
     """Mean boundary crossing count over Haar circles, with its Crofton target.
 
     A circle crosses the boundary twice per arc of its trace (sets.trace)
@@ -387,13 +393,42 @@ def crofton_estimate(E, planes: int = 100_000, rng=None, max_resample_rounds: in
     R, and its standard error is the spread of the R rotation means, with
     R - 1 degrees of freedom.  On other spheres the circles are iid and
     crossings.samples is planes.  A block or chunk redraws its degenerate
-    circles at most max_resample_rounds times (then DegenerateCircleError),
+    circles at most _MAX_RESAMPLE_ROUNDS times (then DegenerateCircleError),
     and the report is the same to the bit on any number of CPUs.
     """
-    if planes < 1:
-        raise ValueError("need at least one plane")
-    est, resamples = _circle_mean(E, _crossing_counts, planes, rng, max_resample_rounds)
+    est, resamples = _circle_mean(E, _crossing_counts, planes, rng)
     n = E.dimension
     bm = E.boundary_measure()
     target = None if bm is None else 2.0 * bm / sphere_surface(n - 1)
     return CroftonReport(est, target, resamples)
+
+
+def _antipodal_gains(start, length):
+    """|A u (A + pi)| - |A| for the disjoint slots A of each row: the arc
+    the antipodal image adds, by the union of A's slots and their half
+    turns."""
+    both = np.concatenate([start, _half_turn(start)], axis=1)
+    _, union = _merge_slots(both, np.concatenate([length, length], axis=1))
+    return union.sum(axis=1) - length.sum(axis=1)
+
+
+def symmetric_overlap_measure(E, samples: int = 100_000, rng=None) -> Estimate:
+    """H^n((-E) intersect E^c), the mass the antipodal image gains over E.
+
+    Exact for caps: a(min(r, pi - r)).  Otherwise -E traces A + pi where E
+    traces A, and a circle's gain |A u (A + pi)| - |A| is exact arc algebra
+    on the sets.trace slots: exact on S^1, where the one circle is the
+    sphere.  A uniform point of a Haar circle is uniform on S^n, so for
+    n >= 2 the measure is omega_(n+1) / (2 pi) times the mean gain over
+    samples circles (_circle_mean, as for crofton_estimate; rng required).
+    """
+    n = E.dimension
+    if isinstance(E, Cap):
+        return Estimate.exact(cap_area(n, min(E.radius, math.pi - E.radius)))
+    if n == 1:
+        axes = np.eye(2)
+        start, length, _ = trace(E, axes[:1], axes[1:])
+        return Estimate.exact(float(_antipodal_gains(start, length)[0]))
+    scale = sphere_surface(n) / TWO_PI
+    est, _ = _circle_mean(E, lambda start, length: scale * _antipodal_gains(start, length), samples, rng)
+    return est

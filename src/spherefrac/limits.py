@@ -16,12 +16,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import beta
 
 from .estimation import Estimate, as_stream, mc_estimate
 from .geometry import geodesic_distance, sample_uniform, sphere_surface, volume_radius
+from .integral_geometry import symmetric_overlap_measure
 from .perimeter import CAP_TOL, perimeter_cap, perimeter_circle_exact, perimeter_mc, seminorm_mc
-from .sets import ArcUnion, Cap, PolyconvexUnion, symmetric_overlap_measure
+from .sets import ArcUnion, Cap, PolyconvexUnion
 
 DEFAULT_S1_GRID = (0.9, 0.95, 0.99)
 DEFAULT_T_GRID = (20.0, 40.0, 80.0)
@@ -115,12 +115,11 @@ def sweep_s_to_1(
     samples: int = 1_000_000,
     rng=None,
     tol: float = CAP_TOL,
-    boundary_measure: float | None = None,
 ):
     """Rows of (1-s) P_s(E) over s_grid with the extrapolated s->1 limit.
 
     The limit equals (omega_(n+1)/omega_2) H^(n-1)(boundary E); the target
-    is attached when the boundary measure is known to the set or supplied.
+    is attached when the set knows its boundary measure.
     Methods: cap_oracle (E a Cap), circle_exact (n=1 arc unions), mc.
 
     samples may be one count or a per-row sequence.  The mc method is
@@ -155,7 +154,7 @@ def sweep_s_to_1(
             rows.append(SweepRow(s, (1.0 - s) * est.value, (1.0 - s) * est.std_error, method))
         else:
             raise ValueError(f"unknown sweep method {method!r}")
-    bm = boundary_measure if boundary_measure is not None else E.boundary_measure()
+    bm = E.boundary_measure()
     target = None if bm is None else sphere_surface(n) / sphere_surface(1) * bm
     report = extrapolate([1.0 - s for s in grid], [row.value for row in rows], target)
     return rows, report
@@ -167,24 +166,24 @@ def sweep_s_to_minus_inf(
     t_grid=DEFAULT_T_GRID,
     samples: int = 1_000_000,
     rng=None,
-    overlap: float | None = None,
     overlap_samples: int = 400_000,
 ):
     """Rows of t^n P~_(-t)(E) (normalized kernel) with the t->infinity limit.
 
-    Target: c_(n,1) H^n((-E) intersect E^c).  The overlap measure is exact
-    for caps and arc unions, Monte Carlo otherwise, or may be supplied.
+    Target: c_(n,1) H^n((-E) intersect E^c), from symmetric_overlap_measure:
+    exact for caps and sets on S^1, otherwise a mean over overlap_samples
+    great circles.  A t whose t^n overflows a float is a ValueError.
     """
     grid = [float(t) for t in t_grid]
     if grid != sorted(grid) or grid[0] <= n:
         raise ValueError(f"t_grid must be increasing with every t > n = {n}")
+    _check_t_powers(n, grid)
     streams = as_stream(rng).split(len(grid) + 1)
     rows = []
     for i, t in enumerate(grid):
         est = perimeter_mc(E, -t, samples, streams[i], normalized=True)
         rows.append(SweepRow(t, t**n * est.value, t**n * est.std_error, "mc"))
-    if overlap is None:
-        overlap = symmetric_overlap_measure(E, overlap_samples, streams[-1]).value
+    overlap = symmetric_overlap_measure(E, overlap_samples, streams[-1]).value
     target = concentration_constant(n, 1.0) * overlap
     report = extrapolate([1.0 / t for t in grid], [row.value for row in rows], target)
     return rows, report
@@ -203,11 +202,13 @@ def sweep_seminorm_to_minus_inf(
 
     Target: c_(n,p) * integral of |f(x) - f(-x)|^p, itself an mc_estimate
     of omega_(n+1) |f(x) - f(-x)|^p over target_samples uniform points (the
-    integrand is bounded, so this is the easy part).
+    integrand is bounded, so this is the easy part).  A t whose t^n
+    overflows a float is a ValueError.
     """
     grid = [float(t) for t in t_grid]
     if grid != sorted(grid) or grid[0] <= n / p:
         raise ValueError(f"t_grid must be increasing with every t > n/p = {n / p}")
+    _check_t_powers(n, grid)
     streams = as_stream(rng).split(len(grid) + 1)
     rows = []
     for i, t in enumerate(grid):
@@ -226,16 +227,35 @@ def sweep_seminorm_to_minus_inf(
     return rows, report
 
 
+def _check_t_powers(n: int, grid) -> None:
+    """A ValueError when t^n overflows a float on an increasing t-grid."""
+    try:
+        grid[-1] ** n
+    except OverflowError:
+        raise ValueError(f"t^n overflows a float at t = {grid[-1]:g}, n = {n}") from None
+
+
 def beta_asymptotic_check(n: int, p: float, t_grid=DEFAULT_T_GRID):
-    """Rows of t^n B(n, tp - n + 1) against the limit (n-1)!/p^n."""
+    """Rows of t^n B(n, tp - n + 1) against the limit (n-1)!/p^n; a row or
+    limit that overflows a float is a ValueError."""
     grid = [float(t) for t in t_grid]
     if grid != sorted(grid) or grid[0] * p <= n:
         raise ValueError(f"t_grid must be increasing with every t > n/p = {n / p}")
-    rows = [
-        SweepRow(t, t**n * float(beta(n, t * p - n + 1.0)), 0.0, "closed_form")
-        for t in grid
-    ]
-    target = math.factorial(n - 1) / p**n
+    rows = []
+    for t in grid:
+        # t^n B(n, m) = (t / m) prod_(k=1..n-1) k t / (m + k), m = tp - n + 1:
+        # each factor is near k / p, so none overflows where t^n does
+        m = t * p - n + 1.0
+        value = t / m
+        for k in range(1, n):
+            value *= k * (t / (m + k))
+        rows.append(SweepRow(t, value, 0.0, "closed_form"))
+    try:
+        target = math.factorial(n - 1) / p**n
+    except OverflowError:
+        target = math.inf
+    if not all(math.isfinite(v) for v in [row.value for row in rows] + [target]):
+        raise ValueError(f"t^n B(n, tp - n + 1) or its limit (n-1)!/p^n overflows a float (n = {n})")
     report = extrapolate([1.0 / t for t in grid], [row.value for row in rows], target)
     return rows, report
 
@@ -362,8 +382,6 @@ def isoperimetric_comparison(
     trials: int = 50,
     samples: int = 200_000,
     rng=None,
-    radius_range=(0.35, 0.6),
-    separation: float = 0.5,
     cap_tol: float = CAP_TOL,
     max_boosts: int = 3,
 ) -> ComparisonReport:
@@ -392,7 +410,7 @@ def isoperimetric_comparison(
     out = []
     for stream in streams:
         gen = stream.generator
-        cap1, cap2 = random_disjoint_cap_pair(n, gen, radius_range, separation)
+        cap1, cap2 = random_disjoint_cap_pair(n, gen)
         union = PolyconvexUnion((cap1, cap2))
         alpha = union.exact_measure()
         cap_value = perimeter_cap(n, s, volume_radius(n, alpha), tol=cap_tol)

@@ -26,7 +26,7 @@ from scipy.special import betainc
 from .estimation import Estimate, RadialProposal, adaptive_quad, mc_estimate
 from .geometry import cap_area, sample_at_distance, sample_uniform, sphere_surface
 from .integral_geometry import _circle_mean, bp_constant
-from .sets import ArcUnion, TWO_PI, trace
+from .sets import ENDPOINT_MARGIN, TWO_PI, ArcUnion, trace
 
 
 def validate_s(s: float) -> float:
@@ -363,8 +363,9 @@ class _GreatCircleKernel:
     def W(self, length):
         """Double integral of k over an arc of the given length and its gap:
         2 (m G'(pi) - G(m)) with m = min(length, 2 pi - length), which is 0
-        for an empty or full arc."""
+        for an arc within ENDPOINT_MARGIN of empty or full."""
         m = np.minimum(length, TWO_PI - length)
+        m = np.where(m < ENDPOINT_MARGIN, 0.0, m)
         out = m * self.slope
         out -= self.lower(m)
         out *= 2.0
@@ -380,11 +381,13 @@ class _GreatCircleKernel:
         I_j = [d, d + l_j], d the start of j a turn ahead of the start of i,
         X = G(d + l_j) - G(d + l_j - l_i) - G(d) + G(d - l_i).  W is 0 on
         empty and full slots (a full slot is alone on its row), and X is
-        only evaluated on rows where both slots hold an arc."""
+        only evaluated on rows where both slots hold an arc.  An argument of
+        G within ENDPOINT_MARGIN of 0 or 2 pi is exactly that, so arcs that
+        touch up to roundoff add up to the arc they form."""
         V = self.W(length).sum(axis=1)
         start, length = start.T, length.T  # slot-major: contiguous rows
         k = length.shape[0]
-        proper = (length > 0.0) & (length < TWO_PI)
+        proper = (length > ENDPOINT_MARGIN) & (length < TWO_PI - ENDPOINT_MARGIN)
         for i in range(k):
             for j in range(i + 1, k):
                 both = np.flatnonzero(proper[i] & proper[j])
@@ -395,6 +398,8 @@ class _GreatCircleKernel:
                 d += np.where(d < 0.0, TWO_PI, 0.0)
                 far = d + lj
                 args = np.clip(np.stack([far, far - li, d, d - li]), 0.0, TWO_PI)
+                args[args < ENDPOINT_MARGIN] = 0.0
+                args[args > TWO_PI - ENDPOINT_MARGIN] = TWO_PI
                 ga, gb, gc, gd = self.G(args)
                 V[both] -= 2.0 * (ga - gb - gc + gd)
         return V
@@ -425,59 +430,31 @@ def _perimeter_sliced(E, s: float, circles: int, rng, normalized: bool = False) 
     except TypeError:
         raise ValueError(f"no great-circle trace for {type(E).__name__}: "
                          "the sliced perimeter needs sets.trace") from None
-    if circles < 1:
-        raise ValueError("need at least one sample")
     kernel = _GreatCircleKernel(n, s)
     scale = bp_constant(n)
     if normalized:
         scale *= math.pi ** (n + s)
     values = lambda start, length: scale * kernel.circle_values(start, length)
-    est, _ = _circle_mean(E, values, circles, rng, 100)
+    est, _ = _circle_mean(E, values, circles, rng)
     return est
 
 
-def perimeter_circle_exact(E: ArcUnion, s: float) -> float:
-    """Exact s-perimeter of an arc union on S^1.
+def perimeter_circle_exact(E, s: float) -> float:
+    """Exact s-perimeter of a set on S^1.
 
-    Summed in closed form over (arc, complement-gap) pairs: with the gap
-    shifted by whole turns to a representative [alpha, beta] ahead of the
-    arc [a, b], the pair contributes
-    G(beta-a) - G(beta-b) - G(alpha-a) + G(alpha-b) with G the matched
-    second antiderivative of the intrinsic-distance kernel,
-    _GreatCircleKernel(1, s).G.
-    Empty and full unions have zero perimeter.
+    On S^1 the one great circle is the sphere, and c_1 = 1, so the
+    perimeter is the circle value of _GreatCircleKernel(1, s) on the set's
+    own trace: sets.trace on the frame e = (1, 0), f = (0, 1).  Any set
+    with a trace on S^1 works, arc unions and their complements and
+    reflections among them.  Empty and full sets have zero perimeter; a set
+    on another sphere is a TypeError.
     """
     s = validate_s(s)
-    if not isinstance(E, ArcUnion):
-        raise TypeError("perimeter_circle_exact expects an ArcUnion")
-    if E.is_empty() or E.is_full():
-        return 0.0
-    G = _GreatCircleKernel(1, s).G
-    starts = [a for a, _ in E.arcs]
-    ends = [a + la for a, la in E.arcs]
-    k = len(starts)
-    total = 0.0
-    for i in range(k):
-        for j in range(k):
-            # gap j runs from ends[j] to starts[nxt], a turn later for the
-            # last gap, and is moved a turn ahead when it lies behind arc i.
-            # Every offset is a difference of these shared endpoint values
-            # plus whole turns, so it is exactly 0 or 2 pi where the gap
-            # meets arc i: G is far from 0 at a roundoff-sized argument.
-            nxt = (j + 1) % k
-            wrap = TWO_PI if nxt == 0 else 0.0
-            if starts[nxt] + wrap - ends[j] <= 1e-12:
-                continue
-            ahead = TWO_PI if j < i else 0.0
-            args = np.array([
-                (starts[nxt] - starts[i]) + (ahead + wrap),
-                (starts[nxt] - ends[i]) + (ahead + wrap),
-                (ends[j] - starts[i]) + ahead,
-                (ends[j] - ends[i]) + ahead,
-            ])
-            ga, gb, gc, gd = G(np.clip(args, 0.0, TWO_PI))
-            total += float(ga - gb - gc + gd)
-    return total
+    if E.dimension != 1:
+        raise TypeError(f"perimeter_circle_exact expects a set on S^1, got one on S^{E.dimension}")
+    axes = np.eye(2)
+    start, length, _ = trace(E, axes[:1], axes[1:])
+    return float(_GreatCircleKernel(1, s).circle_values(start, length)[0])
 
 
 def _interval_gap_pair(a: float, b: float, alpha: float, beta: float, s: float) -> float:

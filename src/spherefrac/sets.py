@@ -15,6 +15,15 @@ mask of the circles that are tangent to the boundary or pass through a
 polytope corner to within DEGENERACY_MARGIN = 1e-9.  `rotated` turns a set
 on S^2, so that a rotated batch of circles can be traced as the fixed batch
 on the set turned back.
+
+Arc algebra on a circle runs on these (start, length) slots alone: unions
+(_merge_slots), gaps (_gaps), half turns (_half_turn) and the kernel's
+double integrals (perimeter._GreatCircleKernel.circle_values).  Two slot
+ends within ENDPOINT_MARGIN = 1e-12 of each other, mod 2 pi, are one
+point: touching slots merge, leave no gap, and give the kernel's
+antiderivative an argument of exactly 0 or 2 pi, where an ulp between them
+would read as a sliver of arc, whose s-perimeter grows without bound as
+s -> 1.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import Estimate, as_stream, mc_estimate
+from .estimation import as_stream
 from .geometry import (
     cap_area,
     circle_distance,
@@ -36,6 +45,7 @@ from .geometry import (
 )
 
 TWO_PI = 2.0 * math.pi
+ENDPOINT_MARGIN = 1e-12  # arc ends this close, mod 2 pi, are one point
 
 
 class DegenerateCircleError(RuntimeError):
@@ -295,7 +305,7 @@ def _normalize_arcs(arcs):
         length = float(length)
         if length <= 0.0:
             raise ValueError(f"arc length must be positive, got {length}")
-        if length > TWO_PI + 1e-12:
+        if length > TWO_PI + ENDPOINT_MARGIN:
             raise ValueError(f"arc length exceeds the circle, got {length}")
         cleaned.append((float(start) % TWO_PI, min(length, TWO_PI)))
     cleaned.sort()
@@ -320,11 +330,11 @@ class ArcUnion:
             raise ValueError(f"arcs cover more than the circle: total length {total}")
         for i in range(1, len(cleaned)):
             prev_end = cleaned[i - 1][0] + cleaned[i - 1][1]
-            if cleaned[i][0] < prev_end - 1e-12:
+            if cleaned[i][0] < prev_end - ENDPOINT_MARGIN:
                 raise ValueError("arcs overlap after normalization")
         if len(cleaned) > 1:
             wrap_end = cleaned[-1][0] + cleaned[-1][1]
-            if wrap_end > TWO_PI + cleaned[0][0] + 1e-12:
+            if wrap_end > TWO_PI + cleaned[0][0] + ENDPOINT_MARGIN:
                 raise ValueError("arcs overlap across the wrap point")
         object.__setattr__(self, "arcs", tuple(cleaned))
 
@@ -339,7 +349,7 @@ class ArcUnion:
         return self.measure()
 
     def is_full(self) -> bool:
-        return self.measure() >= TWO_PI - 1e-12
+        return self.measure() >= TWO_PI - ENDPOINT_MARGIN
 
     def is_empty(self) -> bool:
         return not self.arcs
@@ -371,44 +381,6 @@ class ArcUnion:
             return 0.0
         return 2.0 * len(self.arcs)
 
-    def gaps(self) -> "ArcUnion":
-        """Complementary arcs (the closure's complement, up to endpoints)."""
-        if self.is_empty():
-            return ArcUnion([(0.0, TWO_PI)])
-        if self.is_full():
-            return ArcUnion([])
-        out = []
-        k = len(self.arcs)
-        for i in range(k):
-            end = self.arcs[i][0] + self.arcs[i][1]
-            nxt = self.arcs[(i + 1) % k][0] + (TWO_PI if i == k - 1 else 0.0)
-            if nxt - end > 1e-12:
-                out.append((end % TWO_PI, nxt - end))
-        return ArcUnion(out)
-
-    def shifted(self, delta: float) -> "ArcUnion":
-        return ArcUnion([(start + delta, length) for start, length in self.arcs])
-
-    def intersect(self, other: "ArcUnion") -> "ArcUnion":
-        """Intersection, again as a disjoint ArcUnion."""
-        if self.is_empty() or other.is_empty():
-            return ArcUnion([])
-        if self.is_full():
-            return other
-        if other.is_full():
-            return self
-        out = []
-        for sa, la in self.arcs:
-            for sb, lb in other.arcs:
-                # shift b's start next to a and clip
-                sb_rel = (sb - sa) % TWO_PI
-                for offset in (0.0, -TWO_PI):
-                    lo = max(0.0, sb_rel + offset)
-                    hi = min(la, sb_rel + offset + lb)
-                    if hi - lo > 1e-12:
-                        out.append(((sa + lo) % TWO_PI, hi - lo))
-        return ArcUnion(out)
-
 
 # ---------------------------------------------------------------------------
 # derived operations
@@ -417,29 +389,6 @@ class ArcUnion:
 def rearrangement(n: int, measure: float, center) -> Cap:
     """Cap at `center` with prescribed H^n measure (the symmetric rearrangement)."""
     return Cap(np.asarray(center, dtype=float), volume_radius(n, measure))
-
-
-def symmetric_overlap_measure(E, samples: int = 100000, rng=None) -> Estimate:
-    """H^n((-E) intersect E^c), the mass the antipodal image gains over E.
-
-    Exact for caps (a(min(r, pi - r))) and for arc unions (arc algebra);
-    otherwise an mc_estimate over samples uniform points, with a standard
-    error, in which case rng is required.
-    """
-    if isinstance(E, Cap):
-        r = E.radius
-        return Estimate.exact(cap_area(E.dimension, min(r, math.pi - r)))
-    if isinstance(E, ArcUnion):
-        return Estimate.exact(E.shifted(math.pi).intersect(E.gaps()).measure())
-    if rng is None:
-        raise ValueError("Monte Carlo overlap needs an rng")
-    n = E.dimension
-    total = sphere_surface(n)
-
-    def gained(x):
-        return (E.contains(-x) & ~E.contains(x)) * total
-
-    return mc_estimate(lambda count, gen: sample_uniform(n, count, gen), gained, samples, rng)
 
 
 def rotated(E, q):
@@ -516,8 +465,7 @@ def trace(E, es, fs):
         return (*_gaps(start, length), degenerate)
     if isinstance(E, Reflection):
         start, length, degenerate = trace(E.inner, es, fs)
-        start = start + math.pi
-        return np.where(start >= TWO_PI, start - TWO_PI, start), length, degenerate
+        return _half_turn(start), length, degenerate
     if isinstance(E, ArcUnion):
         return _arc_union_trace(E, es, fs)
     raise TypeError(f"no great-circle trace for {type(E).__name__}")
@@ -591,38 +539,50 @@ def _wrap(x):
     return np.where(x < 0.0, x + TWO_PI, x)
 
 
+def _half_turn(start):
+    """Slot starts shifted by pi, reduced mod 2 pi: the trace of the
+    antipodal image, as point(phi + pi) = -point(phi)."""
+    start = start + math.pi
+    return np.where(start >= TWO_PI, start - TWO_PI, start)
+
+
 def _merge_slots(start, length):
     """Per-row union of (start, length) slots that may overlap, as disjoint
     slots of the same shape.
 
     A slot's start begins a union arc unless another slot holds the points
     just before it, and its end closes one unless another slot holds the
-    points just after it; of slots that share a start or an end, the first
-    one keeps it.  Each surviving start runs to the first surviving end
-    ahead of it.  A row with a full slot, or whose slots leave no start or
-    no end, is the full circle, in slot 0.
+    points just after it.  Ends within ENDPOINT_MARGIN are one point: a
+    start at another slot's end is held by that slot, as is an end at
+    another slot's start, and of slots that share a start or an end the
+    first one keeps it.  A slot shorter than the margin is empty, and one
+    within it of 2 pi full.  Each surviving start runs to the first
+    surviving end ahead of it.  A row with a full slot, or whose slots
+    leave no start or no end, is the full circle, in slot 0.
     """
     m, k = start.shape
-    live = length > 0.0
+    live = length > ENDPOINT_MARGIN
     end = start + length
     other = ~np.eye(k, dtype=bool)[None]  # [row, point i, slot j]: j != i
     first = np.tril(np.ones((k, k), dtype=bool), -1)[None]  # j < i
-    slot_start, slot_length = start[:, None, :], length[:, None, :]
-    before = (start[:, :, None] - slot_start) % TWO_PI
-    after = (end[:, :, None] - slot_start) % TWO_PI
-    tied_start = first & (before == 0.0)
-    tied_end = first & ((end[:, :, None] - end[:, None, :]) % TWO_PI == 0.0)
+    slot_length = length[:, None, :]
+    # start i and end i as turns ahead of the start of slot j
+    before = (start[:, :, None] - start[:, None, :]) % TWO_PI
+    after = (end[:, :, None] - start[:, None, :]) % TWO_PI
     held = other & live[:, None, :]
-    opens = live & ~np.any(held & (((before > 0.0) & (before <= slot_length)) | tied_start), axis=2)
-    closes = live & ~np.any(held & ((after < slot_length) | tied_end), axis=2)
+    at_start = (before < ENDPOINT_MARGIN) | (before > TWO_PI - ENDPOINT_MARGIN)
+    opens = live & ~np.any(held & np.where(at_start, first, before <= slot_length + ENDPOINT_MARGIN), axis=2)
+    touches = (after < ENDPOINT_MARGIN) | (after > TWO_PI - ENDPOINT_MARGIN)
+    at_end = np.abs(after - slot_length) < ENDPOINT_MARGIN
+    closes = live & ~np.any(held & (touches | np.where(at_end, first, after < slot_length)), axis=2)
     # forward distance from each start i to each end j; 0 means a whole turn
-    reach = (end[:, None, :] - start[:, :, None]) % TWO_PI
+    reach = np.swapaxes(after, 1, 2)
     reach = np.where(closes[:, None, :], np.where(reach > 0.0, reach, TWO_PI), np.inf)
     merged = np.where(opens, np.min(reach, axis=2), 0.0)
     out_start = np.where(opens, start, 0.0)
     # no start or no end left: the slots cover the circle
     covered = ~(opens.any(axis=1) & closes.any(axis=1))
-    full = np.any(length >= TWO_PI, axis=1) | (live.any(axis=1) & covered)
+    full = np.any(length > TWO_PI - ENDPOINT_MARGIN, axis=1) | (live.any(axis=1) & covered)
     out_start[full] = 0.0
     merged[full] = 0.0
     merged[full, 0] = TWO_PI
@@ -634,25 +594,28 @@ def _gaps(start, length):
 
     Gap i runs from the end of arc i to the nearest start ahead of it, a
     turn later when that start lies behind the end (its own start for a
-    lone arc); its length is that start, plus the turn, minus the end, so
-    touching arcs leave a gap of exactly 0.  Gap i takes slot i, empty
-    where arc i is; a row with no arc has one full gap in slot 0.
+    lone arc); its length is that start, plus the turn, minus the end.  A
+    start within ENDPOINT_MARGIN of the end, on either side, is the end
+    itself, so touching arcs leave no gap, and arcs and gaps shorter than
+    the margin are empty.  Gap i takes slot i, empty where arc i is; a row
+    with no arc has one full gap in slot 0.
     """
     m, k = start.shape
     if k == 0:
         return np.zeros((m, 1)), np.full((m, 1), TWO_PI)
     # slot-major rows, so every step below runs on contiguous (m,) arrays
     start, length = start.T, length.T
-    nonempty = length > 0.0
+    nonempty = length > ENDPOINT_MARGIN
     end = start + length
     gap_start = np.zeros((k, m))
     gap_length = np.zeros((k, m))
     for i in range(k):
         gap = np.full(m, np.inf)
+        behind = end[i] - ENDPOINT_MARGIN
         for j in range(k):
-            following = start[j] + np.where(start[j] < end[i], TWO_PI, 0.0)
+            following = start[j] + np.where(start[j] < behind, TWO_PI, 0.0)
             np.minimum(gap, np.where(nonempty[j], following - end[i], np.inf), out=gap)
-        gap_length[i] = np.where(nonempty[i], np.maximum(gap, 0.0), 0.0)
+        gap_length[i] = np.where(nonempty[i] & (gap >= ENDPOINT_MARGIN), gap, 0.0)
         gap_start[i] = np.where(nonempty[i], np.where(end[i] >= TWO_PI, end[i] - TWO_PI, end[i]), 0.0)
     gap_length[0] = np.where(nonempty.any(axis=0), gap_length[0], TWO_PI)
     gap_start, gap_length = gap_start.T, gap_length.T

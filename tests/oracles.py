@@ -15,8 +15,8 @@ loop of mc_estimate, crofton_estimate as that chunk loop (with one trace
 per chunk of iid circles, or one rotated pole lattice per chunk on S^2),
 and bp_check's plane side as that chunk loop with one plane after another
 on the library's weight table.  The sliced perimeter's circle values have a
-scalar form: perimeter_circle_exact's (arc, gap) loop, one circle after
-another, on the library's matched antiderivative of the kernel.
+scalar form: a loop over (arc, gap) pairs, one circle after another, on
+the library's matched antiderivative of the kernel.
 """
 
 import math
@@ -447,10 +447,11 @@ def crofton_lattice_serial(E, planes, rng, block, max_resample_rounds=100):
 
 def sliced_value_serial(arcs, kernel):
     """One circle's V = int_A int_(A^c) k for the arcs A = [(start, length)],
-    by perimeter_circle_exact's scalar (arc, gap) sum, with the matched
-    antiderivative kernel.G of the dimension at hand in place of the
-    circle's: every offset is a difference of shared endpoint values plus
-    whole turns."""
+    as a scalar sum over (arc, gap) pairs with the matched antiderivative
+    kernel.G: with the gap shifted by whole turns to [alpha, beta] ahead of
+    the arc [a, b], a pair adds G(beta-a) - G(beta-b) - G(alpha-a) +
+    G(alpha-b).  Every offset is a difference of shared endpoint values plus
+    whole turns, so it is exactly 0 or 2 pi where a gap meets an arc."""
     E = ArcUnion([(a, la) for a, la in arcs if la > 0.0])
     if E.is_empty() or E.is_full():
         return 0.0

@@ -480,6 +480,28 @@ def test_every_subcommand_bounds_n(capsys, argv, n):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv, rc", [
+    (["beta-check", "--n", "200", "--t-grid", "300,400,500"], 1),
+    (["beta-check", "--n", "2", "--t-grid", "1e300"], 0),
+    (["sweep-sinf", "--n", "2", "--set", "cap:0,0,1:1", "--t-grid", "1e300"], 1),
+    (["seminorm-sweep", "--n", "2", "--function", "coord:0", "--t-grid", "1e300"], 1),
+], ids=("beta-n200", "beta-t1e300", "sweep-sinf-t1e300", "seminorm-t1e300"))
+def test_t_grids_whose_t_to_the_n_overflows_end_in_an_exit_code(capsys, argv, rc):
+    # each died in an OverflowError from t**n.  beta-check takes its rows in
+    # log space: at n = 2 and t = 1e300 t^n B(n, t - 1) is 1 to roundoff,
+    # while 300^200 B(200, 101) is about 10^411 and overflows; the sweeps
+    # reject a t whose prefactor t^n overflows before they sample
+    assert main(argv) == rc
+    captured = capsys.readouterr()
+    if rc == 0:
+        row = captured.out.splitlines()[1].split(",")
+        assert float(row[0]) == 1e300 and float(row[1]) == pytest.approx(1.0, rel=1e-12)
+    else:
+        assert captured.err.startswith("spherefrac: config error:")
+        assert "overflows a float" in captured.err
+        assert captured.out == ""
+
+
 def test_sweep_s1_on_the_octant_reaches_its_surface_area_limit(capsys):
     # the point-pair rows fell from 9.6 to 1.0 and extrapolated to 0.52;
     # the sliced rows extrapolate within 2% of 3 pi, the default threshold

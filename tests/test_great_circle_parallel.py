@@ -171,8 +171,9 @@ def test_degenerate_circles_of_later_chunks_are_resampled_in_their_chunk(monkeyp
 
 def test_circles_degenerate_after_the_last_round_raise(monkeypatch):
     monkeypatch.setattr(sets, "DEGENERACY_MARGIN", 5e-3)
+    monkeypatch.setattr(ig, "_MAX_RESAMPLE_ROUNDS", 0)
     with pytest.raises(DegenerateCircleError, match="after 0 resample rounds"):
-        crofton_estimate(parse_set(SETS["cap"]), 2000, RandomStream(58), max_resample_rounds=0)
+        crofton_estimate(parse_set(SETS["cap"]), 2000, RandomStream(58))
 
 
 def plane_side(n, planes, seed, nodes):

@@ -11,6 +11,7 @@ from spherefrac import (
     Complement,
     PolyconvexUnion,
     RandomStream,
+    Reflection,
     adaptive_quad,
     antipodal_concentration_quad,
     cap_area,
@@ -111,8 +112,9 @@ def test_circle_exact_is_rotation_complement_and_reflection_invariant(seed, s):
     E = random_arc_union(gen)
     p = perimeter_circle_exact(E, s)
     assert p > 0.0
-    rotated = E.shifted(float(gen.uniform(0.0, 2.0 * math.pi)))
-    for image in (rotated, E.gaps(), E.shifted(math.pi)):
+    turn = float(gen.uniform(0.0, 2.0 * math.pi))
+    rotated = ArcUnion([(a + turn, la) for a, la in E.arcs])
+    for image in (rotated, Complement(E), Reflection(E)):
         assert perimeter_circle_exact(image, s) == pytest.approx(p, rel=1e-12)
 
 
@@ -121,7 +123,7 @@ def test_circle_exact_at_s_zero_is_the_logarithmic_limit(arcs):
     E = ArcUnion(arcs)
     p0 = perimeter_circle_exact(E, 0.0)
     assert p0 == pytest.approx(circle_perimeter_quad(E.arcs, 0.0), rel=1e-12)
-    assert perimeter_circle_exact(E.gaps(), 0.0) == pytest.approx(p0, rel=1e-12)
+    assert perimeter_circle_exact(Complement(E), 0.0) == pytest.approx(p0, rel=1e-12)
     # s = +-1e-7 move P by about 1e-7 P'; the kernel's antiderivative has
     # no 1/s term, so their mean is P(0) up to the s^2 term
     below, above = perimeter_circle_exact(E, -1e-7), perimeter_circle_exact(E, 1e-7)
@@ -141,7 +143,7 @@ def test_circle_exact_complement_symmetry():
     E = ArcUnion([(0.1, 0.7), (2.0, 1.1)])
     for s in (-1.5, -0.5, 0.3, 0.7):
         assert perimeter_circle_exact(E, s) == pytest.approx(
-            perimeter_circle_exact(E.gaps(), s), rel=1e-11
+            perimeter_circle_exact(Complement(E), s), rel=1e-11
         )
 
 
@@ -151,6 +153,31 @@ def test_circle_exact_is_rotation_invariant_near_s_1(t):
     # roundoff-sized offset, where G(x) = -x^(1-s)/(s(1-s)) is far from 0
     ref = perimeter_circle_exact(ArcUnion([(0.0, 1.3)]), 0.99)
     assert perimeter_circle_exact(ArcUnion([(t, 1.3)]), 0.99) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("s", [-0.5, 0.3, 0.99])
+def test_touching_arcs_are_the_arc_they_form(s):
+    # 0.1 + 0.7 is an ulp short of 0.8; read as an ulp-wide gap, the gap's
+    # own perimeter grows like width^(1-s) / (s (1-s)), and at s = 0.99
+    # gave 341.5 instead of 201.608
+    joined = perimeter_circle_exact(ArcUnion([(0.1, 1.2)]), s)
+    touching = perimeter_circle_exact(ArcUnion([(0.1, 0.7), (0.8, 0.5)]), s)
+    assert touching == pytest.approx(joined, rel=1e-12)
+
+
+def test_circle_exact_takes_any_set_on_the_circle():
+    E = ArcUnion([(0.3, 1.7), (2.9, 0.4)])
+    p = perimeter_circle_exact(E, 0.3)
+    assert perimeter_circle_exact(Complement(Reflection(E)), 0.3) == pytest.approx(p, rel=1e-12)
+    # the cap of radius 0.6 about angle 1 is the arc (0.4, 1.6)
+    cap = Cap((math.cos(1.0), math.sin(1.0)), 0.6)
+    arc = perimeter_circle_exact(ArcUnion([(0.4, 1.2)]), 0.3)
+    assert perimeter_circle_exact(cap, 0.3) == pytest.approx(arc, rel=1e-12)
+    # the complement of arcs that touch up to an ulp has no gap between them
+    for s in (0.3, 0.99):
+        touching = Complement(ArcUnion([(0.1, 0.7), (0.8, 0.5)]))
+        joined = perimeter_circle_exact(ArcUnion([(0.1, 1.2)]), s)
+        assert perimeter_circle_exact(touching, s) == pytest.approx(joined, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

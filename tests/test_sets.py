@@ -234,14 +234,11 @@ def test_arc_union_normalization_and_measure():
     assert not wrap.contains_angle(np.array([1.2]))[0]
 
 
-def test_arc_union_gaps_shift_intersect():
+def test_arc_union_boundary_measure():
     E = ArcUnion([(0.0, 1.0), (2.0, 0.5)])
-    gaps = E.gaps()
-    assert gaps.measure() == pytest.approx(2.0 * math.pi - 1.5, rel=1e-12)
-    assert E.shifted(1.0).measure() == pytest.approx(E.measure(), rel=1e-12)
-    cap = E.intersect(ArcUnion([(0.5, 2.0)]))
-    assert cap.measure() == pytest.approx(1.0, rel=1e-12)  # [0.5,1] and [2,2.5]
     assert E.boundary_measure() == 4.0
+    assert ArcUnion([]).boundary_measure() == 0.0
+    assert ArcUnion([(1.0, 2.0 * math.pi)]).boundary_measure() == 0.0
 
 
 def test_symmetric_overlap_measure_exact_routes():
@@ -256,12 +253,30 @@ def test_symmetric_overlap_measure_exact_routes():
 
 
 def test_symmetric_overlap_measure_mc_route():
+    # the mean gain |A u (A + pi)| - |A| over great circles; the octant's
+    # antipodal image is disjoint from it, so the overlap is its area pi/2
     E = octant()
-    est = symmetric_overlap_measure(E, samples=200_000, rng=RandomStream(5))
-    # the octant's antipodal image is disjoint from it
+    est = symmetric_overlap_measure(E, samples=400_000, rng=RandomStream(5))
     assert abs(est.value - math.pi / 2.0) < 4.0 * est.std_error
+    assert est.std_error < 1e-4
     with pytest.raises(ValueError):
-        symmetric_overlap_measure(E)  # MC route needs a seed
+        symmetric_overlap_measure(E)  # the circles need a seed
+
+
+def test_symmetric_overlap_measure_of_sets_whose_image_touches_them():
+    # a half space's antipodal image is its complement: every circle gains
+    # the other half, and the mean is exact
+    half = Polytope([(0.0, 0.0, -1.0)])
+    est = symmetric_overlap_measure(half, samples=32 * 64, rng=RandomStream(6))
+    assert est.value == pytest.approx(2.0 * math.pi, rel=1e-12)
+    assert est.std_error < 1e-12
+    # on S^1 arcs that are their own half turn gain nothing, and a half
+    # circle gains the other half, which touches it at both ends
+    E = ArcUnion([(0.0, 0.5 * math.pi), (math.pi, 0.5 * math.pi)])
+    assert symmetric_overlap_measure(E).value == 0.0
+    assert symmetric_overlap_measure(Complement(E)).value == 0.0
+    half = symmetric_overlap_measure(ArcUnion([(0.3, math.pi)]))
+    assert half.value == pytest.approx(math.pi, rel=1e-12) and half.std_error == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,11 @@ def test_rotated_keeps_the_disjointness_flag_and_rejects_circle_sets():
     ([(0.0, 4.0), (3.0, 4.0)], [(0.0, TWO_PI)]),         # covers the circle
     ([(1.0, 0.5), (3.0, 0.5)], [(1.0, 0.5), (3.0, 0.5)]),  # disjoint
     ([(0.0, 0.0), (0.0, 0.0)], []),                      # empty
+    ([(0.1, 0.7), (0.8, 0.5)], [(0.1, 1.2)]),            # touching, an ulp apart
+    # nested, both ending at the same point up to roundoff across 2 pi: each
+    # end read as inside the other slot, and the union as the full circle
+    ([(5.273816224487821, 1.9387906445438965), (0.12832973513896673, 0.8010918267131653)],
+     [(5.273816224487821, 1.9387906445438965)]),
 ])
 def test_merged_slots_are_the_union_of_the_arcs(slots, merged):
     start = np.array([[a for a, _ in slots]])
@@ -399,3 +404,31 @@ def test_overlapping_union_sliced_value():
     nested = PolyconvexUnion((Cap(Z, 1.0), Cap((0.0, 0.3, 1.0), 0.5)), assume_disjoint=False)
     est = perimeter_mc(nested, 0.5, 32 * 4096, RandomStream(91))
     assert abs(est.value - perimeter_cap(2, 0.5, 1.0, tol=1e-12)) < 4.0 * est.std_error
+
+
+# Two octants that share the face x = 0, which parse_set marks disjoint, and
+# two wedges that overlap: either union is the lune {y >= 0, z >= 0}.  On
+# many circles two of their slots end at one point up to roundoff, which
+# used to read as a sliver of arc (the octants, 34 sigma off at s = 0.9) or
+# as the full circle (the wedges' merged slots, on about 1.2% of circles).
+FACE_SHARING = "union:poly:-1,0,0;0,-1,0;0,0,-1+poly:1,0,0;0,-1,0;0,0,-1"
+OVERLAPPING_WEDGES = "union:poly:-1,-0.3,0;0,-1,0;0,0,-1+poly:1,-0.3,0;0,-1,0;0,0,-1"
+LUNE = Polytope([(0.0, -1.0, 0.0), (0.0, 0.0, -1.0)])
+
+
+@pytest.mark.parametrize("desc", (FACE_SHARING, OVERLAPPING_WEDGES), ids=("octants", "wedges"))
+def test_unions_with_touching_slots_are_the_lune_they_form(desc):
+    E = parse_set(desc)
+    assert E.assume_disjoint == (desc == FACE_SHARING)
+    for s in (0.3, 0.9, 0.99):
+        est = _perimeter_sliced(E, s, 32 * 4096, RandomStream(5))
+        ref = _perimeter_sliced(LUNE, s, 32 * 4096, RandomStream(92))
+        combined = math.hypot(est.std_error, ref.std_error)
+        assert abs(est.value - ref.value) < 3.0 * combined, (s, est, ref)
+
+
+def test_overlapping_wedges_cross_the_lune_boundary_twice():
+    # the lune's boundary is two half great circles, which every circle
+    # crosses once each: the count is 2 on every circle, and the error 0
+    report = crofton_estimate(parse_set(OVERLAPPING_WEDGES), 100_000, RandomStream(3))
+    assert abs(report.crossings.value - 2.0) <= 3.0 * report.crossings.std_error
