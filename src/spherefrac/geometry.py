@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import beta as _beta_fn, betainc as _betainc
 
 
 def sphere_surface(k: int) -> float:
@@ -58,10 +57,16 @@ def normalized_distance(x, y):
 def cap_area(n: int, r):
     """H^n measure of the geodesic cap of radius r on S^n.
 
-    Equals omega_n * int_0^r sin^(n-1) t dt with omega_n = sphere_surface(n-1).
-    For n = 1 this is 2 r; for n >= 2 the substitution u = sin^2(t/2) turns
-    the integral into 2^(n-1) B(n/2, n/2) I_u(n/2, n/2) with I the
-    regularized incomplete beta.  Vectorized over r.
+    Equals omega_n * int_0^r sin^(n-1) t dt with omega_n = sphere_surface(n-1),
+    that is |S^n| I_u(n/2, n/2) with u = sin^2(r/2) and I the regularized
+    incomplete beta.  Closed forms keep relative accuracy down to tiny r:
+    2 r for n = 1, 4 pi sin^2(r/2) for n = 2 and pi (2r - sin 2r) for n = 3.
+    Larger n take r' = min(r, pi - r) and
+
+        omega_n sin^n(r') / n * F(n/2, sin^2(r'/2)),
+
+    with F the continued fraction of _beta_fraction, and subtract it from
+    |S^n| when r > pi/2.  Vectorized over r.
 
     Parameters
     ----------
@@ -75,18 +80,94 @@ def cap_area(n: int, r):
     if n < 1:
         raise ValueError(f"sphere dimension must be >= 1, got {n}")
     r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < -1e-15) or np.any(r_arr > math.pi + 1e-12):
+    if not np.all((r_arr >= -1e-15) & (r_arr <= math.pi + 1e-12)):
         raise ValueError("cap radius must lie in [0, pi]")
     r_arr = np.clip(r_arr, 0.0, math.pi)
     if n == 1:
         out = 2.0 * r_arr
+    elif n == 2:
+        out = 4.0 * math.pi * np.sin(0.5 * r_arr) ** 2
+    elif n == 3:
+        out = math.pi * _x_minus_sin(2.0 * r_arr)
     else:
-        half = n / 2.0
-        frac = _betainc(half, half, np.sin(r_arr / 2.0) ** 2)
-        out = sphere_surface(n - 1) * 2.0 ** (n - 1) * _beta_fn(half, half) * frac
+        near = np.minimum(r_arr, math.pi - r_arr)
+        part = (
+            sphere_surface(n - 1) * np.sin(near) ** n / n
+            * _beta_fraction(0.5 * n, np.sin(0.5 * near) ** 2)
+        )
+        out = np.where(r_arr > 0.5 * math.pi, sphere_surface(n) - part, part)
     if np.isscalar(r) or np.ndim(r) == 0:
         return float(out)
     return out
+
+
+# Taylor coefficients of (x - sin x) / x^3 = sum_k (-1)^k x^(2k) / (2k+3)!;
+# at x = 0.5 the first omitted term is 1e-18 of the sum
+_X_MINUS_SIN = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(7))
+
+
+def _x_minus_sin(x):
+    """x - sin x for x >= 0 to a few ulp: from its Taylor polynomial below
+    x = 0.5, where the difference would lose more than 24 ulp."""
+    x2 = x * x
+    series = _X_MINUS_SIN[-1]
+    for c in _X_MINUS_SIN[-2::-1]:
+        series = series * x2 + c
+    return np.where(x < 0.5, x * x2 * series, x - np.sin(x))
+
+
+def _beta_fraction(a: float, x):
+    """Continued fraction F with I_x(a, a) = (x (1-x))^a / (a B(a, a)) * F.
+
+    The incomplete beta's fraction (Numerical Recipes eq. 6.4.5) at b = a,
+    evaluated by Lentz's method for x in [0, 1/2], where every
+    denominator stays away from 0 and the fraction converges in at most
+    about 2 sqrt(a) + 5 terms (30 at a = 171; an integer a ends after a).
+    Stops once every element's last factor is within 1e-15 of 1, or after
+    1000 terms.
+    """
+    x = np.asarray(x, dtype=float)
+    c = np.ones_like(x)
+    d = 1.0 / (1.0 - 2.0 * a * x / (a + 1.0))
+    h = d
+    for k in range(1, 1000):
+        for step in (
+            k * (a - k) * x / ((a + 2 * k - 1) * (a + 2 * k)),
+            -(a + k) * (2 * a + k) * x / ((a + 2 * k) * (a + 2 * k + 1)),
+        ):
+            d = 1.0 / (1.0 + step * d)
+            c = 1.0 + step / c
+            h = h * (d * c)
+        if np.all(np.abs(d * c - 1.0) <= 1e-15):
+            break
+    return h
+
+
+def _beta_half(m: int, x):
+    """I_x(1/2, m/2) for integer m >= 1: the Student-t distribution's finite
+    sums (Abramowitz & Stegun 26.7.3-4), with y = 1 - x,
+
+        even m: sqrt(x) sum_(j < m/2) b_j y^j,  b_j = b_(j-1) (2j - 1) / 2j,
+        odd m:  (2/pi) [arcsin sqrt(x) + sqrt(x y) sum_(j < (m-1)/2) a_j y^j],
+                a_j = a_(j-1) 2j / (2j + 1),
+
+    with b_0 = a_0 = 1.  Every term is positive, so small x keeps its
+    relative accuracy.  m = 1 is (2/pi) arcsin sqrt(x) and m = 2 is
+    sqrt(x).  Vectorized over x in [0, 1].
+    """
+    x = np.asarray(x, dtype=float)
+    root = np.sqrt(x)
+    if m == 1:
+        return (2.0 / math.pi) * np.arcsin(root)
+    y = 1.0 - x
+    odd = m % 2
+    # nested: 1 + q_1 y (1 + q_2 y (1 + ...)), q_j the ratio of term j to j - 1
+    series = 1.0
+    for j in range(m // 2 - 1, 0, -1):
+        series = 1.0 + (2 * j - 1 + odd) / (2 * j + odd) * y * series
+    if odd:
+        return (2.0 / math.pi) * (np.arcsin(root) + root * np.sqrt(y) * series)
+    return root * series
 
 
 def volume_radius(n: int, alpha: float, tol: float = 1e-12, max_iter: int = 200) -> float:

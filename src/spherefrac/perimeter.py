@@ -21,10 +21,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import betainc
 
 from .estimation import Estimate, RadialProposal, adaptive_quad, mc_estimate
-from .geometry import cap_area, sample_at_distance, sample_uniform, sphere_surface
+from .geometry import _beta_half, cap_area, sample_at_distance, sample_uniform, sphere_surface
 from .integral_geometry import _circle_mean, bp_constant
 from .sets import ENDPOINT_MARGIN, TWO_PI, ArcUnion, trace
 
@@ -95,7 +94,12 @@ def perimeter_mc(
     scale = sphere_surface(n) * sphere_surface(n - 1)
     # normalized in the proposal's weight: for large -s the plain weight's
     # factor pi^(1-n-s) overflows
-    proposal = RadialProposal(n, -(n + s), normalized=normalized)
+    try:
+        proposal = RadialProposal(n, -(n + s), normalized=normalized)
+    except OverflowError:
+        raise ValueError(
+            f"the kernel's scale pi^(1-n-s) overflows a float at s = {s:g}, n = {n}"
+        ) from None
 
     def sampler(count, gen):
         x = sample_uniform(n, count, gen)
@@ -174,7 +178,8 @@ def _cap_crescent(n: int, r: float, theta):
     wholly on the near side while rho <= h = min(theta/2, r).  A larger one
     has direction u on the far side when cos(angle(u, axis)) > tau =
     tan h / tan rho, so its net share of directions is P(|cos| < tau) =
-    I_(tau^2)(1/2, (n-1)/2), the regularized incomplete beta:
+    I_(tau^2)(1/2, (n-1)/2), the regularized incomplete beta, which
+    geometry._beta_half sums in closed form (the Student-t finite sums):
 
         K = cap_area(n, h) + omega_n int_h^r sin^(n-1)(rho) I_(tau^2)(1/2, (n-1)/2) d rho.
 
@@ -188,7 +193,7 @@ def _cap_crescent(n: int, r: float, theta):
     span = r - h
     rho = h + span * _CRESCENT_V**6
     tau2 = np.minimum((np.tan(h) / np.tan(rho)) ** 2, 1.0)
-    share = np.sin(rho) ** (n - 1) * betainc(0.5, 0.5 * (n - 1), tau2)
+    share = np.sin(rho) ** (n - 1) * _beta_half(n - 1, tau2)
     lateral = (share * 6.0 * span * _CRESCENT_V**5) @ _CRESCENT_W
     return cap_area(n, h[..., 0]) + sphere_surface(n - 1) * lateral
 
@@ -200,7 +205,9 @@ def perimeter_cap(n: int, s: float, r: float, tol: float = CAP_TOL) -> float:
 
         P_s(C_r) = omega_n int_0^pi theta^-(n+s) sin^(n-1)(theta) K(theta) d theta,
 
-    with K the crescent measure of _cap_crescent.  P_s(E) = P_s(E^c) reduces
+    with K the crescent measure of _cap_crescent, built from finite sums
+    only: the Student-t sums for I_x(1/2, (n-1)/2) and cap_area's closed
+    forms (a continued fraction from n = 4 on).  P_s(E) = P_s(E^c) reduces
     r to at most pi/2; K is then the constant cap_area(n, r) on [2r, pi].
     On [0, 2r] the integrand is theta^-s R(theta) with
     R = sinc^(n-1)(theta/pi) K(theta)/theta, which is finite at 0:

@@ -14,6 +14,7 @@ import pytest
 import spherefrac
 from spherefrac import Cap, cap_area, perimeter_cap, perimeter_minus_n, sample_uniform, sphere_surface
 from spherefrac.cli import (
+    _HANDLERS,
     DEFAULT_SEED,
     SetSyntaxError,
     dot2_kernel,
@@ -459,6 +460,24 @@ def test_library_warning_is_one_spherefrac_line(capsys):
     assert capsys.readouterr() == (out, "")
 
 
+def test_mc_perimeter_whose_kernel_overflows_exits_1(capsys):
+    # died in an OverflowError from math.exp in RadialProposal; the cap
+    # oracle at the same s prints inf (test above)
+    argv = ["perimeter", "--n", "2", "--set", "cap:0,0,1:1", "--s", "-700",
+            "--method", "mc", "--samples", "1000"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "spherefrac: config error: the kernel's scale pi^(1-n-s) overflows a float at s = -700, n = 2"
+    ]
+    assert captured.out == ""
+    proc = subprocess.run(
+        [sys.executable, "-m", "spherefrac", *argv], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("n", ("0", "343", "400"))
 @pytest.mark.parametrize("argv", [
     ["perimeter", "--set", "cap:0,0,1:1", "--s", "0.3"],
@@ -611,6 +630,44 @@ def test_console_script_and_module_entry_points():
     launcher = f"import sys; from {module} import {func}; sys.exit({func}())"
     _run_entry_point([sys.executable, "-c", launcher])
     _run_entry_point([sys.executable, "-m", "spherefrac"])
+
+
+# every subcommand at a tiny size; the cap oracle runs at n = 3 and 4,
+# sweep-sinf reaches cap_area through symmetric_overlap_measure, and
+# isoperimetric and profile reach it through volume_radius
+_EVERY_SUBCOMMAND = [
+    ["perimeter", "--n", "4", "--set", "cap:0,0,0,1,0:1", "--s", "0.3", "--method", "cap_oracle"],
+    ["isoperimetric", "--s", "-1", "--trials", "2", "--samples", "2000"],
+    ["sweep-s1", "--n", "3", "--set", "cap:0,0,0,1:1", "--method", "cap_oracle"],
+    ["sweep-sinf", "--n", "2", "--set", "cap:0,0,1:1", "--samples", "2000"],
+    ["seminorm-sweep", "--n", "2", "--function", "coord:0", "--samples", "2000"],
+    ["crofton", "--n", "2", "--set", "cap:0,0,1:1", "--planes", "100"],
+    ["bp-check", "--pairs", "1000", "--planes", "10"],
+    ["beta-check", "--n", "2"],
+    ["s0-check", "--n", "2", "--samples", "2000"],
+    ["profile", "--n", "2", "--s", "-1", "--alpha-grid", "1,6"],
+]
+
+
+def test_no_subcommand_imports_scipy():
+    # importing scipy.special was most of every CLI run's start-up (about
+    # 0.3 s of 0.5 s on a 2-CPU machine); the library needs numpy only, so a fresh interpreter that runs every subcommand
+    # must not have loaded any scipy module
+    assert {argv[0] for argv in _EVERY_SUBCOMMAND} == set(_HANDLERS)
+    script = (
+        "import contextlib, io, sys\n"
+        "from spherefrac.cli import main\n"
+        f"for argv in {_EVERY_SUBCOMMAND!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        rc = main(argv + ['--seed', '1'])\n"
+        "    assert rc in (0, 2), (argv, rc)\n"
+        "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]"]
 
 
 @pytest.mark.skipif(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import beta, betainc
 
 from spherefrac import (
     cap_area,
@@ -15,6 +16,7 @@ from spherefrac import (
     unit_vector,
     volume_radius,
 )
+from spherefrac.geometry import _beta_half
 
 from oracles import cap_area_midpoint, sample_at_distance_projected, sphere_surface_recursive
 
@@ -44,6 +46,44 @@ def test_cap_area_endpoints_and_monotonicity(n):
     radii = np.linspace(0.0, math.pi, 50)
     areas = cap_area(n, radii)
     assert np.all(np.diff(areas) > 0.0)
+
+
+@pytest.mark.parametrize("r", [-0.1, 3.2, math.nan, [0.5, math.nan]])
+def test_cap_area_rejects_radii_outside_0_pi(r):
+    # a nan radius passed the range check and came back as a nan area
+    with pytest.raises(ValueError, match=r"cap radius must lie in \[0, pi\]"):
+        cap_area(4, r)
+
+
+def test_beta_half_matches_scipy_betainc():
+    # the Student-t sums for every m = n - 1 of a sphere up to n = 342
+    x = np.concatenate(([0.0], np.logspace(-300, 0, 301), [1.0]))
+    for m in range(1, 342):
+        np.testing.assert_allclose(
+            _beta_half(m, x), betainc(0.5, 0.5 * m, x), rtol=1e-13, atol=0.0, err_msg=f"m = {m}"
+        )
+
+
+def test_cap_area_matches_the_incomplete_beta_form():
+    # |S^n| I_u(n/2, n/2), u = sin^2(r/2), as scipy evaluates it.  Below
+    # 1e-290 scipy's value loses its digits near underflow (at n = 38 and
+    # r = 1.6e-8 it is 65% above a 50-digit value that cap_area matches to
+    # 1e-15), so smaller areas are not compared
+    radii = np.concatenate((np.logspace(-8, math.log10(math.pi), 200), [math.pi / 2]))
+    for n in range(1, 343):
+        half = 0.5 * n
+        if n == 1:
+            expected = 2.0 * radii
+        else:
+            expected = (
+                sphere_surface(n - 1) * 2.0 ** (n - 1) * beta(half, half)
+                * betainc(half, half, np.sin(0.5 * radii) ** 2)
+            )
+        normal = expected >= 1e-290
+        np.testing.assert_allclose(
+            cap_area(n, radii[normal]), expected[normal],
+            rtol=1e-12 if n <= 12 else 1e-11, atol=0.0, err_msg=f"n = {n}",
+        )
 
 
 @given(

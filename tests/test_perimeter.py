@@ -345,6 +345,15 @@ def test_perimeter_mc_normalized_scaling_is_exact(s):
     assert tilde.value == pytest.approx(math.pi ** (2.0 + s) * plain.value, rel=1e-12)
 
 
+def test_perimeter_mc_rejects_an_overflowing_kernel_scale():
+    # at s = -700 the plain kernel's scale pi^699 overflows a float and
+    # RadialProposal died in an OverflowError; the normalized kernel runs
+    cap = Cap(Z, 1.0)
+    with pytest.raises(ValueError, match=r"overflows a float at s = -700, n = 2"):
+        perimeter_mc(cap, -700.0, 1000, RandomStream(3))
+    assert math.isfinite(perimeter_mc(cap, -700.0, 1000, RandomStream(3), normalized=True).value)
+
+
 def test_perimeter_mc_raises_no_warning_from_s_one_half():
     # the sliced estimator's variance is finite for every s < 1, so there is
     # no infinite-variance warning to give
