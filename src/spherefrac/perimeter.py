@@ -7,13 +7,15 @@ at the boundary (singular regime), s in [-n, 0] keeps it integrable (mild),
 and s < -n flips the kernel into one that rewards antipodal separation
 (smooth regime).
 
-perimeter_mc has one estimator per sign of s.  For s >= 0 it is the
-sliced estimator: by the two-point great-circle identity of
-integral_geometry.bp_check, P_s(E) is c_n times the Haar mean of a circle
-double integral over the set's trace, which _GreatCircleKernel evaluates
-exactly from one matched antiderivative of the kernel, so its variance is
-finite for every s < 1.  For s < 0 it samples point pairs with
-RadialProposal, independently of any great-circle identity.
+perimeter_mc is the sliced estimator for every s < 1: by the two-point
+great-circle identity of integral_geometry.bp_check, P_s(E) is c_n times
+the Haar mean of a circle double integral over the set's trace, which
+_GreatCircleKernel evaluates exactly from one matched antiderivative of
+the kernel, so its variance is finite for every s < 1.  The point-pair
+estimator _perimeter_point_pairs, which samples pairs with RadialProposal
+and rests on no great-circle identity, is kept for the s < 0 where the
+kernel's series would cancel too many digits (_sliced_supports: n > 12, and
+smaller n far below 0) and for limits.sweep_s_to_minus_inf.
 """
 
 from __future__ import annotations
@@ -68,38 +70,52 @@ def perimeter_mc(
     rng=None,
     normalized: bool = False,
 ) -> Estimate:
-    """Monte Carlo s-perimeter of E.
+    """Monte Carlo s-perimeter of E by the sliced estimator of _perimeter_sliced.
 
-    For s >= 0 this is the sliced estimator of _perimeter_sliced: samples
-    great circles, each contributing c_n times the exact circle double
-    integral of its trace.  On S^2 the circles are 32 rotations of a
-    Fibonacci lattice and the Estimate's samples is 32, the rotation count;
-    elsewhere it is samples.  The set needs a great-circle trace
-    (sets.trace); one without is a ValueError.
+    samples great circles each contribute c_n times the exact circle double
+    integral of their trace; the variance is finite for every s < 1.  On
+    S^2 the circles are 32 rotations of a Fibonacci lattice and the
+    Estimate's samples is 32, the rotation count; elsewhere it is samples.
+    The set needs a great-circle trace (sets.trace); one without is a
+    ValueError.
 
-    For s < 0 it is the point-pair estimator: x uniform on S^n, kept when
-    it lands in E; for each kept x a radial distance theta drawn from
-    RadialProposal, whose weighted kernel lies within a factor
-    (4/pi)^(n-1) of a constant, y uniform on the distance-theta sphere
-    around x, and the indicator of y outside E.  It rests on no great-circle
-    identity, so it is the independent side of the cap oracle's checks.
+    Where _GreatCircleKernel refuses (n, s) (_sliced_supports: n > 12, and
+    smaller n far below s = 0), s >= 0 is a ValueError, and s < 0 takes the
+    point-pair estimator _perimeter_point_pairs, whose Estimate's samples is
+    samples.
 
     Returns an Estimate of the perimeter (kernel (d/pi)^-(n+s) when
     normalized=True).
     """
     s = validate_s(s)
-    if s >= 0.0:
-        return _perimeter_sliced(E, s, samples, rng, normalized)
+    if s < 0.0 and not _sliced_supports(E.dimension, s):
+        # the kernel's series would cancel too many digits, while point
+        # pairs keep a finite variance for s < 0
+        return _perimeter_point_pairs(E, s, samples, rng, normalized)
+    return _perimeter_sliced(E, s, samples, rng, normalized)
+
+
+def _scale_overflow(n: int, s: float) -> ValueError:
+    return ValueError(f"the kernel's scale pi^(1-n-s) overflows a float at s = {s:g}, n = {n}")
+
+
+def _perimeter_point_pairs(E, s: float, samples: int, rng, normalized: bool = False) -> Estimate:
+    """Point-pair s-perimeter of E for s < 0, on any set with contains.
+
+    x uniform on S^n, kept when it lands in E; for each kept x a radial
+    distance theta drawn from RadialProposal, whose weighted kernel lies
+    within a factor (4/pi)^(n-1) of a constant, y uniform on the
+    distance-theta sphere around x, and the indicator of y outside E.  It
+    rests on no great-circle identity, so it checks the sliced estimator
+    independently.  A plain kernel whose scale pi^(1-n-s) overflows a float
+    is a ValueError; the normalized kernel's weight has no such factor.
+    """
     n = E.dimension
     scale = sphere_surface(n) * sphere_surface(n - 1)
-    # normalized in the proposal's weight: for large -s the plain weight's
-    # factor pi^(1-n-s) overflows
     try:
         proposal = RadialProposal(n, -(n + s), normalized=normalized)
     except OverflowError:
-        raise ValueError(
-            f"the kernel's scale pi^(1-n-s) overflows a float at s = {s:g}, n = {n}"
-        ) from None
+        raise _scale_overflow(n, s) from None
 
     def sampler(count, gen):
         x = sample_uniform(n, count, gen)
@@ -275,17 +291,63 @@ def _power_quotient(x, s: float):
     return np.expm1(-s * log_x) / s
 
 
-# Largest sum_j |c_j| pi^(2j) that _GreatCircleKernel accepts: its series then
-# loses at most about 4 of the 16 digits to cancellation near pi.  This
-# holds up to n = 12 (3.6e3; n = 13 gives 1.1e4), where the hemisphere's
-# value still matches perimeter_cap to 1.3e-11.
-_MAX_REMAINDER_GROWTH = 1e4
+# Largest condition number of the hemisphere's circle value that
+# _GreatCircleKernel accepts (_sliced_supports): its relative rounding error
+# is then about 1e6 eps, 1e-10.  For s >= 0 this admits n <= 12 (3.5e5 at
+# n = 12; n = 13 gives 1.2e6); below 0 the number grows like |s|^(n-1).
+_MAX_CONDITION = 1e6
+
+
+def _remainder_coefficients(n: int, s: float) -> list:
+    """The coefficients c_j = a_j / ((2j-s)(2j+1-s)) of _GreatCircleKernel's
+    remainder, j = 1, 2, ... until c_j pi^(2j) drops below roundoff of the
+    running sum of |c_j| pi^(2j).
+
+    a_j are the Taylor coefficients of (sin x / x)^(n-1) in x^2, from the
+    powers of sin(x)/x = sum_i f_i x^(2i) by Miller's recurrence
+    b_k = (1/k) sum_(i=1..k) (n i - k) f_i b_(k-i).  n = 1 has none.
+    """
+    p2 = math.pi * math.pi
+    f = [1.0]
+    b = [1.0]
+    coef = []
+    growth = 0.0
+    for k in range(1, 200 if n > 1 else 1):
+        f.append(-f[-1] / ((2 * k) * (2 * k + 1)))
+        b.append(sum((n * i - k) * f[i] * b[k - i] for i in range(1, k + 1)) / k)
+        coef.append(b[k] / ((2 * k - s) * (2 * k + 1 - s)))
+        size = abs(coef[-1]) * p2**k
+        growth += size
+        if size < 1e-18 * max(growth, 1.0) and k > 2:
+            break
+    return coef
+
+
+def _sliced_supports(n: int, s: float) -> bool:
+    """Whether _GreatCircleKernel takes (n, s): the hemisphere's value in
+    the unit pi, 2 sum_(j>=0) a_j pi^(2j) / (2j+1-s) (a_0 = 1), has a
+    condition number sum |terms| / |sum| of at most _MAX_CONDITION.
+
+    It is taken at min(s, 0): the number falls as s rises, so every s >= 0
+    gets the dimensions of s = 0, n <= 12.  Below 0 the kernel
+    (sin x / x)^(n-1) x^-(1+s) of the remainder moves toward pi, where the
+    terms of the series cancel, and the number grows like |s|^(n-1): it
+    passes n = 2 down to s = -2.7e5, n = 3 to -387, n = 4 to -52, n = 8 to
+    -5.0 and n = 12 to -0.49.
+    """
+    s = min(s, 0.0)
+    coef = _remainder_coefficients(n, s)
+    j = np.arange(1, len(coef) + 1)
+    # c_j (2j - s) = a_j / (2j+1-s)
+    terms = np.concatenate([[1.0 / (1.0 - s)], np.array(coef) * (2 * j - s) * math.pi ** (2.0 * j)])
+    return bool(np.sum(np.abs(terms)) <= _MAX_CONDITION * abs(np.sum(terms)))
 
 
 class _GreatCircleKernel:
     """Matched second antiderivative G of the great-circle kernel
     k(delta) = delta^-(n+s) |sin delta|^(n-1), delta = min(x, 2 pi - x),
-    and the circle double integrals built from it.
+    and the circle double integrals built from it; with normalized=True the
+    kernel is pi^(n+s) k, that of (d/pi)^-(n+s).
 
     Double integrals of k over a rectangle [a,b] x [alpha,beta] reduce to
     G(beta-a) - G(beta-b) - G(alpha-a) + G(alpha-b), in which affine terms
@@ -300,82 +362,95 @@ class _GreatCircleKernel:
         R(x) = x^(1-s) sum_(j>=1) c_j x^(2j),   c_j = a_j / ((2j-s)(2j+1-s)),
 
     on [0, pi], with a_j the Taylor coefficients of (sin delta / delta)^(n-1)
-    in delta^2, and G(x) = G(2 pi - x) + 2 (x - pi) G'(pi) above pi, so that
-    G is C^1 at pi and G(0) = 0.  The series is summed until its terms at pi
-    drop below roundoff (14 terms for n = 2, 18 for n = 3); n = 1, the
-    circle itself, has no remainder.  A dimension whose series would cancel
-    more than _MAX_REMAINDER_GROWTH allows is a ValueError.
+    in delta^2 (_remainder_coefficients), and G(x) = G(2 pi - x) +
+    2 (x - pi) G'(pi) above pi, so that G is C^1 at pi and G(0) = 0.  The
+    series is summed until its terms at pi drop below roundoff (14 terms
+    for n = 2, 18 for n = 3); n = 1, the circle itself, has no remainder.
+    An (n, s) that _sliced_supports refuses is a ValueError.
+
+    For s < 0, x^(1-s) reaches pi^(1-s), which overflows a float from
+    s = -619 on, so lengths are then measured in the unit L = pi: with
+    x = L u the double integrals are L^(1-s) times those of the same form
+    in u, with c_j L^(2j) for c_j and 1 for pi, and every power of u stays
+    at most 1.  For s >= 0, where x^(1-s) stays below pi, the unit is
+    L = 1.  G, W and circle_values take radians and return scale times the
+    values in the unit, scale being L^(1-s), times pi^(n+s) when
+    normalized; a plain kernel whose scale overflows a float is a
+    ValueError.
     """
 
-    def __init__(self, n: int, s: float):
-        self.s = s
-        # powers of sin(x)/x = sum_i f_i t^i in t = x^2 by Miller's
-        # recurrence b_k = (1/k) sum_(i=1..k) (n i - k) f_i b_(k-i)
-        p2 = math.pi * math.pi
-        f = [1.0]
-        b = [1.0]
-        coef = []
-        growth = 0.0
-        for k in range(1, 200 if n > 1 else 1):
-            f.append(-f[-1] / ((2 * k) * (2 * k + 1)))
-            b.append(sum((n * i - k) * f[i] * b[k - i] for i in range(1, k + 1)) / k)
-            coef.append(b[k] / ((2 * k - s) * (2 * k + 1 - s)))
-            size = abs(coef[-1]) * p2**k
-            growth += size
-            if size < 1e-18 * max(growth, 1.0) and k > 2:
-                break
-        if growth > _MAX_REMAINDER_GROWTH:
+    def __init__(self, n: int, s: float, normalized: bool = False):
+        if not _sliced_supports(n, s):
             raise ValueError(
-                f"the sliced perimeter supports n <= 12, got n = {n}: "
-                "its kernel series would cancel too many digits"
+                f"the sliced perimeter supports n <= 12 for s >= 0 and fewer below, got "
+                f"n = {n}, s = {s:g}: its kernel series would cancel too many digits"
             )
-        self.coef = np.array(coef)
-        # G'(pi) = 1/(1-s) - q(pi) + R'(pi), R'(x) = sum_j c_j (2j+1-s) x^(2j-s)
+        self.s = s
+        if s >= 0.0:
+            self.unit = 1.0
+            self.scale = math.pi ** (n + s) if normalized else 1.0
+        else:
+            self.unit = math.pi
+            # pi^(1-s) pi^(n+s) = pi^(n+1); pi^(1-s) is formed as pi^n pi^(1-n-s),
+            # the factor whose overflow the error names
+            try:
+                self.scale = math.pi ** (n + 1) if normalized else math.pi**n * math.pi ** (1 - n - s)
+            except OverflowError:
+                raise _scale_overflow(n, s) from None
+            if not math.isfinite(self.scale):
+                raise _scale_overflow(n, s)
+        coef = _remainder_coefficients(n, s)
         j = np.arange(1, len(coef) + 1)
-        pi_s = math.pi**-s
-        self.slope = (
+        self.coef = np.array(coef) * self.unit ** (2 * j)
+        # pi and 2 pi in the unit; G'(h) = 1/(1-s) - q(h) + R'(h) with
+        # R'(u) = sum_j c_j (2j+1-s) u^(2j-s)
+        self.half = math.pi / self.unit
+        self.turn = TWO_PI / self.unit
+        h2 = self.half * self.half
+        self.slope_in_unit = (
             1.0 / (1.0 - s)
-            - float(_power_quotient(math.pi, s))
-            + pi_s * float(np.sum(self.coef * (2 * j + 1 - s) * p2**j))
+            - float(_power_quotient(self.half, s))
+            + self.half**-s * float(np.sum(self.coef * (2 * j + 1 - s) * h2**j))
         )
+        self.slope = self.scale / self.unit * self.slope_in_unit  # G'(pi) in radians
 
-    def lower(self, x):
-        """G on [0, pi]."""
-        x = np.asarray(x, dtype=float)
-        q = _power_quotient(x, self.s)
-        out = x * q
+    def lower(self, u):
+        """G on [0, pi], in the unit."""
+        u = np.asarray(u, dtype=float)
+        q = _power_quotient(u, self.s)
+        out = u * q
         out *= -1.0 / (1.0 - self.s)
         if self.coef.size:
-            t = x * x
+            t = u * u
             acc = t * self.coef[-1]
             acc += self.coef[-2]
             for c in self.coef[-3::-1]:
                 acc *= t
                 acc += c
-            # x^(1-s) = x (1 + s q)
+            # u^(1-s) = u (1 + s q)
             q *= self.s
             q += 1.0
-            q *= x
+            q *= u
             acc *= t
             acc *= q
             out += acc
         return out
 
     def G(self, x):
-        """G on [0, 2 pi]."""
-        x = np.asarray(x, dtype=float)
-        g = self.lower(np.minimum(x, TWO_PI - x))
-        return np.where(x > math.pi, g + 2.0 * (x - math.pi) * self.slope, g)
+        """G on [0, 2 pi], of x in radians."""
+        u = np.asarray(x, dtype=float) / self.unit
+        g = self.lower(np.minimum(u, self.turn - u))
+        return self.scale * np.where(u > self.half, g + 2.0 * (u - self.half) * self.slope_in_unit, g)
 
     def W(self, length):
         """Double integral of k over an arc of the given length and its gap:
         2 (m G'(pi) - G(m)) with m = min(length, 2 pi - length), which is 0
         for an arc within ENDPOINT_MARGIN of empty or full."""
         m = np.minimum(length, TWO_PI - length)
-        m = np.where(m < ENDPOINT_MARGIN, 0.0, m)
-        out = m * self.slope
+        m = np.where(m < ENDPOINT_MARGIN, 0.0, m) / self.unit
+        out = m * self.slope_in_unit
         out -= self.lower(m)
-        out *= 2.0
+        out *= 2.0 * self.scale
         return out
 
     def circle_values(self, start, length):
@@ -421,14 +496,14 @@ def _perimeter_sliced(E, s: float, circles: int, rng, normalized: bool = False) 
     _GreatCircleKernel over the trace's arcs and their gaps.  sets.trace gives
     the arcs exactly, so each circle's value is exact, and bounded for
     every s < 1: the estimate's variance is finite where the point-pair
-    estimator's is not (s >= 1/2).
+    estimator's is not (s >= 1/2).  A hemisphere meets every circle in a
+    semicircle, so its estimate is exact and its std_error 0 up to roundoff.
 
     The mean over circles is integral_geometry._circle_mean: on S^2, 32
     Haar rotations of a Fibonacci lattice of circles // 32 poles, one
     sample each (randomized quasi-Monte Carlo; the error bar has 31 degrees
     of freedom); elsewhere iid circles in chunks.  Degenerate circles are
-    redrawn as in crofton_estimate.  Valid for every s < 1; perimeter_mc
-    takes it for s >= 0.
+    redrawn as in crofton_estimate.  Valid for every s < 1.
     """
     n = E.dimension
     axes = np.eye(n + 1)
@@ -437,10 +512,8 @@ def _perimeter_sliced(E, s: float, circles: int, rng, normalized: bool = False) 
     except TypeError:
         raise ValueError(f"no great-circle trace for {type(E).__name__}: "
                          "the sliced perimeter needs sets.trace") from None
-    kernel = _GreatCircleKernel(n, s)
+    kernel = _GreatCircleKernel(n, s, normalized)
     scale = bp_constant(n)
-    if normalized:
-        scale *= math.pi ** (n + s)
     values = lambda start, length: scale * kernel.circle_values(start, length)
     est, _ = _circle_mean(E, values, circles, rng)
     return est

@@ -51,7 +51,9 @@ X = (1.0, 0.0, 0.0)
 
 def test_criterion_01_pivot_identity():
     """perimeter_cap(2, -2, r) equals a(r) (4 pi - a(r)) to 1e-8 relative,
-    and perimeter_mc agrees within 3 standard errors at 1e6 samples."""
+    and perimeter_mc agrees within 3 standard errors at 1e6 samples; on the
+    hemisphere, which every great circle cuts in a semicircle, perimeter_mc
+    is exact, to 1e-12 relative."""
     radii = (0.3, 0.9, math.pi / 2, 2.2, 2.9)
     streams = RandomStream(SEED).split(len(radii))
     worst_rel, worst_z = 0.0, 0.0
@@ -60,10 +62,17 @@ def test_criterion_01_pivot_identity():
         oracle = perimeter_cap(2, -2.0, r)
         worst_rel = max(worst_rel, abs(oracle - exact) / exact)
         est = perimeter_mc(Cap(Z, r), -2.0, 1_000_000, stream)
-        worst_z = max(worst_z, abs(est.value - exact) / est.std_error)
-    print(f"pivot identity: worst oracle rel {worst_rel:.3g}, worst MC z {worst_z:.2f}")
+        if r == math.pi / 2:
+            hemisphere_rel = abs(est.value - exact) / exact
+        else:
+            worst_z = max(worst_z, abs(est.value - exact) / est.std_error)
+    print(
+        f"pivot identity: worst oracle rel {worst_rel:.3g}, worst MC z {worst_z:.2f}, "
+        f"hemisphere rel {hemisphere_rel:.3g}"
+    )
     assert worst_rel < 1e-8
     assert worst_z < 3.0
+    assert hemisphere_rel < 1e-12
 
 
 def test_criterion_02_oracle_vs_mc_cross_validation():

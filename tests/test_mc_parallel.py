@@ -32,6 +32,7 @@ from spherefrac import (
 )
 from spherefrac.cli import dot2_kernel, parse_function, parse_set
 from spherefrac.limits import SweepRow
+from spherefrac.perimeter import _perimeter_point_pairs
 
 from oracles import mc_estimate_serial
 
@@ -84,13 +85,24 @@ def indexed_sampler(count, gen):
 @pytest.mark.parametrize("s", (-2.0, -0.5, 0.3))
 @pytest.mark.parametrize("name", sorted(SETS))
 def test_perimeter_mc_equals_serial_loop(monkeypatch, name, s):
-    # s < 0 samples point pairs in perimeter.py; s >= 0 is the sliced
-    # estimator, whose mean over 32 lattice rotations is integral_geometry's
+    # the sliced estimator at every s: its mean over 32 lattice rotations
+    # is integral_geometry's
     E = parse_set(SETS[name])
     run = lambda: perimeter_mc(E, s, 200_001, RandomStream(31))
-    module = spherefrac.perimeter if s < 0.0 else spherefrac.integral_geometry
-    reference, results = serial_and_parallel(monkeypatch, module, run)
-    assert reference.samples == (200_001 if s < 0.0 else 32)
+    reference, results = serial_and_parallel(monkeypatch, spherefrac.integral_geometry, run)
+    assert reference.samples == 32
+    for est in results:
+        assert est == reference
+
+
+@pytest.mark.parametrize("s", (-2.0, -0.5))
+@pytest.mark.parametrize("name", sorted(SETS))
+def test_point_pair_perimeter_equals_serial_loop(monkeypatch, name, s):
+    # the point pairs that sweep_s_to_minus_inf and n > 12 still use
+    E = parse_set(SETS[name])
+    run = lambda: _perimeter_point_pairs(E, s, 200_001, RandomStream(31))
+    reference, results = serial_and_parallel(monkeypatch, spherefrac.perimeter, run)
+    assert reference.samples == 200_001
     for est in results:
         assert est == reference
 

@@ -1,12 +1,13 @@
-"""The sliced perimeter estimator for s >= 0.
+"""The sliced perimeter estimator, for every s < 1.
 
-perimeter_mc at s >= 0 averages, over Haar great circles, c_n times the
-exact circle double integral V of the kernel delta^-(n+s) |sin delta|^(n-1)
-over the circle's trace and its gaps.  Checked here: the matched
-antiderivative G against quadrature, the vectorized V against the scalar
-(arc, gap) loop of oracles.py, the hemisphere's constant V against the cap
-oracle, the error bars against the oracle over many seeds, and the traces
-the estimator rests on (rotated sets, overlapping unions).
+perimeter_mc averages, over Haar great circles, c_n times the exact circle
+double integral V of the kernel delta^-(n+s) |sin delta|^(n-1) over the
+circle's trace and its gaps.  Checked here: the matched antiderivative G
+against quadrature, the vectorized V against the scalar (arc, gap) loop of
+oracles.py, the hemisphere's constant V against the cap oracle, the error
+bars against the oracle over many seeds, the point-pair estimator against
+it at s < 0, and the traces the estimator rests on (rotated sets,
+overlapping unions).
 """
 
 import math
@@ -17,6 +18,7 @@ from scipy import stats
 from scipy.integrate import quad
 
 import spherefrac.integral_geometry as ig
+import spherefrac.perimeter
 from spherefrac import (
     ArcUnion,
     Cap,
@@ -36,7 +38,12 @@ from spherefrac import (
 )
 from spherefrac.cli import parse_set
 from spherefrac.integral_geometry import bp_constant, sample_plane_batch
-from spherefrac.perimeter import _GreatCircleKernel, _perimeter_sliced
+from spherefrac.perimeter import (
+    _GreatCircleKernel,
+    _perimeter_point_pairs,
+    _perimeter_sliced,
+    _sliced_supports,
+)
 from spherefrac.sets import _merge_slots, rotated, trace
 
 from oracles import disjoint_cap_union_perimeter, sliced_values_serial
@@ -122,6 +129,54 @@ def test_dimensions_whose_series_cancels_are_rejected():
         perimeter_mc(Cap(pole(13), 1.0), 0.3, 1000, RandomStream(1))
 
 
+def test_the_kernel_takes_a_dimension_by_its_condition_number():
+    # the same n <= 12 for every s >= 0; below 0 the condition number grows
+    # like |s|^(n-1)
+    assert all(_sliced_supports(n, s) for n in range(1, 13) for s in (0.0, 0.5, 0.99))
+    assert not any(_sliced_supports(13, s) for s in (-1.0, 0.0, 0.5))
+    assert _sliced_supports(2, -1000.0) and _sliced_supports(3, -300.0)
+    assert not _sliced_supports(3, -500.0)
+    assert _sliced_supports(12, -0.3) and not _sliced_supports(12, -1.0)
+
+
+@pytest.mark.parametrize("n, s", ((3, -380.0), (8, -5.0), (12, -0.45)))
+def test_hemisphere_value_holds_at_the_edge_of_the_condition_rule(n, s):
+    assert _sliced_supports(n, s)
+    ref = perimeter_cap(n, s, math.pi / 2, tol=1e-12)
+    got = bp_constant(n) * _GreatCircleKernel(n, s).W(np.array([math.pi]))[0]
+    assert got == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("n, s", ((13, -1.0), (12, -4.0)))
+def test_refused_kernels_below_zero_take_point_pairs(monkeypatch, n, s):
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args[1])
+        return _perimeter_point_pairs(*args, **kwargs)
+
+    monkeypatch.setattr(spherefrac.perimeter, "_perimeter_point_pairs", recorded)
+    est = perimeter_mc(Cap(pole(n), 1.0), s, 100_000, RandomStream(1))
+    assert calls == [s]
+    z = (est.value - perimeter_cap(n, s, 1.0)) / est.std_error
+    print(f"n={n}, s={s}: point pairs z = {z:.2f}")
+    assert abs(z) < 3.0
+
+
+@pytest.mark.parametrize("s", (-4.0, -0.5))
+@pytest.mark.parametrize("name", ("cap", "octant", "union"))
+def test_point_pairs_agree_with_the_sliced_value_below_zero(name, s):
+    # the point pairs rest on no great-circle identity, so this checks the
+    # identity at s < 0 by an independent estimator
+    E = parse_set(SETS[name])
+    pairs = _perimeter_point_pairs(E, s, 1_000_000, RandomStream(93))
+    sliced = perimeter_mc(E, s, 32 * 4096, RandomStream(94))
+    combined = math.hypot(pairs.std_error, sliced.std_error)
+    z = (pairs.value - sliced.value) / combined
+    print(f"{name} s={s}: point pairs - sliced = {z:.2f} sigma")
+    assert abs(z) < 4.0
+
+
 # ---------------------------------------------------------------------------
 # circle values: vectorized against the scalar loop
 
@@ -197,6 +252,20 @@ def test_hemisphere_value_is_exact(n, s):
     est = _perimeter_sliced(Cap(pole(n), math.pi / 2), s, 32 * 512, RandomStream(83))
     assert est.value == pytest.approx(ref, rel=1e-12)
     assert est.std_error <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("m", (1.0, math.pi))
+def test_normalized_kernel_stays_finite_where_the_plain_scale_overflows(m):
+    # at s = -700 pi^(1-s) overflows a float; lengths in the unit pi keep
+    # every power at most 1, and the normalized kernel's scale is pi^(n+1)
+    n, s = 2, -700.0
+    k = lambda d: (d / math.pi) ** -(n + s) * np.sin(d) ** (n - 1)
+    near = quad(lambda d: k(d) * d, 0.0, m, points=[0.99 * m], epsabs=0.0, epsrel=1e-12, limit=200)[0]
+    far = 0.0
+    if m < math.pi:
+        far = quad(k, m, math.pi, points=[0.99 * math.pi], epsabs=0.0, epsrel=1e-12, limit=200)[0]
+    got = _GreatCircleKernel(n, s, normalized=True).W(np.array([m]))[0]
+    assert got == pytest.approx(2.0 * (near + m * far), rel=1e-9)
 
 
 def test_error_bars_are_honest_against_the_cap_oracle():
@@ -277,7 +346,7 @@ def test_sets_without_a_trace_are_rejected():
         def contains(self, points):
             return np.asarray(points)[..., 2] > 0.0
 
-    for s in (0.0, 0.5):
+    for s in (-0.5, 0.0, 0.5):
         with pytest.raises(ValueError, match="no great-circle trace for Blob"):
             perimeter_mc(Blob(), s, 1000, RandomStream(1))
 
