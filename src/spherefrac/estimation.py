@@ -266,16 +266,15 @@ def adaptive_quad(
 class RadialProposal:
     """Exact importance sampler for the radial factor of geodesic polar integrals.
 
-    Target on [0, pi]: sin^(n-1)(theta) * kernel(theta), with kernel
-    theta^exponent, or (theta/pi)^exponent when normalized=True.  The draw is
-    w = theta/pi ~ Beta(a, n) with a = exponent + n; its density
-    w^(a-1) (1-w)^(n-1) has both endpoint orders of the target, so
+    Target on [0, pi]: sin^(n-1)(theta) (theta/pi)^exponent, the radial
+    factor of the normalized kernel.  The draw is w = theta/pi ~ Beta(a, n)
+    with a = exponent + n; its density w^(a-1) (1-w)^(n-1) has both
+    endpoint orders of the target, so
 
-        weight * sin^(n-1)(theta) * kernel(theta)
-            = pi^(1+exponent) B(a, n) (sin(pi w) / (w (1-w)))^(n-1),
+        weight * sin^(n-1)(theta) * (theta/pi)^exponent
+            = pi B(a, n) (sin(pi w) / (w (1-w)))^(n-1).
 
-    without the pi^exponent factor when normalized=True.  With
-    m = min(w, 1-w), so that w (1-w) = m (1-m), the ratio
+    With m = min(w, 1-w), so that w (1-w) = m (1-m), the ratio
     sin(pi w) / (w (1-w)) = pi sinc(m) / (1-m) lies in [pi, 4] and is
     finite at both ends, also for draws that underflow to w = 0, so every
     weight lies within a factor (4/pi)^(n-1) of the smallest.
@@ -284,7 +283,7 @@ class RadialProposal:
     (the s >= 0 singular regime of the perimeter kernel).
     """
 
-    def __init__(self, n: int, exponent: float, normalized: bool = False):
+    def __init__(self, n: int, exponent: float):
         if n < 1:
             raise ValueError("sphere dimension must be >= 1")
         a = exponent + n
@@ -296,13 +295,13 @@ class RadialProposal:
         self.n = int(n)
         self._a = a
         log_beta = math.lgamma(a) + math.lgamma(n) - math.lgamma(a + n)
-        power = 1.0 if normalized else 1.0 + exponent
-        self._scale = math.exp(power * math.log(math.pi) + log_beta)
+        self._scale = math.exp(math.log(math.pi) + log_beta)
 
     def sample_weighted(self, count: int, rng: np.random.Generator):
-        """(theta, wk) with wk = weight * sin^(n-1)(theta) * kernel(theta).
+        """(theta, wk) with wk = weight * sin^(n-1)(theta) * (theta/pi)^exponent.
 
-        Means of wk * g(theta) estimate int_0^pi g sin^(n-1) kernel d theta.
+        Means of wk * g(theta) estimate int_0^pi g sin^(n-1)(theta)
+        (theta/pi)^exponent d theta.
         """
         w = rng.beta(self._a, self.n, size=count)
         m = np.minimum(w, 1.0 - w)

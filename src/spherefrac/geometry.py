@@ -49,11 +49,6 @@ def geodesic_distance(x, y):
     return np.arccos(np.clip(dot, -1.0, 1.0))
 
 
-def normalized_distance(x, y):
-    """Geodesic distance rescaled to [0, 1] (division by pi)."""
-    return geodesic_distance(x, y) / math.pi
-
-
 def cap_area(n: int, r):
     """H^n measure of the geodesic cap of radius r on S^n.
 
@@ -257,8 +252,3 @@ def _row_dots(a, b):
 def _row_norms(a):
     return np.sqrt(_row_dots(a, a))
 
-
-def circle_distance(phi, psi):
-    """Intrinsic distance on the parameter circle: |phi-psi| folded into [0, pi]."""
-    d = np.abs(np.asarray(phi, float) - np.asarray(psi, float)) % (2.0 * math.pi)
-    return np.where(d > math.pi, 2.0 * math.pi - d, d)

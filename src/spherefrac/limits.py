@@ -181,10 +181,14 @@ def sweep_s_to_minus_inf(
     exact for caps and sets on S^1, otherwise a mean over overlap_samples
     great circles.  A t whose t^n overflows a float is a ValueError.
 
-    The rows are point-pair estimates (perimeter._perimeter_point_pairs),
-    not perimeter_mc's sliced ones: a hemisphere meets every great circle
-    in a semicircle, so its sliced rows would be exact with error 0.0,
-    which the benchmark's sweep-sinf check does not yet accept.
+    The rows are point-pair estimates (perimeter._perimeter_point_pairs,
+    half the seminorm_mc of E's indicator), not perimeter_mc's sliced
+    ones: a hemisphere meets every great circle in a semicircle, so its
+    sliced rows would be exact with error 0.0, which the benchmark's
+    sweep-sinf check does not yet accept.  At large t the drawn pairs are
+    nearly antipodal, and almost all of them straddle a hemisphere's
+    boundary, so there a pair's value is nearly constant and the rows'
+    error bars shrink as t grows.
     """
     grid = [float(t) for t in t_grid]
     if grid != sorted(grid) or grid[0] <= n:
@@ -405,8 +409,9 @@ def isoperimetric_comparison(
     the perimeter depends on the measure alone, so it is rejected here.
 
     The union's perimeter is one perimeter_mc run of samples per trial
-    (the sliced great-circle estimator, or point pairs where its kernel
-    refuses s < 0), and the margin is its plain z-score against the cap.
+    (the sliced great-circle estimator, or, where its kernel refuses
+    s < 0, half the indicator's point-pair seminorm), and the margin is
+    its plain z-score against the cap.
     """
     if trials < 1:
         raise ValueError("need at least one trial")

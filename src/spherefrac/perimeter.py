@@ -11,11 +11,15 @@ perimeter_mc is the sliced estimator for every s < 1: by the two-point
 great-circle identity of integral_geometry.bp_check, P_s(E) is c_n times
 the Haar mean of a circle double integral over the set's trace, which
 _GreatCircleKernel evaluates exactly from one matched antiderivative of
-the kernel, so its variance is finite for every s < 1.  The point-pair
-estimator _perimeter_point_pairs, which samples pairs with RadialProposal
-and rests on no great-circle identity, is kept for the s < 0 where the
-kernel's series would cancel too many digits (_sliced_supports: n > 12, and
-smaller n far below 0) and for limits.sweep_s_to_minus_inf.
+the kernel, so its variance is finite for every s < 1.
+
+seminorm_mc is the one point-pair estimator: x uniform, y at a distance
+drawn from RadialProposal.  Since |1_E(x) - 1_E(y)| counts each pair of E
+x E^c once in each order, P_s(E) is half the p = 1 seminorm of E's
+indicator, and _perimeter_point_pairs takes it so.  It rests on no
+great-circle identity and serves the s < 0 where the kernel's series would
+cancel too many digits (_sliced_supports: n > 12, and smaller n far below
+0), and limits.sweep_s_to_minus_inf.
 """
 
 from __future__ import annotations
@@ -35,16 +39,6 @@ def validate_s(s: float) -> float:
     if not math.isfinite(s) or s >= 1.0:
         raise ValueError(f"s must be a finite number < 1, got {s}")
     return s
-
-
-def s_regime(s: float, n: int) -> str:
-    """Kernel regime: 'singular' for s in (0,1), 'mild' for s in [-n, 0], 'smooth' below."""
-    s = validate_s(s)
-    if s > 0.0:
-        return "singular"
-    if s >= -float(n):
-        return "mild"
-    return "smooth"
 
 
 def perimeter_minus_n(n: int, measure: float) -> float:
@@ -102,35 +96,33 @@ def _scale_overflow(n: int, s: float) -> ValueError:
 def _perimeter_point_pairs(E, s: float, samples: int, rng, normalized: bool = False) -> Estimate:
     """Point-pair s-perimeter of E for s < 0, on any set with contains.
 
-    x uniform on S^n, kept when it lands in E; for each kept x a radial
-    distance theta drawn from RadialProposal, whose weighted kernel lies
-    within a factor (4/pi)^(n-1) of a constant, y uniform on the
-    distance-theta sphere around x, and the indicator of y outside E.  It
-    rests on no great-circle identity, so it checks the sliced estimator
-    independently.  A plain kernel whose scale pi^(1-n-s) overflows a float
-    is a ValueError; the normalized kernel's weight has no such factor.
+    |1_E(x) - 1_E(y)| = 1_E(x) 1_(E^c)(y) + 1_(E^c)(x) 1_E(y), so P_s(E)
+    is half the p = 1 seminorm of E's indicator, which seminorm_mc
+    estimates in the normalized kernel; the plain kernel multiplies it by
+    pi^-(n+s).  It rests on no great-circle identity, so it checks the
+    sliced estimator independently.  A plain kernel whose factor or value
+    overflows a float is a ValueError.  So is an estimate of 0 on a set
+    whose boundary_measure() is not 0: every sampled pair gave 0, because
+    none straddled the boundary or its weight underflowed, and the error
+    bar 0 would claim an exact value.
     """
     n = E.dimension
-    scale = sphere_surface(n) * sphere_surface(n - 1)
-    try:
-        proposal = RadialProposal(n, -(n + s), normalized=normalized)
-    except OverflowError:
-        raise _scale_overflow(n, s) from None
-
-    def sampler(count, gen):
-        x = sample_uniform(n, count, gen)
-        inside = E.contains(x)
-        x = x[inside]
-        theta, wk = proposal.sample_weighted(len(x), gen)
-        return inside, wk, sample_at_distance(x, theta, gen)
-
-    def integrand(batch):
-        inside, wk, y = batch
-        values = np.zeros(inside.size)
-        values[inside] = scale * wk * ~E.contains(y)
-        return values
-
-    return mc_estimate(sampler, integrand, samples, rng)
+    factor = 0.5
+    if not normalized:
+        try:
+            factor *= math.pi ** -(n + s)
+        except OverflowError:
+            raise _scale_overflow(n, s) from None
+    semi = seminorm_mc(E.contains, n, 1.0, s, samples, rng)
+    if semi.value == 0.0 and E.boundary_measure() != 0.0:
+        raise ValueError(
+            f"every sampled point pair gave 0 at n = {n}, samples = {samples}: the estimate "
+            "would read 0 with error 0, which is not exact for a set with a boundary"
+        )
+    est = Estimate(factor * semi.value, factor * semi.std_error, semi.samples)
+    if not (math.isfinite(est.value) and math.isfinite(est.std_error)):
+        raise _scale_overflow(n, s)
+    return est
 
 
 def seminorm_mc(
@@ -153,7 +145,7 @@ def seminorm_mc(
     if p < 1.0:
         raise ValueError("p must be >= 1")
     omega = sphere_surface(n) * sphere_surface(n - 1)
-    proposal = RadialProposal(n, -(n + s * p), normalized=True)
+    proposal = RadialProposal(n, -(n + s * p))
 
     def sampler(count, gen):
         x = sample_uniform(n, count, gen)
@@ -298,29 +290,32 @@ def _power_quotient(x, s: float):
 _MAX_CONDITION = 1e6
 
 
-def _remainder_coefficients(n: int, s: float) -> list:
+def _remainder_coefficients(n: int, s: float):
     """The coefficients c_j = a_j / ((2j-s)(2j+1-s)) of _GreatCircleKernel's
     remainder, j = 1, 2, ... until c_j pi^(2j) drops below roundoff of the
-    running sum of |c_j| pi^(2j).
+    running sum of |c_j| pi^(2j); None when 199 terms do not get there
+    (n >= 108 at s = 0).
 
     a_j are the Taylor coefficients of (sin x / x)^(n-1) in x^2, from the
     powers of sin(x)/x = sum_i f_i x^(2i) by Miller's recurrence
     b_k = (1/k) sum_(i=1..k) (n i - k) f_i b_(k-i).  n = 1 has none.
     """
+    if n == 1:
+        return []
     p2 = math.pi * math.pi
     f = [1.0]
     b = [1.0]
     coef = []
     growth = 0.0
-    for k in range(1, 200 if n > 1 else 1):
+    for k in range(1, 200):
         f.append(-f[-1] / ((2 * k) * (2 * k + 1)))
         b.append(sum((n * i - k) * f[i] * b[k - i] for i in range(1, k + 1)) / k)
         coef.append(b[k] / ((2 * k - s) * (2 * k + 1 - s)))
         size = abs(coef[-1]) * p2**k
         growth += size
         if size < 1e-18 * max(growth, 1.0) and k > 2:
-            break
-    return coef
+            return coef
+    return None
 
 
 def _sliced_supports(n: int, s: float) -> bool:
@@ -333,10 +328,13 @@ def _sliced_supports(n: int, s: float) -> bool:
     (sin x / x)^(n-1) x^-(1+s) of the remainder moves toward pi, where the
     terms of the series cancel, and the number grows like |s|^(n-1): it
     passes n = 2 down to s = -2.7e5, n = 3 to -387, n = 4 to -52, n = 8 to
-    -5.0 and n = 12 to -0.49.
+    -5.0 and n = 12 to -0.49.  A series that does not reach roundoff
+    (_remainder_coefficients is None) is refused too.
     """
     s = min(s, 0.0)
     coef = _remainder_coefficients(n, s)
+    if coef is None:
+        return False
     j = np.arange(1, len(coef) + 1)
     # c_j (2j - s) = a_j / (2j+1-s)
     terms = np.concatenate([[1.0 / (1.0 - s)], np.array(coef) * (2 * j - s) * math.pi ** (2.0 * j)])

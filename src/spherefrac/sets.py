@@ -1,11 +1,7 @@
 """Measurable subsets of S^n: caps, geodesic polytopes, unions, arc unions.
 
 Membership tests are vectorized: `points` arguments are arrays of shape
-(..., n+1) of unit vectors and the result has the leading shape.  Boundary
-distances are lower bounds on the true distance to the topological
-boundary; no estimator uses them since the sliced great-circle estimator
-took over s >= 0 from the point-pair one, which skipped the shell they
-certify to stay on one side.
+(..., n+1) of unit vectors and the result has the leading shape.
 
 `trace` is the one great-circle primitive: for a batch of frames (e, f) it
 returns the exact parameter arcs of phi -> cos(phi) e + sin(phi) f inside a
@@ -34,15 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimation import as_stream
-from .geometry import (
-    cap_area,
-    circle_distance,
-    geodesic_distance,
-    sample_uniform,
-    sphere_surface,
-    unit_vector,
-    volume_radius,
-)
+from .geometry import cap_area, sample_uniform, sphere_surface, unit_vector
 
 TWO_PI = 2.0 * math.pi
 ENDPOINT_MARGIN = 1e-12  # arc ends this close, mod 2 pi, are one point
@@ -80,10 +68,12 @@ class Cap:
         threshold = math.cos(self.radius) if self.radius > 0.0 else math.inf
         return np.asarray(points, dtype=float) @ self.center > threshold
 
-    def boundary_distance(self, points) -> np.ndarray:
-        return np.abs(self.radius - geodesic_distance(points, self.center))
-
     def boundary_measure(self) -> float:
+        """H^(n-1) of the boundary sphere, and exactly 0 for the empty and
+        the full cap (radius 0 or pi), where the formula would give 2 for
+        the empty cap on S^1 and omega_n sin(pi)^(n-1) for the full cap."""
+        if self.radius in (0.0, math.pi):
+            return 0.0
         n = self.dimension
         return sphere_surface(n - 1) * math.sin(self.radius) ** (n - 1)
 
@@ -96,10 +86,8 @@ class Polytope:
     """Intersection of closed hemispheres {x : x . u <= 0} over outward normals u.
 
     Membership ANDs one matrix-vector product x . u <= 0 per face, which
-    holds no (N, k) array.  The boundary distance takes the face dot
-    products face-major, as (k, N), so that each face's arccos runs on one
-    contiguous row before the np.minimum fold.  The nonempty-interior flag
-    is caller-asserted; nothing here verifies it.
+    holds no (N, k) array.  The nonempty-interior flag is caller-asserted;
+    nothing here verifies it.
     """
 
     normals: np.ndarray
@@ -124,16 +112,6 @@ class Polytope:
         for u in self.normals[1:]:
             inside &= points @ u <= 0.0
         return inside
-
-    def boundary_distance(self, points) -> np.ndarray:
-        # distance to the nearest face great-subsphere: |pi/2 - angle to its
-        # normal|, folded over the faces' rows of dot products
-        points = np.asarray(points, dtype=float)
-        out = None
-        for dots in self.normals @ points.reshape(-1, points.shape[-1]).T:
-            d = np.abs(0.5 * math.pi - np.arccos(np.clip(dots, -1.0, 1.0)))
-            out = d if out is None else np.minimum(out, d)
-        return out.reshape(points.shape[:-1])
 
     def _face_arcs(self):
         """Each face's trace arc on S^2: (j, e, f, start, length) for face j
@@ -213,13 +191,6 @@ class PolyconvexUnion:
             out = out | p.contains(points)
         return out
 
-    def boundary_distance(self, points):
-        # valid as a lower bound when the parts are disjoint
-        dists = [p.boundary_distance(points) for p in self.parts]
-        if any(d is None for d in dists):
-            return None
-        return np.min(np.stack(dists, axis=-1), axis=-1)
-
     def boundary_measure(self):
         if not self.assume_disjoint:
             return None
@@ -259,9 +230,6 @@ class Complement:
     def contains(self, points) -> np.ndarray:
         return ~self.inner.contains(points)
 
-    def boundary_distance(self, points):
-        return self.inner.boundary_distance(points)
-
     def boundary_measure(self):
         return self.inner.boundary_measure()
 
@@ -284,9 +252,6 @@ class Reflection:
 
     def contains(self, points) -> np.ndarray:
         return self.inner.contains(-np.asarray(points, dtype=float))
-
-    def boundary_distance(self, points):
-        return self.inner.boundary_distance(-np.asarray(points, dtype=float))
 
     def boundary_measure(self):
         return self.inner.boundary_measure()
@@ -368,13 +333,6 @@ class ArcUnion:
     def contains(self, points) -> np.ndarray:
         return self.contains_angle(self.angles(points))
 
-    def boundary_distance(self, points):
-        if self.is_empty() or self.is_full():
-            return np.full(np.asarray(points, dtype=float).shape[:-1], math.pi)
-        phi = self.angles(points)
-        ends = np.array([e for start, length in self.arcs for e in (start, start + length)])
-        return np.min(circle_distance(phi[..., None], ends[None, :]), axis=-1)
-
     def boundary_measure(self) -> float:
         """H^0 of the boundary: two endpoints per arc, none for empty/full."""
         if self.is_empty() or self.is_full():
@@ -384,11 +342,6 @@ class ArcUnion:
 
 # ---------------------------------------------------------------------------
 # derived operations
-
-
-def rearrangement(n: int, measure: float, center) -> Cap:
-    """Cap at `center` with prescribed H^n measure (the symmetric rearrangement)."""
-    return Cap(np.asarray(center, dtype=float), volume_radius(n, measure))
 
 
 def rotated(E, q):

@@ -181,14 +181,6 @@ def polytope_contains_matmul(normals, points):
     return np.all(dots <= 0.0, axis=-1)
 
 
-def polytope_boundary_distance_matmul(normals, points):
-    """Polytope boundary distance from the full (N, k) matrix of face dot
-    products: the least |pi/2 - angle to a face normal|."""
-    dots = np.asarray(points, dtype=float) @ np.asarray(normals, dtype=float).T
-    angles = np.arccos(np.clip(dots, -1.0, 1.0))
-    return np.min(np.abs(0.5 * math.pi - angles), axis=-1)
-
-
 def sample_plane_batch_masked(n, count, gen):
     """Haar frames by Gram-Schmidt on fresh Gaussian pairs, redrawing every
     pair with a norm of 1e-12 or below and scattering the good rows through

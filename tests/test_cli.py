@@ -460,6 +460,20 @@ def test_library_warning_is_one_spherefrac_line(capsys):
     assert capsys.readouterr() == (out, "")
 
 
+def test_mc_perimeter_that_no_point_pair_reaches_exits_1(capsys):
+    # the cap takes about 1e-26 of S^342, so every sampled pair gives 0;
+    # this printed value 0, error 0 and exited 0
+    center = ",".join(["0"] * 342 + ["1"])
+    argv = ["perimeter", "--n", "342", "--set", f"cap:{center}:1", "--s", "-1",
+            "--method", "mc", "--samples", "1000"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("spherefrac: config error: every sampled point pair gave 0")
+    assert "n = 342, samples = 1000" in line
+
+
 def test_mc_perimeter_whose_kernel_overflows_exits_1(capsys):
     # died in an OverflowError from math.exp in RadialProposal; the cap
     # oracle at the same s prints inf (test above)

@@ -175,14 +175,14 @@ def test_adaptive_quad_raises_on_divergent_integrand():
 # radial proposals
 
 
-def _proposal_target(n, exponent, g, normalized=False):
-    """Quadrature value of int g(theta) sin^(n-1)(theta) k(theta) dtheta.
+def _proposal_target(n, exponent, g):
+    """Quadrature value of int g(theta) sin^(n-1)(theta) (theta/pi)^exponent dtheta.
 
     In the sinc form g sinc^(n-1)(theta/pi) theta^(exponent+n-1) the only
     singular factor is the power at 0, which QUADPACK's algebraic weight
     takes exactly, down to exponents just above -1.
     """
-    scale = math.pi**-exponent if normalized else 1.0
+    scale = math.pi**-exponent
     value, _ = quad(
         lambda theta: g(theta) * np.sinc(theta / math.pi) ** (n - 1),
         0.0,
@@ -228,14 +228,14 @@ def test_radial_proposal_weighted_samples_are_unbiased(case):
 
 
 def test_radial_proposal_beta_path_matches_tabulated_shape():
-    # normalized=True drops the pi^exponent factor; a large exponent, as in
-    # the t -> infinity sweeps, concentrates the draws near theta = pi
+    # a large exponent, as in the t -> infinity sweeps, concentrates the
+    # draws near theta = pi
     n, exponent = 2, 18.0
-    proposal = RadialProposal(n, exponent, normalized=True)
+    proposal = RadialProposal(n, exponent)
     g = lambda theta: theta**2
     theta, wk = proposal.sample_weighted(200_000, RandomStream(9).generator)
     est = Estimate.from_values(wk * g(theta))
-    target = _proposal_target(n, exponent, g, normalized=True)
+    target = _proposal_target(n, exponent, g)
     assert abs(est.value - target) < 5.0 * est.std_error
 
 

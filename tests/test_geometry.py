@@ -7,9 +7,7 @@ from scipy.special import beta, betainc
 
 from spherefrac import (
     cap_area,
-    circle_distance,
     geodesic_distance,
-    normalized_distance,
     sample_at_distance,
     sample_uniform,
     sphere_surface,
@@ -107,7 +105,6 @@ def test_geodesic_distance_basic_identities():
     assert np.allclose(geodesic_distance(x, y), geodesic_distance(y, x))
     d = geodesic_distance(x, y)
     assert np.all(d <= geodesic_distance(x, z) + geodesic_distance(z, y) + 1e-12)
-    assert np.allclose(normalized_distance(x, y), d / math.pi)
 
 
 def test_unit_vector_normalizes():
@@ -206,7 +203,8 @@ def test_great_circle_frame_and_distance():
 
     phi = np.linspace(0.0, 2.0 * math.pi, 17)
     assert np.allclose(np.linalg.norm(point(phi), axis=-1), 1.0, atol=1e-12)
-    # intrinsic circle distance equals the ambient geodesic distance
+    # the ambient geodesic distance is the parameter gap folded into [0, pi]
     psi = np.linspace(-3.0, 9.0, 17)
     d = geodesic_distance(point(phi), point(psi))
-    assert np.allclose(circle_distance(phi, psi), d, atol=1e-7)
+    gap = np.abs(phi - psi) % (2.0 * math.pi)
+    assert np.allclose(np.minimum(gap, 2.0 * math.pi - gap), d, atol=1e-7)

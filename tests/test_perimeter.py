@@ -21,7 +21,6 @@ from spherefrac import (
     perimeter_circle_exact,
     perimeter_mc,
     perimeter_minus_n,
-    s_regime,
     seminorm_mc,
     sphere_surface,
     validate_s,
@@ -51,13 +50,6 @@ def test_validate_s_rejects_the_closed_endpoint():
     for bad in (1.0, 1.5, math.inf, math.nan):
         with pytest.raises(ValueError):
             validate_s(bad)
-
-
-def test_s_regime_labels():
-    assert s_regime(0.5, 2) == "singular"
-    assert s_regime(0.0, 2) == "mild"
-    assert s_regime(-2.0, 2) == "mild"
-    assert s_regime(-2.1, 2) == "smooth"
 
 
 def test_perimeter_minus_n_closed_form():
@@ -370,9 +362,6 @@ def test_perimeter_mc_positive_s_requires_a_trace():
 
         def contains(self, points):
             return np.asarray(points)[:, 2] > 0.0
-
-        def boundary_distance(self, points):
-            return np.zeros(np.asarray(points).shape[:-1])
 
     for s in (0.0, 0.5):
         with pytest.raises(ValueError, match="great-circle trace"):

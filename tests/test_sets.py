@@ -15,19 +15,16 @@ from spherefrac import (
     cap_area,
     geodesic_distance,
     mc_estimate,
-    rearrangement,
     sample_uniform,
     sphere_surface,
     symmetric_overlap_measure,
     trace,
     unit_vector,
-    volume_radius,
 )
 from spherefrac.integral_geometry import sample_plane_batch
 
 from oracles import (
     cap_contains_arccos,
-    polytope_boundary_distance_matmul,
     polytope_boundary_measure,
     polytope_contains_matmul,
     polytope_trace_trig,
@@ -52,7 +49,6 @@ def test_cap_membership_measure_and_boundary():
     x = sample_uniform(2, 2000, gen)
     d = geodesic_distance(x, np.asarray(Z))
     assert np.array_equal(cap.contains(x), d < 0.8)
-    assert np.allclose(cap.boundary_distance(x), np.abs(0.8 - d), atol=1e-12)
     assert cap.exact_measure() == pytest.approx(cap_area(2, 0.8), rel=1e-14)
     assert cap.boundary_measure() == pytest.approx(2.0 * math.pi * math.sin(0.8), rel=1e-12)
 
@@ -102,10 +98,6 @@ def test_octant_membership_and_boundary_distance():
     outside = unit_vector((-1.0, 1.0, 1.0))
     assert E.contains(np.array([inside]))[0]
     assert not E.contains(np.array([outside]))[0]
-    # distance from the symmetric interior point to each face plane
-    expected = math.asin(1.0 / math.sqrt(3.0))
-    got = float(E.boundary_distance(np.array([inside]))[0])
-    assert got == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -129,27 +121,6 @@ def test_polytope_facewise_membership_matches_matmul_form(seed):
             assert np.array_equal(got, polytope_contains_matmul(E.normals, pts))
         tested += len(q)
     assert tested > 1000
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_polytope_facewise_boundary_distance_matches_matmul_form(seed):
-    gen = np.random.default_rng(60 + seed)
-    E = octant() if seed == 0 else polytope_around(gen, 2 + seed)
-    x = sample_uniform(2, 65536, gen)
-    # points within 1e-12 to 1e-6 of a face great circle
-    u = E.normals[gen.integers(0, len(E.normals), 4096)]
-    q = sample_uniform(2, 4096, gen)
-    q -= np.sum(q * u, axis=1)[:, None] * u
-    q /= np.linalg.norm(q, axis=1)[:, None]
-    eps = 10.0 ** gen.uniform(-12.0, -6.0, 4096)[:, None]
-    x = np.concatenate([x, np.cos(eps) * q + np.sin(eps) * u])
-    got = E.boundary_distance(x)
-    ref = polytope_boundary_distance_matmul(E.normals, x)
-    assert np.max(np.abs(got - ref)) <= 1e-15
-    # any leading shape, and one point
-    assert np.array_equal(E.boundary_distance(x[:6].reshape(2, 3, 3)), got[:6].reshape(2, 3))
-    assert E.boundary_distance(x[0]).shape == ()
-    assert E.boundary_distance(x[0]) == got[0]
 
 
 def test_membership_takes_one_point():
@@ -277,18 +248,6 @@ def test_symmetric_overlap_measure_of_sets_whose_image_touches_them():
     assert symmetric_overlap_measure(Complement(E)).value == 0.0
     half = symmetric_overlap_measure(ArcUnion([(0.3, math.pi)]))
     assert half.value == pytest.approx(math.pi, rel=1e-12) and half.std_error == 0.0
-
-
-# ---------------------------------------------------------------------------
-# rearrangement
-
-
-def test_rearrangement_matches_measure():
-    alpha = 2.3
-    cap = rearrangement(2, alpha, Z)
-    assert isinstance(cap, Cap)
-    assert cap.exact_measure() == pytest.approx(alpha, rel=1e-10)
-    assert cap.radius == pytest.approx(volume_radius(2, alpha), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from spherefrac.perimeter import (
     _GreatCircleKernel,
     _perimeter_point_pairs,
     _perimeter_sliced,
+    _remainder_coefficients,
     _sliced_supports,
 )
 from spherefrac.sets import _merge_slots, rotated, trace
@@ -139,6 +140,17 @@ def test_the_kernel_takes_a_dimension_by_its_condition_number():
     assert _sliced_supports(12, -0.3) and not _sliced_supports(12, -1.0)
 
 
+def test_a_series_that_does_not_converge_is_refused():
+    # from n = 108 the 199 terms of the remainder series do not reach
+    # roundoff; the truncated sum passed the condition rule from n = 143 on,
+    # and the sliced perimeter of a cap read -5e-61 against 4e-135 at n = 143
+    assert _remainder_coefficients(107, 0.0) is not None
+    assert _remainder_coefficients(108, 0.0) is None
+    assert not any(_sliced_supports(n, s) for n in (108, 143, 200, 342) for s in (-1.0, 0.0, 0.5))
+    with pytest.raises(ValueError, match="n <= 12"):
+        perimeter_mc(Cap(pole(143), 1.4), 0.5, 1000, RandomStream(1))
+
+
 @pytest.mark.parametrize("n, s", ((3, -380.0), (8, -5.0), (12, -0.45)))
 def test_hemisphere_value_holds_at_the_edge_of_the_condition_rule(n, s):
     assert _sliced_supports(n, s)
@@ -175,6 +187,46 @@ def test_point_pairs_agree_with_the_sliced_value_below_zero(name, s):
     z = (pairs.value - sliced.value) / combined
     print(f"{name} s={s}: point pairs - sliced = {z:.2f} sigma")
     assert abs(z) < 4.0
+
+
+@pytest.mark.parametrize("t", (20.0, 80.0))
+def test_point_pair_hemisphere_rows_are_tight_and_honest(t):
+    # the sweep-sinf rows: half the indicator's seminorm is symmetric in the
+    # pair, and at large t almost every drawn pair straddles a hemisphere,
+    # so the relative error falls below the one-sided estimator's 1e-3
+    est = _perimeter_point_pairs(Cap(Z, math.pi / 2), -t, 1_000_000, RandomStream(95), normalized=True)
+    ref = math.pi ** (2.0 - t) * perimeter_cap(2, -t, math.pi / 2, tol=1e-12)
+    z = (est.value - ref) / est.std_error
+    print(f"t={t}: rse {est.std_error / est.value:.2e}, z = {z:.2f}")
+    assert abs(z) < 4.0
+    assert est.std_error <= 5e-4 * est.value
+
+
+def test_point_pair_error_bar_covers_at_the_nominal_rate():
+    # 200 streams of 20000 pairs on the r = 1 cap at s = -4 against the cap
+    # oracle; the share within 1.96 sigma must be near 0.95
+    s = -4.0
+    truth = perimeter_cap(2, s, 1.0, tol=1e-12)
+    E = Cap(Z, 1.0)
+    runs = 200
+    covered = 0
+    for stream in RandomStream(96).split(runs):
+        est = _perimeter_point_pairs(E, s, 20_000, stream)
+        covered += abs(est.value - truth) <= 1.96 * est.std_error
+    share = covered / runs
+    print(f"point-pair coverage: {share:.3f}")
+    assert 0.90 <= share <= 0.99
+
+
+def test_point_pairs_refuse_an_estimate_that_no_pair_reaches():
+    # a radius-1 cap takes about 1e-26 of S^342: no pair of 1000 lands in it,
+    # and 0 with error 0 would pass every sigma check
+    with pytest.raises(ValueError, match=r"n = 342, samples = 1000"):
+        perimeter_mc(Cap(pole(342), 1.0), -1.0, 1000, RandomStream(1))
+    # where the boundary is empty, 0 is exact
+    for full in (Cap(pole(13), 0.0), Cap(pole(13), math.pi), Cap(Z, math.pi), ArcUnion([(0.5, TWO_PI)])):
+        est = _perimeter_point_pairs(full, -1.0, 1000, RandomStream(2))
+        assert (est.value, est.std_error) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
