@@ -11,7 +11,8 @@ rows, the limit report, and the pass/fail verdicts.
 Exit codes: 0 success, 1 usage or config error, 2 verdict failure,
 3 numerical failure.  A warning from the library, such as numpy's overflow
 warning from the cap oracle at s = -700, goes to stderr as one
-`spherefrac: warning:` line and leaves the exit code alone.  --n must lie
+`spherefrac: warning:` line and leaves the exit code alone; a perimeter
+that overflows a float is a config error.  --n must lie
 in [1, 342] (bp-check: [1, 260]).  Seeds come from --seed, else the
 SPHEREFRAC_SEED environment variable (decimal or 0x-hex), else the fixed
 default 0xC0FFEE, and identical configs rerun to byte-identical rows.
@@ -387,70 +388,77 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="spherefrac", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
 
-    def add(name, help_text, **kwargs):
-        p = sub.add_parser(name, help=help_text, **kwargs)
-        p.add_argument("--seed", default=None, help="RNG seed (decimal or 0x-hex)")
+    # the run flags, each registered only on the subcommands that read it
+    run_flags = {
+        "seed": dict(help="RNG seed (decimal or 0x-hex)"),
+        "samples": dict(type=int, default=1_000_000, help="MC samples per estimate (at least 2)"),
+        "tol": dict(type=float, default=CAP_TOL, help="relative tolerance of the cap oracle, "
+                    "also its reported relative error (default %(default)g)"),
+        "threshold": dict(type=float, help="verdict threshold override"),
+    }
+
+    def add(name, help_text, *flags):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--samples", type=int, default=1_000_000,
-                       help="MC samples per estimate (at least 2 where samples are drawn)")
-        p.add_argument("--tol", type=float, default=CAP_TOL,
-                       help="relative tolerance of the cap oracle, also its reported "
-                            "relative error (default %(default)g)")
-        p.add_argument("--threshold", type=float, default=None, help="verdict threshold override")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **run_flags[flag])
         return p
 
-    p = add("perimeter", "fractional s-perimeter of one set")
+    p = add("perimeter", "fractional s-perimeter of one set", "seed", "samples", "tol", "threshold")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--set", required=True, dest="set_desc")
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--method", choices=("auto", "mc", "cap_oracle", "circle_exact"), default="auto")
 
-    p = add("isoperimetric", "randomized two-cap isoperimetric trials")
+    p = add("isoperimetric", "randomized two-cap isoperimetric trials", "seed", "samples", "tol")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--trials", type=int, default=50)
 
-    p = add("sweep-s1", "surface-area limit sweep (1-s) P_s, s -> 1")
+    p = add("sweep-s1", "surface-area limit sweep (1-s) P_s, s -> 1",
+            "seed", "samples", "tol", "threshold")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--set", required=True, dest="set_desc")
     p.add_argument("--s-grid", type=_float_list, default=list(DEFAULT_S1_GRID))
     p.add_argument("--method", choices=("auto", "mc", "cap_oracle", "circle_exact"), default="auto")
 
-    p = add("sweep-sinf", "antipodal limit sweep t^n P~_(-t), t -> infinity")
+    p = add("sweep-sinf", "antipodal limit sweep t^n P~_(-t), t -> infinity",
+            "seed", "samples", "threshold")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--set", required=True, dest="set_desc")
     p.add_argument("--t-grid", type=_float_list, default=list(DEFAULT_T_GRID))
 
-    p = add("seminorm-sweep", "seminorm limit sweep t^n [f]^p, t -> infinity")
+    p = add("seminorm-sweep", "seminorm limit sweep t^n [f]^p, t -> infinity",
+            "seed", "samples", "threshold")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--function", required=True)
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--t-grid", type=_float_list, default=list(DEFAULT_T_GRID))
 
-    p = add("crofton", "mean great-circle crossing count vs boundary measure")
+    p = add("crofton", "mean great-circle crossing count vs boundary measure", "seed")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--set", required=True, dest="set_desc")
     p.add_argument("--planes", type=int, default=100_000)
 
-    p = add("bp-check", "two-point plane identity check")
+    p = add("bp-check", "two-point plane identity check", "seed")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--kernel", choices=("const", "dot2"), default="dot2",
                    help="const: f=1 (closed form 16 pi^2 at n=2); dot2: f=(1+x.y)^2")
     p.add_argument("--pairs", type=int, default=1_000_000)
     p.add_argument("--planes", type=int, default=1000)
 
-    p = add("beta-check", "t^n B(n, tp-n+1) -> (n-1)!/p^n")
+    p = add("beta-check", "t^n B(n, tp-n+1) -> (n-1)!/p^n", "threshold")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--t-grid", type=_float_list, default=list(DEFAULT_T_GRID))
 
-    p = add("s0-check", "vanishing of |s| [f] as s -> 0^-")
+    p = add("s0-check", "vanishing of |s| [f] as s -> 0^-", "seed", "samples")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--function", default="coord:0")
     p.add_argument("--s-grid", type=_float_list, default=list(DEFAULT_S0_GRID))
 
-    p = add("profile", "isoperimetric profile gamma(alpha) over cap measures")
+    p = add("profile", "isoperimetric profile gamma(alpha) over cap measures", "tol")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--alpha-grid", type=_float_list, default=None)
@@ -719,12 +727,13 @@ def main(argv=None) -> int:
 def _main(argv) -> int:
     args = build_parser().parse_args(argv)
     try:
-        seed = resolve_seed(args.seed)
+        seed = resolve_seed(getattr(args, "seed", None))
     except ValueError as exc:
         print(f"spherefrac: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     config = _config_dict(args)
-    config["seed"] = seed
+    if hasattr(args, "seed"):
+        config["seed"] = seed
     try:
         rows, limit, verdicts, detail = _HANDLERS[args.command](args, RandomStream(seed))
     except SetSyntaxError as exc:

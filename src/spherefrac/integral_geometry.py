@@ -49,7 +49,7 @@ import numpy as np
 
 from .estimation import Estimate, as_stream, mc_estimate
 from .geometry import _row_dots, _row_norms, cap_area, sample_uniform, sphere_surface
-from .sets import TWO_PI, Cap, DegenerateCircleError, _half_turn, _merge_slots, rotated, trace
+from .sets import TWO_PI, Cap, DegenerateCircleError, _gaps, _half_turn, rotated, trace
 
 
 def bp_constant(n: int) -> float:
@@ -405,11 +405,11 @@ def crofton_estimate(E, planes: int = 100_000, rng=None) -> CroftonReport:
 
 def _antipodal_gains(start, length):
     """|A u (A + pi)| - |A| for the disjoint slots A of each row: the arc
-    the antipodal image adds, by the union of A's slots and their half
-    turns."""
+    the antipodal image adds, as 2 pi less the complement of A's slots and
+    their half turns, less |A|."""
     both = np.concatenate([start, _half_turn(start)], axis=1)
-    _, union = _merge_slots(both, np.concatenate([length, length], axis=1))
-    return union.sum(axis=1) - length.sum(axis=1)
+    _, gaps = _gaps(both, np.concatenate([length, length], axis=1))
+    return TWO_PI - gaps.sum(axis=1) - length.sum(axis=1)
 
 
 def symmetric_overlap_measure(E, samples: int = 100_000, rng=None) -> Estimate:

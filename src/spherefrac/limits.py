@@ -316,9 +316,10 @@ def s_to_zero_vanishing_check(
         slack = 3.0 * math.hypot(prev.error, cur.error)
         if cur.value > prev.value + slack:
             monotone = False
-    # <= so the exactly-zero case (constant f, zero Lipschitz scale) passes
-    scale = lipschitz * sphere_surface(n) ** 2 * math.pi
-    report = VanishingReport(monotone, rows[-1].value <= 0.05 * scale, scale)
+    # <= so a constant f passes; omega_(n+1)^2 underflows from n = 261
+    omega = sphere_surface(n)
+    below = rows[-1].value / omega <= 0.05 * lipschitz * omega * math.pi
+    report = VanishingReport(monotone, below, lipschitz * omega**2 * math.pi)
     return rows, report
 
 

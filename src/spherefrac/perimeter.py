@@ -93,6 +93,13 @@ def _scale_overflow(n: int, s: float) -> ValueError:
     return ValueError(f"the kernel's scale pi^(1-n-s) overflows a float at s = {s:g}, n = {n}")
 
 
+def _finite(value: float, n: int, s: float) -> float:
+    """value, or _scale_overflow's ValueError where it is not finite."""
+    if not math.isfinite(value):
+        raise _scale_overflow(n, s)
+    return value
+
+
 def _perimeter_point_pairs(E, s: float, samples: int, rng, normalized: bool = False) -> Estimate:
     """Point-pair s-perimeter of E for s < 0, on any set with contains.
 
@@ -103,8 +110,8 @@ def _perimeter_point_pairs(E, s: float, samples: int, rng, normalized: bool = Fa
     sliced estimator independently.  A plain kernel whose factor or value
     overflows a float is a ValueError.  So is an estimate of 0 on a set
     whose boundary_measure() is not 0: every sampled pair gave 0, because
-    none straddled the boundary or its weight underflowed, and the error
-    bar 0 would claim an exact value.
+    none straddled the boundary or its weight underflowed, or the mean
+    underflowed, and the error bar 0 would claim an exact value.
     """
     n = E.dimension
     factor = 0.5
@@ -114,12 +121,13 @@ def _perimeter_point_pairs(E, s: float, samples: int, rng, normalized: bool = Fa
         except OverflowError:
             raise _scale_overflow(n, s) from None
     semi = seminorm_mc(E.contains, n, 1.0, s, samples, rng)
-    if semi.value == 0.0 and E.boundary_measure() != 0.0:
-        raise ValueError(
-            f"every sampled point pair gave 0 at n = {n}, samples = {samples}: the estimate "
-            "would read 0 with error 0, which is not exact for a set with a boundary"
-        )
     est = Estimate(factor * semi.value, factor * semi.std_error, semi.samples)
+    if est.value == 0.0 and E.boundary_measure() != 0.0:
+        raise ValueError(
+            f"every sampled point pair gave 0 at n = {n}, samples = {samples}, or their mean "
+            "underflowed: the estimate would read 0 with error 0, which is not exact for a "
+            "set with a boundary"
+        )
     if not (math.isfinite(est.value) and math.isfinite(est.std_error)):
         raise _scale_overflow(n, s)
     return est
@@ -144,7 +152,8 @@ def seminorm_mc(
         raise ValueError("seminorm estimator requires s < 0")
     if p < 1.0:
         raise ValueError("p must be >= 1")
-    omega = sphere_surface(n) * sphere_surface(n - 1)
+    omega_n1, omega_n = sphere_surface(n), sphere_surface(n - 1)
+    omega = omega_n1 * omega_n
     proposal = RadialProposal(n, -(n + s * p))
 
     def sampler(count, gen):
@@ -157,7 +166,9 @@ def seminorm_mc(
         x, wk, y = batch
         fx = np.asarray(f(x), dtype=float)
         fy = np.asarray(f(y), dtype=float)
-        return omega * wk * np.abs(fx - fy) ** p
+        # the measures' product underflows from n = 261: apply them one at a time
+        weight = omega * wk if omega >= np.finfo(float).tiny else omega_n1 * (omega_n * wk)
+        return weight * np.abs(fx - fy) ** p
 
     return mc_estimate(sampler, integrand, samples, rng)
 
@@ -228,7 +239,8 @@ def perimeter_cap(n: int, s: float, r: float, tol: float = CAP_TOL) -> float:
 
     tol is the relative accuracy; against 40-digit values for n in {2, 3}
     the error stays below tol/5 for every tol from 1e-3 to 1e-12.  n = 1
-    delegates to the exact circle formula.
+    delegates to the exact circle formula.  A value that overflows a float
+    (s far below -n) is a ValueError.
     """
     s = validate_s(s)
     if not (0.0 <= r <= math.pi):
@@ -260,7 +272,7 @@ def perimeter_cap(n: int, s: float, r: float, tol: float = CAP_TOL) -> float:
         far = cap_area(n, r) * adaptive_quad(
             lambda t: t ** (-n - s) * np.sin(t) ** (n - 1), 2.0 * r, math.pi, tol=tol
         )
-    return omega_n * (near + far)
+    return _finite(omega_n * (near + far), n, s)
 
 
 # ---------------------------------------------------------------------------
@@ -525,14 +537,15 @@ def perimeter_circle_exact(E, s: float) -> float:
     own trace: sets.trace on the frame e = (1, 0), f = (0, 1).  Any set
     with a trace on S^1 works, arc unions and their complements and
     reflections among them.  Empty and full sets have zero perimeter; a set
-    on another sphere is a TypeError.
+    on another sphere is a TypeError, and a value that overflows a float a
+    ValueError.
     """
     s = validate_s(s)
     if E.dimension != 1:
         raise TypeError(f"perimeter_circle_exact expects a set on S^1, got one on S^{E.dimension}")
     axes = np.eye(2)
     start, length, _ = trace(E, axes[:1], axes[1:])
-    return float(_GreatCircleKernel(1, s).circle_values(start, length)[0])
+    return _finite(float(_GreatCircleKernel(1, s).circle_values(start, length)[0]), 1, s)
 
 
 def _interval_gap_pair(a: float, b: float, alpha: float, beta: float, s: float) -> float:

@@ -12,14 +12,17 @@ polytope corner to within DEGENERACY_MARGIN = 1e-9.  `rotated` turns a set
 on S^2, so that a rotated batch of circles can be traced as the fixed batch
 on the set turned back.
 
-Arc algebra on a circle runs on these (start, length) slots alone: unions
-(_merge_slots), gaps (_gaps), half turns (_half_turn) and the kernel's
-double integrals (perimeter._GreatCircleKernel.circle_values).  Two slot
-ends within ENDPOINT_MARGIN = 1e-12 of each other, mod 2 pi, are one
-point: touching slots merge, leave no gap, and give the kernel's
-antiderivative an argument of exactly 0 or 2 pi, where an ulp between them
-would read as a sliver of arc, whose s-perimeter grows without bound as
-s -> 1.
+Arc algebra on a circle runs on these (start, length) slots alone, and
+takes one operation: the complement (_gaps) of slots that may overlap.  A
+union is the complement of its complement, integral_geometry's antipodal
+gain is read off the complement of A and its half turn A + pi
+(_half_turn), and the kernel's double integrals
+(perimeter._GreatCircleKernel.circle_values) read the slots as they are.
+Two slot ends within ENDPOINT_MARGIN = 1e-12 of each other, mod 2 pi, are
+one point: touching slots leave no gap, so their union is one arc, and
+they give the kernel's antiderivative an argument of exactly 0 or 2 pi,
+where an ulp between them would read as a sliver of arc, whose
+s-perimeter grows without bound as s -> 1.
 """
 
 from __future__ import annotations
@@ -381,9 +384,9 @@ def trace(E, es, fs):
     (start, length, degenerate): start and length have shape (m, K), where
     K is fixed by the set (1 for a cap or a polytope, the sum over parts for
     a union, the arc count for an arc union, the inner K but at least 1 for
-    a complement, the inner K for a reflection).  Slots are disjoint: the
-    parts of a union not flagged assume_disjoint are merged per row
-    (_merge_slots); a disjoint union's slots are the parts' own.
+    a complement, the inner K for a reflection).  Slots are disjoint: an
+    assume_disjoint union's are its parts', another union's the complement
+    of their complement (_gaps twice).
     Slot k of row i is the open parameter arc (start, start + length) with
     start reduced mod 2 pi; an empty slot has length 0 and the full circle
     has length 2 pi, so a row crosses the boundary 2 * #{0 < length < 2 pi}
@@ -411,7 +414,7 @@ def trace(E, es, fs):
         start = np.concatenate([p[0] for p in parts], axis=1)
         length = np.concatenate([p[1] for p in parts], axis=1)
         if not E.assume_disjoint:
-            start, length = _merge_slots(start, length)
+            start, length = _gaps(*_gaps(start, length))
         return start, length, np.logical_or.reduce([p[2] for p in parts])
     if isinstance(E, Complement):
         start, length, degenerate = trace(E.inner, es, fs)
@@ -499,80 +502,52 @@ def _half_turn(start):
     return np.where(start >= TWO_PI, start - TWO_PI, start)
 
 
-def _merge_slots(start, length):
-    """Per-row union of (start, length) slots that may overlap, as disjoint
-    slots of the same shape.
-
-    A slot's start begins a union arc unless another slot holds the points
-    just before it, and its end closes one unless another slot holds the
-    points just after it.  Ends within ENDPOINT_MARGIN are one point: a
-    start at another slot's end is held by that slot, as is an end at
-    another slot's start, and of slots that share a start or an end the
-    first one keeps it.  A slot shorter than the margin is empty, and one
-    within it of 2 pi full.  Each surviving start runs to the first
-    surviving end ahead of it.  A row with a full slot, or whose slots
-    leave no start or no end, is the full circle, in slot 0.
-    """
-    m, k = start.shape
-    live = length > ENDPOINT_MARGIN
-    end = start + length
-    other = ~np.eye(k, dtype=bool)[None]  # [row, point i, slot j]: j != i
-    first = np.tril(np.ones((k, k), dtype=bool), -1)[None]  # j < i
-    slot_length = length[:, None, :]
-    # start i and end i as turns ahead of the start of slot j
-    before = (start[:, :, None] - start[:, None, :]) % TWO_PI
-    after = (end[:, :, None] - start[:, None, :]) % TWO_PI
-    held = other & live[:, None, :]
-    at_start = (before < ENDPOINT_MARGIN) | (before > TWO_PI - ENDPOINT_MARGIN)
-    opens = live & ~np.any(held & np.where(at_start, first, before <= slot_length + ENDPOINT_MARGIN), axis=2)
-    touches = (after < ENDPOINT_MARGIN) | (after > TWO_PI - ENDPOINT_MARGIN)
-    at_end = np.abs(after - slot_length) < ENDPOINT_MARGIN
-    closes = live & ~np.any(held & (touches | np.where(at_end, first, after < slot_length)), axis=2)
-    # forward distance from each start i to each end j; 0 means a whole turn
-    reach = np.swapaxes(after, 1, 2)
-    reach = np.where(closes[:, None, :], np.where(reach > 0.0, reach, TWO_PI), np.inf)
-    merged = np.where(opens, np.min(reach, axis=2), 0.0)
-    out_start = np.where(opens, start, 0.0)
-    # no start or no end left: the slots cover the circle
-    covered = ~(opens.any(axis=1) & closes.any(axis=1))
-    full = np.any(length > TWO_PI - ENDPOINT_MARGIN, axis=1) | (live.any(axis=1) & covered)
-    out_start[full] = 0.0
-    merged[full] = 0.0
-    merged[full, 0] = TWO_PI
-    return out_start, merged
-
-
 def _gaps(start, length):
-    """Per-row complementary arcs of disjoint (start, length) slots.
+    """Per-row complementary arcs of (start, length) slots that may overlap.
 
-    Gap i runs from the end of arc i to the nearest start ahead of it, a
-    turn later when that start lies behind the end (its own start for a
-    lone arc); its length is that start, plus the turn, minus the end.  A
-    start within ENDPOINT_MARGIN of the end, on either side, is the end
-    itself, so touching arcs leave no gap, and arcs and gaps shorter than
-    the margin are empty.  Gap i takes slot i, empty where arc i is; a row
-    with no arc has one full gap in slot 0.
+    Gap i runs from the end of slot i, taken mod 2 pi, to the nearest start
+    ahead of it, a turn later when that start lies behind the end (its own
+    start for a lone slot); its length is that start, plus the turn, minus
+    the end.  An end held by another live slot opens no gap: one strictly
+    inside that slot, or one it shares with a lower-numbered slot.  A start
+    within ENDPOINT_MARGIN of the end, on either side, is the end itself,
+    so touching slots leave no gap, and slots and gaps shorter than the
+    margin are empty.  Gap i takes slot i, empty where slot i is or its end
+    is held; a row with no slot has one full gap in slot 0.  The union of
+    the slots is the complement of their complement, _gaps(*_gaps(...)).
     """
     m, k = start.shape
     if k == 0:
         return np.zeros((m, 1)), np.full((m, 1), TWO_PI)
-    # slot-major rows, so every step below runs on contiguous (m,) arrays
-    start, length = start.T, length.T
-    nonempty = length > ENDPOINT_MARGIN
+    # slot-major rows, so every step below runs on contiguous (m,) arrays;
+    # an empty slot's start is nan, which no comparison holds and fmin skips
+    length = length.T
+    live = length > ENDPOINT_MARGIN
+    start = np.where(live, start.T, np.nan)
     end = start + length
+    end = np.where(end >= TWO_PI, end - TWO_PI, end)
+    # end i is strictly inside slot j when start j is further ahead than
+    # inside, and at its end when further ahead than at_end but not inside;
+    # a start within the margin of end i opens no gap anyway
+    inside = TWO_PI + ENDPOINT_MARGIN - length
+    at_end = inside - 2.0 * ENDPOINT_MARGIN
     gap_start = np.zeros((k, m))
     gap_length = np.zeros((k, m))
     for i in range(k):
         gap = np.full(m, np.inf)
-        behind = end[i] - ENDPOINT_MARGIN
+        opens = live[i].copy()
         for j in range(k):
-            following = start[j] + np.where(start[j] < behind, TWO_PI, 0.0)
-            np.minimum(gap, np.where(nonempty[j], following - end[i], np.inf), out=gap)
-        gap_length[i] = np.where(nonempty[i] & (gap >= ENDPOINT_MARGIN), gap, 0.0)
-        gap_start[i] = np.where(nonempty[i], np.where(end[i] >= TWO_PI, end[i] - TWO_PI, end[i]), 0.0)
-    gap_length[0] = np.where(nonempty.any(axis=0), gap_length[0], TWO_PI)
-    gap_start, gap_length = gap_start.T, gap_length.T
-    return gap_start, gap_length
+            # start j as turns ahead of end i, in [-margin, 2 pi - margin]
+            ahead = start[j] - end[i]
+            ahead = np.where(ahead < -ENDPOINT_MARGIN, ahead + TWO_PI, ahead)
+            ahead = np.where(ahead > TWO_PI - ENDPOINT_MARGIN, ahead - TWO_PI, ahead)
+            np.fmin(gap, ahead, out=gap)
+            if j != i:
+                opens &= ~(ahead > (at_end[j] if j < i else inside[j]))
+        gap_length[i] = np.where(opens & (gap >= ENDPOINT_MARGIN), gap, 0.0)
+        gap_start[i] = np.where(live[i], end[i], 0.0)
+    gap_length[0] = np.where(live.any(axis=0), gap_length[0], TWO_PI)
+    return gap_start.T, gap_length.T
 
 
 def _arc_union_trace(E: ArcUnion, es, fs):

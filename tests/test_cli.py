@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import spherefrac
 from spherefrac import Cap, cap_area, perimeter_cap, perimeter_minus_n, sample_uniform, sphere_surface
@@ -225,7 +228,7 @@ def test_exit_1_on_config_errors(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     assert main(["perimeter", "--n", "3", "--set", "cap:0,0,1:1.0", "--s", "-1"]) == 1
     assert "S^2" in capsys.readouterr().err
-    assert main(["beta-check", "--n", "2", "--seed", "zzz"]) == 1
+    assert main(["crofton", "--n", "2", "--set", "cap:0,0,1:1.0", "--seed", "zzz"]) == 1
     assert "bad seed" in capsys.readouterr().err
     # invalid s (the closed endpoint) is a config error too
     assert main(["perimeter", "--n", "2", "--set", "cap:0,0,1:1.0", "--s", "1.0"]) == 1
@@ -446,18 +449,22 @@ def test_perimeter_mc_runs_at_s_zero(tmp_path):
     assert abs(float(value) - perimeter_cap(2, 0.0, 1.0)) < 4.0 * float(error)
 
 
+OVERFLOW = "spherefrac: config error: the kernel's scale pi^(1-n-s) overflows a float at s = -700, n = 2"
+
+
 def test_library_warning_is_one_spherefrac_line(capsys):
     # numpy warns from inside the cap oracle: at s = -700 its kernel
-    # theta^700 overflows
+    # theta^700 overflows, and so does the value, which exits 1
     argv = ["perimeter", "--n", "2", "--set", "cap:0,0,1:1", "--s", "-700"]
-    assert main(argv) == 0
+    assert main(argv) == 1
     out, err = capsys.readouterr()
-    assert err.splitlines() == ["spherefrac: warning: overflow encountered in power"]
-    # stdout is the same as when the warning is ignored
+    assert err.splitlines() == ["spherefrac: warning: overflow encountered in power", OVERFLOW]
+    assert out == ""
+    # the same exit and output when the warning is ignored
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert main(argv) == 0
-    assert capsys.readouterr() == (out, "")
+        assert main(argv) == 1
+    assert capsys.readouterr() == ("", OVERFLOW + "\n")
 
 
 def test_mc_perimeter_that_no_point_pair_reaches_exits_1(capsys):
@@ -476,14 +483,12 @@ def test_mc_perimeter_that_no_point_pair_reaches_exits_1(capsys):
 
 def test_mc_perimeter_whose_kernel_overflows_exits_1(capsys):
     # died in an OverflowError from math.exp in RadialProposal; the cap
-    # oracle at the same s prints inf (test above)
+    # oracle at the same s exits 1 too (test above)
     argv = ["perimeter", "--n", "2", "--set", "cap:0,0,1:1", "--s", "-700",
             "--method", "mc", "--samples", "1000"]
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == [
-        "spherefrac: config error: the kernel's scale pi^(1-n-s) overflows a float at s = -700, n = 2"
-    ]
+    assert captured.err.splitlines() == [OVERFLOW]
     assert captured.out == ""
     proc = subprocess.run(
         [sys.executable, "-m", "spherefrac", *argv], capture_output=True, text=True, env=_child_env()
@@ -587,6 +592,17 @@ def test_s0_check_runs_clean(tmp_path):
     assert rec["verdicts"]["final_below_bound"]
 
 
+def test_s0_check_rows_do_not_underflow_on_large_spheres(capsys):
+    # omega_(n+1) omega_n is 0 from n = 271, and every row read 0 +- 0
+    rc = main(["s0-check", "--n", "280", "--function", "coord:0", "--samples", "1000",
+               "--seed", "1", "--format", "json"])
+    assert rc in (0, 2)
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == 4
+    for row in rows:
+        assert row["value"] > 0.0 and 0.0 < row["error"] < math.inf
+
+
 def test_profile_reports_vanishing_tail(tmp_path):
     out = tmp_path / "prof.json"
     rc = main([
@@ -651,14 +667,14 @@ def test_console_script_and_module_entry_points():
 # isoperimetric and profile reach it through volume_radius
 _EVERY_SUBCOMMAND = [
     ["perimeter", "--n", "4", "--set", "cap:0,0,0,1,0:1", "--s", "0.3", "--method", "cap_oracle"],
-    ["isoperimetric", "--s", "-1", "--trials", "2", "--samples", "2000"],
+    ["isoperimetric", "--s", "-1", "--trials", "2", "--samples", "2000", "--seed", "1"],
     ["sweep-s1", "--n", "3", "--set", "cap:0,0,0,1:1", "--method", "cap_oracle"],
-    ["sweep-sinf", "--n", "2", "--set", "cap:0,0,1:1", "--samples", "2000"],
-    ["seminorm-sweep", "--n", "2", "--function", "coord:0", "--samples", "2000"],
-    ["crofton", "--n", "2", "--set", "cap:0,0,1:1", "--planes", "100"],
-    ["bp-check", "--pairs", "1000", "--planes", "10"],
+    ["sweep-sinf", "--n", "2", "--set", "cap:0,0,1:1", "--samples", "2000", "--seed", "1"],
+    ["seminorm-sweep", "--n", "2", "--function", "coord:0", "--samples", "2000", "--seed", "1"],
+    ["crofton", "--n", "2", "--set", "cap:0,0,1:1", "--planes", "100", "--seed", "1"],
+    ["bp-check", "--pairs", "1000", "--planes", "10", "--seed", "1"],
     ["beta-check", "--n", "2"],
-    ["s0-check", "--n", "2", "--samples", "2000"],
+    ["s0-check", "--n", "2", "--samples", "2000", "--seed", "1"],
     ["profile", "--n", "2", "--s", "-1", "--alpha-grid", "1,6"],
 ]
 
@@ -673,7 +689,7 @@ def test_no_subcommand_imports_scipy():
         "from spherefrac.cli import main\n"
         f"for argv in {_EVERY_SUBCOMMAND!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        rc = main(argv + ['--seed', '1'])\n"
+        "        rc = main(argv)\n"
         "    assert rc in (0, 2), (argv, rc)\n"
         "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')))\n"
     )
@@ -682,6 +698,121 @@ def test_no_subcommand_imports_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]"]
+
+
+# the run flags each subcommand does not read, and so rejects
+_UNREAD_FLAGS = {
+    "crofton": ("--samples", "--tol", "--threshold"),
+    "bp-check": ("--samples", "--tol", "--threshold"),
+    "beta-check": ("--seed", "--samples", "--tol"),
+    "profile": ("--seed", "--samples", "--threshold"),
+    "s0-check": ("--tol", "--threshold"),
+    "sweep-sinf": ("--tol",),
+    "seminorm-sweep": ("--tol",),
+    "isoperimetric": ("--threshold",),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_UNREAD_FLAGS))
+def test_each_subcommand_rejects_the_flags_it_does_not_read(capsys, command):
+    # all ten subcommands took --seed/--samples/--tol/--threshold, and
+    # these were silently ignored
+    [argv] = [a for a in _EVERY_SUBCOMMAND if a[0] == command]
+    for flag in _UNREAD_FLAGS[command]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, "3"])
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+
+def test_record_config_lists_only_the_flags_read(capsys):
+    argv = ["crofton", "--n", "2", "--set", "cap:0,0,1:1", "--planes", "64"]
+    assert main(argv + ["--format", "json"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config == {"n": 2, "set_desc": "cap:0,0,1:1", "planes": 64, "seed": DEFAULT_SEED}
+    assert main(["beta-check", "--n", "2", "--format", "json"]) == 0
+    assert "seed" not in json.loads(capsys.readouterr().out)["config"]
+
+
+# ---------------------------------------------------------------------------
+# fuzzing main at tiny sizes
+
+# ordinary values weigh four times as much as the edge values, and a
+# vector has the length of the sphere's points five times out of seven
+_EDGE = ["1e300", "-1e300", "1e-300", "inf", "-inf", "nan"]
+_NUMBER = st.sampled_from(["0", "1", "-1", "0.5", "2", "1e+2"] * 4 + _EDGE)
+_RADIUS = st.sampled_from(["0", "0.5", "1", "2", "3.1415926535897931"] * 4 + _EDGE + ["-1", "4"])
+_S = st.sampled_from(["-3", "-2", "-0.5", "0", "0.3"] * 3 + [
+    "-1e5", "-700", "-619", "0.999999", "1", "1.5", "nan", "inf", "-inf", "-1e300"])
+_T_GRID = st.sampled_from(["20,40,80", "2,3", "1", "0", "-1", "80,40,20", "1e5", "1e300",
+                           "nan", "inf"])
+# sweeps end in the limit row
+_SWEEPS = ("sweep-s1", "sweep-sinf", "seminorm-sweep")
+
+
+def _set_descriptions(n):
+    size = st.sampled_from([n + 1] * 5 + [n, n + 2])
+    vector = size.flatmap(lambda k: st.lists(_NUMBER, min_size=k, max_size=k)).map(",".join)
+    leaves = [
+        st.tuples(vector, _RADIUS).map(lambda t: f"cap:{t[0]}:{t[1]}"),
+        st.lists(vector, min_size=1, max_size=3).map(lambda rows: "poly:" + ";".join(rows)),
+    ]
+    if n == 1:
+        arc = st.tuples(_NUMBER, _RADIUS).map(",".join)
+        leaves.append(st.lists(arc, min_size=1, max_size=2).map(lambda a: "arcs:" + ";".join(a)))
+    return st.recursive(st.one_of(leaves), lambda inner: st.one_of(
+        inner.map("compl:".__add__),
+        inner.map("refl:".__add__),
+        st.lists(inner, min_size=2, max_size=3).map(lambda parts: "union:" + "+".join(parts)),
+    ), max_leaves=4)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["perimeter", "crofton", "sweep-s1", "sweep-sinf",
+                                    "seminorm-sweep"]))
+    n = draw(st.sampled_from([1, 2]))
+    argv = [command, "--n", str(n), "--seed", "1"]
+    if command == "seminorm-sweep":
+        argv += ["--function", draw(st.sampled_from(["coord:0", "abs-coord:1", "const:2"]))]
+    else:
+        argv += ["--set", draw(_set_descriptions(n))]
+    if command == "perimeter":
+        argv += [f"--s={draw(_S)}"]
+    if command in ("perimeter", "sweep-s1"):
+        argv += ["--method", draw(st.sampled_from(["auto"] * 3 + ["mc", "cap_oracle",
+                                                                   "circle_exact"]))]
+    if command in ("sweep-sinf", "seminorm-sweep"):
+        argv += [f"--t-grid={draw(_T_GRID)}"]
+    return argv + (["--planes", "2"] if command == "crofton" else ["--samples", "2"])
+
+
+@settings(max_examples=150)
+@given(argv=_argv())
+@example(argv=["perimeter", "--n", "2", "--set", "cap:0,0,1:1", "--s=-700", "--method",
+               "cap_oracle"])
+@example(argv=["perimeter", "--n", "1", "--set", "arcs:0,1", "--s=-619"])
+def test_fuzzed_cli_inputs_end_in_an_exit_code(argv):
+    # no traceback: main returns an exit code or argparse exits with 1, and
+    # a run that exits 0 prints finite values and errors in every row but
+    # a sweep's limit row.  The two examples printed `inf,inf` and `inf,0`
+    # and exited 0.  Values are joined to their flags (--s=-1e5), as
+    # argparse reads a separate -1e5 as a flag
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc in (0, 1, 2, 3), (argv, rc, err.getvalue())
+    if rc == 0:
+        rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
+        if argv[0] in _SWEEPS:
+            rows = rows[:-1]
+        for row in rows:
+            assert all(math.isfinite(float(x)) for x in row[1:3]), (argv, row)
 
 
 @pytest.mark.skipif(

@@ -346,6 +346,17 @@ def test_perimeter_mc_rejects_an_overflowing_kernel_scale():
     assert math.isfinite(perimeter_mc(cap, -700.0, 1000, RandomStream(3), normalized=True).value)
 
 
+def test_exact_perimeters_that_overflow_raise_the_mc_error():
+    # these returned inf, which the CLI printed with exit 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ValueError, match=r"overflows a float at s = -700, n = 2"):
+            perimeter_cap(2, -700.0, 1.0)
+    with pytest.raises(ValueError, match=r"overflows a float at s = -619, n = 1"):
+        perimeter_circle_exact(ArcUnion([(0.0, 1.0)]), -619.0)
+    assert math.isfinite(perimeter_circle_exact(ArcUnion([(0.0, 1.0)]), -600.0))
+
+
 def test_perimeter_mc_raises_no_warning_from_s_one_half():
     # the sliced estimator's variance is finite for every s < 1, so there is
     # no infinite-variance warning to give

@@ -45,7 +45,7 @@ from spherefrac.perimeter import (
     _remainder_coefficients,
     _sliced_supports,
 )
-from spherefrac.sets import _merge_slots, rotated, trace
+from spherefrac.sets import rotated, trace
 
 from oracles import disjoint_cap_union_perimeter, sliced_values_serial
 from test_mc_parallel import SETS
@@ -431,7 +431,8 @@ def test_rotated_keeps_the_disjointness_flag_and_rejects_circle_sets():
         rotated(ArcUnion([(0.0, 1.0)]), np.eye(2))
 
 
-@pytest.mark.parametrize("slots, merged", [
+# (slots of one row, their union) on the circle
+MERGE_CASES = [
     ([(0.5, 1.0), (1.2, 1.0)], [(0.5, 1.7)]),            # overlap
     ([(1.0, 3.0), (2.0, 0.5)], [(1.0, 3.0)]),            # nested
     ([(1.0, 1.0), (1.0, 1.0)], [(1.0, 1.0)]),            # equal
@@ -445,42 +446,72 @@ def test_rotated_keeps_the_disjointness_flag_and_rejects_circle_sets():
     # end read as inside the other slot, and the union as the full circle
     ([(5.273816224487821, 1.9387906445438965), (0.12832973513896673, 0.8010918267131653)],
      [(5.273816224487821, 1.9387906445438965)]),
-])
-def test_merged_slots_are_the_union_of_the_arcs(slots, merged):
+]
+
+
+def row_arcs(start, length):
+    """The nonempty (start, length) slots of a one-row trace, sorted."""
+    return sorted((a, la) for a, la in zip(start[0], length[0]) if la > 0.0)
+
+
+def assert_arcs(got, expected):
+    assert len(got) == len(expected)
+    assert np.allclose(got, sorted(expected), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("slots, merged", MERGE_CASES)
+def test_gaps_of_overlapping_slots_are_the_complement_of_their_union(slots, merged):
+    # the union's arcs are disjoint and sorted: each gap runs from an arc's
+    # end to the next arc's start
+    if not merged:
+        complement = [(0.0, TWO_PI)]
+    elif merged[0][1] == TWO_PI:
+        complement = []
+    else:
+        following = [a for a, _ in merged[1:]] + [merged[0][0] + TWO_PI]
+        complement = [((a + la) % TWO_PI, b - a - la) for (a, la), b in zip(merged, following)]
     start = np.array([[a for a, _ in slots]])
     length = np.array([[la for _, la in slots]])
-    out_start, out_length = _merge_slots(start, length)
-    got = sorted((a, la) for a, la in zip(out_start[0], out_length[0]) if la > 0.0)
-    assert np.allclose(got, sorted(merged), rtol=0.0, atol=1e-12) and len(got) == len(merged)
+    assert_arcs(row_arcs(*sets._gaps(start, length)), complement)
+
+
+@pytest.mark.parametrize("slots, merged", MERGE_CASES)
+def test_merged_slots_are_the_union_of_the_arcs(slots, merged):
+    # the union is the complement of the complement
+    start = np.array([[a for a, _ in slots]])
+    length = np.array([[la for _, la in slots]])
+    assert_arcs(row_arcs(*sets._gaps(*sets._gaps(start, length))), merged)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_merged_traces_of_random_overlapping_caps_are_exact(seed):
-    # midpoints inside the union, points 1e-6 beyond either end outside it,
-    # and no two slots of a row overlapping
+    # for the union and its complement and reflection: midpoints inside the
+    # set, points 1e-6 beyond either end outside it, and no two slots of a
+    # row overlapping
     gen = np.random.default_rng(seed)
     caps = tuple(Cap(gen.standard_normal(3), gen.uniform(0.2, 2.5))
                  for _ in range(int(gen.integers(2, 4))))
-    E = PolyconvexUnion(caps, assume_disjoint=False)
+    union = PolyconvexUnion(caps, assume_disjoint=False)
     es, fs = sample_plane_batch(2, 500, gen)
-    start, length, degenerate = trace(E, es, fs)
-    ok = ~degenerate
-    proper = ok[:, None] & (length > 0.0) & (length < TWO_PI)
-
-    def inside(phi):
-        return E.contains(np.cos(phi)[..., None] * es[:, None, :]
-                          + np.sin(phi)[..., None] * fs[:, None, :])
-
-    assert np.all(inside(start + 0.5 * length)[ok[:, None] & (length > 0.0)])
-    assert not np.any(inside(start - 1e-6)[proper])
-    assert not np.any(inside(start + length + 1e-6)[proper])
-    assert np.all(length[ok].sum(axis=1) <= TWO_PI + 1e-12)
-    # the merged trace holds exactly the points some part holds
     phi = gen.uniform(0.0, TWO_PI, (500, 64))
-    in_slots = np.zeros(phi.shape, dtype=bool)
-    for k in range(start.shape[1]):
-        in_slots |= (phi - start[:, k : k + 1]) % TWO_PI < length[:, k : k + 1]
-    assert np.array_equal(in_slots[ok], inside(phi)[ok])
+    for E in (union, Complement(union), Reflection(union)):
+        start, length, degenerate = trace(E, es, fs)
+        ok = ~degenerate
+        proper = ok[:, None] & (length > 0.0) & (length < TWO_PI)
+
+        def inside(phi):
+            return E.contains(np.cos(phi)[..., None] * es[:, None, :]
+                              + np.sin(phi)[..., None] * fs[:, None, :])
+
+        assert np.all(inside(start + 0.5 * length)[ok[:, None] & (length > 0.0)])
+        assert not np.any(inside(start - 1e-6)[proper])
+        assert not np.any(inside(start + length + 1e-6)[proper])
+        assert np.all(length[ok].sum(axis=1) <= TWO_PI + 1e-12)
+        # the trace holds exactly the points the set holds
+        in_slots = np.zeros(phi.shape, dtype=bool)
+        for k in range(start.shape[1]):
+            in_slots |= (phi - start[:, k : k + 1]) % TWO_PI < length[:, k : k + 1]
+        assert np.array_equal(in_slots[ok], inside(phi)[ok])
 
 
 def cap_lens_area(r1, r2, d):
