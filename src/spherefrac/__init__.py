@@ -1,10 +1,9 @@
 """Fractional perimeters and seminorms on the unit sphere.
 
 Numerical companions to the spherical fractional isoperimetric inequality:
-Monte Carlo and quadrature estimators for the s-perimeter, exact circle and
-interval formulas, great-circle integral geometry (two-point plane identity,
-Crofton crossings), and the extrapolated limits s -> 1, s -> -infinity and
-s -> 0^-.
+Monte Carlo and quadrature estimators for the s-perimeter, the exact circle
+formula, great-circle integral geometry (two-point plane identity, Crofton
+crossings), and the extrapolated limits s -> 1, s -> -infinity and s -> 0^-.
 """
 
 from .estimation import (
@@ -52,9 +51,6 @@ from .limits import (
     sweep_seminorm_to_minus_inf,
 )
 from .perimeter import (
-    antipodal_concentration_quad,
-    interval_perimeter_exact,
-    interval_perimeter_localized,
     perimeter_cap,
     perimeter_circle_exact,
     perimeter_mc,
@@ -96,7 +92,6 @@ __all__ = [
     "SweepRow",
     "VanishingReport",
     "adaptive_quad",
-    "antipodal_concentration_quad",
     "as_stream",
     "beta_asymptotic_check",
     "bp_check",
@@ -106,8 +101,6 @@ __all__ = [
     "crofton_estimate",
     "extrapolate",
     "geodesic_distance",
-    "interval_perimeter_exact",
-    "interval_perimeter_localized",
     "isoperimetric_comparison",
     "isoperimetric_profile",
     "mc_estimate",

@@ -165,11 +165,15 @@ def _beta_half(m: int, x):
     return root * series
 
 
-def volume_radius(n: int, alpha: float, tol: float = 1e-12, max_iter: int = 200) -> float:
+# volume_radius's bracket length at which it stops, and its most steps
+_RADIUS_TOL, _RADIUS_STEPS = 1e-12, 200
+
+
+def volume_radius(n: int, alpha: float) -> float:
     """Radius of the cap on S^n with H^n measure alpha (inverse of cap_area).
 
     Bisection on [0, pi]; cap_area is strictly increasing so the root is
-    unique.  Stops when the bracket is shorter than tol.
+    unique.  Stops when the bracket is shorter than _RADIUS_TOL.
     """
     total = sphere_surface(n)
     if not 0.0 <= alpha <= total + 1e-9 * total:
@@ -179,13 +183,13 @@ def volume_radius(n: int, alpha: float, tol: float = 1e-12, max_iter: int = 200)
     if alpha >= total:
         return math.pi
     lo, hi = 0.0, math.pi
-    for _ in range(max_iter):
+    for _ in range(_RADIUS_STEPS):
         mid = 0.5 * (lo + hi)
         if cap_area(n, mid) < alpha:
             lo = mid
         else:
             hi = mid
-        if hi - lo < tol:
+        if hi - lo < _RADIUS_TOL:
             break
     return 0.5 * (lo + hi)
 

@@ -410,9 +410,8 @@ def isoperimetric_comparison(
     the perimeter depends on the measure alone, so it is rejected here.
 
     The union's perimeter is one perimeter_mc run of samples per trial
-    (the sliced great-circle estimator, or, where its kernel refuses
-    s < 0, half the indicator's point-pair seminorm), and the margin is
-    its plain z-score against the cap.
+    (the sliced great-circle estimator), and the margin is its plain
+    z-score against the cap.
     """
     if trials < 1:
         raise ValueError("need at least one trial")

@@ -7,30 +7,29 @@ at the boundary (singular regime), s in [-n, 0] keeps it integrable (mild),
 and s < -n flips the kernel into one that rewards antipodal separation
 (smooth regime).
 
-perimeter_mc is the sliced estimator for every s < 1: by the two-point
-great-circle identity of integral_geometry.bp_check, P_s(E) is c_n times
-the Haar mean of a circle double integral over the set's trace, which
-_GreatCircleKernel evaluates exactly from one matched antiderivative of
-the kernel, so its variance is finite for every s < 1.
+perimeter_mc is the sliced estimator for every n and s < 1: by the
+two-point great-circle identity of integral_geometry.bp_check, P_s(E) is
+c_n times the Haar mean of a circle double integral over the set's trace,
+which _GreatCircleKernel evaluates exactly from one matched antiderivative
+of the kernel, so its variance is finite for every s < 1.
 
 seminorm_mc is the one point-pair estimator: x uniform, y at a distance
 drawn from RadialProposal.  Since |1_E(x) - 1_E(y)| counts each pair of E
 x E^c once in each order, P_s(E) is half the p = 1 seminorm of E's
-indicator, and _perimeter_point_pairs takes it so.  It rests on no
-great-circle identity and serves the s < 0 where the kernel's series would
-cancel too many digits (_sliced_supports: n > 12, and smaller n far below
-0), and limits.sweep_s_to_minus_inf.
+indicator, and _perimeter_point_pairs takes it so for
+limits.sweep_s_to_minus_inf.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .estimation import Estimate, RadialProposal, adaptive_quad, mc_estimate
-from .geometry import _beta_half, cap_area, sample_at_distance, sample_uniform, sphere_surface
-from .integral_geometry import _circle_mean, bp_constant
+from .geometry import _beta_half, _x_minus_sin, cap_area, sample_at_distance, sample_uniform, sphere_surface
+from .integral_geometry import _circle_mean
 from .sets import ENDPOINT_MARGIN, TWO_PI, ArcUnion, trace
 
 
@@ -64,29 +63,55 @@ def perimeter_mc(
     rng=None,
     normalized: bool = False,
 ) -> Estimate:
-    """Monte Carlo s-perimeter of E by the sliced estimator of _perimeter_sliced.
+    """Monte Carlo s-perimeter of E (kernel (d/pi)^-(n+s) when
+    normalized=True) from the two-point great-circle identity.
 
-    samples great circles each contribute c_n times the exact circle double
-    integral of their trace; the variance is finite for every s < 1.  On
-    S^2 the circles are 32 rotations of a Fibonacci lattice and the
-    Estimate's samples is 32, the rotation count; elsewhere it is samples.
-    The set needs a great-circle trace (sets.trace); one without is a
-    ValueError.
+    With f(x, y) = 1_E(x) 1_(E^c)(y) d(x, y)^-(n+s) the identity checked
+    by integral_geometry.bp_check gives P_s(E) = c_n E_L[V(trace_L E)] for
+    a Haar great circle L, where V is the circle double integral of
+    _GreatCircleKernel over the trace's arcs and their gaps.  sets.trace
+    gives the arcs exactly, so each circle's value is exact and bounded
+    for every s < 1, and the variance finite (a point pair's is not for
+    s >= 1/2).  A hemisphere meets every circle in a semicircle, so its
+    estimate is exact.  A set without a great-circle trace is a ValueError.
 
-    Where _GreatCircleKernel refuses (n, s) (_sliced_supports: n > 12, and
-    smaller n far below s = 0), s >= 0 is a ValueError, and s < 0 takes the
-    point-pair estimator _perimeter_point_pairs, whose Estimate's samples is
-    samples.
+    The mean over samples circles is integral_geometry._circle_mean: on
+    S^2, 32 Haar rotations of a Fibonacci lattice of samples // 32 poles,
+    one sample each (randomized quasi-Monte Carlo; the Estimate's samples
+    is 32, and the error bar has 31 degrees of freedom); elsewhere iid
+    circles in chunks.  Degenerate circles are redrawn as in
+    crofton_estimate.
 
-    Returns an Estimate of the perimeter (kernel (d/pi)^-(n+s) when
-    normalized=True).
+    c_n is subnormal from n = 261, so its product with the kernel's scale
+    is formed in logs; a product that is still subnormal is a ValueError,
+    and so is an estimate of 0 on a set whose boundary_measure() is not 0
+    (no sampled circle met the boundary), whose error bar 0 would claim an
+    exact value.
     """
     s = validate_s(s)
-    if s < 0.0 and not _sliced_supports(E.dimension, s):
-        # the kernel's series would cancel too many digits, while point
-        # pairs keep a finite variance for s < 0
-        return _perimeter_point_pairs(E, s, samples, rng, normalized)
-    return _perimeter_sliced(E, s, samples, rng, normalized)
+    n = E.dimension
+    axes = np.eye(n + 1)
+    try:
+        trace(E, axes[:1], axes[1:2])
+    except TypeError:
+        raise ValueError(f"no great-circle trace for {type(E).__name__}: "
+                         "the sliced perimeter needs sets.trace") from None
+    kernel = _GreatCircleKernel(n, s, normalized)  # its scale becomes c_n times its own
+    log_surface = lambda k: math.log(2.0) + 0.5 * (k + 1) * math.log(math.pi) - math.lgamma(0.5 * (k + 1))
+    log_bp = log_surface(n) + log_surface(n - 1) - math.log(4.0 * math.pi)  # log c_n
+    try:
+        kernel.scale = math.exp(log_bp + math.log(kernel.scale))
+    except OverflowError:
+        raise _scale_overflow(n, s) from None
+    if kernel.scale < np.finfo(float).tiny:
+        raise ValueError(f"c_n times the kernel's scale underflows a float at n = {n}, s = {s:g}")
+    est, _ = _circle_mean(E, kernel.circle_values, samples, rng)
+    if est.value == 0.0 and E.boundary_measure() != 0.0:
+        raise ValueError(
+            f"every sampled circle gave 0 at n = {n}, samples = {samples}: the estimate would "
+            "read 0 with error 0, which is not exact for a set with a boundary"
+        )
+    return est
 
 
 def _scale_overflow(n: int, s: float) -> ValueError:
@@ -101,17 +126,12 @@ def _finite(value: float, n: int, s: float) -> float:
 
 
 def _perimeter_point_pairs(E, s: float, samples: int, rng, normalized: bool = False) -> Estimate:
-    """Point-pair s-perimeter of E for s < 0, on any set with contains.
-
-    |1_E(x) - 1_E(y)| = 1_E(x) 1_(E^c)(y) + 1_(E^c)(x) 1_E(y), so P_s(E)
-    is half the p = 1 seminorm of E's indicator, which seminorm_mc
-    estimates in the normalized kernel; the plain kernel multiplies it by
-    pi^-(n+s).  It rests on no great-circle identity, so it checks the
-    sliced estimator independently.  A plain kernel whose factor or value
-    overflows a float is a ValueError.  So is an estimate of 0 on a set
-    whose boundary_measure() is not 0: every sampled pair gave 0, because
-    none straddled the boundary or its weight underflowed, or the mean
-    underflowed, and the error bar 0 would claim an exact value.
+    """Point-pair s-perimeter of E for s < 0, on any set with contains:
+    half the p = 1 seminorm of E's indicator, as |1_E(x) - 1_E(y)| counts
+    each pair of E x E^c once in each order, times pi^-(n+s) for the plain
+    kernel.  It rests on no great-circle identity.  A plain kernel whose
+    factor or value overflows a float is a ValueError, and so is an
+    estimate of 0 on a set whose boundary_measure() is not 0.
     """
     n = E.dimension
     factor = 0.5
@@ -180,10 +200,15 @@ def seminorm_mc(
 # Relative tolerance of the cap oracle, and the relative error it reports.
 CAP_TOL = 1e-8
 
-# 48-point Gauss-Legendre rule on [0, 1] for the crescent's radial integral
-_CRESCENT_V, _CRESCENT_W = np.polynomial.legendre.leggauss(48)
-_CRESCENT_V = 0.5 * (_CRESCENT_V + 1.0)
-_CRESCENT_W = 0.5 * _CRESCENT_W
+
+@functools.cache
+def _crescent_rule(nodes: int):
+    """Gauss-Legendre rule on [0, 1] for the crescent's radial integral:
+    48 nodes up to n = 50 and 96 above, where sin^(n-1) rho needs them.
+    Against the sliced hemisphere at s in {0, -1, -n}, 48 are off by 3e-8
+    at n = 100 and 7e-6 at n = 200, and 96 by at most 2e-12 to n = 260."""
+    v, w = np.polynomial.legendre.leggauss(nodes)
+    return 0.5 * (v + 1.0), 0.5 * w
 
 
 def _cap_crescent(n: int, r: float, theta):
@@ -203,17 +228,17 @@ def _cap_crescent(n: int, r: float, theta):
         K = cap_area(n, h) + omega_n int_h^r sin^(n-1)(rho) I_(tau^2)(1/2, (n-1)/2) d rho.
 
     Every term is positive, so small theta loses no digits (unlike
-    cap_area - lens).  The substitution rho = h + (r - h) v^6 makes the
-    (rho - h)^((n-1)/2) start of the integrand smooth and spreads the
-    nodes over its layer of width ~h, for a fixed 48-point rule in v.
-    Vectorized over theta.
+    cap_area - lens).  rho = h + (r - h) v^6 makes the (rho - h)^((n-1)/2)
+    start of the integrand smooth for a fixed rule in v (_crescent_rule)
+    and spreads its nodes over the layer of width ~h.  Vectorized over theta.
     """
+    v, w = _crescent_rule(48 if n <= 50 else 96)
     h = np.minimum(0.5 * np.asarray(theta, dtype=float), r)[..., None]
     span = r - h
-    rho = h + span * _CRESCENT_V**6
+    rho = h + span * v**6
     tau2 = np.minimum((np.tan(h) / np.tan(rho)) ** 2, 1.0)
     share = np.sin(rho) ** (n - 1) * _beta_half(n - 1, tau2)
-    lateral = (share * 6.0 * span * _CRESCENT_V**5) @ _CRESCENT_W
+    lateral = (share * 6.0 * span * v**5) @ w
     return cap_area(n, h[..., 0]) + sphere_surface(n - 1) * lateral
 
 
@@ -240,7 +265,7 @@ def perimeter_cap(n: int, s: float, r: float, tol: float = CAP_TOL) -> float:
     tol is the relative accuracy; against 40-digit values for n in {2, 3}
     the error stays below tol/5 for every tol from 1e-3 to 1e-12.  n = 1
     delegates to the exact circle formula.  A value that overflows a float
-    (s far below -n) is a ValueError.
+    (s far below -n), or underflows to 0 for 0 < r < pi, is a ValueError.
     """
     s = validate_s(s)
     if not (0.0 <= r <= math.pi):
@@ -272,11 +297,14 @@ def perimeter_cap(n: int, s: float, r: float, tol: float = CAP_TOL) -> float:
         far = cap_area(n, r) * adaptive_quad(
             lambda t: t ** (-n - s) * np.sin(t) ** (n - 1), 2.0 * r, math.pi, tol=tol
         )
-    return _finite(omega_n * (near + far), n, s)
+    value = _finite(omega_n * (near + far), n, s)
+    if value == 0.0:
+        raise ValueError(f"the cap oracle's value underflows a float at n = {n}, s = {s:g}, r = {r:g}")
+    return value
 
 
 # ---------------------------------------------------------------------------
-# exact one-dimensional formulas
+# the great-circle kernel
 
 
 def _power_quotient(x, s: float):
@@ -295,62 +323,60 @@ def _power_quotient(x, s: float):
     return np.expm1(-s * log_x) / s
 
 
-# Largest condition number of the hemisphere's circle value that
-# _GreatCircleKernel accepts (_sliced_supports): its relative rounding error
-# is then about 1e6 eps, 1e-10.  For s >= 0 this admits n <= 12 (3.5e5 at
-# n = 12; n = 13 gives 1.2e6); below 0 the number grows like |s|^(n-1).
-_MAX_CONDITION = 1e6
+# At and below this s, _GreatCircleKernel takes the positive form of G.
+# Measured against 40-digit values and each other: H0 grows like 1/|s|
+# near 0, where W loses digits to it (2e-10 at n = 50, s = -0.001), while
+# the split form's parts grow like x^(1-s) / (s (1-s)) and cancel as s
+# falls (5e-10 at n = 50, s = -5; none left at n = 200, s = -20).  At
+# s = -1 both keep W within 6e-12 for every n <= 342.
+_POSITIVE_FORM_BELOW = -1.0
+
+# Share of the largest Chebyshev coefficient below which the series is cut
+# (its FFT's roundoff is below 1e-16 of it), and the most terms tried.
+_PLATEAU, _MAX_DEGREE = 4e-15, 4096
 
 
-def _remainder_coefficients(n: int, s: float):
-    """The coefficients c_j = a_j / ((2j-s)(2j+1-s)) of _GreatCircleKernel's
-    remainder, j = 1, 2, ... until c_j pi^(2j) drops below roundoff of the
-    running sum of |c_j| pi^(2j); None when 199 terms do not get there
-    (n >= 108 at s = 0).
-
-    a_j are the Taylor coefficients of (sin x / x)^(n-1) in x^2, from the
-    powers of sin(x)/x = sum_i f_i x^(2i) by Miller's recurrence
-    b_k = (1/k) sum_(i=1..k) (n i - k) f_i b_(k-i).  n = 1 has none.
-    """
-    if n == 1:
-        return []
-    p2 = math.pi * math.pi
-    f = [1.0]
-    b = [1.0]
-    coef = []
-    growth = 0.0
-    for k in range(1, 200):
-        f.append(-f[-1] / ((2 * k) * (2 * k + 1)))
-        b.append(sum((n * i - k) * f[i] * b[k - i] for i in range(1, k + 1)) / k)
-        coef.append(b[k] / ((2 * k - s) * (2 * k + 1 - s)))
-        size = abs(coef[-1]) * p2**k
-        growth += size
-        if size < 1e-18 * max(growth, 1.0) and k > 2:
-            return coef
-    return None
+def _jacobi_rule(nodes: int, beta: float):
+    """Gauss rule (v, w) for int_0^1 v^beta f(v) dv, beta > -1 (Golub and
+    Welsch, Math. Comp. 23, 1969): the eigenvalues of the Jacobi matrix of
+    the orthonormal p_j of weight v^beta, and p_0^2 / ((1+beta) sum_j p_j(v)^2)
+    from their recurrence, renormalized at each step so nothing overflows."""
+    j = np.arange(1.0, nodes)
+    ab = 2.0 * j + beta
+    diag = 0.5 + 0.5 * np.concatenate([[beta / (beta + 2.0)], beta * beta / (ab * (ab + 2.0))])
+    off = j * (j + beta) / (ab * np.sqrt(ab * ab - 1.0))
+    v = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+    prev, cur, first = np.zeros(nodes), np.ones(nodes), np.ones(nodes)
+    for k in range(nodes - 1):
+        prev, cur = cur, ((v - diag[k]) * cur - (off[k - 1] * prev if k else 0.0)) / off[k]
+        norm = 1.0 / np.sqrt(1.0 + cur * cur)
+        first *= norm * norm
+        prev, cur = prev * norm, cur * norm
+    return v, first / (1.0 + beta)
 
 
-def _sliced_supports(n: int, s: float) -> bool:
-    """Whether _GreatCircleKernel takes (n, s): the hemisphere's value in
-    the unit pi, 2 sum_(j>=0) a_j pi^(2j) / (2j+1-s) (a_0 = 1), has a
-    condition number sum |terms| / |sum| of at most _MAX_CONDITION.
-
-    It is taken at min(s, 0): the number falls as s rises, so every s >= 0
-    gets the dimensions of s = 0, n <= 12.  Below 0 the kernel
-    (sin x / x)^(n-1) x^-(1+s) of the remainder moves toward pi, where the
-    terms of the series cancel, and the number grows like |s|^(n-1): it
-    passes n = 2 down to s = -2.7e5, n = 3 to -387, n = 4 to -52, n = 8 to
-    -5.0 and n = 12 to -0.49.  A series that does not reach roundoff
-    (_remainder_coefficients is None) is refused too.
-    """
-    s = min(s, 0.0)
-    coef = _remainder_coefficients(n, s)
-    if coef is None:
-        return False
-    j = np.arange(1, len(coef) + 1)
-    # c_j (2j - s) = a_j / (2j+1-s)
-    terms = np.concatenate([[1.0 / (1.0 - s)], np.array(coef) * (2 * j - s) * math.pi ** (2.0 * j)])
-    return bool(np.sum(np.abs(terms)) <= _MAX_CONDITION * abs(np.sum(terms)))
+def _chebyshev_series(f):
+    """Chebyshev coefficients of f(y) on [0, 1] in t = 2y - 1, from f at
+    16, 32, ... Chebyshev points until the last half fall below _PLATEAU,
+    and cut there (Trefethen, Approximation Theory and Approximation
+    Practice, 2013).  Not getting there by _MAX_DEGREE is a ValueError."""
+    degree = 16
+    while True:
+        k = np.arange(degree)
+        vals = f(0.5 + 0.5 * np.cos((k + 0.5) * (math.pi / degree)))
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("the great-circle kernel's table underflows a float")
+        # 2 sum_j f_j cos(k theta_j), theta_j = (j + 1/2) pi / degree, by one FFT
+        coef = np.fft.fft(np.concatenate([vals, vals[::-1]]))[:degree]
+        coef = (coef * np.exp(-0.5j * math.pi / degree * k)).real / degree
+        coef[0] *= 0.5
+        noise = _PLATEAU * np.abs(coef).max()
+        if np.all(np.abs(coef[degree // 2 :]) <= noise):
+            keep = np.flatnonzero(np.abs(coef) > noise)
+            return coef[: keep[-1] + 1] if keep.size else coef[:0]
+        if degree >= _MAX_DEGREE:
+            raise ValueError(f"the great-circle kernel's series does not converge in {degree} terms")
+        degree *= 2
 
 
 class _GreatCircleKernel:
@@ -361,40 +387,32 @@ class _GreatCircleKernel:
 
     Double integrals of k over a rectangle [a,b] x [alpha,beta] reduce to
     G(beta-a) - G(beta-b) - G(alpha-a) + G(alpha-b), in which affine terms
-    of G cancel.  G is therefore taken up to the affine term x / (s (1-s))
-    of the circle's own kernel delta^-(1+s), which leaves its singular part
-    -x q(x) / (1-s), q(x) = (x^-s - 1)/s (_power_quotient): no term grows
-    like 1/s, so s near 0 loses no digits to cancellation, and s = 0 is the
-    logarithmic limit x log x.  The rest is the remainder R, whose second
-    derivative is delta^-(1+s) ((sin delta / delta)^(n-1) - 1):
+    of G cancel.  On [0, pi], G(x) = int_0^x (x - t) k(t) dt with t = x v
+    is the positive integral x^(1-s) H0(x) at and below s =
+    _POSITIVE_FORM_BELOW, and above it, up to an affine term, the circle
+    kernel's part -x q(x) / (1-s), q = (x^-s - 1)/s (_power_quotient, with
+    no 1/s term and the limit x log x at s = 0), plus a remainder:
 
-        G(x) = -x q(x) / (1-s) + R(x),
-        R(x) = x^(1-s) sum_(j>=1) c_j x^(2j),   c_j = a_j / ((2j-s)(2j+1-s)),
+        G(x) = -x q(x) / (1-s) + x^(1-s) H(x),
+        H(x)  = int_0^1 (1-v) v^-(1+s) (sinc(x v)^(n-1) - 1) dv,
+        H0(x) = int_0^1 (1-v) v^-(1+s) sinc(x v)^(n-1) dv.
 
-    on [0, pi], with a_j the Taylor coefficients of (sin delta / delta)^(n-1)
-    in delta^2 (_remainder_coefficients), and G(x) = G(2 pi - x) +
-    2 (x - pi) G'(pi) above pi, so that G is C^1 at pi and G(0) = 0.  The
-    series is summed until its terms at pi drop below roundoff (14 terms
-    for n = 2, 18 for n = 3); n = 1, the circle itself, has no remainder.
-    An (n, s) that _sliced_supports refuses is a ValueError.
+    H, or log H0, is smooth and even in x: it is tabulated once as a
+    Chebyshev series in y = (x/pi)^2 (_chebyshev_series) from a Gauss-Jacobi
+    rule (_jacobi_rule) of weight v^(1-s), with sinc^(n-1) - 1 formed as
+    expm1((n-1) log1p(-(z - sin z)/z)), or of weight v^-(1+s).  G'(pi) is
+    its own sum on that rule.  Above pi, G(x) = G(2 pi - x) + 2 (x - pi)
+    G'(pi), so G is C^1 at pi.  n = 1, the circle itself, has H = 0.
 
-    For s < 0, x^(1-s) reaches pi^(1-s), which overflows a float from
-    s = -619 on, so lengths are then measured in the unit L = pi: with
-    x = L u the double integrals are L^(1-s) times those of the same form
-    in u, with c_j L^(2j) for c_j and 1 for pi, and every power of u stays
-    at most 1.  For s >= 0, where x^(1-s) stays below pi, the unit is
-    L = 1.  G, W and circle_values take radians and return scale times the
-    values in the unit, scale being L^(1-s), times pi^(n+s) when
-    normalized; a plain kernel whose scale overflows a float is a
-    ValueError.
+    For s < 0, x^(1-s) overflows a float from s = -619 on, so lengths are
+    then measured in the unit L = pi, in which every power of u = x / L
+    stays at most 1; for s >= 0, L = 1.  G, W and circle_values take
+    radians and return scale times the values in the unit, scale being
+    L^(1-s), times pi^(n+s) when normalized; a plain kernel whose scale
+    overflows a float is a ValueError.
     """
 
     def __init__(self, n: int, s: float, normalized: bool = False):
-        if not _sliced_supports(n, s):
-            raise ValueError(
-                f"the sliced perimeter supports n <= 12 for s >= 0 and fewer below, got "
-                f"n = {n}, s = {s:g}: its kernel series would cancel too many digits"
-            )
         self.s = s
         if s >= 0.0:
             self.unit = 1.0
@@ -409,47 +427,64 @@ class _GreatCircleKernel:
                 raise _scale_overflow(n, s) from None
             if not math.isfinite(self.scale):
                 raise _scale_overflow(n, s)
-        coef = _remainder_coefficients(n, s)
-        j = np.arange(1, len(coef) + 1)
-        self.coef = np.array(coef) * self.unit ** (2 * j)
-        # pi and 2 pi in the unit; G'(h) = 1/(1-s) - q(h) + R'(h) with
-        # R'(u) = sum_j c_j (2j+1-s) u^(2j-s)
-        self.half = math.pi / self.unit
-        self.turn = TWO_PI / self.unit
-        h2 = self.half * self.half
-        self.slope_in_unit = (
-            1.0 / (1.0 - s)
-            - float(_power_quotient(self.half, s))
-            + self.half**-s * float(np.sum(self.coef * (2 * j + 1 - s) * h2**j))
-        )
+        self.half = math.pi / self.unit  # pi in the unit
+        self.positive = s <= _POSITIVE_FORM_BELOW
+        # doubling these nodes moves no W by more than 3e-13 for n <= 342
+        v, w = _jacobi_rule(40 + n // 2, -1.0 - s if self.positive else 1.0 - s)
+
+        def integrand(x):
+            z = np.multiply.outer(x, v)
+            log_sinc = (n - 1) * np.log1p(-_x_minus_sin(z) / z)
+            return np.exp(log_sinc) if self.positive else np.expm1(log_sinc) / (v * v)
+
+        table = lambda y: integrand(math.pi * np.sqrt(y)) @ (w - w * v)
+        self.coef = _chebyshev_series((lambda y: np.log(table(y))) if self.positive else table)
+        # G'(pi) = pi^-s int_0^1 v^-(1+s) sinc(pi v)^(n-1) dv, or above the
+        # positive form 1/(1-s) - q(pi) plus that integral of sinc^(n-1) - 1
+        self.slope_in_unit = self.half**-s * float(integrand(np.array([math.pi]))[0] @ w)
+        if not self.positive:
+            self.slope_in_unit += 1.0 / (1.0 - s) - float(_power_quotient(self.half, s))
         self.slope = self.scale / self.unit * self.slope_in_unit  # G'(pi) in radians
+
+    def _series(self, u):
+        """H or log H0 at u in the unit: Clenshaw's recurrence on three buffers."""
+        t = u * u
+        t *= 2.0 / (self.half * self.half)
+        t -= 1.0
+        twice = t + t
+        b1, b2, spare = np.zeros_like(t), np.zeros_like(t), np.empty_like(t)
+        for c in self.coef[:0:-1]:
+            np.multiply(twice, b1, out=spare)
+            spare -= b2
+            spare += c
+            b1, b2, spare = spare, b1, b2
+        b1 *= t
+        b1 -= b2
+        b1 += self.coef[0]
+        return b1
 
     def lower(self, u):
         """G on [0, pi], in the unit."""
         u = np.asarray(u, dtype=float)
+        if self.positive:
+            with np.errstate(divide="ignore"):
+                out = np.log(u)
+            out *= 1.0 - self.s
+            out += self._series(u)
+            return np.exp(out, out=out)
         q = _power_quotient(u, self.s)
         out = u * q
         out *= -1.0 / (1.0 - self.s)
         if self.coef.size:
-            t = u * u
-            acc = t * self.coef[-1]
-            acc += self.coef[-2]
-            for c in self.coef[-3::-1]:
-                acc *= t
-                acc += c
-            # u^(1-s) = u (1 + s q)
             q *= self.s
             q += 1.0
-            q *= u
-            acc *= t
-            acc *= q
-            out += acc
+            out += u * q * self._series(u)  # u^(1-s) = u (1 + s q)
         return out
 
     def G(self, x):
         """G on [0, 2 pi], of x in radians."""
         u = np.asarray(x, dtype=float) / self.unit
-        g = self.lower(np.minimum(u, self.turn - u))
+        g = self.lower(np.minimum(u, 2.0 * self.half - u))
         return self.scale * np.where(u > self.half, g + 2.0 * (u - self.half) * self.slope_in_unit, g)
 
     def W(self, length):
@@ -458,10 +493,7 @@ class _GreatCircleKernel:
         for an arc within ENDPOINT_MARGIN of empty or full."""
         m = np.minimum(length, TWO_PI - length)
         m = np.where(m < ENDPOINT_MARGIN, 0.0, m) / self.unit
-        out = m * self.slope_in_unit
-        out -= self.lower(m)
-        out *= 2.0 * self.scale
-        return out
+        return 2.0 * self.scale * (m * self.slope_in_unit - self.lower(m))
 
     def circle_values(self, start, length):
         """V = int_A int_(A^c) k over each row's trace A, from sets.trace
@@ -497,38 +529,6 @@ class _GreatCircleKernel:
         return V
 
 
-def _perimeter_sliced(E, s: float, circles: int, rng, normalized: bool = False) -> Estimate:
-    """Sliced s-perimeter of E from the two-point great-circle identity.
-
-    With f(x, y) = 1_E(x) 1_(E^c)(y) d(x, y)^-(n+s) the identity checked
-    by integral_geometry.bp_check gives P_s(E) = c_n E_L[V(trace_L E)] for
-    a Haar great circle L, where V is the circle double integral of
-    _GreatCircleKernel over the trace's arcs and their gaps.  sets.trace gives
-    the arcs exactly, so each circle's value is exact, and bounded for
-    every s < 1: the estimate's variance is finite where the point-pair
-    estimator's is not (s >= 1/2).  A hemisphere meets every circle in a
-    semicircle, so its estimate is exact and its std_error 0 up to roundoff.
-
-    The mean over circles is integral_geometry._circle_mean: on S^2, 32
-    Haar rotations of a Fibonacci lattice of circles // 32 poles, one
-    sample each (randomized quasi-Monte Carlo; the error bar has 31 degrees
-    of freedom); elsewhere iid circles in chunks.  Degenerate circles are
-    redrawn as in crofton_estimate.  Valid for every s < 1.
-    """
-    n = E.dimension
-    axes = np.eye(n + 1)
-    try:
-        trace(E, axes[:1], axes[1:2])
-    except TypeError:
-        raise ValueError(f"no great-circle trace for {type(E).__name__}: "
-                         "the sliced perimeter needs sets.trace") from None
-    kernel = _GreatCircleKernel(n, s, normalized)
-    scale = bp_constant(n)
-    values = lambda start, length: scale * kernel.circle_values(start, length)
-    est, _ = _circle_mean(E, values, circles, rng)
-    return est
-
-
 def perimeter_circle_exact(E, s: float) -> float:
     """Exact s-perimeter of a set on S^1.
 
@@ -546,123 +546,3 @@ def perimeter_circle_exact(E, s: float) -> float:
     axes = np.eye(2)
     start, length, _ = trace(E, axes[:1], axes[1:])
     return _finite(float(_GreatCircleKernel(1, s).circle_values(start, length)[0]), 1, s)
-
-
-def _interval_gap_pair(a: float, b: float, alpha: float, beta: float, s: float) -> float:
-    """Double integral of |x - y|^-(1+s) over an interval (a, b) and a
-    disjoint gap (alpha, beta), either of whose ends may be infinite.
-
-    In closed form it is (1/(s(1-s))) sum sign |d|^(1-s) over
-    d = a - alpha (+), a - beta (-), b - beta (+), b - alpha (-).  With
-    |d|^(1-s) = |d| + s |d| q(|d|), q = _power_quotient, the |d| parts sum
-    to 0, which leaves sum sign |d| q(|d|) / (1-s): no term grows like
-    1/s, so small s loses no digits to cancellation.  An infinite gap end
-    drops its two terms, whose |d|^(1-s) parts cancel in the limit, but
-    whose |d| q(|d|) parts tend to (b - a)/s; that term is added back.
-    """
-    diffs = np.array([a - alpha, a - beta, b - beta, b - alpha])
-    finite = np.isfinite(diffs)
-    d = np.abs(diffs[finite])
-    total = float(np.array([1.0, -1.0, 1.0, -1.0])[finite] @ (d * _power_quotient(d, s)))
-    if not finite.all():
-        total += (b - a) / s
-    return total / (1.0 - s)
-
-
-def interval_perimeter_exact(intervals, window, s: float) -> float:
-    """Exact line-case s-perimeter of disjoint intervals relative to a window.
-
-    intervals is a list of (a, b) with a < b, pairwise disjoint and
-    contained in window = (lo, hi); lo/hi may be -inf/+inf.  The value is
-    the closed-form sum over (interval, gap) pairs of
-
-        (1/(s(1-s))) [ (a-alpha)^(1-s) - (a-beta)^(1-s)
-                       + (b-beta)^(1-s) - (b-alpha)^(1-s) ]
-
-    with |.| powers; unbounded gaps drop their two cancelling terms.  Each
-    pair is summed without the 1/s prefactor (_interval_gap_pair), so the
-    value keeps full relative precision as s -> 0.  Requires 0 < s < 1.
-    """
-    s = validate_s(s)
-    if not 0.0 < s < 1.0:
-        raise ValueError("the interval formula is for s in (0, 1)")
-    lo, hi = float(window[0]), float(window[1])
-    ivs = sorted((float(a), float(b)) for a, b in intervals)
-    for a, b in ivs:
-        if not a < b:
-            raise ValueError("intervals need a < b")
-        if a < lo - 1e-12 or b > hi + 1e-12:
-            raise ValueError("intervals must lie inside the window")
-    for (a1, b1), (a2, b2) in zip(ivs, ivs[1:]):
-        if a2 < b1:
-            raise ValueError("intervals overlap")
-    if not ivs:
-        return 0.0
-    gaps = []
-    if lo < ivs[0][0]:
-        gaps.append((lo, ivs[0][0]))
-    for (_, b1), (a2, _) in zip(ivs, ivs[1:]):
-        if a2 > b1:
-            gaps.append((b1, a2))
-    if hi > ivs[-1][1]:
-        gaps.append((ivs[-1][1], hi))
-    return sum(_interval_gap_pair(a, b, alpha, beta, s) for a, b in ivs for alpha, beta in gaps)
-
-
-def interval_perimeter_localized(intervals, window, s: float, eps: float) -> float:
-    """Epsilon-localized interval perimeter: only pairs with |x - y| < eps.
-
-    Each relative boundary point (interval endpoint interior to the window)
-    contributes eps^(1-s)/(1-s) exactly, provided eps is smaller than half
-    the shortest interval or gap, so (1-s) times this tends to the boundary
-    point count as s -> 1.
-    """
-    s = validate_s(s)
-    if not 0.0 < s < 1.0:
-        raise ValueError("the localized formula is for s in (0, 1)")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    lo, hi = float(window[0]), float(window[1])
-    count = 0
-    for a, b in intervals:
-        if not a < b:
-            raise ValueError("intervals need a < b")
-        if 2.0 * eps > b - a:
-            raise ValueError("eps must be below half the shortest interval")
-        count += int(a > lo) + int(b < hi)
-    return count * eps ** (1.0 - s) / (1.0 - s)
-
-
-# ---------------------------------------------------------------------------
-# antipodal concentration (deterministic)
-
-
-def antipodal_concentration_quad(n: int, p: float, t: float, delta: float = math.pi, tol: float = 1e-10) -> float:
-    """t^n times the normalized-kernel mass a distance-delta antipodal cap carries.
-
-    Computes t^n * omega_n * int_(pi-delta)^pi sin^(n-1)(theta) (theta/pi)^(tp-n)
-    d theta.  For large t the integrand concentrates in a layer of width
-    ~pi/t at theta = pi, so the evaluation substitutes
-    theta = pi exp(-x/(tp-n+1)), which flattens the power kernel into e^-x
-    exactly; the remaining factor is smooth and adaptive quadrature is
-    reliable for any t.
-
-    As t grows this tends to omega_n pi^n (n-1)!/p^n independently of delta.
-    """
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
-    if t * p <= n:
-        raise ValueError(f"need t > n/p for an integrable normalized kernel, got t={t}")
-    if not 0.0 < delta <= math.pi:
-        raise ValueError("delta must lie in (0, pi]")
-    q = t * p - n + 1.0
-    x_cut = 46.0 + 3.0 * n
-    if delta < math.pi:
-        x_cut = min(x_cut, -q * math.log1p(-delta / math.pi))
-
-    def g(x):
-        theta = math.pi * np.exp(-x / q)
-        return np.exp(-x) * np.sin(theta) ** (n - 1)
-
-    integral = (math.pi / q) * adaptive_quad(g, 0.0, x_cut, tol=tol)
-    return t**n * sphere_surface(n - 1) * integral

@@ -89,12 +89,10 @@ class Polytope:
     """Intersection of closed hemispheres {x : x . u <= 0} over outward normals u.
 
     Membership ANDs one matrix-vector product x . u <= 0 per face, which
-    holds no (N, k) array.  The nonempty-interior flag is caller-asserted;
-    nothing here verifies it.
+    holds no (N, k) array.
     """
 
     normals: np.ndarray
-    assume_nonempty_interior: bool = True
 
     def __post_init__(self):
         u = np.atleast_2d(np.asarray(self.normals, dtype=float))
@@ -360,7 +358,7 @@ def rotated(E, q):
     if isinstance(E, Cap):
         return Cap(q @ E.center, E.radius)
     if isinstance(E, Polytope):
-        return Polytope(E.normals @ q.T, E.assume_nonempty_interior)
+        return Polytope(E.normals @ q.T)
     if isinstance(E, PolyconvexUnion):
         return PolyconvexUnion(tuple(rotated(p, q) for p in E.parts), E.assume_disjoint)
     if isinstance(E, Complement):

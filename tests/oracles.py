@@ -5,8 +5,9 @@ rules, dense walks along great circles, closed-form recursions, integer
 pair counting, a covariogram quadrature on the circle, and the plain forms
 of membership tests and samplers that the library computes faster,
 sharing no code path with the routines they check, plus high-precision
-cap perimeters pinned from an mpmath computation (CAP_PERIMETERS, whose
-comment says how they were made).  The perimeter of a disjoint cap union
+cap perimeters and great-circle kernel values pinned from mpmath
+computations (CAP_PERIMETERS and KERNEL_W, whose comments say how they were
+made).  The perimeter of a disjoint cap union
 adds the cap oracle's perimeters to a Gauss-Legendre cross term, to check
 the point-pair estimator on a set with two boundaries.  Three references
 are the serial forms of faster library paths that must equal them to the
@@ -16,7 +17,10 @@ per chunk of iid circles, or one rotated pole lattice per chunk on S^2),
 and bp_check's plane side as that chunk loop with one plane after another
 on the library's weight table.  The sliced perimeter's circle values have a
 scalar form: a loop over (arc, gap) pairs, one circle after another, on
-the library's matched antiderivative of the kernel.
+the library's matched antiderivative of the kernel.  Last come the closed
+forms of the line case (interval_perimeter_exact and _localized) and the
+antipodal-concentration quadrature of the t -> infinity limit, which only
+the acceptance criteria and their tests use.
 """
 
 import math
@@ -24,10 +28,10 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from spherefrac.estimation import Estimate, NonFiniteSampleError, as_stream
+from spherefrac.estimation import Estimate, NonFiniteSampleError, adaptive_quad, as_stream
 from spherefrac.geometry import sphere_surface
 from spherefrac.integral_geometry import CroftonReport, _circle_weights, bp_constant
-from spherefrac.perimeter import perimeter_cap
+from spherefrac.perimeter import _power_quotient, perimeter_cap, validate_s
 from spherefrac.sets import ArcUnion, trace
 
 TWO_PI = 2.0 * math.pi
@@ -325,6 +329,228 @@ CAP_PERIMETERS = {
 }
 
 
+# W(m) = 2 int_0^pi k(d) min(d, m) dd of the plain great-circle kernel
+# k(d) = d^-(n+s) sin^(n-1)(d), at m in KERNEL_LENGTHS, per (n, s).  Made
+# with mpmath at 45 digits as 2 (int_0^m d k(d) dd + m int_m^pi k(d) dd),
+# split at pi 2^-j (j = 1..13) and pi j / 48; the d^-s singularity at 0 is
+# taken on [0, pi / 8192] after d = (pi / 8192) w^(1/(1-s)), which makes it
+# smooth.  mpmath's error estimates are below 1e-40 relative; without that
+# substitution the s = 0.9 values were off by 5e-6.
+KERNEL_LENGTHS = (0.1, 1.0, math.pi)
+KERNEL_W = {
+    (2, 0.9): (
+        "17.48309166477324967645423929413179681026",
+        "20.66729375041474010941679582530897692349",
+        "21.04965614398676567896072529957878676232",
+    ),
+    (2, 0.5): (
+        "2.203310291243719215210750159036362107696",
+        "4.81991275409943474169370575298371869975",
+        "5.302938506082166986111491922157947440888",
+    ),
+    (2, 0.0): (
+        "0.7598630152509546299323778575569705757831",
+        "3.047636088641073745842620793588955118614",
+        "3.703874103964932340722106740315982726692",
+    ),
+    (2, -0.5): (
+        "0.4459784909798761353470213033241538502881",
+        "2.673701749005100768155803966680272303212",
+        "3.579325877936579835204088053666040260241",
+    ),
+    (2, -1.0): (
+        "0.3603901876187863118489682747130194969057",
+        "2.731103351494286876037526897783670203602",
+        "4.0",
+    ),
+    (2, -20.0): (
+        "4518897.741128554598539171194130800710793",
+        "45188977.40715518351843455822879465642446",
+        "128680715.6127309926946433888703891897337",
+    ),
+    (2, -300.0): (
+        "3.112807113142281333733565647709072123268e+143",
+        "3.112807113142281333733565647709072123268e+144",
+        "9.714201032977464938458251468699488512456e+144",
+    ),
+    (3, 0.9): (
+        "17.42900347041802925853959486666814766251",
+        "20.25375859405528065733462995601992763242",
+        "20.45419664100816936225045237757159686967",
+    ),
+    (3, 0.5): (
+        "2.150316619518892470335998882932695143639",
+        "4.371632167986297350335931974700344107543",
+        "4.615502025685186106453159927437421694302",
+    ),
+    (3, 0.0): (
+        "0.7020433838390241954251847260141346572722",
+        "2.52096698111507807236646818407593697395",
+        "2.836303152265256900491560324599498858285",
+    ),
+    (3, -0.5): (
+        "0.3772468804883305870448083909852605640551",
+        "2.021561180222703985036823614998886884018",
+        "2.434753766308268201604378660040753982905",
+    ),
+    (3, -1.0): (
+        "0.2736358678202517560135377902910521332073",
+        "1.889006051893622764660867316045406271336",
+        "2.437653393057224411810710341436684144412",
+    ),
+    (3, -20.0): (
+        "471991.6918752159969657789061952296631748",
+        "4719916.915168336068257980804922098931088",
+        "12799945.77822600674100943904901371117691",
+    ),
+    (3, -300.0): (
+        "2.088452104170783805533021476074006793311e+141",
+        "2.088452104170783805533021476074006793311e+142",
+        "6.4956917185777875288370111309445359646e+142",
+    ),
+    (13, 0.9): (
+        "17.17281400045040071053439696484251958213",
+        "18.78501294049598311902903416127977268736",
+        "18.79019437757255001364778145027924943039",
+    ),
+    (13, 0.5): (
+        "1.948427809851866297111958709651033847131",
+        "3.027052732037145591960644435385782380308",
+        "3.032720462201010994161009543370763762472",
+    ),
+    (13, 0.0): (
+        "0.532456377431687474791438185834703031944",
+        "1.231190312210755238286693979248057528361",
+        "1.237553645943220551312298965941344864388",
+    ),
+    (13, -0.5): (
+        "0.2190887107321275152115547338914319655987",
+        "0.7055126503687750770608330681751469362261",
+        "0.7126869557807936000701427593574897040613",
+    ),
+    (13, -1.0): (
+        "0.1137885694676442833407855533016589131887",
+        "0.4753029209154258940573487881604912493877",
+        "0.4834268704817658238376629633057418760393",
+    ),
+    (13, -20.0): (
+        "5.861568287061240750198745783048338411351",
+        "58.61479815603804869870099199816945552099",
+        "109.0151072985698198196507704056815352143",
+    ),
+    (13, -300.0): (
+        "1.050011007312966743982961943700961169017e+125",
+        "1.050011007312966743982961943700961169017e+126",
+        "3.157053114189505348316980668544604210029e+126",
+    ),
+    (50, 0.9): (
+        "16.78253483761887386037545667428934798252",
+        "17.52557274815760996127891354293387180996",
+        "17.52557373411445604768446648183016321885",
+    ),
+    (50, 0.5): (
+        "1.714208581723789635424922117508844916842",
+        "2.14197275030918002745872812215918750824",
+        "2.141973770819468694305917168234117460317",
+    ),
+    (50, 0.0): (
+        "0.3950694216525000820311446213674841306944",
+        "0.6183269660123887531788492844213227274907",
+        "0.6183280321443929760648258489182485068664",
+    ),
+    (50, -0.5): (
+        "0.130451926276801036950795923403044892766",
+        "0.2522985343361761368497426049568243880873",
+        "0.2522996489902205889962758391031930627268",
+    ),
+    (50, -1.0): (
+        "0.0519667405707521519170303156376148570677",
+        "0.1214494438990477613871970237194764168348",
+        "0.1214506102096143579160307063411870406786",
+    ),
+    (50, -20.0): (
+        "0.00001756484259142684661882496376132979466804",
+        "0.0001680895000812950429518428770214244412077",
+        "0.000183751982052464643174595280180462939294",
+    ),
+    (50, -300.0): (
+        "2.142417840126922803761787729379346369407e+88",
+        "2.142417840126922803761787729379346369407e+89",
+        "5.687717046372639384304731124761764845654e+89",
+    ),
+    (200, 0.9): (
+        "16.1367246185618757008051733771159135352",
+        "16.3421739749881062493353313002744896694",
+        "16.34217397498810624976879726285726390046",
+    ),
+    (200, 0.5): (
+        "1.407132323491298801238938831043245784366",
+        "1.510320481337198850559036504188604473978",
+        "1.510320481337198850996997191548495601132",
+    ),
+    (200, 0.0): (
+        "0.2630744346361627212419668397730414787257",
+        "0.3075363214613015389389213720840592650983",
+        "0.3075363214613015393825969701615076745597",
+    ),
+    (200, -0.5): (
+        "0.06896915244442262184467807004742939133944",
+        "0.08854909480831844471017833204465047372737",
+        "0.08854909480831844515967856913169365722304",
+    ),
+    (200, -1.0): (
+        "0.02127186872447501742523548358004374676882",
+        "0.03009016681692027374949423882123374052904",
+        "0.03009016681692027420493160075501800017334",
+    ),
+    (200, -20.0): (
+        "0.00000000002017169069040636414591001495153015316814",
+        "0.00000000010821230070627656906244939347784044089",
+        "0.0000000001082123015096151629030405985936725948009",
+    ),
+    (200, -300.0): (
+        "6580524399712874311590.331348629960845736",
+        "65805243997128743115903.31348629960845736",
+        "120884340390705139147309.1508718255781605",
+    ),
+    (342, 0.9): (
+        "15.8113127715927427870715848326317327879",
+        "15.90832002416565407899832822157676897095",
+        "15.90832002416565407899832822158024788511",
+    ),
+    (342, 0.5): (
+        "1.27370448876596500511396332469791691568",
+        "1.320233221295840186488060594261990790214",
+        "1.320233221295840186488060594265491430781",
+    ),
+    (342, 0.0): (
+        "0.2161898200853614516619271020204607226566",
+        "0.2350077844123700735096977866403319369845",
+        "0.235007784412370073509697786643860018441",
+    ),
+    (342, -0.5): (
+        "0.05142806656568361272416625911134444028477",
+        "0.05915575299441143176039294832473161491004",
+        "0.05915575299441143176039294832828745604275",
+    ),
+    (342, -1.0): (
+        "0.01435045792270454254799547457037862141913",
+        "0.01757467173952198523094230480142014445653",
+        "0.01757467173952198523094230480500406893272",
+    ),
+    (342, -20.0): (
+        "9.676442272314924286035327731127506092413e-14",
+        "3.983370548986933729720251968461058934654e-13",
+        "3.983370548986933779223539032284974914663e-13",
+    ),
+    (342, -300.0): (
+        "0.0000000004861318979387795760438363630684492129177",
+        "0.000000004861318979387795760436680773931573054304",
+        "0.000000007235452090318230653890045232135866403414",
+    ),
+}
+
+
 def mc_estimate_serial(sampler, integrand, n_samples, rng, chunk_size=1 << 16):
     """mc_estimate's chunk loop in the calling thread, chunk after chunk."""
     if n_samples < 1:
@@ -539,3 +765,119 @@ def bp_plane_side_serial(n, f, planes, rng, nodes, chunk_size):
         lambda count, gen: sample_plane_batch_masked(n, count, gen),
         integrals, planes, plane_stream, chunk_size,
     )
+
+
+def _interval_gap_pair(a: float, b: float, alpha: float, beta: float, s: float) -> float:
+    """Double integral of |x - y|^-(1+s) over an interval (a, b) and a
+    disjoint gap (alpha, beta), either of whose ends may be infinite.
+
+    In closed form it is (1/(s(1-s))) sum sign |d|^(1-s) over
+    d = a - alpha (+), a - beta (-), b - beta (+), b - alpha (-).  With
+    |d|^(1-s) = |d| + s |d| q(|d|), q = _power_quotient, the |d| parts sum
+    to 0, which leaves sum sign |d| q(|d|) / (1-s): no term grows like
+    1/s, so small s loses no digits to cancellation.  An infinite gap end
+    drops its two terms, whose |d|^(1-s) parts cancel in the limit, but
+    whose |d| q(|d|) parts tend to (b - a)/s; that term is added back.
+    """
+    diffs = np.array([a - alpha, a - beta, b - beta, b - alpha])
+    finite = np.isfinite(diffs)
+    d = np.abs(diffs[finite])
+    total = float(np.array([1.0, -1.0, 1.0, -1.0])[finite] @ (d * _power_quotient(d, s)))
+    if not finite.all():
+        total += (b - a) / s
+    return total / (1.0 - s)
+
+
+def interval_perimeter_exact(intervals, window, s: float) -> float:
+    """Exact line-case s-perimeter of disjoint intervals relative to a window.
+
+    intervals is a list of (a, b) with a < b, pairwise disjoint and
+    contained in window = (lo, hi); lo/hi may be -inf/+inf.  The value is
+    the closed-form sum over (interval, gap) pairs of
+
+        (1/(s(1-s))) [ (a-alpha)^(1-s) - (a-beta)^(1-s)
+                       + (b-beta)^(1-s) - (b-alpha)^(1-s) ]
+
+    with |.| powers; unbounded gaps drop their two cancelling terms.  Each
+    pair is summed without the 1/s prefactor (_interval_gap_pair), so the
+    value keeps full relative precision as s -> 0.  Requires 0 < s < 1.
+    """
+    s = validate_s(s)
+    if not 0.0 < s < 1.0:
+        raise ValueError("the interval formula is for s in (0, 1)")
+    lo, hi = float(window[0]), float(window[1])
+    ivs = sorted((float(a), float(b)) for a, b in intervals)
+    for a, b in ivs:
+        if not a < b:
+            raise ValueError("intervals need a < b")
+        if a < lo - 1e-12 or b > hi + 1e-12:
+            raise ValueError("intervals must lie inside the window")
+    for (a1, b1), (a2, b2) in zip(ivs, ivs[1:]):
+        if a2 < b1:
+            raise ValueError("intervals overlap")
+    if not ivs:
+        return 0.0
+    gaps = []
+    if lo < ivs[0][0]:
+        gaps.append((lo, ivs[0][0]))
+    for (_, b1), (a2, _) in zip(ivs, ivs[1:]):
+        if a2 > b1:
+            gaps.append((b1, a2))
+    if hi > ivs[-1][1]:
+        gaps.append((ivs[-1][1], hi))
+    return sum(_interval_gap_pair(a, b, alpha, beta, s) for a, b in ivs for alpha, beta in gaps)
+
+
+def interval_perimeter_localized(intervals, window, s: float, eps: float) -> float:
+    """Epsilon-localized interval perimeter: only pairs with |x - y| < eps.
+
+    Each relative boundary point (interval endpoint interior to the window)
+    contributes eps^(1-s)/(1-s) exactly, provided eps is smaller than half
+    the shortest interval or gap, so (1-s) times this tends to the boundary
+    point count as s -> 1.
+    """
+    s = validate_s(s)
+    if not 0.0 < s < 1.0:
+        raise ValueError("the localized formula is for s in (0, 1)")
+    if eps <= 0.0:
+        raise ValueError("eps must be positive")
+    lo, hi = float(window[0]), float(window[1])
+    count = 0
+    for a, b in intervals:
+        if not a < b:
+            raise ValueError("intervals need a < b")
+        if 2.0 * eps > b - a:
+            raise ValueError("eps must be below half the shortest interval")
+        count += int(a > lo) + int(b < hi)
+    return count * eps ** (1.0 - s) / (1.0 - s)
+
+
+def antipodal_concentration_quad(n: int, p: float, t: float, delta: float = math.pi, tol: float = 1e-10) -> float:
+    """t^n times the normalized-kernel mass a distance-delta antipodal cap carries.
+
+    Computes t^n * omega_n * int_(pi-delta)^pi sin^(n-1)(theta) (theta/pi)^(tp-n)
+    d theta.  For large t the integrand concentrates in a layer of width
+    ~pi/t at theta = pi, so the evaluation substitutes
+    theta = pi exp(-x/(tp-n+1)), which flattens the power kernel into e^-x
+    exactly; the remaining factor is smooth and adaptive quadrature is
+    reliable for any t.
+
+    As t grows this tends to omega_n pi^n (n-1)!/p^n independently of delta.
+    """
+    if p < 1.0:
+        raise ValueError("p must be >= 1")
+    if t * p <= n:
+        raise ValueError(f"need t > n/p for an integrable normalized kernel, got t={t}")
+    if not 0.0 < delta <= math.pi:
+        raise ValueError("delta must lie in (0, pi]")
+    q = t * p - n + 1.0
+    x_cut = 46.0 + 3.0 * n
+    if delta < math.pi:
+        x_cut = min(x_cut, -q * math.log1p(-delta / math.pi))
+
+    def g(x):
+        theta = math.pi * np.exp(-x / q)
+        return np.exp(-x) * np.sin(theta) ** (n - 1)
+
+    integral = (math.pi / q) * adaptive_quad(g, 0.0, x_cut, tol=tol)
+    return t**n * sphere_surface(n - 1) * integral

@@ -18,14 +18,11 @@ from spherefrac import (
     PolyconvexUnion,
     Polytope,
     RandomStream,
-    antipodal_concentration_quad,
     beta_asymptotic_check,
     bp_check,
     cap_area,
     crofton_estimate,
     extrapolate,
-    interval_perimeter_exact,
-    interval_perimeter_localized,
     isoperimetric_comparison,
     perimeter_cap,
     perimeter_mc,
@@ -38,8 +35,11 @@ from spherefrac import (
 from spherefrac.cli import main
 
 from oracles import (
+    antipodal_concentration_quad,
     circle_perimeter_midpoint,
     circle_perimeter_refined,
+    interval_perimeter_exact,
+    interval_perimeter_localized,
     polytope_boundary_measure,
     random_grid_arcs,
 )

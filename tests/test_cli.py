@@ -468,8 +468,9 @@ def test_library_warning_is_one_spherefrac_line(capsys):
 
 
 def test_mc_perimeter_that_no_point_pair_reaches_exits_1(capsys):
-    # the cap takes about 1e-26 of S^342, so every sampled pair gives 0;
-    # this printed value 0, error 0 and exited 0
+    # the cap takes about 1e-26 of S^342, so every sampled point pair gave
+    # 0, and this printed value 0, error 0 and exited 0; the sliced
+    # estimator refuses it before any circle, as c_342 pi^2 underflows
     center = ",".join(["0"] * 342 + ["1"])
     argv = ["perimeter", "--n", "342", "--set", f"cap:{center}:1", "--s", "-1",
             "--method", "mc", "--samples", "1000"]
@@ -477,8 +478,18 @@ def test_mc_perimeter_that_no_point_pair_reaches_exits_1(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     [line] = captured.err.splitlines()
-    assert line.startswith("spherefrac: config error: every sampled point pair gave 0")
-    assert "n = 342, samples = 1000" in line
+    assert line == ("spherefrac: config error: c_n times the kernel's scale underflows a float "
+                    "at n = 342, s = -1")
+
+
+def test_cap_oracle_whose_value_underflows_exits_1(capsys):
+    # printed -1,0,0 and exited 0
+    center = ",".join(["0"] * 280 + ["1"])
+    assert main(["perimeter", "--n", "280", "--set", f"cap:{center}:1.5", "--s", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("spherefrac: config error: the cap oracle's value underflows a float "
+                            "at n = 280, s = -1, r = 1.5\n")
 
 
 def test_mc_perimeter_whose_kernel_overflows_exits_1(capsys):

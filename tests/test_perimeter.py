@@ -13,10 +13,7 @@ from spherefrac import (
     RandomStream,
     Reflection,
     adaptive_quad,
-    antipodal_concentration_quad,
     cap_area,
-    interval_perimeter_exact,
-    interval_perimeter_localized,
     perimeter_cap,
     perimeter_circle_exact,
     perimeter_mc,
@@ -31,9 +28,12 @@ from spherefrac.perimeter import CAP_TOL, _cap_crescent
 from oracles import (
     CAP_PERIMETERS,
     CAP_RADII,
+    antipodal_concentration_quad,
     circle_perimeter_midpoint,
     circle_perimeter_quad,
     disjoint_cap_union_perimeter,
+    interval_perimeter_exact,
+    interval_perimeter_localized,
 )
 
 Z = (0.0, 0.0, 1.0)
@@ -255,6 +255,36 @@ def test_perimeter_cap_error_bar_is_honest(n, s):
     for r, pinned in zip(CAP_RADII, CAP_PERIMETERS[(n, s)]):
         value = perimeter_cap(n, s, r)
         assert abs(value - pinned) <= abs(value) * CAP_TOL, (r, value, pinned)
+
+
+# The hemisphere's perimeter c_n 2 int_0^pi t^-s (sin t / t)^(n-1) dt on
+# large spheres, made with mpmath at 45 digits (the t^-s head on
+# [0, pi / 8192] after t = (pi / 8192) w^(1/(1-s)), the rest split at
+# pi 2^-j and pi j / 48)
+LARGE_HEMISPHERES = {
+    (100, -1.0): 6.769586260221412592695877222158020791663e-79,
+    (100, 0.0): 4.886267566510126020550697627106563043338e-78,
+    (100, 0.5): 2.016224051953182346935081109010780501101e-77,
+    (200, -1.0): 5.252423724567304740549737567900222820166e-216,
+    (200, 0.0): 5.368235679242486517330624585138370280473e-215,
+    (200, 0.5): 2.636357311058383896019387474044025191917e-214,
+}
+
+
+@pytest.mark.parametrize("n, s", sorted(LARGE_HEMISPHERES))
+def test_perimeter_cap_error_bar_holds_on_large_spheres(n, s):
+    # the crescent's 48-point rule was off by 3e-8 at n = 100 and 7e-6 at
+    # n = 200, where perimeter_cap reported 1e-8
+    pinned = LARGE_HEMISPHERES[n, s]
+    assert perimeter_cap(n, s, math.pi / 2) == pytest.approx(pinned, rel=CAP_TOL, abs=0.0)
+    assert perimeter_cap(n, s, math.pi / 2, tol=1e-12) == pytest.approx(pinned, rel=1e-11, abs=0.0)
+
+
+def test_perimeter_cap_refuses_a_value_that_underflows():
+    # a radius-1.5 cap on S^280 at s = -1 is about 4e-344: it read 0, which
+    # claims an exact value
+    with pytest.raises(ValueError, match="underflows a float at n = 280, s = -1"):
+        perimeter_cap(280, -1.0, 1.5)
 
 
 def test_cap_crescent_matches_closed_forms_on_s2_and_s3():

@@ -505,7 +505,7 @@ def test_polytope_exact_measure_matches_mc_and_ignores_redundant_faces():
     redundant = Polytope(np.vstack([-np.eye(3), [[-1.0, -1.0, -1.0]]]))
     assert redundant.exact_measure() == pytest.approx(0.5 * math.pi, rel=0.0, abs=1e-15)
     # faces that enclose nothing have no arc, and no area
-    empty = Polytope(np.vstack([-np.eye(3), [[1.0, 1.0, 1.0]]]), assume_nonempty_interior=False)
+    empty = Polytope(np.vstack([-np.eye(3), [[1.0, 1.0, 1.0]]]))
     assert empty.boundary_measure() == 0.0
     assert empty.exact_measure() == 0.0
 

@@ -38,16 +38,10 @@ from spherefrac import (
 )
 from spherefrac.cli import parse_set
 from spherefrac.integral_geometry import bp_constant, sample_plane_batch
-from spherefrac.perimeter import (
-    _GreatCircleKernel,
-    _perimeter_point_pairs,
-    _perimeter_sliced,
-    _remainder_coefficients,
-    _sliced_supports,
-)
+from spherefrac.perimeter import _GreatCircleKernel, _perimeter_point_pairs
 from spherefrac.sets import rotated, trace
 
-from oracles import disjoint_cap_union_perimeter, sliced_values_serial
+from oracles import KERNEL_LENGTHS, KERNEL_W, disjoint_cap_union_perimeter, sliced_values_serial
 from test_mc_parallel import SETS
 
 TWO_PI = 2.0 * math.pi
@@ -122,56 +116,63 @@ def test_arc_union_perimeter_is_exact_on_every_circle():
     assert est.std_error <= 1e-12 * exact
 
 
-def test_dimensions_whose_series_cancels_are_rejected():
-    assert _GreatCircleKernel(12, 0.3).coef.size > 0
-    with pytest.raises(ValueError, match="n <= 12"):
-        _GreatCircleKernel(13, 0.3)
-    with pytest.raises(ValueError, match="n <= 12"):
-        perimeter_mc(Cap(pole(13), 1.0), 0.3, 1000, RandomStream(1))
+@pytest.mark.parametrize("n, s", sorted(KERNEL_W))
+def test_kernel_matches_40_digit_values(n, s):
+    # one table per (n, s) from n = 2 to 342 and s = 0.9 to -300, both sides
+    # of the switch to the positive form at s = -1
+    got = _GreatCircleKernel(n, s).W(np.array(KERNEL_LENGTHS))
+    ref = np.array([float(v) for v in KERNEL_W[n, s]])
+    assert np.allclose(got, ref, rtol=1e-12 if n <= 13 else 1e-9, atol=0.0)
 
 
-def test_the_kernel_takes_a_dimension_by_its_condition_number():
-    # the same n <= 12 for every s >= 0; below 0 the condition number grows
-    # like |s|^(n-1)
-    assert all(_sliced_supports(n, s) for n in range(1, 13) for s in (0.0, 0.5, 0.99))
-    assert not any(_sliced_supports(13, s) for s in (-1.0, 0.0, 0.5))
-    assert _sliced_supports(2, -1000.0) and _sliced_supports(3, -300.0)
-    assert not _sliced_supports(3, -500.0)
-    assert _sliced_supports(12, -0.3) and not _sliced_supports(12, -1.0)
+def test_every_dimension_takes_the_sliced_kernel(monkeypatch):
+    # the Taylor series of the remainder lost too many digits from n = 13,
+    # where perimeter_mc raised for s >= 0 and took point pairs below 0
+    def refused(*args, **kwargs):
+        raise AssertionError("perimeter_mc took point pairs")
+
+    monkeypatch.setattr(spherefrac.perimeter, "_perimeter_point_pairs", refused)
+    assert _GreatCircleKernel(13, 0.3).coef.size > 0
+    est = perimeter_mc(Cap(pole(13), 1.0), 0.3, 1000, RandomStream(1))
+    assert est.samples == 1000 and est.value > 0.0
 
 
-def test_a_series_that_does_not_converge_is_refused():
-    # from n = 108 the 199 terms of the remainder series do not reach
-    # roundoff; the truncated sum passed the condition rule from n = 143 on,
-    # and the sliced perimeter of a cap read -5e-61 against 4e-135 at n = 143
-    assert _remainder_coefficients(107, 0.0) is not None
-    assert _remainder_coefficients(108, 0.0) is None
-    assert not any(_sliced_supports(n, s) for n in (108, 143, 200, 342) for s in (-1.0, 0.0, 0.5))
-    with pytest.raises(ValueError, match="n <= 12"):
-        perimeter_mc(Cap(pole(143), 1.4), 0.5, 1000, RandomStream(1))
+@pytest.mark.parametrize("n, s", [(3, -500.0), (12, -1.0), (50, -5.0)]
+                         + [(n, s) for n in (13, 50, 100, 200) for s in (0.9, 0.5, 0.0, -1.0, -20.0)])
+def test_the_kernel_takes_the_dimensions_the_series_refused(n, s):
+    # the Taylor series' condition number grew like |s|^(n-1), and its rule
+    # refused these; the hemisphere's value checks the table against the
+    # cap oracle, whose crescent rule holds to n = 200
+    ref = perimeter_cap(n, s, math.pi / 2, tol=1e-12)
+    got = bp_constant(n) * _GreatCircleKernel(n, s).W(np.array([math.pi]))[0]
+    assert got == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+
+def test_the_series_converges_for_large_dimensions():
+    # from n = 108 the 199 Taylor terms did not reach roundoff, and from
+    # n = 143 the truncated sum made a cap's sliced perimeter negative
+    for n in (108, 143, 200, 342):
+        for s in (-1.0, 0.0, 0.5):
+            assert 0 < _GreatCircleKernel(n, s).coef.size < 160
+    est = perimeter_mc(Cap(pole(143), 1.4), 0.5, 20_000, RandomStream(1))
+    assert abs(est.value - perimeter_cap(143, 0.5, 1.4)) < 3.0 * est.std_error
 
 
 @pytest.mark.parametrize("n, s", ((3, -380.0), (8, -5.0), (12, -0.45)))
 def test_hemisphere_value_holds_at_the_edge_of_the_condition_rule(n, s):
-    assert _sliced_supports(n, s)
+    # where the Taylor series kept the fewest digits that its condition
+    # rule accepted
     ref = perimeter_cap(n, s, math.pi / 2, tol=1e-12)
     got = bp_constant(n) * _GreatCircleKernel(n, s).W(np.array([math.pi]))[0]
     assert got == pytest.approx(ref, rel=1e-9)
 
 
-@pytest.mark.parametrize("n, s", ((13, -1.0), (12, -4.0)))
-def test_refused_kernels_below_zero_take_point_pairs(monkeypatch, n, s):
-    calls = []
-
-    def recorded(*args, **kwargs):
-        calls.append(args[1])
-        return _perimeter_point_pairs(*args, **kwargs)
-
-    monkeypatch.setattr(spherefrac.perimeter, "_perimeter_point_pairs", recorded)
+@pytest.mark.parametrize("n, s", ((13, 0.3), (13, -1.0), (12, -4.0)))
+def test_sliced_values_hold_where_point_pairs_stood_in(n, s):
+    # (13, 0.3) raised, and the other two took point pairs
     est = perimeter_mc(Cap(pole(n), 1.0), s, 100_000, RandomStream(1))
-    assert calls == [s]
     z = (est.value - perimeter_cap(n, s, 1.0)) / est.std_error
-    print(f"n={n}, s={s}: point pairs z = {z:.2f}")
+    print(f"n={n}, s={s}: sliced z = {z:.2f}")
     assert abs(z) < 3.0
 
 
@@ -219,14 +220,18 @@ def test_point_pair_error_bar_covers_at_the_nominal_rate():
 
 
 def test_point_pairs_refuse_an_estimate_that_no_pair_reaches():
-    # a radius-1 cap takes about 1e-26 of S^342: no pair of 1000 lands in it,
-    # and 0 with error 0 would pass every sigma check
+    # a radius-1 cap takes about 1e-26 of S^342: no circle of 1000 meets it,
+    # and 0 with error 0 would pass every sigma check; in the plain kernel
+    # c_n pi^(1-s) already underflows
     with pytest.raises(ValueError, match=r"n = 342, samples = 1000"):
+        perimeter_mc(Cap(pole(342), 1.0), -1.0, 1000, RandomStream(1), normalized=True)
+    with pytest.raises(ValueError, match=r"underflows a float at n = 342, s = -1"):
         perimeter_mc(Cap(pole(342), 1.0), -1.0, 1000, RandomStream(1))
     # where the boundary is empty, 0 is exact
     for full in (Cap(pole(13), 0.0), Cap(pole(13), math.pi), Cap(Z, math.pi), ArcUnion([(0.5, TWO_PI)])):
-        est = _perimeter_point_pairs(full, -1.0, 1000, RandomStream(2))
-        assert (est.value, est.std_error) == (0.0, 0.0)
+        for estimate in (perimeter_mc, _perimeter_point_pairs):
+            est = estimate(full, -1.0, 1000, RandomStream(2))
+            assert (est.value, est.std_error) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +306,7 @@ def test_hemisphere_value_is_exact(n, s):
     ref = perimeter_cap(n, s, math.pi / 2, tol=1e-12)
     assert bp_constant(n) * _GreatCircleKernel(n, s).W(np.array([math.pi]))[0] == pytest.approx(
         ref, rel=1e-12)
-    est = _perimeter_sliced(Cap(pole(n), math.pi / 2), s, 32 * 512, RandomStream(83))
+    est = perimeter_mc(Cap(pole(n), math.pi / 2), s, 32 * 512, RandomStream(83))
     assert est.value == pytest.approx(ref, rel=1e-12)
     assert est.std_error <= 1e-12 * ref
 
@@ -320,6 +325,20 @@ def test_normalized_kernel_stays_finite_where_the_plain_scale_overflows(m):
     assert got == pytest.approx(2.0 * (near + m * far), rel=1e-9)
 
 
+def test_normalized_kernel_holds_far_below_zero():
+    # W(1) and W(pi) of the normalized kernel on S^2, from mpmath at 40
+    # digits split at pi (1 - 40 j / |s|); the Taylor series read them
+    # 7e-8 off at s = -2e4 and 2e-5 off at s = -1e5, with 1800 terms here
+    for s, ref in ((-2e4, (4.935048831243142750864504e-8, 1.550236283957894757525386e-7)),
+                   (-1e5, (1.973940617675925108351441e-9, 6.201193318006696286522945e-9))):
+        got = _GreatCircleKernel(2, s, normalized=True).W(np.array([1.0, math.pi]))
+        assert np.allclose(got, ref, rtol=1e-10, atol=0.0)
+    # on S^342 at s = -2000, H0 underflows a float before pi, and so does its log
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        with pytest.raises(ValueError, match="table underflows a float"):
+            _GreatCircleKernel(342, -2000.0, normalized=True)
+
+
 def test_error_bars_are_honest_against_the_cap_oracle():
     # z of the radius-1 cap against the oracle over 20 seeds: mean near 0,
     # spread near 1 (t with 31 degrees of freedom has sd 1.03)
@@ -327,7 +346,7 @@ def test_error_bars_are_honest_against_the_cap_oracle():
         ref = perimeter_cap(2, s, 1.0, tol=1e-12)
         zs = []
         for stream in RandomStream(84).split(20):
-            est = _perimeter_sliced(Cap(Z, 1.0), s, 32 * 8192, stream)
+            est = perimeter_mc(Cap(Z, 1.0), s, 32 * 8192, stream)
             assert est.samples == 32
             assert est.std_error < 1e-4 * ref
             zs.append((est.value - ref) / est.std_error)
@@ -347,7 +366,7 @@ def test_error_bar_covers_at_the_nominal_rate(monkeypatch):
     truths = {
         "cap r=0.5": (Cap(Z, 0.5), perimeter_cap(2, s, 0.5, tol=1e-12)),
         "cap r=2": (Cap(Z, 2.0), perimeter_cap(2, s, 2.0, tol=1e-12)),
-        "octant": (octant, _perimeter_sliced(octant, s, 32 * 65536, RandomStream(85)).value),
+        "octant": (octant, perimeter_mc(octant, s, 32 * 65536, RandomStream(85)).value),
         "union": (PolyconvexUnion(tuple(Cap(c, r) for c, r in UNION_CAPS)),
                   disjoint_cap_union_perimeter(UNION_CAPS, s)),
     }
@@ -358,7 +377,7 @@ def test_error_bar_covers_at_the_nominal_rate(monkeypatch):
     for k, (name, (E, truth)) in enumerate(truths.items()):
         covered = 0
         for stream in RandomStream(86 + k).split(runs):
-            est = _perimeter_sliced(E, s, 32 * 256, stream)
+            est = perimeter_mc(E, s, 32 * 256, stream)
             covered += abs(est.value - truth) <= quantile * est.std_error
         shares[name] = covered / runs
     print("sliced coverage: " + ", ".join(f"{name} {share:.3f}" for name, share in shares.items()))
@@ -551,7 +570,7 @@ def test_overlapping_union_sliced_value():
     # with a smaller cap inside it is the larger cap
     E = parse_set(OVERLAPPING)
     measure = 2.0 * cap_area(2, 1.0) - cap_lens_area(1.0, 1.0, math.acos(0.8))
-    est = _perimeter_sliced(E, -2.0, 32 * 4096, RandomStream(90))
+    est = perimeter_mc(E, -2.0, 32 * 4096, RandomStream(90))
     assert abs(est.value - perimeter_minus_n(2, measure)) < 4.0 * est.std_error
     nested = PolyconvexUnion((Cap(Z, 1.0), Cap((0.0, 0.3, 1.0), 0.5)), assume_disjoint=False)
     est = perimeter_mc(nested, 0.5, 32 * 4096, RandomStream(91))
@@ -573,8 +592,8 @@ def test_unions_with_touching_slots_are_the_lune_they_form(desc):
     E = parse_set(desc)
     assert E.assume_disjoint == (desc == FACE_SHARING)
     for s in (0.3, 0.9, 0.99):
-        est = _perimeter_sliced(E, s, 32 * 4096, RandomStream(5))
-        ref = _perimeter_sliced(LUNE, s, 32 * 4096, RandomStream(92))
+        est = perimeter_mc(E, s, 32 * 4096, RandomStream(5))
+        ref = perimeter_mc(LUNE, s, 32 * 4096, RandomStream(92))
         combined = math.hypot(est.std_error, ref.std_error)
         assert abs(est.value - ref.value) < 3.0 * combined, (s, est, ref)
 
