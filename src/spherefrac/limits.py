@@ -197,7 +197,7 @@ def sweep_s_to_minus_inf(
     streams = as_stream(rng).split(len(grid) + 1)
     rows = []
     for i, t in enumerate(grid):
-        est = _perimeter_point_pairs(E, -t, samples, streams[i], normalized=True)
+        est = _perimeter_point_pairs(E, -t, samples, streams[i])
         rows.append(SweepRow(t, t**n * est.value, t**n * est.std_error, "mc"))
     overlap = symmetric_overlap_measure(E, overlap_samples, streams[-1]).value
     target = concentration_constant(n, 1.0) * overlap

@@ -75,18 +75,13 @@ def perimeter_mc(
     s >= 1/2).  A hemisphere meets every circle in a semicircle, so its
     estimate is exact.  A set without a great-circle trace is a ValueError.
 
-    The mean over samples circles is integral_geometry._circle_mean: on
-    S^2, 32 Haar rotations of a Fibonacci lattice of samples // 32 poles,
-    one sample each (randomized quasi-Monte Carlo; the Estimate's samples
-    is 32, and the error bar has 31 degrees of freedom); elsewhere iid
-    circles in chunks.  Degenerate circles are redrawn as in
-    crofton_estimate.
+    The mean over samples circles, and its error bar, are those of
+    integral_geometry._circle_mean: on S^2 the Estimate's samples is its
+    32 lattice rotations, the error bar's degrees of freedom 31.
 
     c_n is subnormal from n = 261, so its product with the kernel's scale
     is formed in logs; a product that is still subnormal is a ValueError,
-    and so is an estimate of 0 on a set whose boundary_measure() is not 0
-    (no sampled circle met the boundary), whose error bar 0 would claim an
-    exact value.
+    and so is _refuse_zero's estimate of 0 on a set with a boundary.
     """
     s = validate_s(s)
     n = E.dimension
@@ -96,21 +91,25 @@ def perimeter_mc(
     except TypeError:
         raise ValueError(f"no great-circle trace for {type(E).__name__}: "
                          "the sliced perimeter needs sets.trace") from None
-    kernel = _GreatCircleKernel(n, s, normalized)  # its scale becomes c_n times its own
-    log_surface = lambda k: math.log(2.0) + 0.5 * (k + 1) * math.log(math.pi) - math.lgamma(0.5 * (k + 1))
-    log_bp = log_surface(n) + log_surface(n - 1) - math.log(4.0 * math.pi)  # log c_n
+    kernel = _GreatCircleKernel(n, s, normalized)
+    # c_n = omega_(n+1) omega_n / (4 pi); each factor is a normal float for n <= 342
+    log_scale = math.log(sphere_surface(n)) + math.log(sphere_surface(n - 1) / (4.0 * math.pi))
     try:
-        kernel.scale = math.exp(log_bp + math.log(kernel.scale))
+        kernel.scale = math.exp(log_scale + math.log(kernel.scale))
     except OverflowError:
         raise _scale_overflow(n, s) from None
     if kernel.scale < np.finfo(float).tiny:
         raise ValueError(f"c_n times the kernel's scale underflows a float at n = {n}, s = {s:g}")
     est, _ = _circle_mean(E, kernel.circle_values, samples, rng)
-    if est.value == 0.0 and E.boundary_measure() != 0.0:
-        raise ValueError(
-            f"every sampled circle gave 0 at n = {n}, samples = {samples}: the estimate would "
-            "read 0 with error 0, which is not exact for a set with a boundary"
-        )
+    return _refuse_zero(est, E, f"sampled circle gave 0 at n = {n}, samples = {samples}")
+
+
+def _refuse_zero(est: Estimate, E, what: str) -> Estimate:
+    """est, or a ValueError where it reads 0 on a set with a known boundary_measure() that
+    is not 0: error 0 would claim it exact.  None keeps it, as a covering union's 0 is."""
+    if est.value == 0.0 and E.boundary_measure():
+        raise ValueError(f"every {what}: the estimate would read 0 with error 0, which is not "
+                         "exact for a set with a boundary")
     return est
 
 
@@ -125,32 +124,18 @@ def _finite(value: float, n: int, s: float) -> float:
     return value
 
 
-def _perimeter_point_pairs(E, s: float, samples: int, rng, normalized: bool = False) -> Estimate:
-    """Point-pair s-perimeter of E for s < 0, on any set with contains:
-    half the p = 1 seminorm of E's indicator, as |1_E(x) - 1_E(y)| counts
-    each pair of E x E^c once in each order, times pi^-(n+s) for the plain
-    kernel.  It rests on no great-circle identity.  A plain kernel whose
-    factor or value overflows a float is a ValueError, and so is an
-    estimate of 0 on a set whose boundary_measure() is not 0.
+def _perimeter_point_pairs(E, s: float, samples: int, rng) -> Estimate:
+    """Point-pair s-perimeter of E for s < 0 in the normalized kernel
+    (d/pi)^-(n+s), on any set with contains: half the p = 1 seminorm of
+    E's indicator, as |1_E(x) - 1_E(y)| counts each pair of E x E^c once in
+    each order.  It rests on no great-circle identity.  _refuse_zero's
+    estimate of 0 on a set with a boundary is a ValueError.
     """
     n = E.dimension
-    factor = 0.5
-    if not normalized:
-        try:
-            factor *= math.pi ** -(n + s)
-        except OverflowError:
-            raise _scale_overflow(n, s) from None
     semi = seminorm_mc(E.contains, n, 1.0, s, samples, rng)
-    est = Estimate(factor * semi.value, factor * semi.std_error, semi.samples)
-    if est.value == 0.0 and E.boundary_measure() != 0.0:
-        raise ValueError(
-            f"every sampled point pair gave 0 at n = {n}, samples = {samples}, or their mean "
-            "underflowed: the estimate would read 0 with error 0, which is not exact for a "
-            "set with a boundary"
-        )
-    if not (math.isfinite(est.value) and math.isfinite(est.std_error)):
-        raise _scale_overflow(n, s)
-    return est
+    est = Estimate(0.5 * semi.value, 0.5 * semi.std_error, semi.samples)
+    return _refuse_zero(est, E, f"sampled point pair gave 0 at n = {n}, samples = {samples}, "
+                        "or their mean underflowed")
 
 
 def seminorm_mc(
@@ -283,10 +268,8 @@ def perimeter_cap(n: int, s: float, r: float, tol: float = CAP_TOL) -> float:
         return np.sinc(theta / math.pi) ** (n - 1) * _cap_crescent(n, r, theta) / theta
 
     if s > 0.0:
-        r0 = (
-            omega_n * math.sin(r) ** (n - 1) * math.gamma(0.5 * n)
-            / (2.0 * math.sqrt(math.pi) * math.gamma(0.5 * (n + 1)))
-        )
+        r0 = (omega_n * math.sin(r) ** (n - 1) * math.gamma(0.5 * n)
+              / (2.0 * math.sqrt(math.pi) * math.gamma(0.5 * (n + 1))))
         near = r0 * (2.0 * r) ** (1.0 - s) / (1.0 - s) + adaptive_quad(
             lambda t: t**-s * (reduced(t) - r0), 0.0, 2.0 * r, tol=tol
         )
@@ -330,6 +313,13 @@ def _power_quotient(x, s: float):
 # falls (5e-10 at n = 50, s = -5; none left at n = 200, s = -20).  At
 # s = -1 both keep W within 6e-12 for every n <= 342.
 _POSITIVE_FORM_BELOW = -1.0
+
+# Far below 0, log H0 falls by about (n-1) log|s| over a layer of width
+# delta = (n+1)/|s| at y = 1, which takes O(|s|^(1/2)) terms in y (850 at
+# n = 2, s = -2e4, each a pass over every circle), and O(log|s|) (29) in
+# tau = log(1 + (1-y)/delta) / log(1 + 1/delta).  Measured: for delta
+# above 1/4 the map costs terms (n = 13, s = -20: 39 against 36).
+_LAYER_BELOW = 4.0
 
 # Share of the largest Chebyshev coefficient below which the series is cut
 # (its FFT's roundoff is below 1e-16 of it), and the most terms tried.
@@ -398,8 +388,9 @@ class _GreatCircleKernel:
         H0(x) = int_0^1 (1-v) v^-(1+s) sinc(x v)^(n-1) dv.
 
     H, or log H0, is smooth and even in x: it is tabulated once as a
-    Chebyshev series in y = (x/pi)^2 (_chebyshev_series) from a Gauss-Jacobi
-    rule (_jacobi_rule) of weight v^(1-s), with sinc^(n-1) - 1 formed as
+    Chebyshev series in y = (x/pi)^2 (_chebyshev_series), or far below 0 in
+    the log variable of _LAYER_BELOW's layer, from a Gauss-Jacobi rule
+    (_jacobi_rule) of weight v^(1-s), with sinc^(n-1) - 1 formed as
     expm1((n-1) log1p(-(z - sin z)/z)), or of weight v^-(1+s).  G'(pi) is
     its own sum on that rule.  Above pi, G(x) = G(2 pi - x) + 2 (x - pi)
     G'(pi), so G is C^1 at pi.  n = 1, the circle itself, has H = 0.
@@ -422,11 +413,9 @@ class _GreatCircleKernel:
             # pi^(1-s) pi^(n+s) = pi^(n+1); pi^(1-s) is formed as pi^n pi^(1-n-s),
             # the factor whose overflow the error names
             try:
-                self.scale = math.pi ** (n + 1) if normalized else math.pi**n * math.pi ** (1 - n - s)
+                self.scale = _finite(math.pi ** (n + 1) if normalized else math.pi**n * math.pi ** (1 - n - s), n, s)
             except OverflowError:
                 raise _scale_overflow(n, s) from None
-            if not math.isfinite(self.scale):
-                raise _scale_overflow(n, s)
         self.half = math.pi / self.unit  # pi in the unit
         self.positive = s <= _POSITIVE_FORM_BELOW
         # doubling these nodes moves no W by more than 3e-13 for n <= 342
@@ -438,19 +427,29 @@ class _GreatCircleKernel:
             return np.exp(log_sinc) if self.positive else np.expm1(log_sinc) / (v * v)
 
         table = lambda y: integrand(math.pi * np.sqrt(y)) @ (w - w * v)
-        self.coef = _chebyshev_series((lambda y: np.log(table(y))) if self.positive else table)
+        self.layer = (n + 1) / -s if s < -_LAYER_BELOW * (n + 1) else 0.0
+        if self.layer:  # 2 tau - 1 = (2 log(1 + delta - y) - 2 log delta) / stretch - 1
+            stretch = math.log1p(1.0 / self.layer)
+            self.affine = (2.0 / stretch, 2.0 * math.log(self.layer) / stretch + 1.0)
+            self.coef = _chebyshev_series(lambda tau: np.log(table(1.0 - self.layer * np.expm1(stretch * tau))))
+        else:  # 2 y - 1
+            self.affine = (2.0 / (self.half * self.half), 1.0)
+            self.coef = _chebyshev_series((lambda y: np.log(table(y))) if self.positive else table)
         # G'(pi) = pi^-s int_0^1 v^-(1+s) sinc(pi v)^(n-1) dv, or above the
         # positive form 1/(1-s) - q(pi) plus that integral of sinc^(n-1) - 1
         self.slope_in_unit = self.half**-s * float(integrand(np.array([math.pi]))[0] @ w)
         if not self.positive:
             self.slope_in_unit += 1.0 / (1.0 - s) - float(_power_quotient(self.half, s))
-        self.slope = self.scale / self.unit * self.slope_in_unit  # G'(pi) in radians
 
     def _series(self, u):
         """H or log H0 at u in the unit: Clenshaw's recurrence on three buffers."""
         t = u * u
-        t *= 2.0 / (self.half * self.half)
-        t -= 1.0
+        if self.layer:
+            t *= -1.0 / (self.half * self.half)
+            t += 1.0 + self.layer
+            np.log(t, out=t)
+        t *= self.affine[0]
+        t -= self.affine[1]
         twice = t + t
         b1, b2, spare = np.zeros_like(t), np.zeros_like(t), np.empty_like(t)
         for c in self.coef[:0:-1]:

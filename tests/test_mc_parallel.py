@@ -98,7 +98,7 @@ def test_perimeter_mc_equals_serial_loop(monkeypatch, name, s):
 @pytest.mark.parametrize("s", (-2.0, -0.5))
 @pytest.mark.parametrize("name", sorted(SETS))
 def test_point_pair_perimeter_equals_serial_loop(monkeypatch, name, s):
-    # the point pairs that sweep_s_to_minus_inf and n > 12 still use
+    # the point pairs of sweep_s_to_minus_inf
     E = parse_set(SETS[name])
     run = lambda: _perimeter_point_pairs(E, s, 200_001, RandomStream(31))
     reference, results = serial_and_parallel(monkeypatch, spherefrac.perimeter, run)

@@ -18,7 +18,6 @@ from scipy import stats
 from scipy.integrate import quad
 
 import spherefrac.integral_geometry as ig
-import spherefrac.perimeter
 from spherefrac import (
     ArcUnion,
     Cap,
@@ -102,7 +101,7 @@ def test_antiderivative_gives_the_double_integral_over_two_arcs(n, s):
     # C^1 at pi, with slope G'(pi)
     h = 1e-4
     slope = (K.G(np.array([math.pi + h]))[0] - K.G(np.array([math.pi - h]))[0]) / (2.0 * h)
-    assert slope == pytest.approx(K.slope, rel=1e-7)
+    assert slope == pytest.approx(K.scale / K.unit * K.slope_in_unit, rel=1e-7)
 
 
 def test_arc_union_perimeter_is_exact_on_every_circle():
@@ -123,18 +122,6 @@ def test_kernel_matches_40_digit_values(n, s):
     got = _GreatCircleKernel(n, s).W(np.array(KERNEL_LENGTHS))
     ref = np.array([float(v) for v in KERNEL_W[n, s]])
     assert np.allclose(got, ref, rtol=1e-12 if n <= 13 else 1e-9, atol=0.0)
-
-
-def test_every_dimension_takes_the_sliced_kernel(monkeypatch):
-    # the Taylor series of the remainder lost too many digits from n = 13,
-    # where perimeter_mc raised for s >= 0 and took point pairs below 0
-    def refused(*args, **kwargs):
-        raise AssertionError("perimeter_mc took point pairs")
-
-    monkeypatch.setattr(spherefrac.perimeter, "_perimeter_point_pairs", refused)
-    assert _GreatCircleKernel(13, 0.3).coef.size > 0
-    est = perimeter_mc(Cap(pole(13), 1.0), 0.3, 1000, RandomStream(1))
-    assert est.samples == 1000 and est.value > 0.0
 
 
 @pytest.mark.parametrize("n, s", [(3, -500.0), (12, -1.0), (50, -5.0)]
@@ -169,7 +156,8 @@ def test_hemisphere_value_holds_at_the_edge_of_the_condition_rule(n, s):
 
 @pytest.mark.parametrize("n, s", ((13, 0.3), (13, -1.0), (12, -4.0)))
 def test_sliced_values_hold_where_point_pairs_stood_in(n, s):
-    # (13, 0.3) raised, and the other two took point pairs
+    # (13, 0.3) raised, and the other two took point pairs: perimeter_mc
+    # has one path, the sliced kernel, at every n and s
     est = perimeter_mc(Cap(pole(n), 1.0), s, 100_000, RandomStream(1))
     z = (est.value - perimeter_cap(n, s, 1.0)) / est.std_error
     print(f"n={n}, s={s}: sliced z = {z:.2f}")
@@ -180,10 +168,10 @@ def test_sliced_values_hold_where_point_pairs_stood_in(n, s):
 @pytest.mark.parametrize("name", ("cap", "octant", "union"))
 def test_point_pairs_agree_with_the_sliced_value_below_zero(name, s):
     # the point pairs rest on no great-circle identity, so this checks the
-    # identity at s < 0 by an independent estimator
+    # identity at s < 0 by an independent estimator (normalized kernel)
     E = parse_set(SETS[name])
     pairs = _perimeter_point_pairs(E, s, 1_000_000, RandomStream(93))
-    sliced = perimeter_mc(E, s, 32 * 4096, RandomStream(94))
+    sliced = perimeter_mc(E, s, 32 * 4096, RandomStream(94), normalized=True)
     combined = math.hypot(pairs.std_error, sliced.std_error)
     z = (pairs.value - sliced.value) / combined
     print(f"{name} s={s}: point pairs - sliced = {z:.2f} sigma")
@@ -195,7 +183,7 @@ def test_point_pair_hemisphere_rows_are_tight_and_honest(t):
     # the sweep-sinf rows: half the indicator's seminorm is symmetric in the
     # pair, and at large t almost every drawn pair straddles a hemisphere,
     # so the relative error falls below the one-sided estimator's 1e-3
-    est = _perimeter_point_pairs(Cap(Z, math.pi / 2), -t, 1_000_000, RandomStream(95), normalized=True)
+    est = _perimeter_point_pairs(Cap(Z, math.pi / 2), -t, 1_000_000, RandomStream(95))
     ref = math.pi ** (2.0 - t) * perimeter_cap(2, -t, math.pi / 2, tol=1e-12)
     z = (est.value - ref) / est.std_error
     print(f"t={t}: rse {est.std_error / est.value:.2e}, z = {z:.2f}")
@@ -205,9 +193,10 @@ def test_point_pair_hemisphere_rows_are_tight_and_honest(t):
 
 def test_point_pair_error_bar_covers_at_the_nominal_rate():
     # 200 streams of 20000 pairs on the r = 1 cap at s = -4 against the cap
-    # oracle; the share within 1.96 sigma must be near 0.95
+    # oracle, in the normalized kernel; the share within 1.96 sigma must be
+    # near 0.95
     s = -4.0
-    truth = perimeter_cap(2, s, 1.0, tol=1e-12)
+    truth = math.pi ** (2.0 + s) * perimeter_cap(2, s, 1.0, tol=1e-12)
     E = Cap(Z, 1.0)
     runs = 200
     covered = 0
@@ -227,11 +216,24 @@ def test_point_pairs_refuse_an_estimate_that_no_pair_reaches():
         perimeter_mc(Cap(pole(342), 1.0), -1.0, 1000, RandomStream(1), normalized=True)
     with pytest.raises(ValueError, match=r"underflows a float at n = 342, s = -1"):
         perimeter_mc(Cap(pole(342), 1.0), -1.0, 1000, RandomStream(1))
+    # the point pairs of limits.sweep_s_to_minus_inf refuse it too
+    with pytest.raises(ValueError, match=r"n = 342, samples = 1000"):
+        _perimeter_point_pairs(Cap(pole(342), 1.0), -1.0, 1000, RandomStream(1))
     # where the boundary is empty, 0 is exact
     for full in (Cap(pole(13), 0.0), Cap(pole(13), math.pi), Cap(Z, math.pi), ArcUnion([(0.5, TWO_PI)])):
         for estimate in (perimeter_mc, _perimeter_point_pairs):
             est = estimate(full, -1.0, 1000, RandomStream(2))
             assert (est.value, est.std_error) == (0.0, 0.0)
+    # and where it is unknown: two overlapping caps that cover S^2 are no
+    # disjoint union, so boundary_measure() is None, and every circle's
+    # trace is full
+    covering = parse_set("union:cap:0,0,1:2+cap:0,0,-1:2")
+    assert covering.boundary_measure() is None
+    for s in (-1.0, 0.3):
+        est = perimeter_mc(covering, s, 1000, RandomStream(2))
+        assert (est.value, est.std_error) == (0.0, 0.0)
+    est = _perimeter_point_pairs(covering, -1.0, 1000, RandomStream(2))
+    assert (est.value, est.std_error) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +330,14 @@ def test_normalized_kernel_stays_finite_where_the_plain_scale_overflows(m):
 def test_normalized_kernel_holds_far_below_zero():
     # W(1) and W(pi) of the normalized kernel on S^2, from mpmath at 40
     # digits split at pi (1 - 40 j / |s|); the Taylor series read them
-    # 7e-8 off at s = -2e4 and 2e-5 off at s = -1e5, with 1800 terms here
+    # 7e-8 off at s = -2e4 and 2e-5 off at s = -1e5.  A series in y took
+    # 850 and 1834 terms for the layer at y = 1, each a pass over every
+    # circle; in the layer's log variable it takes about 30
     for s, ref in ((-2e4, (4.935048831243142750864504e-8, 1.550236283957894757525386e-7)),
                    (-1e5, (1.973940617675925108351441e-9, 6.201193318006696286522945e-9))):
-        got = _GreatCircleKernel(2, s, normalized=True).W(np.array([1.0, math.pi]))
-        assert np.allclose(got, ref, rtol=1e-10, atol=0.0)
+        K = _GreatCircleKernel(2, s, normalized=True)
+        assert K.coef.size <= 40
+        assert np.allclose(K.W(np.array([1.0, math.pi])), ref, rtol=1e-10, atol=0.0)
     # on S^342 at s = -2000, H0 underflows a float before pi, and so does its log
     with pytest.warns(RuntimeWarning, match="divide by zero"):
         with pytest.raises(ValueError, match="table underflows a float"):
