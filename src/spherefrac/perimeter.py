@@ -268,8 +268,10 @@ def perimeter_cap(n: int, s: float, r: float, tol: float = CAP_TOL) -> float:
         return np.sinc(theta / math.pi) ** (n - 1) * _cap_crescent(n, r, theta) / theta
 
     if s > 0.0:
-        r0 = (omega_n * math.sin(r) ** (n - 1) * math.gamma(0.5 * n)
-              / (2.0 * math.sqrt(math.pi) * math.gamma(0.5 * (n + 1))))
+        r0 = (
+            omega_n * math.sin(r) ** (n - 1) * math.gamma(0.5 * n)
+            / (2.0 * math.sqrt(math.pi) * math.gamma(0.5 * (n + 1)))
+        )
         near = r0 * (2.0 * r) ** (1.0 - s) / (1.0 - s) + adaptive_quad(
             lambda t: t**-s * (reduced(t) - r0), 0.0, 2.0 * r, tol=tol
         )
@@ -306,20 +308,19 @@ def _power_quotient(x, s: float):
     return np.expm1(-s * log_x) / s
 
 
-# At and below this s, _GreatCircleKernel takes the positive form of G.
-# Measured against 40-digit values and each other: H0 grows like 1/|s|
-# near 0, where W loses digits to it (2e-10 at n = 50, s = -0.001), while
-# the split form's parts grow like x^(1-s) / (s (1-s)) and cancel as s
-# falls (5e-10 at n = 50, s = -5; none left at n = 200, s = -20).  At
-# s = -1 both keep W within 6e-12 for every n <= 342.
-_POSITIVE_FORM_BELOW = -1.0
-
+# At and below s = _POSITIVE_FORM_BELOW, _GreatCircleKernel takes the
+# positive form of G.  Measured against 40-digit values and each other: H0
+# grows like 1/|s| near 0, where W loses digits to it (2e-10 at n = 50,
+# s = -0.001), while the split form's parts grow like x^(1-s) / (s (1-s))
+# and cancel as s falls (5e-10 at n = 50, s = -5; none left at n = 200,
+# s = -20).  At s = -1 both keep W within 6e-12 for every n <= 342.
 # Far below 0, log H0 falls by about (n-1) log|s| over a layer of width
 # delta = (n+1)/|s| at y = 1, which takes O(|s|^(1/2)) terms in y (850 at
 # n = 2, s = -2e4, each a pass over every circle), and O(log|s|) (29) in
-# tau = log(1 + (1-y)/delta) / log(1 + 1/delta).  Measured: for delta
-# above 1/4 the map costs terms (n = 13, s = -20: 39 against 36).
-_LAYER_BELOW = 4.0
+# tau = log(1 + (1-y)/delta) / log(1 + 1/delta), taken below s =
+# -_LAYER_BELOW (n+1): for delta above 1/4 the map costs terms (n = 13,
+# s = -20: 39 against 36).
+_POSITIVE_FORM_BELOW, _LAYER_BELOW = -1.0, 4.0
 
 # Share of the largest Chebyshev coefficient below which the series is cut
 # (its FFT's roundoff is below 1e-16 of it), and the most terms tried.
