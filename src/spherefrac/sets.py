@@ -89,10 +89,16 @@ class Polytope:
     """Intersection of closed hemispheres {x : x . u <= 0} over outward normals u.
 
     Membership ANDs one matrix-vector product x . u <= 0 per face, which
-    holds no (N, k) array.
+    holds no (N, k) array.  Normals are normalized, and of exact duplicates
+    the first stays.  Two exactly opposite normals leave no interior, only
+    a piece of their common great sphere: such a polytope is empty, with
+    measure and boundary measure 0 and an empty trace on every circle.  As
+    rounding is symmetric in sign, a negation stays exact when the
+    normals are normalized or rotated.
     """
 
     normals: np.ndarray
+    empty: bool = field(init=False)
 
     def __post_init__(self):
         u = np.atleast_2d(np.asarray(self.normals, dtype=float))
@@ -101,7 +107,11 @@ class Polytope:
         norms = np.linalg.norm(u, axis=1)
         if np.any(norms == 0.0) or not np.all(np.isfinite(u)):
             raise ValueError("normals must be finite and nonzero")
-        object.__setattr__(self, "normals", u / norms[:, None])
+        u = u / norms[:, None]
+        first = np.unique(u, axis=0, return_index=True)[1]
+        u = u[np.sort(first)]
+        object.__setattr__(self, "normals", u)
+        object.__setattr__(self, "empty", bool(np.any(np.all(u[:, None] == -u, axis=-1))))
 
     @property
     def dimension(self) -> int:
@@ -117,9 +127,12 @@ class Polytope:
     def _face_arcs(self):
         """Each face's trace arc on S^2: (j, e, f, start, length) for face j
         with its circle phi -> cos(phi) e + sin(phi) f, where the arc is the
-        trace of the other faces (the full circle for a single face).  None
-        for n != 2, and when a face circle is degenerate for the other faces
-        (three faces through one vertex, or two faces on one great circle)."""
+        trace of the other faces (the full circle for a single face).  No
+        arcs for an empty polytope, and None for any other on n != 2 or when
+        a face circle is degenerate for the other faces (as where three faces
+        pass through one vertex)."""
+        if self.empty:
+            return []
         if self.dimension != 2:
             return None
         k = self.normals.shape[0]
@@ -139,7 +152,7 @@ class Polytope:
         """Boundary length on S^2: the sum of the face arcs; None wherever
         _face_arcs is None."""
         arcs = self._face_arcs()
-        return None if arcs is None else sum(length for *_, length in arcs)
+        return None if arcs is None else sum((length for *_, length in arcs), 0.0)
 
     def exact_measure(self):
         """Area on S^2 by Gauss-Bonnet: 2 pi minus the exterior angles
@@ -384,7 +397,8 @@ def trace(E, es, fs):
     a union, the arc count for an arc union, the inner K but at least 1 for
     a complement, the inner K for a reflection).  Slots are disjoint: an
     assume_disjoint union's are its parts', another union's the complement
-    of their complement (_gaps twice).
+    of their complement (_gaps twice).  An empty polytope's slot is empty
+    and never degenerate.
     Slot k of row i is the open parameter arc (start, start + length) with
     start reduced mod 2 pi; an empty slot has length 0 and the full circle
     has length 2 pi, so a row crosses the boundary 2 * #{0 < length < 2 pi}
@@ -453,6 +467,9 @@ def _polytope_trace(E: Polytope, es, fs):
     reads |cross| < 1e-9 rho.  No trig is taken except one arctan2 per face,
     for its entry and exit.
     """
+    if E.empty:
+        empty = np.zeros((es.shape[0], 1))
+        return empty, empty.copy(), np.zeros(es.shape[0], dtype=bool)
     a = E.normals @ es.T  # (k, m): row j is face j's a_j on every circle
     b = E.normals @ fs.T
     k, m = a.shape
