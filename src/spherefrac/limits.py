@@ -27,6 +27,7 @@ from .perimeter import (
     perimeter_circle_exact,
     perimeter_mc,
     seminorm_mc,
+    validate_p,
 )
 from .sets import ArcUnion, Cap, PolyconvexUnion
 
@@ -221,6 +222,7 @@ def sweep_seminorm_to_minus_inf(
     integrand is bounded, so this is the easy part).  A t whose t^n
     overflows a float is a ValueError.
     """
+    p = validate_p(p)
     grid = [float(t) for t in t_grid]
     if grid != sorted(grid) or grid[0] <= n / p:
         raise ValueError(f"t_grid must be increasing with every t > n/p = {n / p}")
@@ -254,6 +256,8 @@ def _check_t_powers(n: int, grid) -> None:
 def beta_asymptotic_check(n: int, p: float, t_grid=DEFAULT_T_GRID):
     """Rows of t^n B(n, tp - n + 1) against the limit (n-1)!/p^n; a row or
     limit that overflows a float is a ValueError."""
+    if not (math.isfinite(p) and p > 0.0):
+        raise ValueError(f"p must be a finite number > 0, got {p}")
     grid = [float(t) for t in t_grid]
     if grid != sorted(grid) or grid[0] * p <= n:
         raise ValueError(f"t_grid must be increasing with every t > n/p = {n / p}")

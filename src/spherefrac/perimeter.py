@@ -40,6 +40,13 @@ def validate_s(s: float) -> float:
     return s
 
 
+def validate_p(p: float) -> float:
+    p = float(p)
+    if not math.isfinite(p) or p < 1.0:
+        raise ValueError(f"p must be a finite number >= 1, got {p}")
+    return p
+
+
 def perimeter_minus_n(n: int, measure: float) -> float:
     """Exact s = -n perimeter: H^n(E) * (omega_(n+1) - H^n(E)).
 
@@ -155,8 +162,7 @@ def seminorm_mc(
     s = validate_s(s)
     if s >= 0.0:
         raise ValueError("seminorm estimator requires s < 0")
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
+    p = validate_p(p)
     omega_n1, omega_n = sphere_surface(n), sphere_surface(n - 1)
     omega = omega_n1 * omega_n
     proposal = RadialProposal(n, -(n + s * p))
