@@ -20,8 +20,8 @@ default 0xC0FFEE, and identical configs rerun to byte-identical rows.
 Set grammar (angles in radians):
     cap:<x,y,...>:<r>        geodesic cap with the given center and radius
     poly:<u1;u2;...>         intersection of halfspaces x.u_i <= 0
-    union:<desc>+<desc>      union; parts that overlap in a sampled check
-                             are merged on every circle, without targets
+    union:<desc>+<desc>      union; it has targets only where its parts are
+                             shown disjoint (sets._shown_disjoint)
     compl:<desc>             complement
     refl:<desc>              antipodal image
     arcs:<start,len;...>     arc union on the circle (n = 1)
@@ -197,15 +197,9 @@ def parse_set(text: str, offset: int = 0):
             raise SetSyntaxError(body, "union needs at least two '+'-joined parts")
         parts = tuple(parse_set(p, body + st) for p, st in zip(pieces, starts))
         try:
-            union = PolyconvexUnion(parts)
+            return PolyconvexUnion(parts)
         except ValueError as exc:
             raise SetSyntaxError(offset, str(exc)) from None
-        # the sampled check uses its own fixed stream so output stays
-        # deterministic regardless of --seed
-        if not union.probably_disjoint(RandomStream(0)):
-            _warn("union parts overlap in sampling; exact measure and targets are disabled")
-            union = PolyconvexUnion(parts, assume_disjoint=False)
-        return union
     raise SetSyntaxError(offset, f"unknown set kind {kind!r}")
 
 

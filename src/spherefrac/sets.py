@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimation import as_stream
-from .geometry import cap_area, sample_uniform, sphere_surface, unit_vector
+from .geometry import cap_area, sphere_surface, unit_vector
 
 TWO_PI = 2.0 * math.pi
 ENDPOINT_MARGIN = 1e-12  # arc ends this close, mod 2 pi, are one point
@@ -181,10 +180,12 @@ class Polytope:
 
 @dataclass(frozen=True)
 class PolyconvexUnion:
-    """Finite union of caps/polytopes; disjointness is caller-asserted."""
+    """Finite union of sets of one sphere.  Where every pair of parts is
+    _shown_disjoint, disjoint holds and the measures are the parts' sums;
+    elsewhere they are None."""
 
     parts: tuple
-    assume_disjoint: bool = True
+    disjoint: bool = field(init=False)
 
     def __post_init__(self):
         parts = tuple(self.parts)
@@ -194,6 +195,8 @@ class PolyconvexUnion:
         if len(dims) != 1:
             raise ValueError(f"union parts live on different spheres: dimensions {sorted(dims)}")
         object.__setattr__(self, "parts", parts)
+        pairs = ((a, b) for i, a in enumerate(parts) for b in parts[i + 1 :])
+        object.__setattr__(self, "disjoint", all(_shown_disjoint(a, b) for a, b in pairs))
 
     @property
     def dimension(self) -> int:
@@ -206,29 +209,29 @@ class PolyconvexUnion:
         return out
 
     def boundary_measure(self):
-        if not self.assume_disjoint:
-            return None
-        vals = [p.boundary_measure() for p in self.parts]
-        if any(v is None for v in vals):
-            return None
-        return float(sum(vals))
+        return self._parts_sum("boundary_measure")
 
     def exact_measure(self):
-        if not self.assume_disjoint:
-            return None
-        vals = [p.exact_measure() for p in self.parts]
-        if any(v is None for v in vals):
-            return None
-        return float(sum(vals))
+        return self._parts_sum("exact_measure")
 
-    def probably_disjoint(self, rng, samples: int = 10000) -> bool:
-        """Sample-based disjointness check: no point may hit two parts."""
-        gen = as_stream(rng).generator
-        x = sample_uniform(self.dimension, samples, gen)
-        hits = np.zeros(samples, dtype=int)
-        for p in self.parts:
-            hits += p.contains(x).astype(int)
-        return bool(np.all(hits <= 1))
+    def _parts_sum(self, measure: str):
+        if not self.disjoint:
+            return None
+        vals = [getattr(p, measure)() for p in self.parts]
+        return None if any(v is None for v in vals) else float(sum(vals))
+
+
+def _shown_disjoint(a, b) -> bool:
+    """Exact sufficient rules: caps at least the sum of their radii apart,
+    and polytopes whose intersection is empty; no other pair."""
+    if isinstance(a, Cap) and isinstance(b, Cap):
+        # unlike arccos of the dot product, this keeps every digit near 0 and pi
+        gap = 2.0 * math.atan2(np.linalg.norm(a.center - b.center),
+                               np.linalg.norm(a.center + b.center))
+        return gap >= a.radius + b.radius
+    if isinstance(a, Polytope) and isinstance(b, Polytope):
+        return Polytope(np.vstack([a.normals, b.normals])).empty
+    return False
 
 
 @dataclass(frozen=True)
@@ -365,7 +368,7 @@ def rotated(E, q):
     trace(E, es @ q.T, fs @ q.T) equals trace(rotated(E, q.T), es, fs) up
     to roundoff, since (q e) . c = e . (q^T c).  Rotating the set costs a
     few vector products where rotating the frames costs two (m, 3) matrix
-    products.  Unions keep their disjointness flag.
+    products.
     """
     q = np.asarray(q, dtype=float)
     if isinstance(E, Cap):
@@ -373,7 +376,7 @@ def rotated(E, q):
     if isinstance(E, Polytope):
         return Polytope(E.normals @ q.T)
     if isinstance(E, PolyconvexUnion):
-        return PolyconvexUnion(tuple(rotated(p, q) for p in E.parts), E.assume_disjoint)
+        return PolyconvexUnion(tuple(rotated(p, q) for p in E.parts))
     if isinstance(E, Complement):
         return Complement(rotated(E.inner, q))
     if isinstance(E, Reflection):
@@ -395,10 +398,10 @@ def trace(E, es, fs):
     (start, length, degenerate): start and length have shape (m, K), where
     K is fixed by the set (1 for a cap or a polytope, the sum over parts for
     a union, the arc count for an arc union, the inner K but at least 1 for
-    a complement, the inner K for a reflection).  Slots are disjoint: an
-    assume_disjoint union's are its parts', another union's the complement
-    of their complement (_gaps twice).  An empty polytope's slot is empty
-    and never degenerate.
+    a complement, the inner K for a reflection).  Slots are disjoint: a
+    disjoint union's are its parts', any other union's the complement of
+    their complement (_gaps twice), which is exact for any parts.  An empty
+    polytope's slot is empty and never degenerate.
     Slot k of row i is the open parameter arc (start, start + length) with
     start reduced mod 2 pi; an empty slot has length 0 and the full circle
     has length 2 pi, so a row crosses the boundary 2 * #{0 < length < 2 pi}
@@ -425,7 +428,7 @@ def trace(E, es, fs):
         parts = [trace(p, es, fs) for p in E.parts]
         start = np.concatenate([p[0] for p in parts], axis=1)
         length = np.concatenate([p[1] for p in parts], axis=1)
-        if not E.assume_disjoint:
+        if not E.disjoint:
             start, length = _gaps(*_gaps(start, length))
         return start, length, np.logical_or.reduce([p[2] for p in parts])
     if isinstance(E, Complement):

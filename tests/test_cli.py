@@ -71,10 +71,13 @@ def test_parse_set_error_positions():
 
 
 def test_parse_set_overlapping_union_downgrades(capsys):
+    # the union decides it has no targets from its caps alone: no sampled
+    # check, and no warning
     E = parse_set("union:cap:0,0,1:1.0+cap:0,0.19612,0.98058:1.0")
-    assert not E.assume_disjoint
+    assert not E.disjoint
     assert E.exact_measure() is None
-    assert "overlap" in capsys.readouterr().err
+    assert E.boundary_measure() is None
+    assert capsys.readouterr().err == ""
 
 
 def test_parse_function_kinds():
@@ -389,8 +392,6 @@ def test_description_warnings_are_spherefrac_lines(capsys):
     assert rc == 0
     assert capsys.readouterr().err.splitlines() == [
         "spherefrac: warning: cap center had |v| = 1.0198039, normalizing",
-        "spherefrac: warning: union parts overlap in sampling; "
-        "exact measure and targets are disabled",
     ]
 
 
@@ -529,6 +530,25 @@ def test_every_subcommand_bounds_n(capsys, argv, n):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ("seminorm-sweep", "beta-check"))
+@pytest.mark.parametrize("p", ("0", "nan", "inf", "-1"))
+def test_p_outside_its_range_is_a_config_error(capsys, command, p):
+    # p = 0 died in a ZeroDivisionError from n / p, nan slipped past p < 1
+    # into the sampler (exit 3), and beta-check took inf to rows of 0 that
+    # passed its verdict
+    argv = [command, "--n", "2", f"--p={p}", "--samples", "200"]
+    if command == "seminorm-sweep":
+        argv += ["--function", "coord:0"]
+    else:
+        argv.remove("--samples")
+        argv.remove("200")
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    least = ">= 1" if command == "seminorm-sweep" else "> 0"
+    assert captured.err == f"spherefrac: config error: p must be a finite number {least}, got {float(p)}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv, rc", [
     (["beta-check", "--n", "200", "--t-grid", "300,400,500"], 1),
     (["beta-check", "--n", "2", "--t-grid", "1e300"], 0),
@@ -569,6 +589,21 @@ def test_crofton_on_an_overlapping_union_counts_its_boundary(capsys):
                  "--planes", "100000", "--seed", "3"]) == 0
     _, value, error = capsys.readouterr().out.splitlines()[1].split(",")[:3]
     assert abs(float(value) - 1.9141) < 4.0 * float(error) + 1e-4
+
+
+@pytest.mark.parametrize("desc", (
+    "poly:1,0,0,0;-1,0,0,0",
+    "poly:" + ";".join(",".join(str(sign * (i == j)) for j in range(4))
+                       for i in range(4) for sign in (1, -1)),
+), ids=("slab", "all-eight-faces"))
+def test_an_empty_polytope_reads_zero(capsys, desc):
+    # every circle's trace was flagged degenerate, and both runs exited 3
+    # after 100 redraw rounds; two opposite faces leave no interior
+    assert main(["perimeter", "--n", "3", "--set", desc, "--s", "-0.5", "--method", "mc",
+                 "--samples", "1000"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "-0.5,0,0,nan,nan"
+    assert main(["crofton", "--n", "3", "--set", desc, "--planes", "1000"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "1000,0,0,0,0"
 
 
 def test_circle_exact_runs_at_s_zero(capsys):
@@ -821,6 +856,81 @@ def test_fuzzed_cli_inputs_end_in_an_exit_code(argv):
     if rc == 0:
         rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
         if argv[0] in _SWEEPS:
+            rows = rows[:-1]
+        for row in rows:
+            assert all(math.isfinite(float(x)) for x in row[1:3]), (argv, row)
+
+
+# the count and grid flags at edge values; an ordinary value weighs four
+# times as much as each edge value, and a grid may be empty or repeat a value
+_EDGE_VALUES = ["0", "1", "2", "-1", "nan", "inf", "1e300"]
+
+
+def _edge(ordinary):
+    return st.sampled_from([ordinary] * 4 + _EDGE_VALUES)
+
+
+def _edge_grid(ordinary, repeated):
+    return st.sampled_from([ordinary] * 4 + _EDGE_VALUES + ["", repeated])
+
+
+_EDGE_FLAGS = {
+    "seminorm-sweep": {"--p": _edge("1"), "--t-grid": _edge_grid("20,40", "20,20")},
+    "beta-check": {"--p": _edge("1"), "--t-grid": _edge_grid("20,40", "20,20")},
+    "sweep-s1": {"--s-grid": _edge_grid("0.9,0.95", "0.9,0.9")},
+    "s0-check": {"--s-grid": _edge_grid("-0.3,-0.1", "-0.1,-0.1")},
+    "profile": {"--alpha-grid": _edge_grid("1,6", "1,1"), "--s": _edge("0.3")},
+    "isoperimetric": {"--trials": _edge("2"), "--s": _edge("0.3")},
+    "crofton": {"--planes": _edge("64")},
+    "bp-check": {"--pairs": _edge("64"), "--planes": _edge("2")},
+}
+_EDGE_BASE = {
+    "seminorm-sweep": ["--n", "2", "--function", "coord:0", "--samples", "2"],
+    "beta-check": ["--n", "2"],
+    "sweep-s1": ["--n", "2", "--set", "cap:0,0,1:1"],
+    "s0-check": ["--n", "2", "--samples", "2"],
+    "profile": ["--n", "2"],
+    "isoperimetric": ["--n", "2", "--samples", "2"],
+    "crofton": ["--n", "2", "--set", "poly:-1,0,0;0,-1,0;0,0,-1"],
+    "bp-check": [],
+}
+
+
+@st.composite
+def _edge_argv(draw):
+    command = draw(st.sampled_from(sorted(_EDGE_FLAGS)))
+    argv = [command, *_EDGE_BASE[command]]
+    if command in ("seminorm-sweep", "s0-check", "isoperimetric", "crofton", "bp-check"):
+        argv += ["--seed", "1"]
+    for flag, values in _EDGE_FLAGS[command].items():
+        argv.append(f"{flag}={draw(values)}")
+    return argv
+
+
+@settings(max_examples=100)
+@given(argv=_edge_argv())
+@example(argv=["seminorm-sweep", "--n", "2", "--function", "coord:0", "--samples", "2",
+               "--seed", "1", "--p=0", "--t-grid=20,40"])
+@example(argv=["beta-check", "--n", "2", "--p=inf", "--t-grid=20,40"])
+def test_fuzzed_count_and_grid_flags_end_in_an_exit_code(argv):
+    # as the fuzz above: an exit code and no traceback, and finite values
+    # and errors in every row but a sweep's limit row of a run that exits 0.
+    # The examples died in a ZeroDivisionError and printed rows of 0 that
+    # passed, and every run takes a few hundred samples or fewer (the
+    # seminorm target's fixed 400000 points aside)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc in (0, 1, 2, 3), (argv, rc, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if rc == 0:
+        rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
+        if argv[0] in _SWEEPS + ("beta-check",):
             rows = rows[:-1]
         for row in rows:
             assert all(math.isfinite(float(x)) for x in row[1:3]), (argv, row)

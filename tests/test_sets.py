@@ -159,13 +159,45 @@ def test_union_measure_and_disjointness_probe():
     assert union.exact_measure() == pytest.approx(
         cap_area(2, 0.5) + cap_area(2, 0.6), rel=1e-12
     )
-    assert union.probably_disjoint(RandomStream(0))
-    overlapping = PolyconvexUnion((Cap(Z, 1.0), Cap(Z, 0.5)), assume_disjoint=False)
-    assert not overlapping.probably_disjoint(RandomStream(0))
+    assert union.disjoint
+    overlapping = PolyconvexUnion((Cap(Z, 1.0), Cap(Z, 0.5)))
+    assert not overlapping.disjoint
     assert overlapping.exact_measure() is None
     gen = np.random.default_rng(2)
     x = sample_uniform(2, 500, gen)
     assert np.array_equal(union.contains(x), a.contains(x) | b.contains(x))
+
+
+def test_union_disjointness_rules():
+    # caps at least r1 + r2 apart, tangent ones included; polytopes with an
+    # exactly opposite pair of normals, however far their faces reach; no
+    # other pair is shown disjoint
+    tangent = PolyconvexUnion((Cap(Z, math.pi / 4), Cap((1.0, 0.0, 0.0), math.pi / 4)))
+    assert tangent.disjoint
+    assert not PolyconvexUnion((Cap(Z, math.pi / 4), Cap((1.0, 0.0, 0.0), 0.786))).disjoint
+    slab = Polytope([(1.0, 0.0, 0.0), (0.0, 0.0, -1.0)])
+    assert PolyconvexUnion((slab, Polytope([(-2.0, 0.0, 0.0), (0.0, 1.0, 0.0)]))).disjoint
+    assert not PolyconvexUnion((slab, Polytope([(-1.0, 1e-17, 0.0)]))).disjoint
+    assert not PolyconvexUnion((slab, Cap((-1.0, 0.0, 0.0), 0.1))).disjoint
+    three = PolyconvexUnion((Cap(Z, 0.3), Cap((1.0, 0.0, 0.0), 0.3), Cap((0.0, 0.0, -1.0), 1.4)))
+    assert not three.disjoint  # the last two caps overlap
+    assert three.exact_measure() is None and three.boundary_measure() is None
+
+
+def test_polytope_faces_are_cleaned_up():
+    # exact duplicates are one face, in first-seen order; two opposite
+    # normals leave an empty polytope with an empty, unflagged trace
+    P = Polytope([(0.0, 0.0, -2.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0)])
+    assert P.normals.tolist() == [[0.0, 0.0, -1.0], [0.0, -1.0, 0.0]]
+    assert not P.empty
+    empty = Polytope([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (-3.0, 0.0, 0.0)])
+    assert empty.empty
+    assert (empty.exact_measure(), empty.boundary_measure()) == (0.0, 0.0)
+    es, fs = sample_plane_batch(2, 100, np.random.default_rng(7))
+    start, length, degenerate = trace(empty, es, fs)
+    assert not length.any() and not degenerate.any()
+    slab = Polytope([(1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0)])
+    assert slab.empty and (slab.exact_measure(), slab.boundary_measure()) == (0.0, 0.0)
 
 
 def test_complement_flips_membership_and_measure():

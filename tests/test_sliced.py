@@ -35,7 +35,7 @@ from spherefrac import (
     perimeter_minus_n,
     sets,
 )
-from spherefrac.cli import parse_set
+from spherefrac.cli import main, parse_set
 from spherefrac.integral_geometry import bp_constant, sample_plane_batch
 from spherefrac.perimeter import _GreatCircleKernel, _perimeter_point_pairs
 from spherefrac.sets import rotated, trace
@@ -448,9 +448,12 @@ def test_a_rotated_set_traces_as_rotated_circles(name):
 
 
 def test_rotated_keeps_the_disjointness_flag_and_rejects_circle_sets():
-    union = parse_set(OVERLAPPING)
-    assert not union.assume_disjoint
-    assert not rotated(union, np.eye(3)).assume_disjoint
+    gen = np.random.default_rng(93)
+    for desc, disjoint in ((OVERLAPPING, False), (FACE_SHARING, True)):
+        union = parse_set(desc)
+        assert union.disjoint == disjoint
+        for _ in range(100):
+            assert rotated(union, ig._haar_rotation(gen)).disjoint == disjoint
     with pytest.raises(TypeError):
         rotated(ArcUnion([(0.0, 1.0)]), np.eye(2))
 
@@ -515,7 +518,8 @@ def test_merged_traces_of_random_overlapping_caps_are_exact(seed):
     gen = np.random.default_rng(seed)
     caps = tuple(Cap(gen.standard_normal(3), gen.uniform(0.2, 2.5))
                  for _ in range(int(gen.integers(2, 4))))
-    union = PolyconvexUnion(caps, assume_disjoint=False)
+    union = PolyconvexUnion(caps)
+    assert not union.disjoint
     es, fs = sample_plane_batch(2, 500, gen)
     phi = gen.uniform(0.0, TWO_PI, (500, 64))
     for E in (union, Complement(union), Reflection(union)):
@@ -550,12 +554,12 @@ def cap_lens_area(r1, r2, d):
                 limit=200)[0]
 
 
-def overlapping_union_boundary():
-    """Boundary length of OVERLAPPING: each radius-1 circle outside the
-    other cap, whose points at azimuth phi about its center lie inside the
-    other cap for cos phi > cos r (1 - cos d) / (sin r sin d)."""
-    r, cos_d = 1.0, 0.8
-    c = math.cos(r) * (1.0 - cos_d) / (math.sin(r) * math.sqrt(1.0 - cos_d**2))
+def two_cap_union_boundary(r, d):
+    """Boundary length of the union of two radius-r caps whose centers are d
+    apart: each circle outside the other cap, whose points at azimuth phi
+    about its center lie inside the other cap for
+    cos phi > cos r (1 - cos d) / (sin r sin d)."""
+    c = math.cos(r) * (1.0 - math.cos(d)) / (math.sin(r) * math.sin(d))
     return 2.0 * math.sin(r) * (TWO_PI - 2.0 * math.acos(c))
 
 
@@ -563,7 +567,7 @@ def test_overlapping_union_crossings_count_its_boundary():
     # the parts' slots used to be concatenated, so the count was the two
     # caps' counts added: 3.366 against the union's 2 L / 2 pi = 1.914
     E = parse_set(OVERLAPPING)
-    truth = 2.0 * overlapping_union_boundary() / TWO_PI
+    truth = 2.0 * two_cap_union_boundary(1.0, math.acos(0.8)) / TWO_PI
     assert truth == pytest.approx(1.9141, abs=1e-4)
     report = crofton_estimate(E, 100_000, RandomStream(3))
     assert report.target is None
@@ -577,12 +581,48 @@ def test_overlapping_union_sliced_value():
     measure = 2.0 * cap_area(2, 1.0) - cap_lens_area(1.0, 1.0, math.acos(0.8))
     est = perimeter_mc(E, -2.0, 32 * 4096, RandomStream(90))
     assert abs(est.value - perimeter_minus_n(2, measure)) < 4.0 * est.std_error
-    nested = PolyconvexUnion((Cap(Z, 1.0), Cap((0.0, 0.3, 1.0), 0.5)), assume_disjoint=False)
+    nested = PolyconvexUnion((Cap(Z, 1.0), Cap((0.0, 0.3, 1.0), 0.5)))
     est = perimeter_mc(nested, 0.5, 32 * 4096, RandomStream(91))
     assert abs(est.value - perimeter_cap(2, 0.5, 1.0, tol=1e-12)) < 4.0 * est.std_error
 
 
-# Two octants that share the face x = 0, which parse_set marks disjoint, and
+# two radius-0.5 caps 0.99 apart, whose lens covers 7.8e-5 of the sphere:
+# a sampled overlap check of 10000 points missed it, and every number
+# printed was the disjoint union's
+THIN_LENS = "union:cap:0,0,1:0.5+cap:0.8360259786005205,0,0.5486898605815875:0.5"
+
+
+def test_a_thin_lens_makes_no_disjoint_union(capsys):
+    # perimeter read 16.97716 +- 0.00012 (174 sigma off) against a target
+    # of 16.96489, and crofton 1.9186 against a target of 1.9177; neither
+    # target is known for overlapping caps
+    measure = 2.0 * cap_area(2, 0.5) - cap_lens_area(0.5, 0.5, 0.99)
+    assert perimeter_minus_n(2, measure) == pytest.approx(16.955559359619162, rel=1e-12)
+    assert main(["perimeter", "--n", "2", "--set", THIN_LENS, "--s", "-2", "--method", "mc",
+                 "--samples", "131072"]) == 0
+    _, value, error, target, _ = capsys.readouterr().out.splitlines()[1].split(",")
+    assert target == "nan"
+    assert abs(float(value) - 16.955559359619162) < 4.0 * float(error)
+    assert main(["crofton", "--n", "2", "--set", THIN_LENS, "--planes", "100000"]) == 0
+    _, value, error, target, _ = capsys.readouterr().out.splitlines()[1].split(",")
+    assert target == "nan"
+    truth = 2.0 * two_cap_union_boundary(0.5, 0.99) / TWO_PI
+    assert abs(float(value) - truth) < 4.0 * float(error)
+
+
+def test_duplicate_faces_are_one_face():
+    # the doubled face flagged every circle degenerate, and both estimates
+    # gave up after 100 redraw rounds
+    hemisphere, doubled = parse_set("poly:0,0,-1"), parse_set("poly:0,0,-1;0,0,-1")
+    assert np.array_equal(doubled.normals, hemisphere.normals)
+    for s in (-2.0, 0.3):
+        assert (perimeter_mc(doubled, s, 4096, RandomStream(94))
+                == perimeter_mc(hemisphere, s, 4096, RandomStream(94)))
+    assert crofton_estimate(doubled, 4096, RandomStream(95)) == crofton_estimate(
+        hemisphere, 4096, RandomStream(95))
+
+
+# Two octants that share the face x = 0, which the union shows disjoint, and
 # two wedges that overlap: either union is the lune {y >= 0, z >= 0}.  On
 # many circles two of their slots end at one point up to roundoff, which
 # used to read as a sliver of arc (the octants, 34 sigma off at s = 0.9) or
@@ -595,7 +635,7 @@ LUNE = Polytope([(0.0, -1.0, 0.0), (0.0, 0.0, -1.0)])
 @pytest.mark.parametrize("desc", (FACE_SHARING, OVERLAPPING_WEDGES), ids=("octants", "wedges"))
 def test_unions_with_touching_slots_are_the_lune_they_form(desc):
     E = parse_set(desc)
-    assert E.assume_disjoint == (desc == FACE_SHARING)
+    assert E.disjoint == (desc == FACE_SHARING)
     for s in (0.3, 0.9, 0.99):
         est = perimeter_mc(E, s, 32 * 4096, RandomStream(5))
         ref = perimeter_mc(LUNE, s, 32 * 4096, RandomStream(92))
