@@ -107,10 +107,10 @@ class Polytope:
         if np.any(norms == 0.0) or not np.all(np.isfinite(u)):
             raise ValueError("normals must be finite and nonzero")
         u = u / norms[:, None]
-        first = np.unique(u, axis=0, return_index=True)[1]
-        u = u[np.sort(first)]
-        object.__setattr__(self, "normals", u)
-        object.__setattr__(self, "empty", bool(np.any(np.all(u[:, None] == -u, axis=-1))))
+        rows = u.tolist()  # a few faces: list tests beat numpy's per-call cost
+        first = [i for i, row in enumerate(rows) if row not in rows[:i]]
+        object.__setattr__(self, "normals", u[first])
+        object.__setattr__(self, "empty", any([-x for x in row] in rows for row in rows))
 
     @property
     def dimension(self) -> int:
