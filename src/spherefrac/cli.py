@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import hashlib
 import json
 import math
@@ -378,7 +379,10 @@ def _float_list(text: str):
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every main call
+    of the process; its defaults are immutable, so no call sees another's."""
     parser = _Parser(prog="spherefrac", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="SUBCOMMAND")
 
@@ -414,21 +418,21 @@ def build_parser() -> argparse.ArgumentParser:
             "seed", "samples", "tol", "threshold")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--set", required=True, dest="set_desc")
-    p.add_argument("--s-grid", type=_float_list, default=list(DEFAULT_S1_GRID))
+    p.add_argument("--s-grid", type=_float_list, default=DEFAULT_S1_GRID)
     p.add_argument("--method", choices=("auto", "mc", "cap_oracle", "circle_exact"), default="auto")
 
     p = add("sweep-sinf", "antipodal limit sweep t^n P~_(-t), t -> infinity",
             "seed", "samples", "threshold")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--set", required=True, dest="set_desc")
-    p.add_argument("--t-grid", type=_float_list, default=list(DEFAULT_T_GRID))
+    p.add_argument("--t-grid", type=_float_list, default=DEFAULT_T_GRID)
 
     p = add("seminorm-sweep", "seminorm limit sweep t^n [f]^p, t -> infinity",
             "seed", "samples", "threshold")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--function", required=True)
     p.add_argument("--p", type=float, default=1.0)
-    p.add_argument("--t-grid", type=_float_list, default=list(DEFAULT_T_GRID))
+    p.add_argument("--t-grid", type=_float_list, default=DEFAULT_T_GRID)
 
     p = add("crofton", "mean great-circle crossing count vs boundary measure", "seed")
     p.add_argument("--n", type=int, required=True)
@@ -445,12 +449,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("beta-check", "t^n B(n, tp-n+1) -> (n-1)!/p^n", "threshold")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, default=1.0)
-    p.add_argument("--t-grid", type=_float_list, default=list(DEFAULT_T_GRID))
+    p.add_argument("--t-grid", type=_float_list, default=DEFAULT_T_GRID)
 
     p = add("s0-check", "vanishing of |s| [f] as s -> 0^-", "seed", "samples")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--function", default="coord:0")
-    p.add_argument("--s-grid", type=_float_list, default=list(DEFAULT_S0_GRID))
+    p.add_argument("--s-grid", type=_float_list, default=DEFAULT_S0_GRID)
 
     p = add("profile", "isoperimetric profile gamma(alpha) over cap measures", "tol")
     p.add_argument("--n", type=int, required=True)

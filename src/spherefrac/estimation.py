@@ -197,21 +197,29 @@ def mc_estimate(sampler, integrand, n_samples: int, rng, chunk_size: int = 1 << 
     return functools.reduce(Estimate.merge, parts)
 
 
-# 7- and 15-point Gauss-Legendre nodes for the embedded error estimate.
+# 7- and 15-point Gauss-Legendre nodes for the embedded error estimate,
+# and both rules' nodes in the order the integrand gets them
 _G7_X, _G7_W = np.polynomial.legendre.leggauss(7)
 _G15_X, _G15_W = np.polynomial.legendre.leggauss(15)
+_PAIR_X = np.concatenate((_G7_X, _G15_X))
 
 
-def _gauss_pair(f, a: float, b: float):
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    xs = np.concatenate((mid + half * _G7_X, mid + half * _G15_X))
+def _gauss_rules(f, intervals):
+    """(value, error) of the Gauss(7/15) pair on each (a, b) in intervals,
+    from one call of f on all their nodes."""
+    halves = [0.5 * (b - a) for a, b in intervals]
+    xs = np.concatenate(
+        [0.5 * (a + b) + half * _PAIR_X for (a, b), half in zip(intervals, halves)]
+    )
     vals = np.asarray(f(xs), dtype=float)
     if vals.shape != xs.shape:
         raise ValueError("quadrature integrand must be vectorized over node arrays")
-    coarse = half * float(_G7_W @ vals[:7])
-    fine = half * float(_G15_W @ vals[7:])
-    return fine, abs(fine - coarse)
+    rules = []
+    for half, row in zip(halves, vals.reshape(len(halves), -1)):
+        coarse = half * float(_G7_W @ row[:7])
+        fine = half * float(_G15_W @ row[7:])
+        rules.append((fine, abs(fine - coarse)))
+    return rules
 
 
 def adaptive_quad(
@@ -226,8 +234,10 @@ def adaptive_quad(
 
     The worst interval (largest embedded-rule error) is bisected until the
     summed error drops below tol relative to the running total.  f must
-    accept node arrays.  Nodes are interior, so integrable endpoint
-    singularities are tolerated.
+    accept node arrays: it gets the 22 nodes of [a, b] in one call, then,
+    per bisection, the 2 x 22 nodes of both halves in one call, so it is
+    called 1 + (number of bisections) times.  Nodes are interior, so
+    integrable endpoint singularities are tolerated.
 
     Raises QuadratureError when the subdivision budget (depth max_depth or
     max_intervals intervals) is exhausted, reporting the worst interval.
@@ -236,7 +246,7 @@ def adaptive_quad(
         if b == a:
             return 0.0
         raise ValueError("integration bounds must satisfy a <= b")
-    val, err = _gauss_pair(f, a, b)
+    [(val, err)] = _gauss_rules(f, [(a, b)])
     # heap of (-error, tiebreak, a, b, value, depth)
     heap = [(-err, 0, a, b, val, 0)]
     total_val, total_err = val, err
@@ -253,8 +263,7 @@ def adaptive_quad(
                 f"with interval error {-neg_err:.3e}"
             )
         mid = 0.5 * (ia + ib)
-        lv, le = _gauss_pair(f, ia, mid)
-        rv, re = _gauss_pair(f, mid, ib)
+        (lv, le), (rv, re) = _gauss_rules(f, [(ia, mid), (mid, ib)])
         total_val += lv + rv - ival
         total_err += le + re - (-neg_err)
         heapq.heappush(heap, (-le, counter, ia, mid, lv, depth + 1))

@@ -36,6 +36,16 @@ DEFAULT_T_GRID = (20.0, 40.0, 80.0)
 DEFAULT_S0_GRID = (-0.3, -0.1, -0.03, -0.01)
 
 
+def _strict_grid(values, name: str, inside, where: str) -> list:
+    """values as floats; a ValueError unless every value is inside and
+    each is larger than the one before (a repeated value is refused: two
+    rows at one abscissa say nothing about a limit)."""
+    grid = [float(v) for v in values]
+    if not all(inside(v) for v in grid) or not all(a < b for a, b in zip(grid, grid[1:])):
+        raise ValueError(f"{name} must be strictly increasing {where}")
+    return grid
+
+
 @dataclass(frozen=True)
 class SweepRow:
     """One normalized sweep sample: value = prefactor * raw quantity."""
@@ -134,9 +144,7 @@ def sweep_s_to_1(
     perimeter_mc's sliced estimator, whose variance stays finite up to
     s -> 1, so one count serves every row.
     """
-    grid = [float(s) for s in s_grid]
-    if any(not (0.0 < s < 1.0) for s in grid) or grid != sorted(grid):
-        raise ValueError("s_grid must be increasing inside (0, 1)")
+    grid = _strict_grid(s_grid, "s_grid", lambda s: 0.0 < s < 1.0, "inside (0, 1)")
     try:
         per_row = [int(c) for c in samples]
     except TypeError:
@@ -191,9 +199,7 @@ def sweep_s_to_minus_inf(
     boundary, so there a pair's value is nearly constant and the rows'
     error bars shrink as t grows.
     """
-    grid = [float(t) for t in t_grid]
-    if grid != sorted(grid) or grid[0] <= n:
-        raise ValueError(f"t_grid must be increasing with every t > n = {n}")
+    grid = _strict_grid(t_grid, "t_grid", lambda t: t > n, f"with every t > n = {n}")
     _check_t_powers(n, grid)
     streams = as_stream(rng).split(len(grid) + 1)
     rows = []
@@ -223,9 +229,7 @@ def sweep_seminorm_to_minus_inf(
     overflows a float is a ValueError.
     """
     p = validate_p(p)
-    grid = [float(t) for t in t_grid]
-    if grid != sorted(grid) or grid[0] <= n / p:
-        raise ValueError(f"t_grid must be increasing with every t > n/p = {n / p}")
+    grid = _strict_grid(t_grid, "t_grid", lambda t: t > n / p, f"with every t > n/p = {n / p}")
     _check_t_powers(n, grid)
     streams = as_stream(rng).split(len(grid) + 1)
     rows = []
@@ -258,9 +262,7 @@ def beta_asymptotic_check(n: int, p: float, t_grid=DEFAULT_T_GRID):
     limit that overflows a float is a ValueError."""
     if not (math.isfinite(p) and p > 0.0):
         raise ValueError(f"p must be a finite number > 0, got {p}")
-    grid = [float(t) for t in t_grid]
-    if grid != sorted(grid) or grid[0] * p <= n:
-        raise ValueError(f"t_grid must be increasing with every t > n/p = {n / p}")
+    grid = _strict_grid(t_grid, "t_grid", lambda t: t * p > n, f"with every t > n/p = {n / p}")
     rows = []
     for t in grid:
         # t^n B(n, m) = (t / m) prod_(k=1..n-1) k t / (m + k), m = tp - n + 1:
@@ -307,9 +309,7 @@ def s_to_zero_vanishing_check(
     standard errors and that the last row sits below 5% of the crude
     scale bound lipschitz * omega_(n+1)^2 * pi.
     """
-    grid = [float(s) for s in s_grid]
-    if any(not (-1.0 < s < 0.0) for s in grid) or grid != sorted(grid):
-        raise ValueError("s_grid must be increasing inside (-1, 0)")
+    grid = _strict_grid(s_grid, "s_grid", lambda s: -1.0 < s < 0.0, "inside (-1, 0)")
     streams = as_stream(rng).split(len(grid))
     rows = []
     for i, s in enumerate(grid):
@@ -338,9 +338,9 @@ class ProfileReport:
 def isoperimetric_profile(n: int, s: float, alpha_grid, tol: float = CAP_TOL):
     """Profile rows gamma = P_s(C(a^-1(alpha)))/alpha over a measure grid."""
     total = sphere_surface(n)
-    grid = [float(a) for a in alpha_grid]
-    if any(not (0.0 < a < total) for a in grid) or grid != sorted(grid):
-        raise ValueError(f"alpha_grid must be increasing inside (0, {total:.6g})")
+    grid = _strict_grid(
+        alpha_grid, "alpha_grid", lambda a: 0.0 < a < total, f"inside (0, {total:.6g})"
+    )
     rows = []
     for alpha in grid:
         gamma = perimeter_cap(n, s, volume_radius(n, alpha), tol=tol) / alpha

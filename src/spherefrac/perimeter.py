@@ -229,7 +229,10 @@ def _cap_crescent(n: int, r: float, theta):
     rho = h + span * v**6
     tau2 = np.minimum((np.tan(h) / np.tan(rho)) ** 2, 1.0)
     share = np.sin(rho) ** (n - 1) * _beta_half(n - 1, tau2)
-    lateral = (share * 6.0 * span * v**5) @ w
+    # one sum per theta, so K at a node does not depend on the other nodes
+    # of its call: a BLAS matrix-vector product sums the last (count mod 4)
+    # rows in another order
+    lateral = np.einsum("...j,j->...", share * 6.0 * span * v**5, w)
     return cap_area(n, h[..., 0]) + sphere_surface(n - 1) * lateral
 
 

@@ -9,10 +9,11 @@ cap perimeters and great-circle kernel values pinned from mpmath
 computations (CAP_PERIMETERS and KERNEL_W, whose comments say how they were
 made).  The perimeter of a disjoint cap union
 adds the cap oracle's perimeters to a Gauss-Legendre cross term, to check
-the point-pair estimator on a set with two boundaries.  Three references
+the point-pair estimator on a set with two boundaries.  Four references
 are the serial forms of faster library paths that must equal them to the
-bit, so they reuse the library's pooling and samplers: the one-thread chunk
-loop of mc_estimate, crofton_estimate as that chunk loop (with one trace
+bit, so they reuse the library's rules, pooling and samplers: adaptive_quad
+with one integrand call per Gauss pair, the one-thread chunk loop of
+mc_estimate, crofton_estimate as that chunk loop (with one trace
 per chunk of iid circles, or one rotated pole lattice per chunk on S^2),
 and bp_check's plane side as that chunk loop with one plane after another
 on the library's weight table.  The sliced perimeter's circle values have a
@@ -23,12 +24,23 @@ antipodal-concentration quadrature of the t -> infinity limit, which only
 the acceptance criteria and their tests use.
 """
 
+import heapq
 import math
 
 import numpy as np
 from scipy.integrate import quad
 
-from spherefrac.estimation import Estimate, NonFiniteSampleError, adaptive_quad, as_stream
+from spherefrac.estimation import (
+    _G7_W,
+    _G7_X,
+    _G15_W,
+    _G15_X,
+    Estimate,
+    NonFiniteSampleError,
+    QuadratureError,
+    adaptive_quad,
+    as_stream,
+)
 from spherefrac.geometry import sphere_surface
 from spherefrac.integral_geometry import CroftonReport, _circle_weights, bp_constant
 from spherefrac.perimeter import _power_quotient, perimeter_cap, validate_s
@@ -573,6 +585,45 @@ def mc_estimate_serial(sampler, integrand, n_samples, rng, chunk_size=1 << 16):
         part = Estimate.from_values(values)
         total = part if total is None else total.merge(part)
     return total
+
+
+def adaptive_quad_pairwise(f, a, b, tol=1e-10, max_depth=60, max_intervals=200000):
+    """adaptive_quad's loop with one call of f per Gauss(7/15) pair, on the
+    library's nodes and weights: each bisection evaluates the left half,
+    then the right half."""
+
+    def gauss_pair(lo, hi):
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        xs = np.concatenate((mid + half * _G7_X, mid + half * _G15_X))
+        vals = np.asarray(f(xs), dtype=float)
+        if vals.shape != xs.shape:
+            raise ValueError("quadrature integrand must be vectorized over node arrays")
+        coarse = half * float(_G7_W @ vals[:7])
+        fine = half * float(_G15_W @ vals[7:])
+        return fine, abs(fine - coarse)
+
+    if b == a:
+        return 0.0
+    val, err = gauss_pair(a, b)
+    heap = [(-err, 0, a, b, val, 0)]
+    total_val, total_err = val, err
+    counter = 1
+    while total_err > tol * max(abs(total_val), 1e-300):
+        if len(heap) >= max_intervals:
+            raise QuadratureError(f"interval budget exhausted: {len(heap)} intervals")
+        neg_err, _, ia, ib, ival, depth = heapq.heappop(heap)
+        if depth >= max_depth:
+            raise QuadratureError(f"subdivision depth {max_depth} exceeded")
+        mid = 0.5 * (ia + ib)
+        lv, le = gauss_pair(ia, mid)
+        rv, re = gauss_pair(mid, ib)
+        total_val += lv + rv - ival
+        total_err += le + re - (-neg_err)
+        heapq.heappush(heap, (-le, counter, ia, mid, lv, depth + 1))
+        heapq.heappush(heap, (-re, counter + 1, mid, ib, rv, depth + 1))
+        counter += 2
+    return total_val
 
 
 def crofton_estimate_serial(E, planes, rng, chunk_size, max_resample_rounds=100):

@@ -20,6 +20,7 @@ from spherefrac.cli import (
     _HANDLERS,
     DEFAULT_SEED,
     SetSyntaxError,
+    build_parser,
     dot2_kernel,
     main,
     parse_function,
@@ -243,6 +244,20 @@ def test_exit_1_on_config_errors(tmp_path, capsys):
     assert main(["bp-check", "--pairs", "100", "--planes", "0"]) == 1
     captured = capsys.readouterr()
     assert "at least two planes" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv, grid", [
+    (["sweep-s1", "--n", "2", "--set", "cap:0,0,1:1", "--s-grid=0.9,0.9"], "s_grid"),
+    (["s0-check", "--n", "2", "--samples", "200", "--seed", "1", "--s-grid=-0.1,-0.1"], "s_grid"),
+    (["profile", "--n", "2", "--s", "-1", "--alpha-grid", "1,1"], "alpha_grid"),
+], ids=("sweep-s1", "s0-check", "profile"))
+def test_a_repeated_grid_value_is_a_config_error(capsys, argv, grid):
+    # sweep-s1 fitted its limit through two rows at one abscissa (error nan,
+    # exit 2), and s0-check and profile printed the row twice
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"spherefrac: config error: {grid} must be strictly increasing")
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("n", ("0", "-1"))
@@ -744,6 +759,59 @@ def test_no_subcommand_imports_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]"]
+
+
+def _main_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_shared_parser_carries_nothing_from_one_main_call_to_the_next(monkeypatch):
+    # every main call of a process parses with one parser; a custom grid, an
+    # error or an output format must not show in a later call's output
+    env = dict(_child_env(), SOURCE_DATE_EPOCH="0", COLUMNS="80")
+    for name in ("SOURCE_DATE_EPOCH", "COLUMNS"):
+        monkeypatch.setenv(name, env[name])
+    monkeypatch.delenv("SPHEREFRAC_SEED", raising=False)
+    env.pop("SPHEREFRAC_SEED", None)
+    cap = ["--n", "2", "--set", "cap:0,0,1:1"]
+    sinf = ["sweep-sinf", *cap, "--samples", "2000", "--seed", "1"]
+    calls = [
+        ["sweep-s1", "--n", "2"],
+        ["sweep-s1", *cap, "--s-grid=0.9,0.9"],
+        ["sweep-s1", *cap, "--s-grid=0.5,0.7,0.8"],
+        ["sweep-s1", *cap],
+        ["sweep-s1", *cap, "--format", "json"],
+        sinf,
+        sinf + ["--format", "json"],
+    ]
+    in_process = [_main_in_process(argv) for argv in calls]
+    assert [rc for rc, _, _ in in_process] == [1, 1, 2, 0, 0, 0, 0]
+    for argv, (rc, out, err) in zip(calls, in_process):
+        proc = subprocess.run(
+            [sys.executable, "-m", "spherefrac", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (rc, out, err), argv
+    assert build_parser() is build_parser()
+
+
+def test_importing_the_cli_builds_no_parser():
+    # the parser is built on the first main call, so start-up does not pay for it
+    script = (
+        "from spherefrac.cli import build_parser\n"
+        "print(build_parser.cache_info().currsize)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
 
 
 # the run flags each subcommand does not read, and so rejects

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
+from oracles import adaptive_quad_pairwise
 from spherefrac import (
     Estimate,
     NonFiniteSampleError,
@@ -16,6 +17,7 @@ from spherefrac import (
     as_stream,
     mc_estimate,
 )
+from spherefrac import perimeter as perimeter_module
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +171,59 @@ def test_adaptive_quad_smooth_integrals():
 def test_adaptive_quad_raises_on_divergent_integrand():
     with pytest.raises(QuadratureError):
         adaptive_quad(lambda x: 1.0 / x, 0.0, 1.0, tol=1e-10, max_depth=40)
+
+
+class _CountedIntegrand:
+    """f with a record of the node count of each call."""
+
+    def __init__(self, f):
+        self.f = f
+        self.sizes = []
+
+    def __call__(self, xs):
+        self.sizes.append(xs.size)
+        return self.f(xs)
+
+
+# x^2 is exact in both rules, so it takes no bisection; sin over many
+# periods and sqrt at its endpoint take many
+@pytest.mark.parametrize("f, b, bisects", [
+    (np.sin, math.pi, False),
+    (np.sin, 40.0, True),
+    (lambda x: x**2, 1.0, False),
+    (np.sqrt, 1.0, True),
+])
+def test_adaptive_quad_takes_both_halves_in_one_call(f, b, bisects):
+    batched, pairwise = _CountedIntegrand(f), _CountedIntegrand(f)
+    value = adaptive_quad(batched, 0.0, b, tol=1e-12)
+    assert value == adaptive_quad_pairwise(pairwise, 0.0, b, tol=1e-12)
+    bisections = (len(pairwise.sizes) - 1) // 2
+    assert (bisections > 0) == bisects
+    assert len(batched.sizes) == 1 + bisections
+    assert batched.sizes == [22] + [44] * bisections
+    assert sum(batched.sizes) == sum(pairwise.sizes)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("s", [-4.0, -0.5, 0.3, 0.7])
+def test_cap_oracle_integrals_equal_the_pairwise_loop(monkeypatch, n, s):
+    calls = []
+
+    def both(f, a, b, **kwargs):
+        value = adaptive_quad(f, a, b, **kwargs)
+        assert value == adaptive_quad_pairwise(f, a, b, **kwargs)
+        calls.append((a, b))
+        return value
+
+    monkeypatch.setattr(perimeter_module, "adaptive_quad", both)
+    perimeter_module.perimeter_cap(n, s, 1.0)
+    # the near integral on [0, 2r] and the far one on [2r, pi]
+    assert calls == [(0.0, 2.0), (2.0, math.pi)]
+
+
+def test_adaptive_quad_refuses_a_scalar_integrand():
+    with pytest.raises(ValueError, match="vectorized"):
+        adaptive_quad(lambda x: 1.0, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
