@@ -51,6 +51,7 @@ from .limits import (
     sweep_seminorm_to_minus_inf,
 )
 from .perimeter import (
+    perimeter_by_method,
     perimeter_cap,
     perimeter_circle_exact,
     perimeter_mc,
@@ -104,6 +105,7 @@ __all__ = [
     "isoperimetric_comparison",
     "isoperimetric_profile",
     "mc_estimate",
+    "perimeter_by_method",
     "perimeter_cap",
     "perimeter_circle_exact",
     "perimeter_mc",

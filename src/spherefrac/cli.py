@@ -53,19 +53,13 @@ from .limits import (
     beta_asymptotic_check,
     isoperimetric_comparison,
     isoperimetric_profile,
+    relative_deviation,
     s_to_zero_vanishing_check,
     sweep_s_to_1,
     sweep_s_to_minus_inf,
     sweep_seminorm_to_minus_inf,
 )
-from .perimeter import (
-    CAP_TOL,
-    perimeter_cap,
-    perimeter_circle_exact,
-    perimeter_mc,
-    perimeter_minus_n,
-    validate_s,
-)
+from .perimeter import CAP_TOL, METHODS, perimeter_by_method, perimeter_minus_n, validate_s
 from .sets import (
     ArcUnion,
     Cap,
@@ -204,16 +198,12 @@ def parse_set(text: str, offset: int = 0):
     raise SetSyntaxError(offset, f"unknown set kind {kind!r}")
 
 
-def _num(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def render_set(E) -> str:
     """Description string that parses back to a set with the same membership."""
     if isinstance(E, Cap):
-        return "cap:" + ",".join(map(_num, E.center)) + ":" + _num(E.radius)
+        return "cap:" + ",".join(map(_fmt, E.center)) + ":" + _fmt(E.radius)
     if isinstance(E, Polytope):
-        return "poly:" + ";".join(",".join(map(_num, row)) for row in E.normals)
+        return "poly:" + ";".join(",".join(map(_fmt, row)) for row in E.normals)
     if isinstance(E, PolyconvexUnion):
         return "union:" + "+".join(render_set(p) for p in E.parts)
     if isinstance(E, Complement):
@@ -221,7 +211,7 @@ def render_set(E) -> str:
     if isinstance(E, Reflection):
         return "refl:" + render_set(E.inner)
     if isinstance(E, ArcUnion):
-        return "arcs:" + ";".join(f"{_num(a)},{_num(b)}" for a, b in E.arcs)
+        return "arcs:" + ";".join(f"{_fmt(a)},{_fmt(b)}" for a, b in E.arcs)
     raise TypeError(f"cannot render {type(E).__name__}")
 
 
@@ -265,6 +255,7 @@ def resolve_seed(flag_value: str | None) -> int:
 
 
 def _fmt(x) -> str:
+    """x with 17 significant digits, or nan for None."""
     if x is None:
         return "nan"
     return format(float(x), ".17g")
@@ -280,17 +271,9 @@ def _row(param, value, error, target=None, deviation=None) -> dict:
     }
 
 
-def _rel_dev(value, target):
-    if target is None:
-        return None
-    if target == 0.0:
-        return abs(value)
-    return abs(value - target) / abs(target)
-
-
 def _sweep_rows(rows, report, limit_param: float):
     out = [
-        _row(r.param, r.value, r.error, report.target, _rel_dev(r.value, report.target))
+        _row(r.param, r.value, r.error, report.target, relative_deviation(r.value, report.target))
         for r in rows
     ]
     out.append(_row(limit_param, report.extrapolated, None, report.target, report.deviation))
@@ -407,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--set", required=True, dest="set_desc")
     p.add_argument("--s", type=float, required=True)
-    p.add_argument("--method", choices=("auto", "mc", "cap_oracle", "circle_exact"), default="auto")
+    p.add_argument("--method", choices=METHODS, default="auto")
 
     p = add("isoperimetric", "randomized two-cap isoperimetric trials", "seed", "samples", "tol")
     p.add_argument("--n", type=int, default=2)
@@ -419,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--set", required=True, dest="set_desc")
     p.add_argument("--s-grid", type=_float_list, default=DEFAULT_S1_GRID)
-    p.add_argument("--method", choices=("auto", "mc", "cap_oracle", "circle_exact"), default="auto")
+    p.add_argument("--method", choices=METHODS, default="auto")
 
     p = add("sweep-sinf", "antipodal limit sweep t^n P~_(-t), t -> infinity",
             "seed", "samples", "threshold")
@@ -485,39 +468,16 @@ def _check_dimension(E, n: int) -> None:
 # subcommand handlers: each returns (rows, limit, verdicts, detail)
 
 
-def _auto_method(E, requested: str) -> str:
-    if requested != "auto":
-        return requested
-    if isinstance(E, Cap):
-        return "cap_oracle"
-    if isinstance(E, ArcUnion):
-        return "circle_exact"
-    return "mc"
-
-
 def _run_perimeter(args, stream):
     E = parse_set(args.set_desc)
     _check_dimension(E, args.n)
     s = validate_s(args.s)
-    method = _auto_method(E, args.method)
-    if method == "cap_oracle":
-        if not isinstance(E, Cap):
-            raise ValueError("cap_oracle needs a cap set")
-        value = perimeter_cap(args.n, s, E.radius, tol=args.tol)
-        error = abs(value) * args.tol
-    elif method == "circle_exact":
-        if not isinstance(E, ArcUnion):
-            raise ValueError("circle_exact needs an arcs set")
-        value, error = perimeter_circle_exact(E, s), 0.0
-    else:
-        _need_two(args.samples, "samples")
-        est = perimeter_mc(E, s, args.samples, stream)
-        value, error = est.value, est.std_error
+    method, value, error = perimeter_by_method(E, s, args.method, args.samples, stream, args.tol)
     target = None
     alpha = E.exact_measure()
     if s == -float(args.n) and alpha is not None:
         target = perimeter_minus_n(args.n, alpha)
-    deviation = _rel_dev(value, target)
+    deviation = relative_deviation(value, target)
     verdicts = {}
     if args.threshold is not None and deviation is not None:
         verdicts["within_threshold"] = deviation <= args.threshold
@@ -549,18 +509,14 @@ def _run_isoperimetric(args, stream):
 def _run_sweep_s1(args, stream):
     E = parse_set(args.set_desc)
     _check_dimension(E, args.n)
-    method = _auto_method(E, args.method)
-    if method == "mc":
-        _need_two(args.samples, "samples")
-    rng = stream if method == "mc" else None
     rows, report = sweep_s_to_1(
-        args.n, E, args.s_grid, method, samples=args.samples, rng=rng, tol=args.tol
+        args.n, E, args.s_grid, args.method, samples=args.samples, rng=stream, tol=args.tol
     )
     verdicts = {}
     threshold = args.threshold if args.threshold is not None else THRESHOLDS["sweep-s1"]
     if report.deviation is not None:
         verdicts["within_threshold"] = report.deviation <= threshold
-    detail = {"method": method, "set": render_set(E), "threshold": threshold}
+    detail = {"method": rows[0].method, "set": render_set(E), "threshold": threshold}
     return _sweep_rows(rows, report, 1.0), _limit_dict(report), verdicts, detail
 
 
@@ -606,7 +562,7 @@ def _run_crofton(args, stream):
     report = crofton_estimate(E, planes=args.planes, rng=stream)
     est = report.crossings
     rows = [_row(args.planes, est.value, est.std_error, report.target,
-                 _rel_dev(est.value, report.target))]
+                 relative_deviation(est.value, report.target))]
     verdicts = {}
     if report.target is not None:
         verdicts["within_3_sigma"] = abs(est.value - report.target) <= 3.0 * est.std_error
@@ -636,7 +592,7 @@ def _run_bp_check(args, stream):
     _need_two(args.planes, "planes")
     report = bp_check(args.n, f, pairs=args.pairs, planes=args.planes, rng=stream)
     combined = math.hypot(report.direct.std_error, report.plane_side.std_error)
-    rel = _rel_dev(report.direct.value, report.plane_side.value)
+    rel = relative_deviation(report.direct.value, report.plane_side.value)
     rows = [_row(args.n, report.direct.value, combined, report.plane_side.value, rel)]
     verdicts = {"sides_agree": report.deviation_sigmas <= 3.0 or rel <= 1e-4}
     detail = {

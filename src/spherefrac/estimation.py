@@ -222,14 +222,11 @@ def _gauss_rules(f, intervals):
     return rules
 
 
-def adaptive_quad(
-    f,
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    max_depth: int = 60,
-    max_intervals: int = 200000,
-) -> float:
+# adaptive_quad's subdivision budget: the deepest bisection and the most intervals
+_MAX_DEPTH, _MAX_INTERVALS = 60, 200_000
+
+
+def adaptive_quad(f, a: float, b: float, tol: float = 1e-10) -> float:
     """Globally adaptive Gauss(7/15) integral of f over [a, b].
 
     The worst interval (largest embedded-rule error) is bisected until the
@@ -239,8 +236,8 @@ def adaptive_quad(
     called 1 + (number of bisections) times.  Nodes are interior, so
     integrable endpoint singularities are tolerated.
 
-    Raises QuadratureError when the subdivision budget (depth max_depth or
-    max_intervals intervals) is exhausted, reporting the worst interval.
+    Raises QuadratureError when the subdivision budget (depth _MAX_DEPTH or
+    _MAX_INTERVALS intervals) is exhausted, reporting the worst interval.
     """
     if not (b > a):
         if b == a:
@@ -252,14 +249,14 @@ def adaptive_quad(
     total_val, total_err = val, err
     counter = 1
     while total_err > tol * max(abs(total_val), 1e-300):
-        if len(heap) >= max_intervals:
+        if len(heap) >= _MAX_INTERVALS:
             raise QuadratureError(
                 f"interval budget exhausted: {len(heap)} intervals, error {total_err:.3e}"
             )
         neg_err, _, ia, ib, ival, depth = heapq.heappop(heap)
-        if depth >= max_depth:
+        if depth >= _MAX_DEPTH:
             raise QuadratureError(
-                f"subdivision depth {max_depth} exceeded on [{ia!r}, {ib!r}] "
+                f"subdivision depth {_MAX_DEPTH} exceeded on [{ia!r}, {ib!r}] "
                 f"with interval error {-neg_err:.3e}"
             )
         mid = 0.5 * (ia + ib)

@@ -23,13 +23,13 @@ from .integral_geometry import symmetric_overlap_measure
 from .perimeter import (
     CAP_TOL,
     _perimeter_point_pairs,
+    perimeter_by_method,
     perimeter_cap,
-    perimeter_circle_exact,
     perimeter_mc,
     seminorm_mc,
     validate_p,
 )
-from .sets import ArcUnion, Cap, PolyconvexUnion
+from .sets import Cap, PolyconvexUnion
 
 DEFAULT_S1_GRID = (0.9, 0.95, 0.99)
 DEFAULT_T_GRID = (20.0, 40.0, 80.0)
@@ -68,12 +68,16 @@ class LimitReport:
 
     @property
     def deviation(self) -> float | None:
-        """|extrapolated - target| / |target|, absolute when target == 0."""
-        if self.target is None:
-            return None
-        if self.target == 0.0:
-            return abs(self.extrapolated)
-        return abs(self.extrapolated - self.target) / abs(self.target)
+        return relative_deviation(self.extrapolated, self.target)
+
+
+def relative_deviation(value: float, target: float | None) -> float | None:
+    """|value - target| / |target|, absolute when target == 0, None without a target."""
+    if target is None:
+        return None
+    if target == 0.0:
+        return abs(value)
+    return abs(value - target) / abs(target)
 
 
 def extrapolate(hs, values, target=None) -> LimitReport:
@@ -129,7 +133,7 @@ def sweep_s_to_1(
     n: int,
     E,
     s_grid=DEFAULT_S1_GRID,
-    method: str = "cap_oracle",
+    method: str = "auto",
     samples: int = 1_000_000,
     rng=None,
     tol: float = CAP_TOL,
@@ -137,39 +141,21 @@ def sweep_s_to_1(
     """Rows of (1-s) P_s(E) over s_grid with the extrapolated s->1 limit.
 
     The limit equals (omega_(n+1)/omega_2) H^(n-1)(boundary E); the target
-    is attached when the set knows its boundary measure.
-    Methods: cap_oracle (E a Cap), circle_exact (n=1 arc unions), mc.
-
-    samples may be one count or a per-row sequence.  The mc method is
-    perimeter_mc's sliced estimator, whose variance stays finite up to
-    s -> 1, so one count serves every row.
+    is attached when the set knows its boundary measure.  E must live on
+    S^n.  Each row is perimeter.perimeter_by_method's for method, which
+    auto sets to the cap oracle for a cap, the circle formula on S^1 and
+    otherwise perimeter_mc's sliced estimator, whose variance stays finite
+    up to s -> 1, so one samples count serves every row.  rng, when given,
+    is split into one stream per row; mc needs it.
     """
     grid = _strict_grid(s_grid, "s_grid", lambda s: 0.0 < s < 1.0, "inside (0, 1)")
-    try:
-        per_row = [int(c) for c in samples]
-    except TypeError:
-        per_row = [int(samples)] * len(grid)
-    if method == "mc":
-        if len(per_row) != len(grid):
-            raise ValueError("need one sample count per grid row")
-        streams = as_stream(rng).split(len(grid))
+    if E.dimension != n:
+        raise ValueError(f"set lives on S^{E.dimension} but n is {n}")
+    streams = [None] * len(grid) if rng is None else as_stream(rng).split(len(grid))
     rows = []
-    for i, s in enumerate(grid):
-        if method == "cap_oracle":
-            if not isinstance(E, Cap):
-                raise ValueError("cap_oracle method needs a Cap set")
-            value = perimeter_cap(n, s, E.radius, tol=tol)
-            rows.append(SweepRow(s, (1.0 - s) * value, (1.0 - s) * abs(value) * tol, method))
-        elif method == "circle_exact":
-            if n != 1 or not isinstance(E, ArcUnion):
-                raise ValueError("circle_exact method needs n=1 and an ArcUnion")
-            value = perimeter_circle_exact(E, s)
-            rows.append(SweepRow(s, (1.0 - s) * value, 0.0, method))
-        elif method == "mc":
-            est = perimeter_mc(E, s, per_row[i], streams[i])
-            rows.append(SweepRow(s, (1.0 - s) * est.value, (1.0 - s) * est.std_error, method))
-        else:
-            raise ValueError(f"unknown sweep method {method!r}")
+    for s, stream in zip(grid, streams):
+        used, value, error = perimeter_by_method(E, s, method, samples, stream, tol, 1.0 - s)
+        rows.append(SweepRow(s, value, error, used))
     bm = E.boundary_measure()
     target = None if bm is None else sphere_surface(n) / sphere_surface(1) * bm
     report = extrapolate([1.0 - s for s in grid], [row.value for row in rows], target)

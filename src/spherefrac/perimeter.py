@@ -18,6 +18,9 @@ drawn from RadialProposal.  Since |1_E(x) - 1_E(y)| counts each pair of E
 x E^c once in each order, P_s(E) is half the p = 1 seminorm of E's
 indicator, and _perimeter_point_pairs takes it so for
 limits.sweep_s_to_minus_inf.
+
+perimeter_by_method is the one place that picks among the cap oracle, the
+circle formula and perimeter_mc for a set, and the error each reports.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import numpy as np
 from .estimation import Estimate, RadialProposal, adaptive_quad, mc_estimate
 from .geometry import _beta_half, _x_minus_sin, cap_area, sample_at_distance, sample_uniform, sphere_surface
 from .integral_geometry import _circle_mean
-from .sets import ENDPOINT_MARGIN, TWO_PI, ArcUnion, trace
+from .sets import ENDPOINT_MARGIN, TWO_PI, ArcUnion, Cap, trace
 
 
 def validate_s(s: float) -> float:
@@ -555,3 +558,51 @@ def perimeter_circle_exact(E, s: float) -> float:
     axes = np.eye(2)
     start, length, _ = trace(E, axes[:1], axes[1:])
     return _finite(float(_GreatCircleKernel(1, s).circle_values(start, length)[0]), 1, s)
+
+
+# ---------------------------------------------------------------------------
+# choice of method
+
+
+# The methods of perimeter_by_method, and the choices of the CLI's --method.
+METHODS = ("auto", "mc", "cap_oracle", "circle_exact")
+
+
+def perimeter_by_method(
+    E,
+    s: float,
+    method: str = "auto",
+    samples: int = 1_000_000,
+    rng=None,
+    tol: float = CAP_TOL,
+    prefactor: float = 1.0,
+):
+    """(method, value, error) of prefactor * P_s(E) by one of METHODS.
+
+    auto picks cap_oracle for a Cap, circle_exact for any other set on S^1
+    and mc otherwise.  cap_oracle (perimeter_cap, E a Cap) reports
+    |value| tol, circle_exact (perimeter_circle_exact, E on S^1) 0, and mc
+    (perimeter_mc, at least two samples from rng) its standard error.  A
+    method that does not fit E is a ValueError.  prefactor is a sweep's
+    normalizing factor, such as (1 - s): value and error are scaled by it,
+    and the cap oracle's relative error is taken on the scaled value.
+    """
+    s = validate_s(s)
+    if method == "auto":
+        method = "cap_oracle" if isinstance(E, Cap) else "circle_exact" if E.dimension == 1 else "mc"
+    if method == "cap_oracle":
+        if not isinstance(E, Cap):
+            raise ValueError(f"cap_oracle needs a cap, got a {type(E).__name__}")
+        value = prefactor * perimeter_cap(E.dimension, s, E.radius, tol=tol)
+        return method, value, abs(value) * tol
+    if method == "circle_exact":
+        if E.dimension != 1:
+            raise ValueError(f"circle_exact needs a set on S^1, got one on S^{E.dimension}")
+        return method, prefactor * perimeter_circle_exact(E, s), 0.0
+    if method == "mc":
+        # one sample has an infinite error bar, under which every 3-sigma verdict would pass
+        if samples < 2:
+            raise ValueError(f"need at least two samples for an error bar, got {samples}")
+        est = perimeter_mc(E, s, samples, rng)
+        return method, prefactor * est.value, prefactor * est.std_error
+    raise ValueError(f"unknown method {method!r}: expected one of {', '.join(METHODS)}")

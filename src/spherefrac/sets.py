@@ -222,15 +222,15 @@ class PolyconvexUnion:
 
 
 def _shown_disjoint(a, b) -> bool:
-    """Exact sufficient rules: caps at least the sum of their radii apart,
-    and polytopes whose intersection is empty; no other pair."""
+    """Exact sufficient rule: caps at least the sum of their radii apart; no
+    other pair.  Polytopes on either side of one face are not shown
+    disjoint: the face lies inside their union, so their boundary measures
+    and crossing counts do not add up."""
     if isinstance(a, Cap) and isinstance(b, Cap):
         # unlike arccos of the dot product, this keeps every digit near 0 and pi
         gap = 2.0 * math.atan2(np.linalg.norm(a.center - b.center),
                                np.linalg.norm(a.center + b.center))
         return gap >= a.radius + b.radius
-    if isinstance(a, Polytope) and isinstance(b, Polytope):
-        return Polytope(np.vstack([a.normals, b.normals])).empty
     return False
 
 

@@ -374,7 +374,7 @@ def test_exit_3_on_numerical_failure(monkeypatch, capsys):
     def explode(*args, **kwargs):
         raise QuadratureError("interval budget exhausted")
 
-    monkeypatch.setattr("spherefrac.cli.perimeter_cap", explode)
+    monkeypatch.setattr("spherefrac.perimeter.perimeter_cap", explode)
     rc = main(["perimeter", "--n", "2", "--set", "cap:0,0,1:1.0", "--s", "-1"])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
@@ -619,6 +619,27 @@ def test_an_empty_polytope_reads_zero(capsys, desc):
     assert capsys.readouterr().out.splitlines()[1] == "-0.5,0,0,nan,nan"
     assert main(["crofton", "--n", "3", "--set", desc, "--planes", "1000"]) == 0
     assert capsys.readouterr().out.splitlines()[1] == "1000,0,0,0,0"
+
+
+def test_circle_exact_takes_any_set_on_the_circle(capsys):
+    # the complement of an arc is a set on S^1 but not an arcs set
+    argv = ["perimeter", "--n", "1", "--s", "0.3", "--method", "circle_exact"]
+    assert main(argv + ["--set", "compl:arcs:0,1"]) == 0
+    _, value, error, _, _ = capsys.readouterr().out.splitlines()[1].split(",")
+    assert float(error) == 0.0
+    assert main(argv + ["--set", "arcs:0,1"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[1] == value
+
+
+def test_sweep_s1_takes_the_circle_formula_on_any_set_on_the_circle(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("perimeter_mc called")
+
+    monkeypatch.setattr("spherefrac.perimeter.perimeter_mc", refuse)
+    assert main(["sweep-s1", "--n", "1", "--set", "compl:arcs:0,1", "--format", "json"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["detail"]["method"] == "circle_exact"
+    assert all(row["error"] == 0.0 for row in record["rows"][:-1])
 
 
 def test_circle_exact_runs_at_s_zero(capsys):

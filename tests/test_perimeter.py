@@ -10,10 +10,12 @@ from spherefrac import (
     Cap,
     Complement,
     PolyconvexUnion,
+    Polytope,
     RandomStream,
     Reflection,
     adaptive_quad,
     cap_area,
+    perimeter_by_method,
     perimeter_cap,
     perimeter_circle_exact,
     perimeter_mc,
@@ -76,6 +78,42 @@ def test_circle_exact_matches_midpoint_oracle_smooth_kernel(s):
     brute = circle_perimeter_midpoint(E.arcs, s, nodes=4000)
     rel = 1e-6 if s <= -1.0 else 2e-5
     assert exact == pytest.approx(brute, rel=rel)
+
+
+# ---------------------------------------------------------------------------
+# choice of method
+
+
+def test_auto_method_follows_the_set_type():
+    arc = ArcUnion([(0.0, 1.0)])
+    circle = perimeter_circle_exact(arc, 0.3)
+    for E in (arc, Complement(arc), Reflection(arc)):
+        assert perimeter_by_method(E, 0.3) == ("circle_exact", pytest.approx(circle, rel=1e-12), 0.0)
+    # a cap goes to the oracle on every sphere, with relative error tol
+    for E in (Cap(Z, 1.0), Cap((0.0, 1.0), 1.0)):
+        value = perimeter_cap(E.dimension, 0.3, 1.0, tol=1e-6)
+        assert perimeter_by_method(E, 0.3, tol=1e-6) == ("cap_oracle", value, value * 1e-6)
+    octant = Polytope([(-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0)])
+    est = perimeter_mc(octant, 0.3, 64, RandomStream(3))
+    assert perimeter_by_method(octant, 0.3, samples=64, rng=RandomStream(3)) == (
+        "mc", est.value, est.std_error)
+
+
+def test_a_method_that_does_not_fit_the_set_is_a_value_error():
+    octant = Polytope([(-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0)])
+    cases = [
+        (octant, "cap_oracle", "needs a cap"),
+        (Complement(Cap(Z, 1.0)), "cap_oracle", "needs a cap"),
+        (Cap(Z, 1.0), "circle_exact", r"needs a set on S\^1"),
+        (octant, "newton", "unknown method"),
+    ]
+    for E, method, message in cases:
+        with pytest.raises(ValueError, match=message):
+            perimeter_by_method(E, 0.3, method, samples=64, rng=RandomStream(3))
+    with pytest.raises(ValueError, match="at least two samples"):
+        perimeter_by_method(octant, 0.3, "mc", samples=1, rng=RandomStream(3))
+    with pytest.raises(ValueError):
+        perimeter_by_method(Cap(Z, 1.0), 1.0)
 
 
 def test_circle_exact_edge_cases():

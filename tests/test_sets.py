@@ -169,13 +169,13 @@ def test_union_measure_and_disjointness_probe():
 
 
 def test_union_disjointness_rules():
-    # caps at least r1 + r2 apart, tangent ones included, and polytopes with
-    # an exactly opposite pair of normals; no other pair is shown disjoint
+    # caps at least r1 + r2 apart, tangent ones included; no other pair is
+    # shown disjoint, not even polytopes on either side of one face
     tangent = PolyconvexUnion((Cap(Z, math.pi / 4), Cap((1.0, 0.0, 0.0), math.pi / 4)))
     assert tangent.disjoint
     assert not PolyconvexUnion((Cap(Z, math.pi / 4), Cap((1.0, 0.0, 0.0), 0.786))).disjoint
     lune = Polytope([(1.0, 0.0, 0.0), (0.0, 0.0, -1.0)])
-    assert PolyconvexUnion((lune, Polytope([(-2.0, 0.0, 0.0), (0.0, 1.0, 0.0)]))).disjoint
+    assert not PolyconvexUnion((lune, Polytope([(-2.0, 0.0, 0.0), (0.0, 1.0, 0.0)]))).disjoint
     assert not PolyconvexUnion((lune, Polytope([(-1.0, 1e-17, 0.0)]))).disjoint
     assert not PolyconvexUnion((lune, Cap((-1.0, 0.0, 0.0), 0.1))).disjoint
     three = PolyconvexUnion((Cap(Z, 0.3), Cap((1.0, 0.0, 0.0), 0.3), Cap((0.0, 0.0, -1.0), 1.4)))

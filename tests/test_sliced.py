@@ -449,7 +449,7 @@ def test_a_rotated_set_traces_as_rotated_circles(name):
 
 def test_rotated_keeps_the_disjointness_flag_and_rejects_circle_sets():
     gen = np.random.default_rng(93)
-    for desc, disjoint in ((OVERLAPPING, False), (FACE_SHARING, True)):
+    for desc, disjoint in ((OVERLAPPING, False), (FACE_SHARING, False), (SETS["union"], True)):
         union = parse_set(desc)
         assert union.disjoint == disjoint
         for _ in range(100):
@@ -622,11 +622,12 @@ def test_duplicate_faces_are_one_face():
         hemisphere, 4096, RandomStream(95))
 
 
-# Two octants that share the face x = 0, which the union shows disjoint, and
-# two wedges that overlap: either union is the lune {y >= 0, z >= 0}.  On
-# many circles two of their slots end at one point up to roundoff, which
-# used to read as a sliver of arc (the octants, 34 sigma off at s = 0.9) or
-# as the full circle (the wedges' merged slots, on about 1.2% of circles).
+# Two octants that share the face x = 0 and two wedges that overlap: either
+# union is the lune {y >= 0, z >= 0}, and neither is shown disjoint, so
+# their slots are merged.  On many circles two of their slots end at one
+# point up to roundoff, which used to read as a sliver of arc (the octants,
+# 34 sigma off at s = 0.9, when they were shown disjoint) or as the full
+# circle (the wedges' merged slots, on about 1.2% of circles).
 FACE_SHARING = "union:poly:-1,0,0;0,-1,0;0,0,-1+poly:1,0,0;0,-1,0;0,0,-1"
 OVERLAPPING_WEDGES = "union:poly:-1,-0.3,0;0,-1,0;0,0,-1+poly:1,-0.3,0;0,-1,0;0,0,-1"
 LUNE = Polytope([(0.0, -1.0, 0.0), (0.0, 0.0, -1.0)])
@@ -635,7 +636,7 @@ LUNE = Polytope([(0.0, -1.0, 0.0), (0.0, 0.0, -1.0)])
 @pytest.mark.parametrize("desc", (FACE_SHARING, OVERLAPPING_WEDGES), ids=("octants", "wedges"))
 def test_unions_with_touching_slots_are_the_lune_they_form(desc):
     E = parse_set(desc)
-    assert E.disjoint == (desc == FACE_SHARING)
+    assert not E.disjoint
     for s in (0.3, 0.9, 0.99):
         est = perimeter_mc(E, s, 32 * 4096, RandomStream(5))
         ref = perimeter_mc(LUNE, s, 32 * 4096, RandomStream(92))
@@ -648,3 +649,19 @@ def test_overlapping_wedges_cross_the_lune_boundary_twice():
     # crosses once each: the count is 2 on every circle, and the error 0
     report = crofton_estimate(parse_set(OVERLAPPING_WEDGES), 100_000, RandomStream(3))
     assert abs(report.crossings.value - 2.0) <= 3.0 * report.crossings.std_error
+
+
+def test_face_sharing_octants_read_as_the_lune_they_form():
+    # on the same circles the octants' merged slots are the lune's up to
+    # roundoff; when shown disjoint, they read a Crofton count of 2.99994 +-
+    # 0.00047 against a target of 3, their shared face counted in both parts
+    octants = parse_set(FACE_SHARING)
+    report = crofton_estimate(octants, 100_000, RandomStream(3))
+    assert report.crossings == crofton_estimate(LUNE, 100_000, RandomStream(3)).crossings
+    assert (report.crossings.value, report.crossings.std_error) == (2.0, 0.0)
+    assert report.target is None
+    for s in (-2.0, 0.9):
+        est = perimeter_mc(octants, s, 32 * 1024, RandomStream(5))
+        ref = perimeter_mc(LUNE, s, 32 * 1024, RandomStream(5))
+        assert est.value == pytest.approx(ref.value, rel=1e-12)
+        assert est.std_error == pytest.approx(ref.std_error, rel=1e-6)
