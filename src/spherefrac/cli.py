@@ -372,7 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
     # the run flags, each registered only on the subcommands that read it
     run_flags = {
         "seed": dict(help="RNG seed (decimal or 0x-hex)"),
-        "samples": dict(type=int, default=1_000_000, help="MC samples per estimate (at least 2)"),
+        "samples": dict(type=int, default=1_000_000,
+                        help="MC samples per estimate (at least 2); on S^2 (--n 2) the estimate is "
+                        "R = min(32, samples) lattice rotations of samples // R each, so it uses "
+                        "R * (samples // R) of them"),
         "tol": dict(type=float, default=CAP_TOL, help="relative tolerance of the cap oracle, "
                     "also its reported relative error (default %(default)g)"),
         "threshold": dict(type=float, help="verdict threshold override"),
@@ -626,7 +629,7 @@ def _run_s0_check(args, stream):
         "monotone_within_3se": report.monotone_within_3se,
         "final_below_bound": report.final_below_bound,
     }
-    detail = {"function": args.function, "scale": report.scale, "bound": 0.05 * report.scale}
+    detail = {"function": args.function, "scale": report.scale, "bound": report.bound}
     return out, None, verdicts, detail
 
 

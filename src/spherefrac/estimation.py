@@ -141,6 +141,18 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
+def _checked_values(values: np.ndarray, count: int, start: int) -> np.ndarray:
+    """values, the integrand's at samples start .. start + count - 1; a
+    ValueError unless their shape is (count,), and NonFiniteSampleError
+    naming the lowest sample whose value is NaN or infinite."""
+    if values.shape != (count,):
+        raise ValueError(f"integrand returned shape {values.shape}, expected ({count},)")
+    if not np.all(np.isfinite(values)):
+        idx = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise NonFiniteSampleError(f"non-finite integrand value {values[idx]!r} at sample {start + idx}")
+    return values
+
+
 def mc_estimate(sampler, integrand, n_samples: int, rng, chunk_size: int = 1 << 16) -> Estimate:
     """Chunked Monte Carlo mean of integrand over sampler draws.
 
@@ -175,14 +187,7 @@ def mc_estimate(sampler, integrand, n_samples: int, rng, chunk_size: int = 1 << 
         start = i * chunk_size
         count = min(chunk_size, n_samples - start)
         values = np.asarray(integrand(sampler(count, children[i].generator)), dtype=float)
-        if values.shape != (count,):
-            raise ValueError(f"integrand returned shape {values.shape}, expected ({count},)")
-        if not np.all(np.isfinite(values)):
-            idx = int(np.flatnonzero(~np.isfinite(values))[0])
-            raise NonFiniteSampleError(
-                f"non-finite integrand value {values[idx]!r} at sample {start + idx}"
-            )
-        return Estimate.from_values(values)
+        return Estimate.from_values(_checked_values(values, count, start))
 
     workers = min(_worker_count(), n_chunks)
     if workers <= 1:

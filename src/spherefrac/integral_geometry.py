@@ -22,13 +22,16 @@ All estimators are mc_estimate means whose chunks draw from their own
 child streams, on worker threads.  Crofton counts, antipodal gains
 (symmetric_overlap_measure) and the sliced perimeter of perimeter.py are
 means of a per-circle value over great circles, all taken by
-_circle_mean.  On S^2 its chunk is one Haar rotation of a
-Fibonacci lattice of poles, and the estimate is the randomized
-quasi-Monte Carlo mean of the rotations' means (Owen, Monte Carlo theory,
-methods and examples, 2013), whose error bar is the spread of _ROTATIONS
-rotation means.  On other spheres a chunk is _TRACE_BLOCK iid Haar
-circles.  Either way a chunk resamples its own degenerate circles, so the
-report depends only on (seed, planes, _TRACE_BLOCK).  A bp_check chunk of
+_circle_mean.  On S^2 these, and the point pairs of perimeter.seminorm_mc,
+are means over Haar rotations of one Fibonacci lattice
+(_rotated_lattice_mean): of its points taken as great-circle poles
+(_lattice_frames) or as the pairs' first points (_lattice_points).  A
+chunk is one rotation, and the estimate is the randomized quasi-Monte
+Carlo mean of the rotations' means (Owen, Monte Carlo theory, methods and
+examples, 2013), whose error bar is the spread of _ROTATIONS rotation
+means.  On other spheres a chunk is _TRACE_BLOCK iid Haar circles.
+Either way a chunk resamples its own degenerate circles, so the report
+depends only on (seed, planes, _TRACE_BLOCK).  A bp_check chunk of
 _PLANE_BLOCK Haar planes integrates f over all its circles at once, so the
 plane side depends only on (seed, planes, nodes, _PLANE_BLOCK).
 
@@ -102,14 +105,15 @@ def _orthonormalize(es, fs):
 # temporaries, and nothing holds all planes: octant crofton at 1e6 iid
 # planes on 2 CPUs peaked at 75 MB RSS (58 MB before the call), against
 # 91 MB with 1 << 16, 67 MB with 1 << 14, and 141 MB when all frames were
-# drawn first.  At 1e6 planes a lattice of 31250 poles is one block.
+# drawn first.  At 1e6 planes a lattice of 31250 poles is one block.  The
+# blocks of seminorm_mc's S^2 point pairs are of the same size.
 _TRACE_BLOCK = 1 << 15
 # Rounds of redraws a block of circles gets for its degenerate circles, after
 # which _circle_mean raises DegenerateCircleError.
 _MAX_RESAMPLE_ROUNDS = 100
-# Haar rotations of the pole lattice behind crofton_estimate on S^2: each is
-# one mc_estimate sample, so the error bar has _ROTATIONS - 1 degrees of
-# freedom.
+# Haar rotations of the lattice behind every S^2 mean of _rotated_lattice_mean:
+# each is one mc_estimate sample, so the error bar has _ROTATIONS - 1
+# degrees of freedom.
 _ROTATIONS = 32
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 # Planes per chunk of bp_check's plane side: each chunk draws its frames
@@ -276,19 +280,29 @@ def _haar_rotation(gen: np.random.Generator) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def _lattice_frames(start: int, stop: int, poles: int):
-    """Frames (es, fs) of rows start .. stop-1 of the Fibonacci lattice.
-
-    Row i of the poles-point lattice on S^2 has the pole
-    (rho cos phi, rho sin phi, z), z = 1 - (2i+1)/poles, rho = sqrt(1 - z^2),
-    phi = i pi (3 - sqrt 5), and its great circle the frame
-    e = (-sin phi, cos phi, 0), f = (-z cos phi, -z sin phi, rho).
-    """
+def _lattice(start: int, stop: int, size: int):
+    """(z, rho, cos phi, sin phi) of rows start .. stop-1 of the size-point
+    Fibonacci lattice on S^2, whose row i is the point
+    (rho cos phi, rho sin phi, z), z = 1 - (2i+1)/size, rho = sqrt(1 - z^2),
+    phi = i pi (3 - sqrt 5)."""
     i = np.arange(start, stop, dtype=float)
-    z = 1.0 - (2.0 * i + 1.0) / poles
+    z = 1.0 - (2.0 * i + 1.0) / size
     rho = np.sqrt((1.0 - z) * (1.0 + z))
     i *= _GOLDEN_ANGLE
-    cos_phi, sin_phi = np.cos(i), np.sin(i)
+    return z, rho, np.cos(i), np.sin(i)
+
+
+def _lattice_points(start: int, stop: int, size: int) -> np.ndarray:
+    """Rows start .. stop-1 of the Fibonacci lattice (_lattice), shape (stop - start, 3)."""
+    z, rho, cos_phi, sin_phi = _lattice(start, stop, size)
+    return np.stack([rho * cos_phi, rho * sin_phi, z], axis=1)
+
+
+def _lattice_frames(start: int, stop: int, poles: int):
+    """Frames (es, fs) of the great circles whose poles are rows start ..
+    stop-1 of the Fibonacci lattice (_lattice): e = (-sin phi, cos phi, 0),
+    f = (-z cos phi, -z sin phi, rho)."""
+    z, rho, cos_phi, sin_phi = _lattice(start, stop, poles)
     es = np.zeros((stop - start, 3))
     fs = np.empty((stop - start, 3))
     es[:, 0] = -sin_phi
@@ -299,20 +313,55 @@ def _lattice_frames(start: int, stop: int, poles: int):
     return es, fs
 
 
+def _rotated_lattice_mean(samples: int, rng, lattice, rotation) -> Estimate:
+    """Randomized quasi-Monte Carlo mean over R = min(_ROTATIONS, samples)
+    Haar rotations of a Fibonacci lattice of size = samples // R rows on
+    S^2: an mc_estimate with one sample per rotation, so the Estimate's
+    samples is R and its error bar has R - 1 degrees of freedom.
+
+    lattice(start, stop, size) builds rows of the unrotated lattice
+    (_lattice_points or _lattice_frames).  Each rotation draws its Haar
+    rotation q first from its own child stream gen, then calls
+    rotation(q, gen) once; that returns block(first, rows), the sum of the
+    per-row values of a block of rows under q, which may draw more from
+    gen.  first numbers the block's first row among all R * size:
+    rotation r's row i is r * size + i.  The rotation's sample is the sum
+    over its blocks over size.  A block holds at most _TRACE_BLOCK rows:
+    the unrotated lattice is built once per call when it fits in one block,
+    and block by block in every rotation otherwise, so memory stays flat in
+    samples.  The result is the same to the bit on any number of CPUs.
+    """
+    rotations = min(_ROTATIONS, samples)
+    size = samples // rotations
+    blocks = [(a, min(a + _TRACE_BLOCK, size)) for a in range(0, size, _TRACE_BLOCK)]
+    shared = lattice(0, size, size) if len(blocks) == 1 else None
+    stream = as_stream(rng)
+    # mc_estimate hands chunk r the stream's child number first_child + r
+    first_child = stream.seed_sequence.n_children_spawned
+
+    def rotation_mean(count, gen):  # count is 1: a chunk is one rotation
+        offset = (gen.bit_generator.seed_seq.spawn_key[-1] - first_child) * size
+        block = rotation(_haar_rotation(gen), gen)
+        total = 0.0
+        for a, b in blocks:
+            total += block(offset + a, shared if shared is not None else lattice(a, b, size))
+        return np.array([total / size])
+
+    return mc_estimate(rotation_mean, lambda means: means, rotations, stream, chunk_size=1)
+
+
 def _circle_mean(E, circle_values, planes: int, rng):
     """Mean of circle_values(start, length) over Haar great circles, and the
     count of degenerate circles redrawn.
 
     circle_values maps a block of sets.trace arcs, shapes (m, K), to the m
-    circles' values.  On S^2 (n = 2) the mean is an mc_estimate over
-    R = min(_ROTATIONS, planes) Haar rotations of a Fibonacci lattice of
-    planes // R poles, one sample per rotation, so R * (planes // R) circles
-    are traced.  The unrotated lattice is built once per call when it fits
-    in one block of _TRACE_BLOCK rows, and block by block in every rotation
-    otherwise, so memory stays flat in the plane count.  A rotation q traces
-    the rotated set sets.rotated(E, q^T) on the unrotated lattice, which is
-    the lattice rotated by q traced on E.  On other spheres the mean is an
-    mc_estimate over iid Haar circles in chunks of _TRACE_BLOCK.
+    circles' values.  On S^2 (n = 2) the mean is _rotated_lattice_mean's
+    over R = min(_ROTATIONS, planes) rotations of a lattice of planes // R
+    poles (_lattice_frames), so R * (planes // R) circles are traced.  A
+    rotation q traces the rotated set sets.rotated(E, q^T) on the unrotated
+    lattice, which is the lattice rotated by q traced on E.  On other
+    spheres the mean is an mc_estimate over iid Haar circles in chunks of
+    _TRACE_BLOCK.
 
     Each rotation or chunk draws from its own child stream: first q, then
     the iid Haar circles (sample_plane_batch) that replace its degenerate
@@ -347,20 +396,11 @@ def _circle_mean(E, circle_values, planes: int, rng):
         return values
 
     if n == 2:
-        rotations = min(_ROTATIONS, planes)
-        poles = planes // rotations
-        blocks = [(a, min(a + _TRACE_BLOCK, poles)) for a in range(0, poles, _TRACE_BLOCK)]
-        shared = _lattice_frames(0, poles, poles) if len(blocks) == 1 else None
+        def rotation(q, gen):
+            turned = rotated(E, q.T)
+            return lambda first, frames: float(np.sum(resolved(turned, *frames, gen)))
 
-        def rotation_mean(count, gen):  # count is 1: a chunk is one rotation
-            turned = rotated(E, _haar_rotation(gen).T)
-            total = 0.0
-            for a, b in blocks:
-                frames = shared if shared is not None else _lattice_frames(a, b, poles)
-                total += float(np.sum(resolved(turned, *frames, gen)))
-            return np.array([total / poles])
-
-        est = mc_estimate(rotation_mean, lambda means: means, rotations, rng, chunk_size=1)
+        est = _rotated_lattice_mean(planes, rng, _lattice_frames, rotation)
     else:
         iid = lambda count, gen: resolved(E, *sample_plane_batch(n, count, gen), gen)
         est = mc_estimate(iid, lambda values: values, planes, rng, chunk_size=_TRACE_BLOCK)

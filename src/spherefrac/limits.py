@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import Estimate, as_stream, mc_estimate
+from .estimation import Estimate, adaptive_quad, as_stream, mc_estimate
 from .geometry import geodesic_distance, sample_uniform, sphere_surface, volume_radius
 from .integral_geometry import symmetric_overlap_measure
 from .perimeter import (
@@ -183,7 +183,10 @@ def sweep_s_to_minus_inf(
     sweep-sinf check does not yet accept.  At large t the drawn pairs are
     nearly antipodal, and almost all of them straddle a hemisphere's
     boundary, so there a pair's value is nearly constant and the rows'
-    error bars shrink as t grows.
+    error bars shrink as t grows.  On S^2 a pair's first point comes from
+    seminorm_mc's rotated Fibonacci lattice, so a row's error bar is the
+    spread of 32 rotation means, with 31 degrees of freedom, and what is
+    left of it comes mostly from the pairs' distances and directions.
     """
     grid = _strict_grid(t_grid, "t_grid", lambda t: t > n, f"with every t > n = {n}")
     _check_t_powers(n, grid)
@@ -212,7 +215,10 @@ def sweep_seminorm_to_minus_inf(
     Target: c_(n,p) * integral of |f(x) - f(-x)|^p, itself an mc_estimate
     of omega_(n+1) |f(x) - f(-x)|^p over target_samples uniform points (the
     integrand is bounded, so this is the easy part).  A t whose t^n
-    overflows a float is a ValueError.
+    overflows a float is a ValueError.  The rows are seminorm_mc's: on S^2
+    over its rotated Fibonacci lattice, with error bars of 31 degrees of
+    freedom.  At large t a pair is nearly (x, -x), so almost all of an iid
+    pair's variance is that of x, which the lattice removes.
     """
     p = validate_p(p)
     grid = _strict_grid(t_grid, "t_grid", lambda t: t > n / p, f"with every t > n/p = {n / p}")
@@ -270,15 +276,37 @@ def beta_asymptotic_check(n: int, p: float, t_grid=DEFAULT_T_GRID):
 
 @dataclass(frozen=True)
 class VanishingReport:
-    """Verdicts for the s -> 0^- decay of |s| [f]_(s,1)."""
+    """Verdicts for the s -> 0^- decay of |s| [f]_(s,1), with the Lipschitz
+    bound on [f]_(s,1) at the last s (scale) and on the last row (bound)."""
 
     monotone_within_3se: bool
     final_below_bound: bool
     scale: float
+    bound: float
 
     @property
     def passed(self) -> bool:
         return self.monotone_within_3se and self.final_below_bound
+
+
+def _lipschitz_seminorm_bound(n: int, s: float, lipschitz: float) -> float:
+    """Bound on the normalized-kernel seminorm [f]_(s,1) of an L-Lipschitz f
+    on S^n, s < 0: |f(x) - f(y)| <= L d(x, y), and grouping the pairs by
+    their distance theta gives
+
+        [f]_(s,1) <= L omega_(n+1) omega_n int_0^pi theta (theta/pi)^-(n+s) sin^(n-1) theta d theta.
+
+    The integral is pi^(n+s) int_0^pi theta^-s sinc^(n-1) d theta, taken by
+    adaptive_quad, and the product is formed in logs, so it stays a normal
+    float where omega_(n+1) omega_n underflows (n >= 261).  0 for L = 0.
+    """
+    if lipschitz == 0.0:
+        return 0.0
+    integral = adaptive_quad(lambda t: t**-s * np.sinc(t / math.pi) ** (n - 1), 0.0, math.pi)
+    return math.exp(
+        math.log(lipschitz) + math.log(sphere_surface(n)) + math.log(sphere_surface(n - 1))
+        + (n + s) * math.log(math.pi) + math.log(integral)
+    )
 
 
 def s_to_zero_vanishing_check(
@@ -292,8 +320,8 @@ def s_to_zero_vanishing_check(
     """Rows of |s| [f]^1 over s_grid rising to 0^-, with decay verdicts.
 
     Checks that the sequence decreases monotonically within 3 combined
-    standard errors and that the last row sits below 5% of the crude
-    scale bound lipschitz * omega_(n+1)^2 * pi.
+    standard errors and that the last row, at s, sits below the kernel's
+    own Lipschitz bound |s| _lipschitz_seminorm_bound(n, s, lipschitz).
     """
     grid = _strict_grid(s_grid, "s_grid", lambda s: -1.0 < s < 0.0, "inside (-1, 0)")
     streams = as_stream(rng).split(len(grid))
@@ -306,10 +334,10 @@ def s_to_zero_vanishing_check(
         slack = 3.0 * math.hypot(prev.error, cur.error)
         if cur.value > prev.value + slack:
             monotone = False
-    # <= so a constant f passes; omega_(n+1)^2 underflows from n = 261
-    omega = sphere_surface(n)
-    below = rows[-1].value / omega <= 0.05 * lipschitz * omega * math.pi
-    report = VanishingReport(monotone, below, lipschitz * omega**2 * math.pi)
+    scale = _lipschitz_seminorm_bound(n, grid[-1], lipschitz)
+    bound = abs(grid[-1]) * scale
+    # <= so a constant f passes
+    report = VanishingReport(monotone, rows[-1].value <= bound, scale, bound)
     return rows, report
 
 

@@ -13,8 +13,9 @@ c_n times the Haar mean of a circle double integral over the set's trace,
 which _GreatCircleKernel evaluates exactly from one matched antiderivative
 of the kernel, so its variance is finite for every s < 1.
 
-seminorm_mc is the one point-pair estimator: x uniform, y at a distance
-drawn from RadialProposal.  Since |1_E(x) - 1_E(y)| counts each pair of E
+seminorm_mc is the one point-pair estimator: x uniform, or on S^2 a point
+of a Haar-rotated Fibonacci lattice, and y at a distance drawn from
+RadialProposal.  Since |1_E(x) - 1_E(y)| counts each pair of E
 x E^c once in each order, P_s(E) is half the p = 1 seminorm of E's
 indicator, and _perimeter_point_pairs takes it so for
 limits.sweep_s_to_minus_inf.
@@ -30,9 +31,9 @@ import math
 
 import numpy as np
 
-from .estimation import Estimate, RadialProposal, adaptive_quad, mc_estimate
+from .estimation import Estimate, RadialProposal, _checked_values, adaptive_quad, mc_estimate
 from .geometry import _beta_half, _x_minus_sin, cap_area, sample_at_distance, sample_uniform, sphere_surface
-from .integral_geometry import _circle_mean
+from .integral_geometry import _circle_mean, _lattice_points, _rotated_lattice_mean
 from .sets import ENDPOINT_MARGIN, TWO_PI, ArcUnion, Cap, trace
 
 
@@ -161,20 +162,33 @@ def seminorm_mc(
     dtilde is the normalized distance d/pi and s must be negative (the
     positive-s seminorm of a generic f is infinite).  f must accept point
     arrays of shape (N, n+1) and return (N,) values.
+
+    Each pair is a point x and a point y at a distance theta from it, drawn
+    by RadialProposal, in a uniform direction (sample_at_distance).  On S^2
+    (n = 2) the points x are R = min(32, samples) Haar rotations of a
+    Fibonacci lattice of samples // R points
+    (integral_geometry._rotated_lattice_mean), so R * (samples // R) pairs
+    are drawn; theta and the direction are iid draws from the rotation's
+    own stream.  The Estimate's samples is then R, and its error bar, the
+    spread of the R rotation means, has R - 1 degrees of freedom.  On other
+    spheres x is iid uniform and samples counts the pairs.  A NaN or
+    infinite pair value raises NonFiniteSampleError naming the lowest such
+    pair, numbered rotation * (samples // R) + row on S^2.  The result is
+    the same to the bit on any number of CPUs; samples < 1 is a ValueError.
     """
     s = validate_s(s)
     if s >= 0.0:
         raise ValueError("seminorm estimator requires s < 0")
     p = validate_p(p)
+    if samples < 1:
+        raise ValueError("need at least one sample")
     omega_n1, omega_n = sphere_surface(n), sphere_surface(n - 1)
     omega = omega_n1 * omega_n
     proposal = RadialProposal(n, -(n + s * p))
 
-    def sampler(count, gen):
-        x = sample_uniform(n, count, gen)
-        theta, wk = proposal.sample_weighted(count, gen)
-        y = sample_at_distance(x, theta, gen)
-        return x, wk, y
+    def pairs(x, gen):
+        theta, wk = proposal.sample_weighted(len(x), gen)
+        return x, wk, sample_at_distance(x, theta, gen)
 
     def integrand(batch):
         x, wk, y = batch
@@ -184,7 +198,20 @@ def seminorm_mc(
         weight = omega * wk if omega >= np.finfo(float).tiny else omega_n1 * (omega_n * wk)
         return weight * np.abs(fx - fy) ** p
 
-    return mc_estimate(sampler, integrand, samples, rng)
+    if n != 2:
+        iid = lambda count, gen: pairs(sample_uniform(n, count, gen), gen)
+        return mc_estimate(iid, integrand, samples, rng)
+
+    def rotation(q, gen):
+        def block(first, points):
+            # the rows q p of the lattice points p
+            x = points[:, :1] * q[:, 0] + points[:, 1:2] * q[:, 1] + points[:, 2:] * q[:, 2]
+            values = np.asarray(integrand(pairs(x, gen)), dtype=float)
+            return float(np.sum(_checked_values(values, len(x), first)))
+
+        return block
+
+    return _rotated_lattice_mean(samples, rng, _lattice_points, rotation)
 
 
 # ---------------------------------------------------------------------------

@@ -270,14 +270,14 @@ def test_criterion_10_concentration_limits_t_to_inf():
 
 def test_criterion_11_seminorm_vanishes_at_s_0():
     """|s| [x.e]_(s,1) decreases monotonically (within 3 standard errors)
-    over s in {-0.3, -0.1, -0.03, -0.01} and ends below 5% of the Lipschitz
-    scale bound."""
+    over s in {-0.3, -0.1, -0.03, -0.01} and ends below |s| times the
+    kernel's Lipschitz bound on the seminorm."""
     rows, report = s_to_zero_vanishing_check(
         2, lambda x: x[:, 0], 1.0, rng=RandomStream(SEED)
     )
     print(
         f"s->0 vanishing: rows {rows[0].value:.2f} -> {rows[-1].value:.2f}, "
-        f"bound {0.05 * report.scale:.2f}"
+        f"bound {report.bound:.2f}"
     )
     assert report.monotone_within_3se
     assert report.final_below_bound

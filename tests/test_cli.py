@@ -685,6 +685,19 @@ def test_s0_check_rows_do_not_underflow_on_large_spheres(capsys):
         assert row["value"] > 0.0 and 0.0 < row["error"] < math.inf
 
 
+@pytest.mark.parametrize("n", (4, 280))
+def test_s0_check_bound_holds_and_stays_normal_on_larger_spheres(capsys, n):
+    # the crude bound 0.05 L omega_(n+1)^2 pi failed on this correct estimate
+    # from n = 4, and its scale and bound read 0 from n = 261
+    rc = main(["s0-check", "--n", str(n), "--function", "coord:0", "--samples", "20000",
+               "--seed", "4", "--format", "json"])
+    rec = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert rec["verdicts"]["final_below_bound"]
+    assert 0.0 < rec["rows"][-1]["value"] <= rec["detail"]["bound"]
+    assert rec["detail"]["bound"] == pytest.approx(0.01 * rec["detail"]["scale"], rel=1e-15)
+
+
 def test_profile_reports_vanishing_tail(tmp_path):
     out = tmp_path / "prof.json"
     rc = main([

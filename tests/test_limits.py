@@ -7,6 +7,7 @@ from spherefrac import (
     ArcUnion,
     Cap,
     RandomStream,
+    adaptive_quad,
     beta_asymptotic_check,
     concentration_constant,
     extrapolate,
@@ -14,11 +15,13 @@ from spherefrac import (
     isoperimetric_profile,
     random_disjoint_cap_pair,
     s_to_zero_vanishing_check,
+    sphere_surface,
     sweep_s_to_1,
     sweep_s_to_minus_inf,
     sweep_seminorm_to_minus_inf,
 )
 from spherefrac.geometry import geodesic_distance
+from spherefrac.limits import _lipschitz_seminorm_bound
 
 Z = (0.0, 0.0, 1.0)
 
@@ -165,6 +168,19 @@ def test_s_to_zero_constant_function_passes_with_zero_scale():
     assert all(row.value == 0.0 for row in rows)
     assert report.scale == 0.0
     assert report.passed
+
+
+@pytest.mark.parametrize("n, s", ((2, -0.01), (3, -0.3), (13, -0.5)))
+def test_lipschitz_bound_matches_its_direct_integral(n, s):
+    # the log form against L omega_(n+1) omega_n int theta (theta/pi)^-(n+s)
+    # sin^(n-1) theta taken as written, where nothing overflows; at n = 2,
+    # s = -0.01 the bound on the last row is 14.2, below the crude 24.8
+    direct = sphere_surface(n) * sphere_surface(n - 1) * adaptive_quad(
+        lambda t: t * (t / math.pi) ** -(n + s) * np.sin(t) ** (n - 1), 0.0, math.pi
+    )
+    assert _lipschitz_seminorm_bound(n, s, 2.5) == pytest.approx(2.5 * direct, rel=1e-9)
+    if n == 2:
+        assert 0.01 * _lipschitz_seminorm_bound(n, s, 1.0) == pytest.approx(14.2268, rel=1e-5)
 
 
 def test_s_to_zero_coordinate_function_decays():

@@ -10,6 +10,7 @@ estimation._worker_count.
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from spherefrac import (
     estimation,
     mc_estimate,
     perimeter_mc,
+    sample_at_distance,
     sample_uniform,
     seminorm_mc,
     sphere_surface,
@@ -48,6 +50,11 @@ SETS = {
     "union": UNION,
     "compl-union": "compl:" + UNION,
     "refl-octant": "refl:" + OCTANT,
+}
+# sets on S^3, where the point pairs stay iid
+S3_SETS = {
+    "cap": "cap:0,0,0,1:1",
+    "compl-wedge": "compl:poly:-1,0,0,0;0,-1,0,0;0,0,-1,0",
 }
 
 
@@ -98,8 +105,22 @@ def test_perimeter_mc_equals_serial_loop(monkeypatch, name, s):
 @pytest.mark.parametrize("s", (-2.0, -0.5))
 @pytest.mark.parametrize("name", sorted(SETS))
 def test_point_pair_perimeter_equals_serial_loop(monkeypatch, name, s):
-    # the point pairs of sweep_s_to_minus_inf
+    # the point pairs of sweep_s_to_minus_inf: on S^2 their first points
+    # are 32 rotations of a lattice, each one chunk of integral_geometry's
+    # mc_estimate
     E = parse_set(SETS[name])
+    run = lambda: _perimeter_point_pairs(E, s, 200_001, RandomStream(31))
+    reference, results = serial_and_parallel(monkeypatch, spherefrac.integral_geometry, run)
+    assert reference.samples == 32
+    for est in results:
+        assert est == reference
+
+
+@pytest.mark.parametrize("s", (-2.0, -0.5))
+@pytest.mark.parametrize("name", sorted(S3_SETS))
+def test_point_pair_perimeter_on_s3_equals_serial_loop(monkeypatch, name, s):
+    # off S^2 the pairs are iid, one mc_estimate sample each
+    E = parse_set(S3_SETS[name])
     run = lambda: _perimeter_point_pairs(E, s, 200_001, RandomStream(31))
     reference, results = serial_and_parallel(monkeypatch, spherefrac.perimeter, run)
     assert reference.samples == 200_001
@@ -111,10 +132,32 @@ def test_point_pair_perimeter_equals_serial_loop(monkeypatch, name, s):
 def test_seminorm_mc_equals_serial_loop(monkeypatch, samples):
     f, _ = parse_function("coord:0", 2)
     run = lambda: seminorm_mc(f, 2, 1.0, -20.0, samples, RandomStream(32))
+    reference, results = serial_and_parallel(monkeypatch, spherefrac.integral_geometry, run)
+    assert reference.samples == 32
+    for est in results:
+        assert est == reference
+
+
+@pytest.mark.parametrize("samples", (50_000, 131_072, 200_001))
+def test_seminorm_mc_on_s3_equals_serial_loop(monkeypatch, samples):
+    f, _ = parse_function("coord:0", 3)
+    run = lambda: seminorm_mc(f, 3, 1.0, -20.0, samples, RandomStream(32))
     reference, results = serial_and_parallel(monkeypatch, spherefrac.perimeter, run)
     assert reference.samples == samples
     for est in results:
         assert est == reference
+
+
+def test_seminorm_mc_on_eight_workers_equals_serial_loop(monkeypatch):
+    # more workers than CPUs, with several lattice blocks per rotation
+    f, _ = parse_function("coord:0", 2)
+    monkeypatch.setattr(spherefrac.integral_geometry, "_TRACE_BLOCK", 1 << 10)
+    run = lambda: seminorm_mc(f, 2, 1.5, -4.0, 32 * 3001, RandomStream(43))
+    with monkeypatch.context() as m:
+        m.setattr(spherefrac.integral_geometry, "mc_estimate", mc_estimate_serial)
+        reference = run()
+    force_workers(monkeypatch, 8)
+    assert run() == reference
 
 
 def test_bp_check_direct_side_equals_serial_loop(monkeypatch):
@@ -193,6 +236,59 @@ def test_shape_error_names_the_first_failing_chunk(monkeypatch, workers):
     with pytest.raises(ValueError, match=r"shape \(998,\), expected \(1000,\)") as raised:
         mc_estimate(*args)
     assert str(raised.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("workers", WORKERS)
+def test_nonfinite_pair_names_the_lowest_lattice_pair(monkeypatch, workers):
+    # 32 rotations of 1000 lattice points in blocks of 256 rows; y turns NaN
+    # at rows 522 and 900 of rotation 5, which sleeps, and at row 3 of
+    # rotation 17, which fails first in wall time.  The lowest failing pair
+    # is 5 * 1000 + 522
+    bad = {(5, 2): 10, (5, 3): 132, (17, 0): 3}
+    blocks = {}
+    lock = threading.Lock()
+
+    def planted(x, theta, gen):
+        rotation = chunk_index(gen)
+        with lock:
+            block = blocks[rotation] = blocks.get(rotation, -1) + 1
+        y = sample_at_distance(x, theta, gen)
+        if rotation == 5 and block == 2:
+            time.sleep(0.05)
+        if (rotation, block) in bad:
+            y[bad[rotation, block]] = np.nan
+        return y
+
+    f, _ = parse_function("coord:0", 2)
+    monkeypatch.setattr(spherefrac.integral_geometry, "_TRACE_BLOCK", 256)
+    monkeypatch.setattr(spherefrac.perimeter, "sample_at_distance", planted)
+    with monkeypatch.context() as m:
+        m.setattr(spherefrac.integral_geometry, "mc_estimate", mc_estimate_serial)
+        with pytest.raises(NonFiniteSampleError) as expected:
+            seminorm_mc(f, 2, 1.0, -4.0, 32_000, RandomStream(44))
+    blocks.clear()
+    force_workers(monkeypatch, workers)
+    with pytest.raises(NonFiniteSampleError, match=r"nan\) at sample 5522$") as raised:
+        seminorm_mc(f, 2, 1.0, -4.0, 32_000, RandomStream(44))
+    assert str(raised.value) == str(expected.value)
+
+
+def test_seminorm_mc_memory_is_flat_in_the_sample_count(monkeypatch):
+    # a rotation's lattice has samples // 32 points, 6250 and 31250 here,
+    # so blocks of 4096 rows make both runs draw full blocks.  One worker:
+    # with two, the peak depends on how many blocks are alive at once
+    f, _ = parse_function("coord:0", 2)
+    monkeypatch.setattr(spherefrac.integral_geometry, "_TRACE_BLOCK", 1 << 12)
+    force_workers(monkeypatch, 1)
+    peaks = []
+    for samples in (200_000, 1_000_000):
+        tracemalloc.start()
+        try:
+            seminorm_mc(f, 2, 1.0, -20.0, samples, RandomStream(45))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_failure_cancels_chunks_not_started(monkeypatch):

@@ -15,6 +15,7 @@ from spherefrac import (
     Reflection,
     adaptive_quad,
     cap_area,
+    estimation,
     perimeter_by_method,
     perimeter_cap,
     perimeter_circle_exact,
@@ -465,24 +466,46 @@ def test_seminorm_mc_constant_function_is_zero():
     assert est.std_error == 0.0
 
 
-def test_seminorm_mc_coordinate_function_matches_quadrature():
-    # for f = x_1 and p = 2 the pair average reduces to a 1-d integral:
-    # E|f(x)-f(y)|^2 at distance theta is 2 (1 - cos theta) / (n + 1)
-    n, s, p = 2, -1.2, 2.0
+def coordinate_seminorm_quad(n: int, s: float) -> float:
+    """The p = 2 seminorm of f = x_1 on S^n by quadrature: E|f(x)-f(y)|^2
+    at distance theta is 2 (1 - cos theta) / (n + 1), so the pair average
+    reduces to a 1-d integral."""
 
     def h(theta):
         return (
             2.0 / (n + 1)
             * (1.0 - np.cos(theta))
-            * (theta / math.pi) ** (-(n + s * p))
+            * (theta / math.pi) ** (-(n + 2.0 * s))
             * np.sin(theta) ** (n - 1)
         )
 
-    target = sphere_surface(n) * sphere_surface(n - 1) * adaptive_quad(
-        h, 0.0, math.pi, tol=1e-10
-    )
+    return sphere_surface(n) * sphere_surface(n - 1) * adaptive_quad(h, 0.0, math.pi, tol=1e-10)
+
+
+def test_seminorm_mc_coordinate_function_matches_quadrature():
+    n, s, p = 2, -1.2, 2.0
+    target = coordinate_seminorm_quad(n, s)
     est = seminorm_mc(lambda x: x[:, 0], n, p, s, 400_000, RandomStream(3))
     assert abs(est.value - target) < 4.0 * est.std_error
+
+
+def test_seminorm_mc_error_bar_covers_at_the_nominal_rate(monkeypatch):
+    # 200 streams of 32 lattice rotations x 625 pairs at s = -4 against the
+    # quadrature; |value - target| / error is t-distributed with 31 degrees
+    # of freedom, so 1.96 sigma covers 0.941 of the runs.  One worker saves
+    # the thread start-up of 200 small calls
+    monkeypatch.setattr(estimation, "_worker_count", lambda: 1)
+    n, s = 2, -4.0
+    target = coordinate_seminorm_quad(n, s)
+    runs = 200
+    covered = 0
+    for stream in RandomStream(97).split(runs):
+        est = seminorm_mc(lambda x: x[:, 0], n, 2.0, s, 32 * 625, stream)
+        assert est.samples == 32
+        covered += abs(est.value - target) <= 1.96 * est.std_error
+    share = covered / runs
+    print(f"seminorm coverage: {share:.3f}")
+    assert 0.90 <= share <= 0.99
 
 
 # ---------------------------------------------------------------------------
