@@ -9,10 +9,8 @@ crossings), and the extrapolated limits s -> 1, s -> -infinity and s -> 0^-.
 from .estimation import (
     Estimate,
     NonFiniteSampleError,
-    QuadratureError,
     RadialProposal,
     RandomStream,
-    adaptive_quad,
     as_stream,
     mc_estimate,
 )
@@ -86,13 +84,11 @@ __all__ = [
     "PolyconvexUnion",
     "Polytope",
     "ProfileReport",
-    "QuadratureError",
     "RadialProposal",
     "RandomStream",
     "Reflection",
     "SweepRow",
     "VanishingReport",
-    "adaptive_quad",
     "as_stream",
     "beta_asymptotic_check",
     "bp_check",

@@ -9,8 +9,7 @@ result record carrying the config, a sha256 hash of its canonical form, all
 rows, the limit report, and the pass/fail verdicts.
 
 Exit codes: 0 success, 1 usage or config error, 2 verdict failure,
-3 numerical failure.  A warning from the library, such as numpy's overflow
-warning from the cap oracle at s = -700, goes to stderr as one
+3 numerical failure.  A warning from the library goes to stderr as one
 `spherefrac: warning:` line and leaves the exit code alone; a perimeter
 that overflows a float is a config error.  --n must lie
 in [1, 342] (bp-check: [1, 260]).  Seeds come from --seed, else the
@@ -43,7 +42,7 @@ import warnings
 
 import numpy as np
 
-from .estimation import NonFiniteSampleError, QuadratureError, RandomStream
+from .estimation import NonFiniteSampleError, RandomStream
 from .geometry import _row_dots, sphere_surface
 from .integral_geometry import bp_check, crofton_estimate
 from .limits import (
@@ -59,7 +58,7 @@ from .limits import (
     sweep_s_to_minus_inf,
     sweep_seminorm_to_minus_inf,
 )
-from .perimeter import CAP_TOL, METHODS, perimeter_by_method, perimeter_minus_n, validate_s
+from .perimeter import METHODS, perimeter_by_method, perimeter_minus_n, validate_s
 from .sets import (
     ArcUnion,
     Cap,
@@ -376,8 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="MC samples per estimate (at least 2); on S^2 (--n 2) the estimate is "
                         "R = min(32, samples) lattice rotations of samples // R each, so it uses "
                         "R * (samples // R) of them"),
-        "tol": dict(type=float, default=CAP_TOL, help="relative tolerance of the cap oracle, "
-                    "also its reported relative error (default %(default)g)"),
         "threshold": dict(type=float, help="verdict threshold override"),
     }
 
@@ -389,19 +386,19 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{flag}", **run_flags[flag])
         return p
 
-    p = add("perimeter", "fractional s-perimeter of one set", "seed", "samples", "tol", "threshold")
+    p = add("perimeter", "fractional s-perimeter of one set", "seed", "samples", "threshold")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--set", required=True, dest="set_desc")
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--method", choices=METHODS, default="auto")
 
-    p = add("isoperimetric", "randomized two-cap isoperimetric trials", "seed", "samples", "tol")
+    p = add("isoperimetric", "randomized two-cap isoperimetric trials", "seed", "samples")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--trials", type=int, default=50)
 
     p = add("sweep-s1", "surface-area limit sweep (1-s) P_s, s -> 1",
-            "seed", "samples", "tol", "threshold")
+            "seed", "samples", "threshold")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--set", required=True, dest="set_desc")
     p.add_argument("--s-grid", type=_float_list, default=DEFAULT_S1_GRID)
@@ -442,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--function", default="coord:0")
     p.add_argument("--s-grid", type=_float_list, default=DEFAULT_S0_GRID)
 
-    p = add("profile", "isoperimetric profile gamma(alpha) over cap measures", "tol")
+    p = add("profile", "isoperimetric profile gamma(alpha) over cap measures")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--alpha-grid", type=_float_list, default=None)
@@ -475,7 +472,7 @@ def _run_perimeter(args, stream):
     E = parse_set(args.set_desc)
     _check_dimension(E, args.n)
     s = validate_s(args.s)
-    method, value, error = perimeter_by_method(E, s, args.method, args.samples, stream, args.tol)
+    method, value, error = perimeter_by_method(E, s, args.method, args.samples, stream)
     target = None
     alpha = E.exact_measure()
     if s == -float(args.n) and alpha is not None:
@@ -492,8 +489,7 @@ def _run_isoperimetric(args, stream):
     _check_n(args.n)
     _need_two(args.samples, "samples")
     report = isoperimetric_comparison(
-        args.n, args.s, trials=args.trials, samples=args.samples,
-        rng=stream, cap_tol=args.tol,
+        args.n, args.s, trials=args.trials, samples=args.samples, rng=stream
     )
     rows = [
         _row(i, t.union_perimeter.value, t.union_perimeter.std_error,
@@ -513,7 +509,7 @@ def _run_sweep_s1(args, stream):
     E = parse_set(args.set_desc)
     _check_dimension(E, args.n)
     rows, report = sweep_s_to_1(
-        args.n, E, args.s_grid, args.method, samples=args.samples, rng=stream, tol=args.tol
+        args.n, E, args.s_grid, args.method, samples=args.samples, rng=stream
     )
     verdicts = {}
     threshold = args.threshold if args.threshold is not None else THRESHOLDS["sweep-s1"]
@@ -639,7 +635,7 @@ def _run_profile(args, stream):
     grid = args.alpha_grid
     if grid is None:
         grid = [frac * total for frac in (0.05, 0.1, 0.2, 0.35, 0.5, 0.65, 0.8, 0.9, 0.97, 0.995)]
-    rows, report = isoperimetric_profile(args.n, args.s, grid, tol=args.tol)
+    rows, report = isoperimetric_profile(args.n, args.s, grid)
     out = [_row(r.param, r.value, r.error) for r in rows]
     verdicts = {"gamma_vanishes_at_full_measure": report.tail_vanishes}
     detail = {"max_value": report.max_value, "s": args.s}
@@ -699,7 +695,7 @@ def _main(argv) -> int:
     except ValueError as exc:
         print(f"spherefrac: config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (QuadratureError, NonFiniteSampleError, DegenerateCircleError) as exc:
+    except (NonFiniteSampleError, DegenerateCircleError) as exc:
         print(f"spherefrac: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     record = build_record(args.command, config, rows, limit, verdicts, detail, seed)

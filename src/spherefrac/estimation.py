@@ -1,4 +1,4 @@
-"""Monte Carlo and quadrature plumbing shared by the perimeter estimators.
+"""Monte Carlo plumbing shared by the perimeter estimators.
 
 Everything here is deterministic given a seed: random state is carried by
 RandomStream, a splittable wrapper over numpy's SeedSequence, and chunked
@@ -10,17 +10,12 @@ from __future__ import annotations
 
 import contextvars
 import functools
-import heapq
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge within its subdivision budget."""
 
 
 class NonFiniteSampleError(RuntimeError):
@@ -202,78 +197,6 @@ def mc_estimate(sampler, integrand, n_samples: int, rng, chunk_size: int = 1 << 
     return functools.reduce(Estimate.merge, parts)
 
 
-# 7- and 15-point Gauss-Legendre nodes for the embedded error estimate,
-# and both rules' nodes in the order the integrand gets them
-_G7_X, _G7_W = np.polynomial.legendre.leggauss(7)
-_G15_X, _G15_W = np.polynomial.legendre.leggauss(15)
-_PAIR_X = np.concatenate((_G7_X, _G15_X))
-
-
-def _gauss_rules(f, intervals):
-    """(value, error) of the Gauss(7/15) pair on each (a, b) in intervals,
-    from one call of f on all their nodes."""
-    halves = [0.5 * (b - a) for a, b in intervals]
-    xs = np.concatenate(
-        [0.5 * (a + b) + half * _PAIR_X for (a, b), half in zip(intervals, halves)]
-    )
-    vals = np.asarray(f(xs), dtype=float)
-    if vals.shape != xs.shape:
-        raise ValueError("quadrature integrand must be vectorized over node arrays")
-    rules = []
-    for half, row in zip(halves, vals.reshape(len(halves), -1)):
-        coarse = half * float(_G7_W @ row[:7])
-        fine = half * float(_G15_W @ row[7:])
-        rules.append((fine, abs(fine - coarse)))
-    return rules
-
-
-# adaptive_quad's subdivision budget: the deepest bisection and the most intervals
-_MAX_DEPTH, _MAX_INTERVALS = 60, 200_000
-
-
-def adaptive_quad(f, a: float, b: float, tol: float = 1e-10) -> float:
-    """Globally adaptive Gauss(7/15) integral of f over [a, b].
-
-    The worst interval (largest embedded-rule error) is bisected until the
-    summed error drops below tol relative to the running total.  f must
-    accept node arrays: it gets the 22 nodes of [a, b] in one call, then,
-    per bisection, the 2 x 22 nodes of both halves in one call, so it is
-    called 1 + (number of bisections) times.  Nodes are interior, so
-    integrable endpoint singularities are tolerated.
-
-    Raises QuadratureError when the subdivision budget (depth _MAX_DEPTH or
-    _MAX_INTERVALS intervals) is exhausted, reporting the worst interval.
-    """
-    if not (b > a):
-        if b == a:
-            return 0.0
-        raise ValueError("integration bounds must satisfy a <= b")
-    [(val, err)] = _gauss_rules(f, [(a, b)])
-    # heap of (-error, tiebreak, a, b, value, depth)
-    heap = [(-err, 0, a, b, val, 0)]
-    total_val, total_err = val, err
-    counter = 1
-    while total_err > tol * max(abs(total_val), 1e-300):
-        if len(heap) >= _MAX_INTERVALS:
-            raise QuadratureError(
-                f"interval budget exhausted: {len(heap)} intervals, error {total_err:.3e}"
-            )
-        neg_err, _, ia, ib, ival, depth = heapq.heappop(heap)
-        if depth >= _MAX_DEPTH:
-            raise QuadratureError(
-                f"subdivision depth {_MAX_DEPTH} exceeded on [{ia!r}, {ib!r}] "
-                f"with interval error {-neg_err:.3e}"
-            )
-        mid = 0.5 * (ia + ib)
-        (lv, le), (rv, re) = _gauss_rules(f, [(ia, mid), (mid, ib)])
-        total_val += lv + rv - ival
-        total_err += le + re - (-neg_err)
-        heapq.heappush(heap, (-le, counter, ia, mid, lv, depth + 1))
-        heapq.heappush(heap, (-re, counter + 1, mid, ib, rv, depth + 1))
-        counter += 2
-    return total_val
-
-
 class RadialProposal:
     """Exact importance sampler for the radial factor of geodesic polar integrals.
 
@@ -291,18 +214,28 @@ class RadialProposal:
     weight lies within a factor (4/pi)^(n-1) of the smallest.
 
     Construction fails when the target is not normalizable, i.e. a <= 0
-    (the s >= 0 singular regime of the perimeter kernel).
+    (the s >= 0 singular regime of the perimeter kernel), when the exponent
+    is not finite, and when the target's mass pi B(a, n) underflows a
+    float, so that every weight would be 0.
     """
 
     def __init__(self, n: int, exponent: float):
         if n < 1:
             raise ValueError("sphere dimension must be >= 1")
         a = exponent + n
+        if not math.isfinite(a):
+            raise ValueError(f"the kernel exponent must be finite, got {exponent} on S^{n}")
         if a <= 0.0:
             raise ValueError(
                 "density sin^(n-1)(theta) * theta^exponent is not normalizable at 0 "
                 f"(exponent {exponent}, n {n}); this is the s >= 0 singular regime"
             )
+        # B(a, n) = (n-1)! / prod_(k<n) (a + k) for the integer n keeps its
+        # digits where lgamma(a) - lgamma(a + n) cancels (large a)
+        log_mass = math.log(math.pi) + math.lgamma(n) - sum(math.log(a + k) for k in range(n))
+        if log_mass < math.log(np.finfo(float).tiny):
+            raise ValueError(f"the kernel exponent {exponent:g} on S^{n} leaves a mass "
+                             "pi B(exponent + n, n) that underflows a float")
         self.n = int(n)
         self._a = a
         log_beta = math.lgamma(a) + math.lgamma(n) - math.lgamma(a + n)

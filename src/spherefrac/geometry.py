@@ -138,33 +138,6 @@ def _beta_fraction(a: float, x):
     return h
 
 
-def _beta_half(m: int, x):
-    """I_x(1/2, m/2) for integer m >= 1: the Student-t distribution's finite
-    sums (Abramowitz & Stegun 26.7.3-4), with y = 1 - x,
-
-        even m: sqrt(x) sum_(j < m/2) b_j y^j,  b_j = b_(j-1) (2j - 1) / 2j,
-        odd m:  (2/pi) [arcsin sqrt(x) + sqrt(x y) sum_(j < (m-1)/2) a_j y^j],
-                a_j = a_(j-1) 2j / (2j + 1),
-
-    with b_0 = a_0 = 1.  Every term is positive, so small x keeps its
-    relative accuracy.  m = 1 is (2/pi) arcsin sqrt(x) and m = 2 is
-    sqrt(x).  Vectorized over x in [0, 1].
-    """
-    x = np.asarray(x, dtype=float)
-    root = np.sqrt(x)
-    if m == 1:
-        return (2.0 / math.pi) * np.arcsin(root)
-    y = 1.0 - x
-    odd = m % 2
-    # nested: 1 + q_1 y (1 + q_2 y (1 + ...)), q_j the ratio of term j to j - 1
-    series = 1.0
-    for j in range(m // 2 - 1, 0, -1):
-        series = 1.0 + (2 * j - 1 + odd) / (2 * j + odd) * y * series
-    if odd:
-        return (2.0 / math.pi) * (np.arcsin(root) + root * np.sqrt(y) * series)
-    return root * series
-
-
 # volume_radius's bracket length at which it stops, and its most steps
 _RADIUS_TOL, _RADIUS_STEPS = 1e-12, 200
 

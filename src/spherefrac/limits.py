@@ -17,14 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import Estimate, adaptive_quad, as_stream, mc_estimate
+from .estimation import Estimate, as_stream, mc_estimate
 from .geometry import geodesic_distance, sample_uniform, sphere_surface, volume_radius
 from .integral_geometry import symmetric_overlap_measure
 from .perimeter import (
-    CAP_TOL,
+    _cap_oracle,
+    _jacobi_rule,
     _perimeter_point_pairs,
     perimeter_by_method,
-    perimeter_cap,
     perimeter_mc,
     seminorm_mc,
     validate_p,
@@ -136,7 +136,6 @@ def sweep_s_to_1(
     method: str = "auto",
     samples: int = 1_000_000,
     rng=None,
-    tol: float = CAP_TOL,
 ):
     """Rows of (1-s) P_s(E) over s_grid with the extrapolated s->1 limit.
 
@@ -145,8 +144,9 @@ def sweep_s_to_1(
     S^n.  Each row is perimeter.perimeter_by_method's for method, which
     auto sets to the cap oracle for a cap, the circle formula on S^1 and
     otherwise perimeter_mc's sliced estimator, whose variance stays finite
-    up to s -> 1, so one samples count serves every row.  rng, when given,
-    is split into one stream per row; mc needs it.
+    up to s -> 1, so one samples count serves every row; value and error
+    are scaled by (1-s).  rng, when given, is split into one stream per
+    row; mc needs it.
     """
     grid = _strict_grid(s_grid, "s_grid", lambda s: 0.0 < s < 1.0, "inside (0, 1)")
     if E.dimension != n:
@@ -154,8 +154,8 @@ def sweep_s_to_1(
     streams = [None] * len(grid) if rng is None else as_stream(rng).split(len(grid))
     rows = []
     for s, stream in zip(grid, streams):
-        used, value, error = perimeter_by_method(E, s, method, samples, stream, tol, 1.0 - s)
-        rows.append(SweepRow(s, value, error, used))
+        used, value, error = perimeter_by_method(E, s, method, samples, stream)
+        rows.append(SweepRow(s, (1.0 - s) * value, (1.0 - s) * error, used))
     bm = E.boundary_measure()
     target = None if bm is None else sphere_surface(n) / sphere_surface(1) * bm
     report = extrapolate([1.0 - s for s in grid], [row.value for row in rows], target)
@@ -296,16 +296,18 @@ def _lipschitz_seminorm_bound(n: int, s: float, lipschitz: float) -> float:
 
         [f]_(s,1) <= L omega_(n+1) omega_n int_0^pi theta (theta/pi)^-(n+s) sin^(n-1) theta d theta.
 
-    The integral is pi^(n+s) int_0^pi theta^-s sinc^(n-1) d theta, taken by
-    adaptive_quad, and the product is formed in logs, so it stays a normal
-    float where omega_(n+1) omega_n underflows (n >= 261).  0 for L = 0.
+    With theta = pi v the integral is pi^(n+1) int_0^1 v^-s (sin(pi v) / (pi v))^(n-1) dv,
+    a Gauss-Jacobi sum on perimeter._jacobi_rule(40 + n // 2, -s), and the
+    product is formed in logs, so it stays a normal float where
+    omega_(n+1) omega_n underflows (n >= 261).  0 for L = 0.
     """
     if lipschitz == 0.0:
         return 0.0
-    integral = adaptive_quad(lambda t: t**-s * np.sinc(t / math.pi) ** (n - 1), 0.0, math.pi)
+    v, w = _jacobi_rule(40 + n // 2, -s)
+    integral = float(w @ np.sinc(v) ** (n - 1))
     return math.exp(
         math.log(lipschitz) + math.log(sphere_surface(n)) + math.log(sphere_surface(n - 1))
-        + (n + s) * math.log(math.pi) + math.log(integral)
+        + (n + 1) * math.log(math.pi) + math.log(integral)
     )
 
 
@@ -349,16 +351,17 @@ class ProfileReport:
     tail_vanishes: bool  # last row < 10% of the max
 
 
-def isoperimetric_profile(n: int, s: float, alpha_grid, tol: float = CAP_TOL):
-    """Profile rows gamma = P_s(C(a^-1(alpha)))/alpha over a measure grid."""
+def isoperimetric_profile(n: int, s: float, alpha_grid):
+    """Profile rows gamma = P_s(C(a^-1(alpha)))/alpha over a measure grid,
+    from the cap oracle, whose error each row divides by alpha too."""
     total = sphere_surface(n)
     grid = _strict_grid(
         alpha_grid, "alpha_grid", lambda a: 0.0 < a < total, f"inside (0, {total:.6g})"
     )
     rows = []
     for alpha in grid:
-        gamma = perimeter_cap(n, s, volume_radius(n, alpha), tol=tol) / alpha
-        rows.append(SweepRow(alpha, gamma, abs(gamma) * tol, "cap_oracle"))
+        value, error = _cap_oracle(n, s, volume_radius(n, alpha))
+        rows.append(SweepRow(alpha, value / alpha, error / alpha, "cap_oracle"))
     peak = max(row.value for row in rows)
     report = ProfileReport(peak, rows[-1].value < 0.1 * peak)
     return rows, report
@@ -417,19 +420,18 @@ def isoperimetric_comparison(
     trials: int = 50,
     samples: int = 200_000,
     rng=None,
-    cap_tol: float = CAP_TOL,
 ) -> ComparisonReport:
     """Randomized isoperimetric trials: two-cap unions against matched caps.
 
     For each trial, P_s of a random disjoint two-cap union (MC) is compared
-    with P_s of the cap of equal measure (quadrature oracle).  For s > -n
+    with P_s of the cap of equal measure (the cap oracle).  For s > -n
     the union must exceed the cap by more than 3 standard errors; for
     s < -n the inequality reverses.  s = -n is the degenerate pivot where
     the perimeter depends on the measure alone, so it is rejected here.
 
     The union's perimeter is one perimeter_mc run of samples per trial
-    (the sliced great-circle estimator), and the margin is its plain
-    z-score against the cap.
+    (the sliced great-circle estimator), and the margin is its z-score
+    against the cap, with the oracle's error bar added in quadrature.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -443,9 +445,9 @@ def isoperimetric_comparison(
         cap1, cap2 = random_disjoint_cap_pair(n, gen)
         union = PolyconvexUnion((cap1, cap2))
         alpha = union.exact_measure()
-        cap_value = perimeter_cap(n, s, volume_radius(n, alpha), tol=cap_tol)
+        cap_value, cap_error = _cap_oracle(n, s, volume_radius(n, alpha))
         est = perimeter_mc(union, s, samples, stream)
-        combined = math.hypot(est.std_error, abs(cap_value) * cap_tol)
+        combined = math.hypot(est.std_error, cap_error)
         margin = direction * (est.value - cap_value) / combined if combined > 0 else math.inf
         out.append(
             ComparisonTrial((cap1.radius, cap2.radius), alpha, est, cap_value, margin)

@@ -13,6 +13,12 @@ c_n times the Haar mean of a circle double integral over the set's trace,
 which _GreatCircleKernel evaluates exactly from one matched antiderivative
 of the kernel, so its variance is finite for every s < 1.
 
+perimeter_cap, the cap oracle, is the same identity on a cap: a circle
+meets a cap in one arc, whose length depends only on the squared length
+u ~ Beta(1, (n-1)/2) of the cap center's projection onto the circle's
+plane, so the Haar mean is one integral in u, taken on a fixed tanh-sinh
+rule at two nested levels over the same kernel.
+
 seminorm_mc is the one point-pair estimator: x uniform, or on S^2 a point
 of a Haar-rotated Fibonacci lattice, and y at a distance drawn from
 RadialProposal.  Since |1_E(x) - 1_E(y)| counts each pair of E
@@ -31,8 +37,8 @@ import math
 
 import numpy as np
 
-from .estimation import Estimate, RadialProposal, _checked_values, adaptive_quad, mc_estimate
-from .geometry import _beta_half, _x_minus_sin, cap_area, sample_at_distance, sample_uniform, sphere_surface
+from .estimation import Estimate, RadialProposal, _checked_values, mc_estimate
+from .geometry import _x_minus_sin, sample_at_distance, sample_uniform, sphere_surface
 from .integral_geometry import _circle_mean, _lattice_points, _rotated_lattice_mean
 from .sets import ENDPOINT_MARGIN, TWO_PI, ArcUnion, Cap, trace
 
@@ -102,17 +108,26 @@ def perimeter_mc(
     except TypeError:
         raise ValueError(f"no great-circle trace for {type(E).__name__}: "
                          "the sliced perimeter needs sets.trace") from None
+    kernel = _sliced_kernel(n, s, normalized)
+    if kernel.scale < np.finfo(float).tiny:
+        raise ValueError(f"c_n times the kernel's scale underflows a float at n = {n}, s = {s:g}")
+    est, _ = _circle_mean(E, kernel.circle_values, samples, rng)
+    return _refuse_zero(est, E, f"sampled circle gave 0 at n = {n}, samples = {samples}")
+
+
+def _sliced_kernel(n: int, s: float, normalized: bool = False) -> "_GreatCircleKernel":
+    """_GreatCircleKernel(n, s, normalized) whose scale carries c_n =
+    omega_(n+1) omega_n / (4 pi) too.  c_n is subnormal from n = 261, so the
+    product is formed in logs; one that overflows is _scale_overflow's
+    ValueError, and one that is subnormal is the caller's to refuse."""
     kernel = _GreatCircleKernel(n, s, normalized)
-    # c_n = omega_(n+1) omega_n / (4 pi); each factor is a normal float for n <= 342
+    # each factor of c_n is a normal float for n <= 342
     log_scale = math.log(sphere_surface(n)) + math.log(sphere_surface(n - 1) / (4.0 * math.pi))
     try:
         kernel.scale = math.exp(log_scale + math.log(kernel.scale))
     except OverflowError:
         raise _scale_overflow(n, s) from None
-    if kernel.scale < np.finfo(float).tiny:
-        raise ValueError(f"c_n times the kernel's scale underflows a float at n = {n}, s = {s:g}")
-    est, _ = _circle_mean(E, kernel.circle_values, samples, rng)
-    return _refuse_zero(est, E, f"sampled circle gave 0 at n = {n}, samples = {samples}")
+    return kernel
 
 
 def _refuse_zero(est: Estimate, E, what: str) -> Estimate:
@@ -218,113 +233,81 @@ def seminorm_mc(
 # cap oracle
 
 
-# Relative tolerance of the cap oracle, and the relative error it reports.
-CAP_TOL = 1e-8
+# The cap oracle's relative error bar, by measurement: against the 40-digit
+# pins of tests/oracles.CAP_PERIMETERS (n in {2, 3}, s from -4 to 0.999) it
+# is within 8.2e-15, against 40-digit hemispheres up to n = 230 within
+# 2.1e-12 (worst near s = -1, where the kernel's W keeps 6e-12), and its
+# two rule levels agree to 6e-15.
+CAP_TOL = 1e-11
+
+# The tanh-sinh rule's nodes on t in [-_CAP_SPAN, _CAP_SPAN]: at t = 4 a
+# node is 6e-38 from its end, and its weight below 1e-36.
+_CAP_NODES, _CAP_SPAN = 513, 4.0
 
 
 @functools.cache
-def _crescent_rule(nodes: int):
-    """Gauss-Legendre rule on [0, 1] for the crescent's radial integral:
-    48 nodes up to n = 50 and 96 above, where sin^(n-1) rho needs them.
-    Against the sliced hemisphere at s in {0, -1, -n}, 48 are off by 3e-8
-    at n = 100 and 7e-6 at n = 200, and 96 by at most 2e-12 to n = 260."""
-    v, w = np.polynomial.legendre.leggauss(nodes)
-    return 0.5 * (v + 1.0), 0.5 * w
+def _cap_rule():
+    """Tanh-sinh rule (v, 1 - v, w) for int_0^1 f(v) dv (Takahasi and Mori,
+    Publ. RIMS 9, 1974): v = (1 + tanh(pi/2 sinh t)) / 2 at _CAP_NODES
+    equally spaced t, with both distances to the ends formed without
+    cancellation, and w = h pi cosh(t) v (1 - v).  Every other node, at
+    twice its weight, is the coarse level."""
+    t = np.linspace(-_CAP_SPAN, _CAP_SPAN, _CAP_NODES)
+    q = math.pi * np.sinh(t)
+    v, rest = 1.0 / (1.0 + np.exp(-q)), 1.0 / (1.0 + np.exp(q))
+    return v, rest, (t[1] - t[0]) * math.pi * np.cosh(t) * v * rest
 
 
-def _cap_crescent(n: int, r: float, theta):
-    """Measure K(theta) of the part of a radius-r cap outside a copy of it
-    whose center is moved a distance theta; needs n >= 2 and r <= pi/2.
-
-    The great sphere bisecting the two centers splits the cap into a near
-    and a far side, and K = |near side| - |far side|, because the copy's
-    part on the near side mirrors the cap's far side.  In polar coordinates
-    (rho, u) about the cap's center, the geodesic sphere of radius rho lies
-    wholly on the near side while rho <= h = min(theta/2, r).  A larger one
-    has direction u on the far side when cos(angle(u, axis)) > tau =
-    tan h / tan rho, so its net share of directions is P(|cos| < tau) =
-    I_(tau^2)(1/2, (n-1)/2), the regularized incomplete beta, which
-    geometry._beta_half sums in closed form (the Student-t finite sums):
-
-        K = cap_area(n, h) + omega_n int_h^r sin^(n-1)(rho) I_(tau^2)(1/2, (n-1)/2) d rho.
-
-    Every term is positive, so small theta loses no digits (unlike
-    cap_area - lens).  rho = h + (r - h) v^6 makes the (rho - h)^((n-1)/2)
-    start of the integrand smooth for a fixed rule in v (_crescent_rule)
-    and spreads its nodes over the layer of width ~h.  Vectorized over theta.
-    """
-    v, w = _crescent_rule(48 if n <= 50 else 96)
-    h = np.minimum(0.5 * np.asarray(theta, dtype=float), r)[..., None]
-    span = r - h
-    rho = h + span * v**6
-    tau2 = np.minimum((np.tan(h) / np.tan(rho)) ** 2, 1.0)
-    share = np.sin(rho) ** (n - 1) * _beta_half(n - 1, tau2)
-    # one sum per theta, so K at a node does not depend on the other nodes
-    # of its call: a BLAS matrix-vector product sums the last (count mod 4)
-    # rows in another order
-    lateral = np.einsum("...j,j->...", share * 6.0 * span * v**5, w)
-    return cap_area(n, h[..., 0]) + sphere_surface(n - 1) * lateral
-
-
-def perimeter_cap(n: int, s: float, r: float, tol: float = CAP_TOL) -> float:
-    """Deterministic s-perimeter of a radius-r cap on S^n from its covariogram.
-
-    Grouping the pairs of points by their distance theta gives
-
-        P_s(C_r) = omega_n int_0^pi theta^-(n+s) sin^(n-1)(theta) K(theta) d theta,
-
-    with K the crescent measure of _cap_crescent, built from finite sums
-    only: the Student-t sums for I_x(1/2, (n-1)/2) and cap_area's closed
-    forms (a continued fraction from n = 4 on).  P_s(E) = P_s(E^c) reduces
-    r to at most pi/2; K is then the constant cap_area(n, r) on [2r, pi].
-    On [0, 2r] the integrand is theta^-s R(theta) with
-    R = sinc^(n-1)(theta/pi) K(theta)/theta, which is finite at 0:
-
-        R(0) = H^(n-1)(boundary) Gamma(n/2) / (2 sqrt(pi) Gamma((n+1)/2)),
-
-    so (1-s) P_s tends to omega_n R(0) as s -> 1.  For s > 0 the head
-    R(0) (2r)^(1-s)/(1-s) is taken in closed form and the rest, whose
-    integrand vanishes like theta^(1-s) at 0, by adaptive quadrature.
-
-    tol is the relative accuracy; against 40-digit values for n in {2, 3}
-    the error stays below tol/5 for every tol from 1e-3 to 1e-12.  n = 1
-    delegates to the exact circle formula.  A value that overflows a float
-    (s far below -n), or underflows to 0 for 0 < r < pi, is a ValueError.
-    """
+def _cap_oracle(n: int, s: float, r: float):
+    """(value, error) of perimeter_cap(n, s, r): the error is the larger of
+    the difference of the rule's two levels and CAP_TOL |value|."""
     s = validate_s(s)
     if not (0.0 <= r <= math.pi):
         raise ValueError(f"cap radius must lie in [0, pi], got {r}")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
     if r <= 0.0 or r >= math.pi:
-        return 0.0
+        return 0.0, 0.0
     if n == 1:
-        return perimeter_circle_exact(ArcUnion([(-r, 2.0 * r)]), s)
+        value = perimeter_circle_exact(ArcUnion([(-r, 2.0 * r)]), s)
+        return value, CAP_TOL * value
     r = min(r, math.pi - r)
-    omega_n = sphere_surface(n - 1)
-
-    def reduced(theta):
-        return np.sinc(theta / math.pi) ** (n - 1) * _cap_crescent(n, r, theta) / theta
-
-    if s > 0.0:
-        r0 = (
-            omega_n * math.sin(r) ** (n - 1) * math.gamma(0.5 * n)
-            / (2.0 * math.sqrt(math.pi) * math.gamma(0.5 * (n + 1)))
-        )
-        near = r0 * (2.0 * r) ** (1.0 - s) / (1.0 - s) + adaptive_quad(
-            lambda t: t**-s * (reduced(t) - r0), 0.0, 2.0 * r, tol=tol
-        )
-    else:
-        near = adaptive_quad(lambda t: t**-s * reduced(t), 0.0, 2.0 * r, tol=tol)
-    far = 0.0
-    if 2.0 * r < math.pi:
-        far = cap_area(n, r) * adaptive_quad(
-            lambda t: t ** (-n - s) * np.sin(t) ** (n - 1), 2.0 * r, math.pi, tol=tol
-        )
-    value = _finite(omega_n * (near + far), n, s)
-    if value == 0.0:
+    kernel = _sliced_kernel(n, s)
+    v, rest, w = _cap_rule()
+    a = math.sin(r) ** 2
+    # u = cos^2 r + a v and 1 - u = a (1 - v); the arc's half length is
+    # atan2(sqrt(u - cos^2 r), cos r)
+    length = 2.0 * np.arctan2(math.sin(r) * np.sqrt(v), math.cos(r))
+    terms = w * kernel.W(length) * (a * rest) ** (0.5 * (n - 3))
+    factor = 0.5 * (n - 1) * a
+    value = _finite(factor * float(terms.sum()), n, s)
+    if kernel.scale < np.finfo(float).tiny or value < np.finfo(float).tiny:
         raise ValueError(f"the cap oracle's value underflows a float at n = {n}, s = {s:g}, r = {r:g}")
-    return value
+    coarse = 2.0 * factor * float(terms[::2].sum())
+    return value, max(abs(value - coarse), CAP_TOL * value)
+
+
+def perimeter_cap(n: int, s: float, r: float) -> float:
+    """Deterministic s-perimeter of a radius-r cap on S^n, from the sliced
+    identity of perimeter_mc on one _GreatCircleKernel(n, s).
+
+    P_s(E) = P_s(E^c) reduces r to at most pi/2.  A Haar great circle meets
+    the cap where its center's projection onto the circle's plane, of
+    length rho, exceeds cos r: in one arc of length 2 arccos(cos r / rho).
+    With u = rho^2 ~ Beta(1, (n-1)/2),
+
+        P_s(C_r) = c_n int_(cos^2 r)^1 W(2 arccos(cos r / sqrt u)) ((n-1)/2) (1-u)^((n-3)/2) du,
+
+    W the kernel's value of one arc and c_n = omega_(n+1) omega_n / (4 pi).
+    The integral is a fixed tanh-sinh rule in u (_cap_rule), which takes
+    the ends' singularities, (u - cos^2 r)^((1-s)/2) and (1-u)^((n-3)/2), at
+    their own rate; its 513 nodes and the 257 of its coarse level agree to
+    6e-15.  The reported error (perimeter_by_method) is the larger of that
+    difference and CAP_TOL |value|; CAP_TOL gives the measured error bar.
+
+    n = 1 delegates to the exact circle formula.  A value that overflows a
+    float (s far below -n), or underflows it for 0 < r < pi, is a
+    ValueError.
+    """
+    return _cap_oracle(n, s, r)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -601,18 +584,15 @@ def perimeter_by_method(
     method: str = "auto",
     samples: int = 1_000_000,
     rng=None,
-    tol: float = CAP_TOL,
-    prefactor: float = 1.0,
 ):
-    """(method, value, error) of prefactor * P_s(E) by one of METHODS.
+    """(method, value, error) of P_s(E) by one of METHODS.
 
     auto picks cap_oracle for a Cap, circle_exact for any other set on S^1
-    and mc otherwise.  cap_oracle (perimeter_cap, E a Cap) reports
-    |value| tol, circle_exact (perimeter_circle_exact, E on S^1) 0, and mc
-    (perimeter_mc, at least two samples from rng) its standard error.  A
-    method that does not fit E is a ValueError.  prefactor is a sweep's
-    normalizing factor, such as (1 - s): value and error are scaled by it,
-    and the cap oracle's relative error is taken on the scaled value.
+    and mc otherwise.  cap_oracle (perimeter_cap, E a Cap) reports the
+    larger of its rule levels' difference and CAP_TOL |value|, circle_exact
+    (perimeter_circle_exact, E on S^1) 0, and mc (perimeter_mc, at least
+    two samples from rng) its standard error.  A method that does not fit E
+    is a ValueError.
     """
     s = validate_s(s)
     if method == "auto":
@@ -620,16 +600,15 @@ def perimeter_by_method(
     if method == "cap_oracle":
         if not isinstance(E, Cap):
             raise ValueError(f"cap_oracle needs a cap, got a {type(E).__name__}")
-        value = prefactor * perimeter_cap(E.dimension, s, E.radius, tol=tol)
-        return method, value, abs(value) * tol
+        return (method, *_cap_oracle(E.dimension, s, E.radius))
     if method == "circle_exact":
         if E.dimension != 1:
             raise ValueError(f"circle_exact needs a set on S^1, got one on S^{E.dimension}")
-        return method, prefactor * perimeter_circle_exact(E, s), 0.0
+        return method, perimeter_circle_exact(E, s), 0.0
     if method == "mc":
         # one sample has an infinite error bar, under which every 3-sigma verdict would pass
         if samples < 2:
             raise ValueError(f"need at least two samples for an error bar, got {samples}")
         est = perimeter_mc(E, s, samples, rng)
-        return method, prefactor * est.value, prefactor * est.std_error
+        return method, est.value, est.std_error
     raise ValueError(f"unknown method {method!r}: expected one of {', '.join(METHODS)}")

@@ -7,11 +7,14 @@ of membership tests and samplers that the library computes faster,
 sharing no code path with the routines they check, plus high-precision
 cap perimeters and great-circle kernel values pinned from mpmath
 computations (CAP_PERIMETERS and KERNEL_W, whose comments say how they were
-made).  The perimeter of a disjoint cap union
-adds the cap oracle's perimeters to a Gauss-Legendre cross term, to check
-the point-pair estimator on a set with two boundaries.  Four references
-are the serial forms of faster library paths that must equal them to the
-bit, so they reuse the library's rules, pooling and samplers: adaptive_quad
+made).  The covariogram cap oracle (covariogram_cap_perimeter, from a
+cap's crescent measure on the adaptive Gauss(7/15) quadrature
+adaptive_quad, both of which left the library) is the reference that
+shares no code with the great-circle kernel.  The perimeter of a disjoint
+cap union adds its perimeters to a Gauss-Legendre cross term, to check
+the sliced estimator on a set with two boundaries.  Four references
+are the serial forms of faster paths that must equal them to the
+bit, so they reuse those paths' rules, pooling and samplers: adaptive_quad
 with one integrand call per Gauss pair, the one-thread chunk loop of
 mc_estimate, crofton_estimate as that chunk loop (with one trace
 per chunk of iid circles, or one rotated pole lattice per chunk on S^2),
@@ -30,20 +33,10 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from spherefrac.estimation import (
-    _G7_W,
-    _G7_X,
-    _G15_W,
-    _G15_X,
-    Estimate,
-    NonFiniteSampleError,
-    QuadratureError,
-    adaptive_quad,
-    as_stream,
-)
-from spherefrac.geometry import sphere_surface
+from spherefrac.estimation import Estimate, NonFiniteSampleError, as_stream
+from spherefrac.geometry import cap_area, sphere_surface
 from spherefrac.integral_geometry import CroftonReport, _circle_weights, bp_constant
-from spherefrac.perimeter import _power_quotient, perimeter_cap, validate_s
+from spherefrac.perimeter import _power_quotient, validate_s
 from spherefrac.sets import ArcUnion, trace
 
 TWO_PI = 2.0 * math.pi
@@ -563,6 +556,203 @@ KERNEL_W = {
 }
 
 
+# ---------------------------------------------------------------------------
+# adaptive quadrature and the covariogram cap oracle
+
+
+class QuadratureError(RuntimeError):
+    """Adaptive quadrature failed to converge within its subdivision budget."""
+
+
+# 7- and 15-point Gauss-Legendre nodes for the embedded error estimate,
+# and both rules' nodes in the order the integrand gets them
+_G7_X, _G7_W = np.polynomial.legendre.leggauss(7)
+_G15_X, _G15_W = np.polynomial.legendre.leggauss(15)
+_PAIR_X = np.concatenate((_G7_X, _G15_X))
+
+
+def _gauss_rules(f, intervals):
+    """(value, error) of the Gauss(7/15) pair on each (a, b) in intervals,
+    from one call of f on all their nodes."""
+    halves = [0.5 * (b - a) for a, b in intervals]
+    xs = np.concatenate(
+        [0.5 * (a + b) + half * _PAIR_X for (a, b), half in zip(intervals, halves)]
+    )
+    vals = np.asarray(f(xs), dtype=float)
+    if vals.shape != xs.shape:
+        raise ValueError("quadrature integrand must be vectorized over node arrays")
+    rules = []
+    for half, row in zip(halves, vals.reshape(len(halves), -1)):
+        coarse = half * float(_G7_W @ row[:7])
+        fine = half * float(_G15_W @ row[7:])
+        rules.append((fine, abs(fine - coarse)))
+    return rules
+
+
+# adaptive_quad's subdivision budget: the deepest bisection and the most intervals
+_MAX_DEPTH, _MAX_INTERVALS = 60, 200_000
+
+
+def adaptive_quad(f, a: float, b: float, tol: float = 1e-10) -> float:
+    """Globally adaptive Gauss(7/15) integral of f over [a, b].
+
+    The worst interval (largest embedded-rule error) is bisected until the
+    summed error drops below tol relative to the running total.  f must
+    accept node arrays: it gets the 22 nodes of [a, b] in one call, then,
+    per bisection, the 2 x 22 nodes of both halves in one call, so it is
+    called 1 + (number of bisections) times.  Nodes are interior, so
+    integrable endpoint singularities are tolerated.
+
+    Raises QuadratureError when the subdivision budget (depth _MAX_DEPTH or
+    _MAX_INTERVALS intervals) is exhausted, reporting the worst interval.
+    """
+    if not (b > a):
+        if b == a:
+            return 0.0
+        raise ValueError("integration bounds must satisfy a <= b")
+    [(val, err)] = _gauss_rules(f, [(a, b)])
+    # heap of (-error, tiebreak, a, b, value, depth)
+    heap = [(-err, 0, a, b, val, 0)]
+    total_val, total_err = val, err
+    counter = 1
+    while total_err > tol * max(abs(total_val), 1e-300):
+        if len(heap) >= _MAX_INTERVALS:
+            raise QuadratureError(
+                f"interval budget exhausted: {len(heap)} intervals, error {total_err:.3e}"
+            )
+        neg_err, _, ia, ib, ival, depth = heapq.heappop(heap)
+        if depth >= _MAX_DEPTH:
+            raise QuadratureError(
+                f"subdivision depth {_MAX_DEPTH} exceeded on [{ia!r}, {ib!r}] "
+                f"with interval error {-neg_err:.3e}"
+            )
+        mid = 0.5 * (ia + ib)
+        (lv, le), (rv, re) = _gauss_rules(f, [(ia, mid), (mid, ib)])
+        total_val += lv + rv - ival
+        total_err += le + re - (-neg_err)
+        heapq.heappush(heap, (-le, counter, ia, mid, lv, depth + 1))
+        heapq.heappush(heap, (-re, counter + 1, mid, ib, rv, depth + 1))
+        counter += 2
+    return total_val
+
+
+def _beta_half(m: int, x):
+    """I_x(1/2, m/2) for integer m >= 1: the Student-t distribution's finite
+    sums (Abramowitz & Stegun 26.7.3-4), with y = 1 - x,
+
+        even m: sqrt(x) sum_(j < m/2) b_j y^j,  b_j = b_(j-1) (2j - 1) / 2j,
+        odd m:  (2/pi) [arcsin sqrt(x) + sqrt(x y) sum_(j < (m-1)/2) a_j y^j],
+                a_j = a_(j-1) 2j / (2j + 1),
+
+    with b_0 = a_0 = 1.  Every term is positive, so small x keeps its
+    relative accuracy.  m = 1 is (2/pi) arcsin sqrt(x) and m = 2 is
+    sqrt(x).  Vectorized over x in [0, 1].
+    """
+    x = np.asarray(x, dtype=float)
+    root = np.sqrt(x)
+    if m == 1:
+        return (2.0 / math.pi) * np.arcsin(root)
+    y = 1.0 - x
+    odd = m % 2
+    # nested: 1 + q_1 y (1 + q_2 y (1 + ...)), q_j the ratio of term j to j - 1
+    series = 1.0
+    for j in range(m // 2 - 1, 0, -1):
+        series = 1.0 + (2 * j - 1 + odd) / (2 * j + odd) * y * series
+    if odd:
+        return (2.0 / math.pi) * (np.arcsin(root) + root * np.sqrt(y) * series)
+    return root * series
+
+
+def _crescent_rule(nodes: int):
+    """Gauss-Legendre rule on [0, 1] for the crescent's radial integral:
+    48 nodes up to n = 50 and 96 above, where sin^(n-1) rho needs them.
+    Against the sliced hemisphere at s in {0, -1, -n}, 48 are off by 3e-8
+    at n = 100 and 7e-6 at n = 200, and 96 by at most 2e-12 to n = 260."""
+    v, w = np.polynomial.legendre.leggauss(nodes)
+    return 0.5 * (v + 1.0), 0.5 * w
+
+
+def _cap_crescent(n: int, r: float, theta):
+    """Measure K(theta) of the part of a radius-r cap outside a copy of it
+    whose center is moved a distance theta; needs n >= 2 and r <= pi/2.
+
+    The great sphere bisecting the two centers splits the cap into a near
+    and a far side, and K = |near side| - |far side|, because the copy's
+    part on the near side mirrors the cap's far side.  In polar coordinates
+    (rho, u) about the cap's center, the geodesic sphere of radius rho lies
+    wholly on the near side while rho <= h = min(theta/2, r).  A larger one
+    has direction u on the far side when cos(angle(u, axis)) > tau =
+    tan h / tan rho, so its net share of directions is P(|cos| < tau) =
+    I_(tau^2)(1/2, (n-1)/2), the regularized incomplete beta, which
+    _beta_half sums in closed form (the Student-t finite sums):
+
+        K = cap_area(n, h) + omega_n int_h^r sin^(n-1)(rho) I_(tau^2)(1/2, (n-1)/2) d rho.
+
+    Every term is positive, so small theta loses no digits (unlike
+    cap_area - lens).  rho = h + (r - h) v^6 makes the (rho - h)^((n-1)/2)
+    start of the integrand smooth for a fixed rule in v (_crescent_rule)
+    and spreads its nodes over the layer of width ~h.  Vectorized over theta.
+    """
+    v, w = _crescent_rule(48 if n <= 50 else 96)
+    h = np.minimum(0.5 * np.asarray(theta, dtype=float), r)[..., None]
+    span = r - h
+    rho = h + span * v**6
+    tau2 = np.minimum((np.tan(h) / np.tan(rho)) ** 2, 1.0)
+    share = np.sin(rho) ** (n - 1) * _beta_half(n - 1, tau2)
+    # one sum per theta, so K at a node does not depend on the other nodes
+    # of its call: a BLAS matrix-vector product sums the last (count mod 4)
+    # rows in another order
+    lateral = np.einsum("...j,j->...", share * 6.0 * span * v**5, w)
+    return cap_area(n, h[..., 0]) + sphere_surface(n - 1) * lateral
+
+
+def covariogram_cap_perimeter(n: int, s: float, r: float, tol: float = 1e-8) -> float:
+    """P_s of a radius-r cap on S^n, n >= 2, from its covariogram, sharing
+    no code with the great-circle kernel.  Grouping the pairs of points by
+    their distance theta gives
+
+        P_s(C_r) = omega_n int_0^pi theta^-(n+s) sin^(n-1)(theta) K(theta) d theta,
+
+    with K the crescent measure of _cap_crescent.  P_s(E) = P_s(E^c)
+    reduces r to at most pi/2; K is then the constant cap_area(n, r) on
+    [2r, pi].  On [0, 2r] the integrand is theta^-s R(theta) with
+    R = sinc^(n-1)(theta/pi) K(theta)/theta, finite at 0:
+
+        R(0) = H^(n-1)(boundary) Gamma(n/2) / (2 sqrt(pi) Gamma((n+1)/2)).
+
+    For s > 0 the head R(0) (2r)^(1-s)/(1-s) is taken in closed form and
+    the rest, whose integrand vanishes like theta^(1-s) at 0, by
+    adaptive_quad at relative tolerance tol.  Against 40-digit values for
+    n in {2, 3} the error stays below tol/5 for every tol from 1e-3 to
+    1e-12; the crescent rule holds it to about 2e-11 up to n = 50 and to
+    2e-12 from there to n = 260.
+    """
+    if r <= 0.0 or r >= math.pi:
+        return 0.0
+    r = min(r, math.pi - r)
+    omega_n = sphere_surface(n - 1)
+
+    def reduced(theta):
+        return np.sinc(theta / math.pi) ** (n - 1) * _cap_crescent(n, r, theta) / theta
+
+    if s > 0.0:
+        r0 = (
+            omega_n * math.sin(r) ** (n - 1) * math.gamma(0.5 * n)
+            / (2.0 * math.sqrt(math.pi) * math.gamma(0.5 * (n + 1)))
+        )
+        near = r0 * (2.0 * r) ** (1.0 - s) / (1.0 - s) + adaptive_quad(
+            lambda t: t**-s * (reduced(t) - r0), 0.0, 2.0 * r, tol=tol
+        )
+    else:
+        near = adaptive_quad(lambda t: t**-s * reduced(t), 0.0, 2.0 * r, tol=tol)
+    far = 0.0
+    if 2.0 * r < math.pi:
+        far = cap_area(n, r) * adaptive_quad(
+            lambda t: t ** (-n - s) * np.sin(t) ** (n - 1), 2.0 * r, math.pi, tol=tol
+        )
+    return omega_n * (near + far)
+
+
 def mc_estimate_serial(sampler, integrand, n_samples, rng, chunk_size=1 << 16):
     """mc_estimate's chunk loop in the calling thread, chunk after chunk."""
     if n_samples < 1:
@@ -759,8 +949,9 @@ def disjoint_cap_union_perimeter(caps, s, nodes=64):
     d(x, y)^-(2+s) over A x B, which is smooth as the caps are apart.  Each
     X is a tensor Gauss-Legendre rule in geodesic polar coordinates
     (rho, psi) about each cap's center, area element sin(rho) d rho d psi,
-    nodes points per axis; the cap perimeters come from perimeter_cap at
-    tol 1e-12.  For radii 0.6 and 0.8 with centers pi/2 apart, at
+    nodes points per axis; the cap perimeters come from
+    covariogram_cap_perimeter at tol 1e-12, which shares no code with the
+    sliced estimator this checks.  For radii 0.6 and 0.8 with centers pi/2 apart, at
     s in {0.3, -0.5}, the sum moves by under 3e-14 from 64 to 80 nodes
     (by 8e-12 from 48 to 64)."""
     x_gl, w_gl = np.polynomial.legendre.leggauss(nodes)
@@ -781,7 +972,7 @@ def disjoint_cap_union_perimeter(caps, s, nodes=64):
         return pts.reshape(-1, 3), w
 
     rules = [polar_rule(c, r) for c, r in caps]
-    total = sum(perimeter_cap(2, s, r, tol=1e-12) for _, r in caps)
+    total = sum(covariogram_cap_perimeter(2, s, r, tol=1e-12) for _, r in caps)
     for a in range(len(rules)):
         for b in range(a + 1, len(rules)):
             (xa, wa), (xb, wb) = rules[a], rules[b]

@@ -15,7 +15,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import spherefrac
-from spherefrac import Cap, cap_area, perimeter_cap, perimeter_minus_n, sample_uniform, sphere_surface
+from spherefrac import (
+    Cap,
+    cap_area,
+    perimeter_by_method,
+    perimeter_cap,
+    perimeter_minus_n,
+    sample_uniform,
+    sphere_surface,
+)
 from spherefrac.cli import (
     _HANDLERS,
     DEFAULT_SEED,
@@ -28,7 +36,7 @@ from spherefrac.cli import (
     render_set,
     resolve_seed,
 )
-from spherefrac.estimation import QuadratureError
+from spherefrac.estimation import NonFiniteSampleError
 
 CSV_HEADER = "param,value,error,target,deviation"
 
@@ -372,9 +380,9 @@ def test_exit_2_on_verdict_failure_still_writes_output(tmp_path, capsys):
 
 def test_exit_3_on_numerical_failure(monkeypatch, capsys):
     def explode(*args, **kwargs):
-        raise QuadratureError("interval budget exhausted")
+        raise NonFiniteSampleError("non-finite integrand value nan at sample 0")
 
-    monkeypatch.setattr("spherefrac.perimeter.perimeter_cap", explode)
+    monkeypatch.setattr("spherefrac.perimeter._cap_oracle", explode)
     rc = main(["perimeter", "--n", "2", "--set", "cap:0,0,1:1.0", "--s", "-1"])
     assert rc == 3
     assert "numerical failure" in capsys.readouterr().err
@@ -468,19 +476,34 @@ def test_perimeter_mc_runs_at_s_zero(tmp_path):
 OVERFLOW = "spherefrac: config error: the kernel's scale pi^(1-n-s) overflows a float at s = -700, n = 2"
 
 
-def test_library_warning_is_one_spherefrac_line(capsys):
-    # numpy warns from inside the cap oracle: at s = -700 its kernel
-    # theta^700 overflows, and so does the value, which exits 1
-    argv = ["perimeter", "--n", "2", "--set", "cap:0,0,1:1", "--s", "-700"]
-    assert main(argv) == 1
+def test_library_warning_is_one_spherefrac_line(monkeypatch, capsys):
+    # a warning from inside the library, here from a wrapped perimeter_by_method
+    def warn_first(*args):
+        np.float64(1e300) * np.float64(1e300)
+        return perimeter_by_method(*args)
+
+    monkeypatch.setattr("spherefrac.cli.perimeter_by_method", warn_first)
+    argv = ["perimeter", "--n", "2", "--set", "cap:0,0,1:1", "--s", "-1"]
+    assert main(argv) == 0
     out, err = capsys.readouterr()
-    assert err.splitlines() == ["spherefrac: warning: overflow encountered in power", OVERFLOW]
-    assert out == ""
+    assert err.splitlines() == ["spherefrac: warning: overflow encountered in scalar multiply"]
+    assert out.splitlines()[0] == CSV_HEADER
     # the same exit and output when the warning is ignored
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert main(argv) == 1
-    assert capsys.readouterr() == ("", OVERFLOW + "\n")
+        assert main(argv) == 0
+    assert capsys.readouterr() == (out, "")
+
+
+@pytest.mark.parametrize("s", ("-700", "-1000"))
+def test_cap_oracle_whose_kernel_overflows_exits_1_with_no_warning(capsys, s):
+    # the covariogram oracle's theta^-(n+s) overflowed first, and numpy's
+    # overflow warning came before the config error; the kernel's scale is
+    # refused before anything is evaluated
+    assert main(["perimeter", "--n", "2", "--set", "cap:0,0,1:1", "--s", s]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [OVERFLOW.replace("-700", s)]
+    assert captured.out == ""
 
 
 def test_mc_perimeter_that_no_point_pair_reaches_exits_1(capsys):
@@ -561,6 +584,19 @@ def test_p_outside_its_range_is_a_config_error(capsys, command, p):
     captured = capsys.readouterr()
     least = ">= 1" if command == "seminorm-sweep" else "> 0"
     assert captured.err == f"spherefrac: config error: p must be a finite number {least}, got {float(p)}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("p", ("1e300", "1e307"))
+def test_p_whose_kernel_overflows_is_a_config_error(capsys, p):
+    # --p=1e300 printed numpy's overflow warning from |f(x) - f(y)|^p and
+    # exited 3: the kernel's mass pi B(a, n), a = -s p, underflows a float.
+    # At 1e307 the exponent -(n + s p) is infinite and every weight was nan
+    argv = ["seminorm-sweep", "--n", "2", "--function", "coord:0", f"--p={p}", "--samples", "200"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("spherefrac: config error: the kernel exponent ")
     assert captured.out == ""
 
 
@@ -853,18 +889,21 @@ _UNREAD_FLAGS = {
     "crofton": ("--samples", "--tol", "--threshold"),
     "bp-check": ("--samples", "--tol", "--threshold"),
     "beta-check": ("--seed", "--samples", "--tol"),
-    "profile": ("--seed", "--samples", "--threshold"),
+    "profile": ("--seed", "--samples", "--threshold", "--tol"),
     "s0-check": ("--tol", "--threshold"),
     "sweep-sinf": ("--tol",),
     "seminorm-sweep": ("--tol",),
-    "isoperimetric": ("--threshold",),
+    "isoperimetric": ("--threshold", "--tol"),
+    # the cap oracle is a fixed rule: no subcommand takes --tol
+    "perimeter": ("--tol",),
+    "sweep-s1": ("--tol",),
 }
 
 
 @pytest.mark.parametrize("command", sorted(_UNREAD_FLAGS))
 def test_each_subcommand_rejects_the_flags_it_does_not_read(capsys, command):
     # all ten subcommands took --seed/--samples/--tol/--threshold, and
-    # these were silently ignored
+    # these were silently ignored; --tol left with the adaptive cap oracle
     [argv] = [a for a in _EVERY_SUBCOMMAND if a[0] == command]
     for flag in _UNREAD_FLAGS[command]:
         with pytest.raises(SystemExit) as exc:

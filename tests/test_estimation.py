@@ -6,18 +6,15 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from oracles import adaptive_quad_pairwise
+from oracles import QuadratureError, adaptive_quad, adaptive_quad_pairwise
 from spherefrac import (
     Estimate,
     NonFiniteSampleError,
-    QuadratureError,
     RadialProposal,
     RandomStream,
-    adaptive_quad,
     as_stream,
     mc_estimate,
 )
-from spherefrac import perimeter as perimeter_module
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +155,7 @@ def test_mc_estimate_rejects_nonfinite_samples():
 
 
 # ---------------------------------------------------------------------------
-# adaptive quadrature
+# adaptive quadrature (oracles.adaptive_quad, under the covariogram cap oracle)
 
 
 def test_adaptive_quad_smooth_integrals():
@@ -202,23 +199,6 @@ def test_adaptive_quad_takes_both_halves_in_one_call(f, b, bisects):
     assert len(batched.sizes) == 1 + bisections
     assert batched.sizes == [22] + [44] * bisections
     assert sum(batched.sizes) == sum(pairwise.sizes)
-
-
-@pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("s", [-4.0, -0.5, 0.3, 0.7])
-def test_cap_oracle_integrals_equal_the_pairwise_loop(monkeypatch, n, s):
-    calls = []
-
-    def both(f, a, b, **kwargs):
-        value = adaptive_quad(f, a, b, **kwargs)
-        assert value == adaptive_quad_pairwise(f, a, b, **kwargs)
-        calls.append((a, b))
-        return value
-
-    monkeypatch.setattr(perimeter_module, "adaptive_quad", both)
-    perimeter_module.perimeter_cap(n, s, 1.0)
-    # the near integral on [0, 2r] and the far one on [2r, pi]
-    assert calls == [(0.0, 2.0), (2.0, math.pi)]
 
 
 def test_adaptive_quad_refuses_a_scalar_integrand():
@@ -324,3 +304,9 @@ def test_radial_proposal_rejects_non_normalizable_kernel():
         RadialProposal(2, -3.0)  # sin^1 * theta^-3 ~ theta^-2 at 0
     with pytest.raises(ValueError):
         RadialProposal(2, -2.0)  # a = 0: the s = 0 perimeter kernel
+    # an exponent that is not finite, or whose mass pi B(a, n) ~ a^-n
+    # underflows (p = 1e300 at t = 20), would make every weight nan or 0
+    for exponent in (math.inf, math.nan, 2e301):
+        with pytest.raises(ValueError, match="kernel exponent"):
+            RadialProposal(2, exponent)
+    RadialProposal(2, 1e150)

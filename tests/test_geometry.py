@@ -14,9 +14,7 @@ from spherefrac import (
     unit_vector,
     volume_radius,
 )
-from spherefrac.geometry import _beta_half
-
-from oracles import cap_area_midpoint, sample_at_distance_projected, sphere_surface_recursive
+from oracles import _beta_half, cap_area_midpoint, sample_at_distance_projected, sphere_surface_recursive
 
 
 def test_sphere_surface_closed_forms():

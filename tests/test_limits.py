@@ -7,7 +7,6 @@ from spherefrac import (
     ArcUnion,
     Cap,
     RandomStream,
-    adaptive_quad,
     beta_asymptotic_check,
     concentration_constant,
     extrapolate,
@@ -22,6 +21,8 @@ from spherefrac import (
 )
 from spherefrac.geometry import geodesic_distance
 from spherefrac.limits import _lipschitz_seminorm_bound
+
+from oracles import adaptive_quad
 
 Z = (0.0, 0.0, 1.0)
 
@@ -172,8 +173,9 @@ def test_s_to_zero_constant_function_passes_with_zero_scale():
 
 @pytest.mark.parametrize("n, s", ((2, -0.01), (3, -0.3), (13, -0.5)))
 def test_lipschitz_bound_matches_its_direct_integral(n, s):
-    # the log form against L omega_(n+1) omega_n int theta (theta/pi)^-(n+s)
-    # sin^(n-1) theta taken as written, where nothing overflows; at n = 2,
+    # the Gauss-Jacobi sum in logs against L omega_(n+1) omega_n
+    # int theta (theta/pi)^-(n+s) sin^(n-1) theta taken as written by the
+    # adaptive rule of oracles.py, where nothing overflows; at n = 2,
     # s = -0.01 the bound on the last row is 14.2, below the crude 24.8
     direct = sphere_surface(n) * sphere_surface(n - 1) * adaptive_quad(
         lambda t: t * (t / math.pi) ** -(n + s) * np.sin(t) ** (n - 1), 0.0, math.pi

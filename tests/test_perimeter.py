@@ -13,7 +13,6 @@ from spherefrac import (
     Polytope,
     RandomStream,
     Reflection,
-    adaptive_quad,
     cap_area,
     estimation,
     perimeter_by_method,
@@ -26,14 +25,17 @@ from spherefrac import (
     validate_s,
 )
 
-from spherefrac.perimeter import CAP_TOL, _cap_crescent
+from spherefrac.perimeter import CAP_TOL
 
 from oracles import (
     CAP_PERIMETERS,
     CAP_RADII,
+    _cap_crescent,
+    adaptive_quad,
     antipodal_concentration_quad,
     circle_perimeter_midpoint,
     circle_perimeter_quad,
+    covariogram_cap_perimeter,
     disjoint_cap_union_perimeter,
     interval_perimeter_exact,
     interval_perimeter_localized,
@@ -90,10 +92,11 @@ def test_auto_method_follows_the_set_type():
     circle = perimeter_circle_exact(arc, 0.3)
     for E in (arc, Complement(arc), Reflection(arc)):
         assert perimeter_by_method(E, 0.3) == ("circle_exact", pytest.approx(circle, rel=1e-12), 0.0)
-    # a cap goes to the oracle on every sphere, with relative error tol
+    # a cap goes to the oracle on every sphere, with relative error CAP_TOL,
+    # which is larger than the difference of its rule's levels
     for E in (Cap(Z, 1.0), Cap((0.0, 1.0), 1.0)):
-        value = perimeter_cap(E.dimension, 0.3, 1.0, tol=1e-6)
-        assert perimeter_by_method(E, 0.3, tol=1e-6) == ("cap_oracle", value, value * 1e-6)
+        value = perimeter_cap(E.dimension, 0.3, 1.0)
+        assert perimeter_by_method(E, 0.3) == ("cap_oracle", value, value * CAP_TOL)
     octant = Polytope([(-1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0)])
     est = perimeter_mc(octant, 0.3, 64, RandomStream(3))
     assert perimeter_by_method(octant, 0.3, samples=64, rng=RandomStream(3)) == (
@@ -264,8 +267,6 @@ def test_perimeter_cap_validation_and_degenerate_radii():
         perimeter_cap(2, -1.0, -0.1)
     with pytest.raises(ValueError):
         perimeter_cap(2, -1.0, 3.5)
-    with pytest.raises(ValueError):
-        perimeter_cap(2, -1.0, 1.0, tol=0.0)  # would exhaust the quadrature budget
     assert perimeter_cap(2, -1.0, 0.0) == 0.0
     assert perimeter_cap(2, -1.0, math.pi) == 0.0
 
@@ -289,11 +290,11 @@ def test_perimeter_cap_pivot_identity(n):
 
 @pytest.mark.parametrize("n,s", sorted(CAP_PERIMETERS))
 def test_perimeter_cap_error_bar_is_honest(n, s):
-    # the reported error |value| * tol must cover the distance to values
-    # pinned at 40 digits, all the way to s -> 1
+    # the reported error must cover the distance to values pinned at 40
+    # digits, all the way to s -> 1
     for r, pinned in zip(CAP_RADII, CAP_PERIMETERS[(n, s)]):
-        value = perimeter_cap(n, s, r)
-        assert abs(value - pinned) <= abs(value) * CAP_TOL, (r, value, pinned)
+        _, value, error = perimeter_by_method(Cap(np.eye(n + 1)[-1], r), s)
+        assert abs(value - pinned) <= error, (r, value, pinned)
 
 
 # The hemisphere's perimeter c_n 2 int_0^pi t^-s (sin t / t)^(n-1) dt on
@@ -312,11 +313,10 @@ LARGE_HEMISPHERES = {
 
 @pytest.mark.parametrize("n, s", sorted(LARGE_HEMISPHERES))
 def test_perimeter_cap_error_bar_holds_on_large_spheres(n, s):
-    # the crescent's 48-point rule was off by 3e-8 at n = 100 and 7e-6 at
-    # n = 200, where perimeter_cap reported 1e-8
+    # the covariogram oracle's 48-point crescent rule was off by 3e-8 at
+    # n = 100 and 7e-6 at n = 200, where it reported 1e-8
     pinned = LARGE_HEMISPHERES[n, s]
     assert perimeter_cap(n, s, math.pi / 2) == pytest.approx(pinned, rel=CAP_TOL, abs=0.0)
-    assert perimeter_cap(n, s, math.pi / 2, tol=1e-12) == pytest.approx(pinned, rel=1e-11, abs=0.0)
 
 
 def test_perimeter_cap_refuses_a_value_that_underflows():
@@ -344,6 +344,17 @@ def test_cap_crescent_matches_closed_forms_on_s2_and_s3():
         assert _cap_crescent(3, r, 2.0 * r + 0.1) == pytest.approx(cap_area(3, r), rel=1e-14)
 
 
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("s", [0.5, 0.0, -1.0, -5.0])
+@pytest.mark.parametrize("n", [13, 50, 200])
+def test_perimeter_cap_matches_the_covariogram_oracle(n, s, r):
+    # the covariogram shares no code with the great-circle kernel; the two
+    # agree within the sum of their error bars
+    _, value, error = perimeter_by_method(Cap(np.eye(n + 1)[-1], r), s)
+    ref = covariogram_cap_perimeter(n, s, r, tol=1e-12)
+    assert abs(value - ref) <= error + 1e-12 * ref
+
+
 def test_perimeter_cap_complement_symmetry():
     for s in (-3.0, -0.5, 0.5):
         left = perimeter_cap(2, s, 1.1)
@@ -364,7 +375,7 @@ def test_perimeter_mc_agrees_with_oracle_mild_and_singular():
     # s = 0 is the power law's logarithmic limit above the boundary distance
     cap = Cap(Z, 1.0)
     for s in (-0.5, 0.0, 0.5):
-        oracle = perimeter_cap(2, s, 1.0)
+        oracle = covariogram_cap_perimeter(2, s, 1.0)
         est = perimeter_mc(cap, s, 200_000, RandomStream(11))
         assert abs(est.value - oracle) < 4.0 * est.std_error
 
@@ -416,9 +427,10 @@ def test_perimeter_mc_rejects_an_overflowing_kernel_scale():
 
 
 def test_exact_perimeters_that_overflow_raise_the_mc_error():
-    # these returned inf, which the CLI printed with exit 0
+    # these returned inf, which the CLI printed with exit 0; the cap oracle
+    # warned of numpy's overflow before its error
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"overflows a float at s = -700, n = 2"):
             perimeter_cap(2, -700.0, 1.0)
     with pytest.raises(ValueError, match=r"overflows a float at s = -619, n = 1"):

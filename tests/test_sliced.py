@@ -4,9 +4,10 @@ perimeter_mc averages, over Haar great circles, c_n times the exact circle
 double integral V of the kernel delta^-(n+s) |sin delta|^(n-1) over the
 circle's trace and its gaps.  Checked here: the matched antiderivative G
 against quadrature, the vectorized V against the scalar (arc, gap) loop of
-oracles.py, the hemisphere's constant V against the cap oracle, the error
-bars against the oracle over many seeds, the point-pair estimator against
-it at s < 0, and the traces the estimator rests on (rotated sets,
+oracles.py, the hemisphere's constant V against the covariogram cap
+oracle of oracles.py (the library's cap oracle runs on the same kernel, so
+it cannot check it), the error bars against that oracle over many seeds,
+the point-pair estimator against it at s < 0, and the traces the estimator rests on (rotated sets,
 overlapping unions).
 """
 
@@ -29,7 +30,6 @@ from spherefrac import (
     cap_area,
     crofton_estimate,
     estimation,
-    perimeter_cap,
     perimeter_circle_exact,
     perimeter_mc,
     perimeter_minus_n,
@@ -40,7 +40,13 @@ from spherefrac.integral_geometry import bp_constant, sample_plane_batch
 from spherefrac.perimeter import _GreatCircleKernel, _perimeter_point_pairs
 from spherefrac.sets import rotated, trace
 
-from oracles import KERNEL_LENGTHS, KERNEL_W, disjoint_cap_union_perimeter, sliced_values_serial
+from oracles import (
+    KERNEL_LENGTHS,
+    KERNEL_W,
+    covariogram_cap_perimeter,
+    disjoint_cap_union_perimeter,
+    sliced_values_serial,
+)
 from test_mc_parallel import SETS
 
 TWO_PI = 2.0 * math.pi
@@ -129,8 +135,8 @@ def test_kernel_matches_40_digit_values(n, s):
 def test_the_kernel_takes_the_dimensions_the_series_refused(n, s):
     # the Taylor series' condition number grew like |s|^(n-1), and its rule
     # refused these; the hemisphere's value checks the table against the
-    # cap oracle, whose crescent rule holds to n = 200
-    ref = perimeter_cap(n, s, math.pi / 2, tol=1e-12)
+    # covariogram oracle, whose crescent rule holds to n = 200
+    ref = covariogram_cap_perimeter(n, s, math.pi / 2, tol=1e-12)
     got = bp_constant(n) * _GreatCircleKernel(n, s).W(np.array([math.pi]))[0]
     assert got == pytest.approx(ref, rel=1e-9, abs=0.0)
 
@@ -142,14 +148,14 @@ def test_the_series_converges_for_large_dimensions():
         for s in (-1.0, 0.0, 0.5):
             assert 0 < _GreatCircleKernel(n, s).coef.size < 160
     est = perimeter_mc(Cap(pole(143), 1.4), 0.5, 20_000, RandomStream(1))
-    assert abs(est.value - perimeter_cap(143, 0.5, 1.4)) < 3.0 * est.std_error
+    assert abs(est.value - covariogram_cap_perimeter(143, 0.5, 1.4)) < 3.0 * est.std_error
 
 
 @pytest.mark.parametrize("n, s", ((3, -380.0), (8, -5.0), (12, -0.45)))
 def test_hemisphere_value_holds_at_the_edge_of_the_condition_rule(n, s):
     # where the Taylor series kept the fewest digits that its condition
     # rule accepted
-    ref = perimeter_cap(n, s, math.pi / 2, tol=1e-12)
+    ref = covariogram_cap_perimeter(n, s, math.pi / 2, tol=1e-12)
     got = bp_constant(n) * _GreatCircleKernel(n, s).W(np.array([math.pi]))[0]
     assert got == pytest.approx(ref, rel=1e-9)
 
@@ -159,7 +165,7 @@ def test_sliced_values_hold_where_point_pairs_stood_in(n, s):
     # (13, 0.3) raised, and the other two took point pairs: perimeter_mc
     # has one path, the sliced kernel, at every n and s
     est = perimeter_mc(Cap(pole(n), 1.0), s, 100_000, RandomStream(1))
-    z = (est.value - perimeter_cap(n, s, 1.0)) / est.std_error
+    z = (est.value - covariogram_cap_perimeter(n, s, 1.0)) / est.std_error
     print(f"n={n}, s={s}: sliced z = {z:.2f}")
     assert abs(z) < 3.0
 
@@ -184,7 +190,7 @@ def test_point_pair_hemisphere_rows_are_tight_and_honest(t):
     # pair, and at large t almost every drawn pair straddles a hemisphere,
     # so the relative error falls below the one-sided estimator's 1e-3
     est = _perimeter_point_pairs(Cap(Z, math.pi / 2), -t, 1_000_000, RandomStream(95))
-    ref = math.pi ** (2.0 - t) * perimeter_cap(2, -t, math.pi / 2, tol=1e-12)
+    ref = math.pi ** (2.0 - t) * covariogram_cap_perimeter(2, -t, math.pi / 2, tol=1e-12)
     z = (est.value - ref) / est.std_error
     print(f"t={t}: rse {est.std_error / est.value:.2e}, z = {z:.2f}")
     assert abs(z) < 4.0
@@ -196,7 +202,7 @@ def test_point_pair_error_bar_covers_at_the_nominal_rate():
     # oracle, in the normalized kernel; the share within 1.96 sigma must be
     # near 0.95
     s = -4.0
-    truth = math.pi ** (2.0 + s) * perimeter_cap(2, s, 1.0, tol=1e-12)
+    truth = math.pi ** (2.0 + s) * covariogram_cap_perimeter(2, s, 1.0, tol=1e-12)
     E = Cap(Z, 1.0)
     runs = 200
     covered = 0
@@ -305,7 +311,7 @@ def test_hemisphere_value_is_exact(n, s):
     # every great circle cuts a hemisphere in a semicircle, so every circle
     # has the same V and the estimate is exact; its standard error is
     # roundoff, so the check is relative
-    ref = perimeter_cap(n, s, math.pi / 2, tol=1e-12)
+    ref = covariogram_cap_perimeter(n, s, math.pi / 2, tol=1e-12)
     assert bp_constant(n) * _GreatCircleKernel(n, s).W(np.array([math.pi]))[0] == pytest.approx(
         ref, rel=1e-12)
     est = perimeter_mc(Cap(pole(n), math.pi / 2), s, 32 * 512, RandomStream(83))
@@ -348,7 +354,7 @@ def test_error_bars_are_honest_against_the_cap_oracle():
     # z of the radius-1 cap against the oracle over 20 seeds: mean near 0,
     # spread near 1 (t with 31 degrees of freedom has sd 1.03)
     for s in (-0.5, 0.3, 0.9):
-        ref = perimeter_cap(2, s, 1.0, tol=1e-12)
+        ref = covariogram_cap_perimeter(2, s, 1.0, tol=1e-12)
         zs = []
         for stream in RandomStream(84).split(20):
             est = perimeter_mc(Cap(Z, 1.0), s, 32 * 8192, stream)
@@ -369,8 +375,8 @@ def test_error_bar_covers_at_the_nominal_rate(monkeypatch):
     s = 0.5
     octant = Polytope(-np.eye(3))
     truths = {
-        "cap r=0.5": (Cap(Z, 0.5), perimeter_cap(2, s, 0.5, tol=1e-12)),
-        "cap r=2": (Cap(Z, 2.0), perimeter_cap(2, s, 2.0, tol=1e-12)),
+        "cap r=0.5": (Cap(Z, 0.5), covariogram_cap_perimeter(2, s, 0.5, tol=1e-12)),
+        "cap r=2": (Cap(Z, 2.0), covariogram_cap_perimeter(2, s, 2.0, tol=1e-12)),
         "octant": (octant, perimeter_mc(octant, s, 32 * 65536, RandomStream(85)).value),
         "union": (PolyconvexUnion(tuple(Cap(c, r) for c, r in UNION_CAPS)),
                   disjoint_cap_union_perimeter(UNION_CAPS, s)),
@@ -583,7 +589,7 @@ def test_overlapping_union_sliced_value():
     assert abs(est.value - perimeter_minus_n(2, measure)) < 4.0 * est.std_error
     nested = PolyconvexUnion((Cap(Z, 1.0), Cap((0.0, 0.3, 1.0), 0.5)))
     est = perimeter_mc(nested, 0.5, 32 * 4096, RandomStream(91))
-    assert abs(est.value - perimeter_cap(2, 0.5, 1.0, tol=1e-12)) < 4.0 * est.std_error
+    assert abs(est.value - covariogram_cap_perimeter(2, 0.5, 1.0, tol=1e-12)) < 4.0 * est.std_error
 
 
 # two radius-0.5 caps 0.99 apart, whose lens covers 7.8e-5 of the sphere:
