@@ -238,8 +238,7 @@ class RadialProposal:
                              "pi B(exponent + n, n) that underflows a float")
         self.n = int(n)
         self._a = a
-        log_beta = math.lgamma(a) + math.lgamma(n) - math.lgamma(a + n)
-        self._scale = math.exp(math.log(math.pi) + log_beta)
+        self._scale = math.exp(log_mass)
 
     def sample_weighted(self, count: int, rng: np.random.Generator):
         """(theta, wk) with wk = weight * sin^(n-1)(theta) * (theta/pi)^exponent.

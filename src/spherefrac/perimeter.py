@@ -115,7 +115,7 @@ def perimeter_mc(
     return _refuse_zero(est, E, f"sampled circle gave 0 at n = {n}, samples = {samples}")
 
 
-def _sliced_kernel(n: int, s: float, normalized: bool = False) -> "_GreatCircleKernel":
+def _sliced_kernel(n: int, s: float, normalized: bool = False) -> _GreatCircleKernel:
     """_GreatCircleKernel(n, s, normalized) whose scale carries c_n =
     omega_(n+1) omega_n / (4 pi) too.  c_n is subnormal from n = 261, so the
     product is formed in logs; one that overflows is _scale_overflow's
@@ -297,10 +297,11 @@ def perimeter_cap(n: int, s: float, r: float) -> float:
         P_s(C_r) = c_n int_(cos^2 r)^1 W(2 arccos(cos r / sqrt u)) ((n-1)/2) (1-u)^((n-3)/2) du,
 
     W the kernel's value of one arc and c_n = omega_(n+1) omega_n / (4 pi).
-    The integral is a fixed tanh-sinh rule in u (_cap_rule), which takes
-    the ends' singularities, (u - cos^2 r)^((1-s)/2) and (1-u)^((n-3)/2), at
-    their own rate; its 513 nodes and the 257 of its coarse level agree to
-    6e-15.  The reported error (perimeter_by_method) is the larger of that
+    The integrand has power-type singularities at both ends: W of a short
+    arc in powers of its length, which grows like sqrt(u - cos^2 r), and
+    (1-u)^((n-3)/2).  A fixed tanh-sinh rule in u (_cap_rule) takes both at
+    its double-exponential rate; its 513 nodes and the 257 of its coarse
+    level agree to 6e-15.  The reported error (perimeter_by_method) is the larger of that
     difference and CAP_TOL |value|; CAP_TOL gives the measured error bar.
 
     n = 1 delegates to the exact circle formula.  A value that overflows a
