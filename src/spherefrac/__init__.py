@@ -49,6 +49,8 @@ from .limits import (
     sweep_seminorm_to_minus_inf,
 )
 from .perimeter import (
+    Constant,
+    Coordinate,
     perimeter_by_method,
     perimeter_cap,
     perimeter_circle_exact,
@@ -76,6 +78,8 @@ __all__ = [
     "Cap",
     "ComparisonReport",
     "Complement",
+    "Constant",
+    "Coordinate",
     "CroftonReport",
     "DegenerateCircleError",
     "Estimate",

@@ -25,7 +25,7 @@ Set grammar (angles in radians):
     refl:<desc>              antipodal image
     arcs:<start,len;...>     arc union on the circle (n = 1)
 
-Function grammar: coord:<i> | abs-coord:<i> | const:<c>.
+Function grammar: coord:<i> | abs-coord:<i> | const:<c>, c finite.
 """
 
 from __future__ import annotations
@@ -58,7 +58,14 @@ from .limits import (
     sweep_s_to_minus_inf,
     sweep_seminorm_to_minus_inf,
 )
-from .perimeter import METHODS, perimeter_by_method, perimeter_minus_n, validate_s
+from .perimeter import (
+    METHODS,
+    Constant,
+    Coordinate,
+    perimeter_by_method,
+    perimeter_minus_n,
+    validate_s,
+)
 from .sets import (
     ArcUnion,
     Cap,
@@ -215,7 +222,8 @@ def render_set(E) -> str:
 
 
 def parse_function(text: str, n: int):
-    """(callable on (N, n+1) points, Lipschitz constant) for a description."""
+    """(callable on (N, n+1) points, Lipschitz constant) for a description:
+    a perimeter.Coordinate or Constant, which carries its pair law."""
     kind, sep, rest = text.partition(":")
     if not sep:
         raise SetSyntaxError(0, "expected 'coord:<i>', 'abs-coord:<i>' or 'const:<c>'")
@@ -227,15 +235,12 @@ def parse_function(text: str, n: int):
             raise SetSyntaxError(body, f"bad coordinate index {rest!r}") from None
         if not 0 <= i <= n:
             raise SetSyntaxError(body, f"coordinate index must lie in [0, {n}]")
-        if kind == "coord":
-            return (lambda x: np.asarray(x, dtype=float)[..., i]), 1.0
-        return (lambda x: np.abs(np.asarray(x, dtype=float)[..., i])), 1.0
+        return Coordinate(i, absolute=kind == "abs-coord"), 1.0
     if kind == "const":
         try:
-            c = float(rest)
+            return Constant(float(rest)), 0.0
         except ValueError:
             raise SetSyntaxError(body, f"bad constant {rest!r}") from None
-        return (lambda x: np.full(np.asarray(x).shape[:-1], c)), 0.0
     raise SetSyntaxError(0, f"unknown function kind {kind!r}")
 
 
@@ -528,7 +533,7 @@ def _run_sweep_sinf(args, stream):
     )
     threshold = args.threshold if args.threshold is not None else THRESHOLDS["sweep-sinf"]
     verdicts = {"within_threshold": report.deviation <= threshold}
-    detail = {"set": render_set(E), "threshold": threshold}
+    detail = {"method": rows[0].method, "set": render_set(E), "threshold": threshold}
     return _sweep_rows(rows, report, math.inf), _limit_dict(report), verdicts, detail
 
 
@@ -543,7 +548,8 @@ def _run_seminorm_sweep(args, stream):
     verdicts = {}
     if report.target and report.target > 0:
         verdicts["within_threshold"] = report.deviation <= threshold
-    detail = {"function": args.function, "p": args.p, "threshold": threshold}
+    detail = {"method": rows[0].method, "function": args.function, "p": args.p,
+              "threshold": threshold}
     return _sweep_rows(rows, report, math.inf), _limit_dict(report), verdicts, detail
 
 

@@ -22,8 +22,8 @@ from .geometry import geodesic_distance, sample_uniform, sphere_surface, volume_
 from .integral_geometry import symmetric_overlap_measure
 from .perimeter import (
     _cap_oracle,
+    _jacobi_gap_rule,
     _jacobi_rule,
-    _perimeter_point_pairs,
     perimeter_by_method,
     perimeter_mc,
     seminorm_mc,
@@ -126,7 +126,12 @@ def _empirical_order(h, v) -> float:
 
 def concentration_constant(n: int, p: float) -> float:
     """c_(n,p) = omega_n pi^n (n-1)! / p^n, the t -> infinity constant."""
-    return sphere_surface(n - 1) * math.pi**n * math.factorial(n - 1) / p**n
+    return math.exp(_log_concentration_constant(n, p))
+
+
+def _log_concentration_constant(n: int, p: float) -> float:
+    """log c_(n,p), finite where c_(n,p) itself over- or underflows."""
+    return math.log(sphere_surface(n - 1)) + n * math.log(math.pi) + math.lgamma(n) - n * math.log(p)
 
 
 def sweep_s_to_1(
@@ -176,25 +181,23 @@ def sweep_s_to_minus_inf(
     exact for caps and sets on S^1, otherwise a mean over overlap_samples
     great circles.  A t whose t^n overflows a float is a ValueError.
 
-    The rows are point-pair estimates (perimeter._perimeter_point_pairs,
-    half the seminorm_mc of E's indicator), not perimeter_mc's sliced
-    ones: a hemisphere meets every great circle in a semicircle, so its
-    sliced rows would be exact with error 0.0, which the benchmark's
-    sweep-sinf check does not yet accept.  At large t the drawn pairs are
-    nearly antipodal, and almost all of them straddle a hemisphere's
-    boundary, so there a pair's value is nearly constant and the rows'
-    error bars shrink as t grows.  On S^2 a pair's first point comes from
-    seminorm_mc's rotated Fibonacci lattice, so a row's error bar is the
-    spread of 32 rotation means, with 31 degrees of freedom, and what is
-    left of it comes mostly from the pairs' distances and directions.
+    Each row is perimeter.perimeter_by_method's auto choice on the
+    normalized kernel, scaled by t^n: the cap oracle for a cap, the circle
+    formula on S^1, and otherwise perimeter_mc's sliced estimator over
+    samples great circles, from the row's own stream.  The cap oracle's
+    rows carry its error bar, the larger of its rule levels' difference and
+    a relative floor, which stays positive where the value is exact (a
+    hemisphere meets every great circle in a semicircle).  rng, when given,
+    is split into one stream per row and one for the target; perimeter_mc
+    rows and a sampled target need it.
     """
     grid = _strict_grid(t_grid, "t_grid", lambda t: t > n, f"with every t > n = {n}")
     _check_t_powers(n, grid)
-    streams = as_stream(rng).split(len(grid) + 1)
+    streams = [None] * (len(grid) + 1) if rng is None else as_stream(rng).split(len(grid) + 1)
     rows = []
-    for i, t in enumerate(grid):
-        est = _perimeter_point_pairs(E, -t, samples, streams[i])
-        rows.append(SweepRow(t, t**n * est.value, t**n * est.std_error, "mc"))
+    for t, stream in zip(grid, streams):
+        used, value, error = perimeter_by_method(E, -t, "auto", samples, stream, normalized=True)
+        rows.append(SweepRow(t, t**n * value, t**n * error, used))
     overlap = symmetric_overlap_measure(E, overlap_samples, streams[-1]).value
     target = concentration_constant(n, 1.0) * overlap
     report = extrapolate([1.0 / t for t in grid], [row.value for row in rows], target)
@@ -210,19 +213,30 @@ def sweep_seminorm_to_minus_inf(
     rng=None,
     target_samples: int = 400_000,
 ):
-    """Rows of t^n [f]^p at s = -t with the antipodal-difference target.
+    """Rows of t^n [f]^p at s = -t with the antipodal-difference target
+    c_(n,p) int |f(x) - f(-x)|^p.  A t whose t^n overflows a float, and a
+    kernel exponent -(n + s p) that is not finite, are ValueErrors.
 
-    Target: c_(n,p) * integral of |f(x) - f(-x)|^p, itself an mc_estimate
-    of omega_(n+1) |f(x) - f(-x)|^p over target_samples uniform points (the
-    integrand is bounded, so this is the easy part).  A t whose t^n
-    overflows a float is a ValueError.  The rows are seminorm_mc's: on S^2
-    over its rotated Fibonacci lattice, with error bars of 31 degrees of
-    freedom.  At large t a pair is nearly (x, -x), so almost all of an iid
-    pair's variance is that of x, which the lattice removes.
+    A function with a pair law (f.log_pair_moment(n, p) not None, e.g.
+    perimeter.Coordinate) has exact rows, _log_seminorm_row's, with method
+    "exact", and the exact target c_(n,p) omega_(n+1) 2^p K, as
+    |f(x) - f(-x)|^p = 2^p K on average; a constant's rows and target are
+    0.  Rows or a target that overflow or underflow a float are
+    ValueErrors.  Any other f takes seminorm_mc's rows (method "mc"): on
+    S^2 over its rotated Fibonacci lattice, with error bars of 31 degrees
+    of freedom.  Its target is an mc_estimate of omega_(n+1)
+    |f(x) - f(-x)|^p over target_samples uniform points.
     """
     p = validate_p(p)
     grid = _strict_grid(t_grid, "t_grid", lambda t: t > n / p, f"with every t > n/p = {n / p}")
     _check_t_powers(n, grid)
+    exponent = grid[-1] * p - n  # -(n + s p) at the largest t
+    if not math.isfinite(exponent):
+        raise ValueError(f"the kernel exponent must be finite, got {exponent} on S^{n}")
+    law = getattr(f, "log_pair_moment", None)
+    log_moment = None if law is None else law(n, p)
+    if log_moment is not None:
+        return _exact_seminorm_sweep(n, p, grid, log_moment, exponent)
     streams = as_stream(rng).split(len(grid) + 1)
     rows = []
     for i, t in enumerate(grid):
@@ -236,9 +250,77 @@ def sweep_seminorm_to_minus_inf(
     gap = mc_estimate(
         lambda count, gen: sample_uniform(n, count, gen), antipodal_gap, target_samples, streams[-1]
     )
-    target = concentration_constant(n, p) * gap.value
+    target = 0.0 if gap.value == 0.0 else _normal_float(
+        _log_concentration_constant(n, p) + math.log(gap.value), "the target", n, p, exponent)
     report = extrapolate([1.0 / t for t in grid], [row.value for row in rows], target)
     return rows, report
+
+
+# The exact seminorm rows' relative error floor, by measurement: against
+# the 40-digit pins of tests/oracles.SEMINORM_ROWS (t from 20 to 1e5) the
+# rows are within 3.6e-15 for n <= 3 and 2.2e-14 at n = 50, and against
+# 40-digit values up to n = 342 and p = 1000 within 3.4e-13, the roundoff
+# of logs that reach 660; the rule's two levels agree to 2.8e-14 on both.
+SEMINORM_TOL = 1e-12
+
+
+def _exact_seminorm_sweep(n: int, p: float, grid, log_moment: float, exponent: float):
+    """Rows and report of sweep_seminorm_to_minus_inf for a pair law log K;
+    exponent, the kernel's at the largest t, names a value out of range."""
+    if log_moment == -math.inf:
+        rows = [SweepRow(t, 0.0, 0.0, "exact") for t in grid]
+        target = 0.0
+    else:
+        log_target = (_log_concentration_constant(n, p) + math.log(sphere_surface(n))
+                      + p * math.log(2.0) + log_moment)
+        target = _normal_float(log_target, "the target", n, p, exponent)
+        rows = []
+        for t in grid:
+            log_value, log_coarse = _log_seminorm_row(n, p, t, log_moment)
+            value = _normal_float(log_value, "a row t^n [f]^p", n, p, exponent)
+            error = max(value * abs(math.expm1(log_coarse - log_value)), SEMINORM_TOL * value)
+            rows.append(SweepRow(t, value, error, "exact"))
+    report = extrapolate([1.0 / t for t in grid], [row.value for row in rows], target)
+    return rows, report
+
+
+def _log_seminorm_row(n: int, p: float, t: float, log_moment: float):
+    """log t^n [f]^p at s = -t for f with pair law K = exp(log_moment), on
+    the Gauss rule of _jacobi_gap_rule at 40 + n // 2 nodes and on a
+    coarse level of 20 + n // 2, which also integrates the rule's
+    x^(n-1) e^-x-like weight near the antipode.
+
+    Grouping the pairs by their distance theta = pi v,
+
+        [f]^p = omega_(n+1) omega_n K pi^(n+p) int_0^1 v^beta sinc(v)^(n-1) sinc(v/2)^p dv,
+
+    beta = p (1 - s) - 1 > 0 and sinc(v) = sin(pi v) / (pi v).  With
+    u = 1 - v = x / beta on the rule's gap x, sin(pi v) = sin(pi u), so
+    sinc(v) = sinc(u) x / (beta v); the factor beta^-(n-1) joins t^n as
+    (t/beta)^(n-1) t/(beta+1), and the sum is taken as a log-sum, so no
+    factor over- or underflows for n <= 342.
+    """
+    beta = p * (1.0 + t) - 1.0
+    log_scale = (math.log(sphere_surface(n)) + math.log(sphere_surface(n - 1)) + log_moment
+                 + (n + p) * math.log(math.pi) + (n - 1) * math.log(t / beta)
+                 + math.log(t / (beta + 1.0)))
+    out = []
+    for count in (40 + n // 2, 20 + n // 2):
+        x, w = _jacobi_gap_rule(count, beta)
+        u = x / beta
+        terms = (np.log(w) + (n - 1) * (np.log(np.sinc(u) * x) - np.log1p(-u))
+                 + p * np.log(np.sinc(0.5 - 0.5 * u)))
+        peak = terms.max()
+        out.append(log_scale + peak + math.log(np.exp(terms - peak).sum()))
+    return out
+
+
+def _normal_float(log_value: float, what: str, n: int, p: float, exponent: float) -> float:
+    """exp(log_value), or a ValueError where it is not a normal float."""
+    if not math.log(np.finfo(float).tiny) <= log_value < math.log(np.finfo(float).max):
+        raise ValueError(f"the kernel exponent {exponent:g} on S^{n} at p = {p:g} leaves {what} "
+                         "outside the range of a float")
+    return math.exp(log_value)
 
 
 def _check_t_powers(n: int, grid) -> None:

@@ -21,13 +21,15 @@ rule at two nested levels over the same kernel.
 
 seminorm_mc is the one point-pair estimator: x uniform, or on S^2 a point
 of a Haar-rotated Fibonacci lattice, and y at a distance drawn from
-RadialProposal.  Since |1_E(x) - 1_E(y)| counts each pair of E
-x E^c once in each order, P_s(E) is half the p = 1 seminorm of E's
-indicator, and _perimeter_point_pairs takes it so for
-limits.sweep_s_to_minus_inf.
+RadialProposal.  The functions of the CLI's grammar (Coordinate, Constant)
+carry their pair law instead, as sets carry boundary_measure(): for
+f = x_i the mean of |f(x) - f(y)|^p over pairs at distance theta is a
+constant times (2 sin(theta/2))^p, so a seminorm is one integral over
+theta, which limits.sweep_seminorm_to_minus_inf takes on _jacobi_gap_rule.
 
 perimeter_by_method is the one place that picks among the cap oracle, the
-circle formula and perimeter_mc for a set, and the error each reports.
+circle formula and perimeter_mc for a set, plain or normalized, and the
+error each reports.
 """
 
 from __future__ import annotations
@@ -98,7 +100,7 @@ def perimeter_mc(
 
     c_n is subnormal from n = 261, so its product with the kernel's scale
     is formed in logs; a product that is still subnormal is a ValueError,
-    and so is _refuse_zero's estimate of 0 on a set with a boundary.
+    and so is an estimate of 0 on a set with a boundary.
     """
     s = validate_s(s)
     n = E.dimension
@@ -112,7 +114,12 @@ def perimeter_mc(
     if kernel.scale < np.finfo(float).tiny:
         raise ValueError(f"c_n times the kernel's scale underflows a float at n = {n}, s = {s:g}")
     est, _ = _circle_mean(E, kernel.circle_values, samples, rng)
-    return _refuse_zero(est, E, f"sampled circle gave 0 at n = {n}, samples = {samples}")
+    # error 0 would claim a 0 exact; a covering union's None boundary keeps it
+    if est.value == 0.0 and E.boundary_measure():
+        raise ValueError(f"every sampled circle gave 0 at n = {n}, samples = {samples}: the "
+                         "estimate would read 0 with error 0, which is not exact for a set "
+                         "with a boundary")
+    return est
 
 
 def _sliced_kernel(n: int, s: float, normalized: bool = False) -> _GreatCircleKernel:
@@ -130,15 +137,6 @@ def _sliced_kernel(n: int, s: float, normalized: bool = False) -> _GreatCircleKe
     return kernel
 
 
-def _refuse_zero(est: Estimate, E, what: str) -> Estimate:
-    """est, or a ValueError where it reads 0 on a set with a known boundary_measure() that
-    is not 0: error 0 would claim it exact.  None keeps it, as a covering union's 0 is."""
-    if est.value == 0.0 and E.boundary_measure():
-        raise ValueError(f"every {what}: the estimate would read 0 with error 0, which is not "
-                         "exact for a set with a boundary")
-    return est
-
-
 def _scale_overflow(n: int, s: float) -> ValueError:
     return ValueError(f"the kernel's scale pi^(1-n-s) overflows a float at s = {s:g}, n = {n}")
 
@@ -148,20 +146,6 @@ def _finite(value: float, n: int, s: float) -> float:
     if not math.isfinite(value):
         raise _scale_overflow(n, s)
     return value
-
-
-def _perimeter_point_pairs(E, s: float, samples: int, rng) -> Estimate:
-    """Point-pair s-perimeter of E for s < 0 in the normalized kernel
-    (d/pi)^-(n+s), on any set with contains: half the p = 1 seminorm of
-    E's indicator, as |1_E(x) - 1_E(y)| counts each pair of E x E^c once in
-    each order.  It rests on no great-circle identity.  _refuse_zero's
-    estimate of 0 on a set with a boundary is a ValueError.
-    """
-    n = E.dimension
-    semi = seminorm_mc(E.contains, n, 1.0, s, samples, rng)
-    est = Estimate(0.5 * semi.value, 0.5 * semi.std_error, semi.samples)
-    return _refuse_zero(est, E, f"sampled point pair gave 0 at n = {n}, samples = {samples}, "
-                        "or their mean underflowed")
 
 
 def seminorm_mc(
@@ -229,6 +213,52 @@ def seminorm_mc(
     return _rotated_lattice_mean(samples, rng, _lattice_points, rotation)
 
 
+class Coordinate:
+    """f(x) = x_i, or |x_i| with absolute=True, on point arrays (..., n+1).
+
+    A pair at distance theta spans a Haar great circle, on which
+    x_i = a cos(phi - phi_0) with a^2 ~ Beta(1, (n-1)/2) (a = 1 on S^1),
+    and the pair's midpoint angle on it is uniform.  So for f = x_i
+
+        E[|f(x) - f(y)|^p | d(x, y) = theta] = (2 sin(theta/2))^p E[a^p] E|sin U|^p,
+
+    E|sin U|^p = Gamma((p+1)/2) / (sqrt(pi) Gamma(p/2 + 1)).  At theta = pi
+    the pair is (x, -x), so the constant is E|x_0|^p = Gamma((n+1)/2)
+    Gamma((p+1)/2) / (sqrt(pi) Gamma((n+1+p)/2)), the form
+    log_pair_moment takes.  |x_i| has no such law.
+    """
+
+    def __init__(self, index: int, absolute: bool = False):
+        self.index, self.absolute = index, absolute
+
+    def __call__(self, x):
+        values = np.asarray(x, dtype=float)[..., self.index]
+        return np.abs(values) if self.absolute else values
+
+    def log_pair_moment(self, n: int, p: float):
+        """log K with E[|f(x) - f(y)|^p | d(x, y) = theta] = K (2 sin(theta/2))^p
+        for every theta, or None where f has no such K."""
+        if self.absolute:
+            return None
+        return (math.lgamma(0.5 * (n + 1)) + math.lgamma(0.5 * (p + 1))
+                - 0.5 * math.log(math.pi) - math.lgamma(0.5 * (n + 1 + p)))
+
+
+class Constant:
+    """f(x) = c, finite: every pair's difference is 0, so its K is 0."""
+
+    def __init__(self, value: float):
+        if not math.isfinite(value):
+            raise ValueError(f"a constant function must be finite, got {value}")
+        self.value = value
+
+    def __call__(self, x):
+        return np.full(np.asarray(x).shape[:-1], self.value)
+
+    def log_pair_moment(self, n: int, p: float) -> float:
+        return -math.inf
+
+
 # ---------------------------------------------------------------------------
 # cap oracle
 
@@ -239,6 +269,13 @@ def seminorm_mc(
 # 2.1e-12 (worst near s = -1, where the kernel's W keeps 6e-12), and its
 # two rule levels agree to 6e-15.
 CAP_TOL = 1e-11
+
+# Far below 0 the kernel resolves a layer of width (n+1)/|s| at the
+# antipode from lengths that carry roundoff of 1e-16, so the oracle's
+# relative error grows like |s|: against 40-digit normalized hemispheres
+# (n in {2, 3}, |s| up to 1.4e5, beyond which the kernel's series no
+# longer converges) it is within 8e-17 |s|, which _FAR_TOL |s| bounds.
+_FAR_TOL = 4e-16
 
 # The tanh-sinh rule's nodes on t in [-_CAP_SPAN, _CAP_SPAN]: at t = 4 a
 # node is 6e-38 from its end, and its weight below 1e-36.
@@ -258,19 +295,22 @@ def _cap_rule():
     return v, rest, (t[1] - t[0]) * math.pi * np.cosh(t) * v * rest
 
 
-def _cap_oracle(n: int, s: float, r: float):
-    """(value, error) of perimeter_cap(n, s, r): the error is the larger of
-    the difference of the rule's two levels and CAP_TOL |value|."""
+def _cap_oracle(n: int, s: float, r: float, normalized: bool = False):
+    """(value, error) of perimeter_cap(n, s, r), or with normalized=True of
+    the same rule on the kernel (d/pi)^-(n+s): the error is the larger of
+    the difference of the rule's two levels and max(CAP_TOL, _FAR_TOL |s|)
+    |value|."""
     s = validate_s(s)
     if not (0.0 <= r <= math.pi):
         raise ValueError(f"cap radius must lie in [0, pi], got {r}")
     if r <= 0.0 or r >= math.pi:
         return 0.0, 0.0
+    tol = max(CAP_TOL, _FAR_TOL * -s)
     if n == 1:
-        value = perimeter_circle_exact(ArcUnion([(-r, 2.0 * r)]), s)
-        return value, CAP_TOL * value
+        value = _circle_value(ArcUnion([(-r, 2.0 * r)]), _GreatCircleKernel(1, s, normalized))
+        return value, tol * value
     r = min(r, math.pi - r)
-    kernel = _sliced_kernel(n, s)
+    kernel = _sliced_kernel(n, s, normalized)
     v, rest, w = _cap_rule()
     a = math.sin(r) ** 2
     # u = cos^2 r + a v and 1 - u = a (1 - v); the arc's half length is
@@ -282,7 +322,7 @@ def _cap_oracle(n: int, s: float, r: float):
     if kernel.scale < np.finfo(float).tiny or value < np.finfo(float).tiny:
         raise ValueError(f"the cap oracle's value underflows a float at n = {n}, s = {s:g}, r = {r:g}")
     coarse = 2.0 * factor * float(terms[::2].sum())
-    return value, max(abs(value - coarse), CAP_TOL * value)
+    return value, max(abs(value - coarse), tol * value)
 
 
 def perimeter_cap(n: int, s: float, r: float) -> float:
@@ -352,21 +392,50 @@ _PLATEAU, _MAX_DEGREE = 4e-15, 4096
 
 def _jacobi_rule(nodes: int, beta: float):
     """Gauss rule (v, w) for int_0^1 v^beta f(v) dv, beta > -1 (Golub and
-    Welsch, Math. Comp. 23, 1969): the eigenvalues of the Jacobi matrix of
-    the orthonormal p_j of weight v^beta, and p_0^2 / ((1+beta) sum_j p_j(v)^2)
-    from their recurrence, renormalized at each step so nothing overflows."""
+    Welsch, Math. Comp. 23, 1969), from _golub_welsch on the Jacobi matrix
+    of the orthonormal polynomials of weight v^beta."""
     j = np.arange(1.0, nodes)
     ab = 2.0 * j + beta
     diag = 0.5 + 0.5 * np.concatenate([[beta / (beta + 2.0)], beta * beta / (ab * (ab + 2.0))])
     off = j * (j + beta) / (ab * np.sqrt(ab * ab - 1.0))
-    v = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
+    v, first = _golub_welsch(diag, off)
+    return v, first / (1.0 + beta)
+
+
+def _jacobi_gap_rule(nodes: int, beta: float):
+    """The Gauss rule of _jacobi_rule for beta > 0 in the scaled gap
+    x = beta (1 - v): (x, w) with int_0^1 v^beta f(v) dv = sum w f(1 - x/beta)
+    / (1 + beta) and sum w = 1.
+
+    Its Jacobi matrix is that of the weight (1 - x/beta)^beta on [0, beta],
+    whose entries (2j + 1 + 2j(j+1)/beta) / ((1 + 2j/beta)(1 + (2j+2)/beta))
+    and j (1 + j/beta) / (q sqrt(q^2 - beta^-2)), q = 1 + 2j/beta, neither
+    cancel nor overflow.  So each node keeps its relative digits however
+    close to 1 its v lies, where 1 - v from _jacobi_rule's v keeps only
+    those of 1e-16 / (1 - v); as beta grows the rule tends to
+    Gauss-Laguerre's."""
+    j = np.arange(float(nodes))
+    r = 1.0 / beta
+    diag = (2.0 * j + 1.0 + 2.0 * j * (j + 1.0) * r) / ((1.0 + 2.0 * j * r) * (1.0 + (2.0 * j + 2.0) * r))
+    q = 1.0 + 2.0 * j[1:] * r
+    off = j[1:] * (1.0 + j[1:] * r) / (q * np.sqrt(q * q - r * r))
+    return _golub_welsch(diag, off)
+
+
+def _golub_welsch(diag, off):
+    """Nodes and weights, summing to 1, of the Gauss rule of a Jacobi
+    matrix: its eigenvalues, and p_0^2 / sum_j p_j(x)^2 of its orthonormal
+    p_j from their recurrence, renormalized at each step so nothing
+    overflows."""
+    nodes = len(diag)
+    x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))
     prev, cur, first = np.zeros(nodes), np.ones(nodes), np.ones(nodes)
     for k in range(nodes - 1):
-        prev, cur = cur, ((v - diag[k]) * cur - (off[k - 1] * prev if k else 0.0)) / off[k]
+        prev, cur = cur, ((x - diag[k]) * cur - (off[k - 1] * prev if k else 0.0)) / off[k]
         norm = 1.0 / np.sqrt(1.0 + cur * cur)
         first *= norm * norm
         prev, cur = prev * norm, cur * norm
-    return v, first / (1.0 + beta)
+    return x, first
 
 
 def _chebyshev_series(f):
@@ -415,7 +484,8 @@ class _GreatCircleKernel:
     Chebyshev series in y = (x/pi)^2 (_chebyshev_series), or far below 0 in
     the log variable of _LAYER_BELOW's layer, from a Gauss-Jacobi rule
     (_jacobi_rule) of weight v^(1-s), with sinc^(n-1) - 1 formed as
-    expm1((n-1) log1p(-(z - sin z)/z)), or of weight v^-(1+s).  G'(pi) is
+    expm1((n-1) log1p(-(z - sin z)/z)), or of weight v^-(1+s), taken in the
+    layer on _jacobi_gap_rule, whose nodes keep their gap 1 - v.  G'(pi) is
     its own sum on that rule.  Above pi, G(x) = G(2 pi - x) + 2 (x - pi)
     G'(pi), so G is C^1 at pi.  n = 1, the circle itself, has H = 0.
 
@@ -442,20 +512,32 @@ class _GreatCircleKernel:
                 raise _scale_overflow(n, s) from None
         self.half = math.pi / self.unit  # pi in the unit
         self.positive = s <= _POSITIVE_FORM_BELOW
+        self.layer = (n + 1) / -s if s < -_LAYER_BELOW * (n + 1) else 0.0
         # doubling these nodes moves no W by more than 3e-13 for n <= 342
-        v, w = _jacobi_rule(40 + n // 2, -1.0 - s if self.positive else 1.0 - s)
+        beta = -1.0 - s if self.positive else 1.0 - s
+        if self.layer:  # nodes by their gap to 1, which 1 - v would lose
+            gap, w = _jacobi_gap_rule(40 + n // 2, beta)
+            gap /= beta
+            v, w, mass = 1.0 - gap, w / (1.0 + beta), w * gap / (1.0 + beta)
+        else:
+            v, w = _jacobi_rule(40 + n // 2, beta)
+            mass = w - w * v
 
         def integrand(x):
             z = np.multiply.outer(x, v)
-            log_sinc = (n - 1) * np.log1p(-_x_minus_sin(z) / z)
+            if n == 1:  # sinc^0, also where z is 0 or pi to roundoff
+                log_sinc = np.zeros_like(z)
+            else:
+                log_sinc = (n - 1) * np.log1p(-_x_minus_sin(z) / z)
             return np.exp(log_sinc) if self.positive else np.expm1(log_sinc) / (v * v)
 
-        table = lambda y: integrand(math.pi * np.sqrt(y)) @ (w - w * v)
-        self.layer = (n + 1) / -s if s < -_LAYER_BELOW * (n + 1) else 0.0
+        table = lambda y: integrand(math.pi * np.sqrt(y)) @ mass
         if self.layer:  # 2 tau - 1 = (2 log(1 + delta - y) - 2 log delta) / stretch - 1
             stretch = math.log1p(1.0 / self.layer)
             self.affine = (2.0 / stretch, 2.0 * math.log(self.layer) / stretch + 1.0)
-            self.coef = _chebyshev_series(lambda tau: np.log(table(1.0 - self.layer * np.expm1(stretch * tau))))
+            # a table that underflows is _chebyshev_series's ValueError, not a warning
+            with np.errstate(divide="ignore"):
+                self.coef = _chebyshev_series(lambda tau: np.log(table(1.0 - self.layer * np.expm1(stretch * tau))))
         else:  # 2 y - 1
             self.affine = (2.0 / (self.half * self.half), 1.0)
             self.coef = _chebyshev_series((lambda y: np.log(table(y))) if self.positive else table)
@@ -566,9 +648,15 @@ def perimeter_circle_exact(E, s: float) -> float:
     s = validate_s(s)
     if E.dimension != 1:
         raise TypeError(f"perimeter_circle_exact expects a set on S^1, got one on S^{E.dimension}")
+    return _circle_value(E, _GreatCircleKernel(1, s))
+
+
+def _circle_value(E, kernel: _GreatCircleKernel) -> float:
+    """The circle value of an n = 1 kernel on the trace of E, a set on S^1,
+    on the frame e = (1, 0), f = (0, 1); a ValueError where it overflows."""
     axes = np.eye(2)
     start, length, _ = trace(E, axes[:1], axes[1:])
-    return _finite(float(_GreatCircleKernel(1, s).circle_values(start, length)[0]), 1, s)
+    return _finite(float(kernel.circle_values(start, length)[0]), 1, kernel.s)
 
 
 # ---------------------------------------------------------------------------
@@ -585,12 +673,15 @@ def perimeter_by_method(
     method: str = "auto",
     samples: int = 1_000_000,
     rng=None,
+    normalized: bool = False,
 ):
-    """(method, value, error) of P_s(E) by one of METHODS.
+    """(method, value, error) of P_s(E) by one of METHODS, on the kernel
+    (d/pi)^-(n+s) when normalized=True.
 
     auto picks cap_oracle for a Cap, circle_exact for any other set on S^1
     and mc otherwise.  cap_oracle (perimeter_cap, E a Cap) reports the
-    larger of its rule levels' difference and CAP_TOL |value|, circle_exact
+    larger of its rule levels' difference and max(CAP_TOL, _FAR_TOL |s|)
+    |value|, circle_exact
     (perimeter_circle_exact, E on S^1) 0, and mc (perimeter_mc, at least
     two samples from rng) its standard error.  A method that does not fit E
     is a ValueError.
@@ -601,15 +692,15 @@ def perimeter_by_method(
     if method == "cap_oracle":
         if not isinstance(E, Cap):
             raise ValueError(f"cap_oracle needs a cap, got a {type(E).__name__}")
-        return (method, *_cap_oracle(E.dimension, s, E.radius))
+        return (method, *_cap_oracle(E.dimension, s, E.radius, normalized))
     if method == "circle_exact":
         if E.dimension != 1:
             raise ValueError(f"circle_exact needs a set on S^1, got one on S^{E.dimension}")
-        return method, perimeter_circle_exact(E, s), 0.0
+        return method, _circle_value(E, _GreatCircleKernel(1, s, normalized)), 0.0
     if method == "mc":
         # one sample has an infinite error bar, under which every 3-sigma verdict would pass
         if samples < 2:
             raise ValueError(f"need at least two samples for an error bar, got {samples}")
-        est = perimeter_mc(E, s, samples, rng)
+        est = perimeter_mc(E, s, samples, rng, normalized)
         return method, est.value, est.std_error
     raise ValueError(f"unknown method {method!r}: expected one of {', '.join(METHODS)}")

@@ -5,9 +5,11 @@ rules, dense walks along great circles, closed-form recursions, integer
 pair counting, a covariogram quadrature on the circle, and the plain forms
 of membership tests and samplers that the library computes faster,
 sharing no code path with the routines they check, plus high-precision
-cap perimeters and great-circle kernel values pinned from mpmath
-computations (CAP_PERIMETERS and KERNEL_W, whose comments say how they were
-made).  The covariogram cap oracle (covariogram_cap_perimeter, from a
+cap perimeters, great-circle kernel values and the rows of both t ->
+infinity sweeps pinned from mpmath computations (CAP_PERIMETERS, KERNEL_W,
+NORMALIZED_CAP_ROWS and SEMINORM_ROWS, whose comments say how they were
+made).  point_pair_perimeter, half the seminorm of a set's indicator, is
+the perimeter estimator that rests on no great-circle identity.  The covariogram cap oracle (covariogram_cap_perimeter, from a
 cap's crescent measure on the adaptive Gauss(7/15) quadrature
 adaptive_quad, both of which left the library) is the reference that
 shares no code with the great-circle kernel.  The perimeter of a disjoint
@@ -36,7 +38,7 @@ from scipy.integrate import quad
 from spherefrac.estimation import Estimate, NonFiniteSampleError, as_stream
 from spherefrac.geometry import cap_area, sphere_surface
 from spherefrac.integral_geometry import CroftonReport, _circle_weights, bp_constant
-from spherefrac.perimeter import _power_quotient, validate_s
+from spherefrac.perimeter import _power_quotient, seminorm_mc, validate_s
 from spherefrac.sets import ArcUnion, trace
 
 TWO_PI = 2.0 * math.pi
@@ -332,6 +334,92 @@ CAP_PERIMETERS = {
     (3, 0.99): (906.555709154446, 3956.096144566835, 3270.0694993327443),
     (3, 0.999): (9073.201464260685, 39486.60059359661, 32647.467387797897),
 }
+
+
+# t^2 P~_(-t)(C_r) on S^2, the sweep-sinf rows of a cap in the normalized
+# kernel (d/pi)^-(2-t), at t in FAR_T, per radius.  Made with mpmath at 40
+# digits from the covariogram form 2 pi t^2 int_0^pi (theta/pi)^(t-2)
+# sin(theta) K(theta) d theta of CAP_PERIMETERS (K = 2 theta for the
+# hemisphere; the crescent below theta = 2r and cap_area beyond for r = 1),
+# taken in x = t (1 - theta/pi), split at x in {1, 4, 10, 20, 40, 80, 200}
+# and at theta = 2r, and integrated twice, the second time divided by the
+# first result, since mpmath's tolerance is absolute.  A rerun at 50 digits
+# on other splits moved no value by more than 3e-41 relative.
+FAR_T = (20.0, 80.0, 1e3, 1e4, 1e5)
+NORMALIZED_CAP_ROWS = {
+    math.pi / 2: (
+        "363.961644462330568462047511705",
+        "384.268760133338091871157533277",
+        "389.243294477152851640025304172",
+        "389.597365963069968852330570156",
+        "389.632467426799030958058798872",
+    ),
+    1.0: (
+        "184.580401365570033717977016934",
+        "181.113074023041277026292366415",
+        "179.2924681260964030159913033",
+        "179.132833753989012498292503713",
+        "179.11672913376282791752724366",
+    ),
+}
+
+
+# t^n [x_0]^p at s = -t, the seminorm-sweep rows of f = x_0 in the
+# normalized kernel, at t in FAR_T, per (n, p).  Made with mpmath at 40
+# digits from the distance form omega_(n+1) omega_n E|x_0|^p pi^(n+p)
+# int_0^1 v^beta sinc(v)^(n-1) sinc(v/2)^p dv, beta = p (1 + t) - 1, with
+# E|x_0|^p = Gamma((n+1)/2) Gamma((p+1)/2) / (sqrt(pi) Gamma((n+1+p)/2)),
+# taken in x = beta (1 - v) split at x in {1, 4, 10, 20, 40, 60, 80, 120,
+# 200, 400, 1000}, with the integrand scaled by beta^(n-1) / (pi^(n-1)
+# (n-1)!) and integrated twice as above.  A rerun at 50 digits on other
+# splits moved no value by more than 6e-41 relative.  t = 20 lies below
+# n/p = 50 for n = 50, outside the sweep's grid but not the rule's reach.
+SEMINORM_ROWS = {
+    (1, 1.0): (
+        "49.9982252695016916072085553505",
+        "50.2468162079842138015841338113",
+        "50.2653588038419501055057944023",
+        "50.2654812175576436959839392611",
+        "50.2654824450345532129808490708",
+    ),
+    (2, 1.0): (
+        "790.775785534569115817181630159",
+        "787.091183625292445959130735702",
+        "780.039348742902444575634074948",
+        "779.350528770807315707028627621",
+        "779.28051973131232030700103363",
+    ),
+    (2, 1.5): (
+        "396.989885894832683828244233929",
+        "394.575290230105179665911125175",
+        "392.10062144244425668812236046",
+        "391.868954251800521502976385025",
+        "391.845478110310434142951629687",
+    ),
+    (3, 2.0): (
+        "1995.78377055802561451989123361",
+        "1954.18792287528828151483314415",
+        "1925.63271392645561083009314414",
+        "1923.06650546238171408290103952",
+        "1922.80722584192010641430630336",
+    ),
+    (50, 1.0): (
+        "2.42116844484316384094411733958e+52",
+        "4.10944012250498854338498137505e+63",
+        "7.41509161931263582631940619584e+64",
+        "2.95946972174191917379629361084e+64",
+        "2.65547794276484926300790265685e+64",
+    ),
+}
+
+
+def point_pair_perimeter(E, s: float, samples: int, rng) -> Estimate:
+    """Point-pair s-perimeter of E for s < 0 in the normalized kernel
+    (d/pi)^-(n+s), on any set with contains: half the p = 1 seminorm_mc of
+    E's indicator, as |1_E(x) - 1_E(y)| counts each pair of E x E^c once in
+    each order.  It rests on no great-circle identity."""
+    semi = seminorm_mc(E.contains, E.dimension, 1.0, s, samples, rng)
+    return Estimate(0.5 * semi.value, 0.5 * semi.std_error, semi.samples)
 
 
 # W(m) = 2 int_0^pi k(d) min(d, m) dd of the plain great-circle kernel

@@ -622,6 +622,32 @@ def test_t_grids_whose_t_to_the_n_overflows_end_in_an_exit_code(capsys, argv, rc
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv, method", [
+    (["sweep-sinf", "--n", "2", "--set", "cap:0,0,1:1.5707963267948966"], "cap_oracle"),
+    (["sweep-sinf", "--n", "1", "--set", "arcs:0,1"], "circle_exact"),
+    (["sweep-sinf", "--n", "2", "--set", OCTANT_DESC, "--samples", "4096"], "mc"),
+    (["seminorm-sweep", "--n", "2", "--function", "coord:0"], "exact"),
+    (["seminorm-sweep", "--n", "3", "--function", "const:2", "--p", "1.5"], "exact"),
+    (["seminorm-sweep", "--n", "2", "--function", "abs-coord:1", "--samples", "4096"], "mc"),
+], ids=("cap", "arcs", "octant", "coord", "const", "abs-coord"))
+def test_t_sweep_records_name_their_method_and_rerun_byte_identical(monkeypatch, capsys,
+                                                                     argv, method):
+    # the method goes into detail, not into a CSV column; cap, circle and
+    # coordinate rows take no samples, so they are the same at every seed
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    outputs = []
+    for seed in ("1", "1", "2"):
+        assert main(argv + ["--seed", seed, "--format", "json"]) in (0, 2)
+        outputs.append(capsys.readouterr().out)
+    record = json.loads(outputs[0])
+    assert record["detail"]["method"] == method
+    assert outputs[0] == outputs[1]
+    rows = [json.loads(out)["rows"] for out in outputs]
+    assert (rows[0] == rows[2]) == (method != "mc")
+    assert main(argv + ["--seed", "1"]) in (0, 2)
+    assert capsys.readouterr().out.splitlines()[0] == "param,value,error,target,deviation"
+
+
 def test_sweep_s1_on_the_octant_reaches_its_surface_area_limit(capsys):
     # the point-pair rows fell from 9.6 to 1.0 and extrapolated to 0.52;
     # the sliced rows extrapolate within 2% of 3 pi, the default threshold
@@ -1072,6 +1098,62 @@ def test_fuzzed_count_and_grid_flags_end_in_an_exit_code(argv):
     if rc == 0:
         rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
         if argv[0] in _SWEEPS + ("beta-check",):
+            rows = rows[:-1]
+        for row in rows:
+            assert all(math.isfinite(float(x)) for x in row[1:3]), (argv, row)
+
+
+# the function grammar: well-formed and malformed indices and constants,
+# unknown kinds, and --n, --p and the grids at ordinary and edge values,
+# the ordinary ones weighted so that about half of the runs get past the
+# checks.
+# --n stays at 13 or below, or out of range, where a sampled target's
+# 400000 points stay small; n = 300 runs as an example on the exact path
+_INDEX = st.sampled_from(["0", "1", "2"] * 6 + ["-1", "343", "x", "", "1.5", "1e3", "nan"])
+_CONSTANT = st.sampled_from(["0", "2", "-1.5"] * 6 + ["1e300", "-1e300", "inf", "nan", "x", ""])
+_FUNCTION = st.sampled_from(["coord", "abs-coord", "const"] * 6 + ["cos", ""]).flatmap(
+    lambda kind: (_CONSTANT if kind == "const" else _INDEX).map(lambda v: f"{kind}:{v}"))
+_FUNCTION_FLAGS = {
+    "--n": st.sampled_from(["1", "2", "3", "13"] * 6 + ["0", "343", "x"]),
+    "--p": st.sampled_from(["1", "1.5", "2"] * 6 + ["0.5", "1e300", "1100", "nan", "inf"]),
+    "--t-grid": st.sampled_from(["20,40,80"] * 18 + ["2,3", "1e5", "1e300", "0", "80,40",
+                                                     "nan", "", "20,20"]),
+    "--s-grid": st.sampled_from(["-0.3,-0.1"] * 18 + ["-0.5", "0", "-1", "nan", "-0.1,-0.3", ""]),
+}
+
+
+@st.composite
+def _function_argv(draw):
+    command = draw(st.sampled_from(["seminorm-sweep", "s0-check"]))
+    argv = [command, f"--n={draw(_FUNCTION_FLAGS['--n'])}", f"--function={draw(_FUNCTION)}",
+            "--seed", "1", "--samples", "64"]
+    flags = ("--p", "--t-grid") if command == "seminorm-sweep" else ("--s-grid",)
+    return argv + [f"{flag}={draw(_FUNCTION_FLAGS[flag])}" for flag in flags]
+
+
+@settings(max_examples=100)
+@given(argv=_function_argv())
+@example(argv=["seminorm-sweep", "--n=300", "--function=coord:3", "--seed", "1", "--samples",
+               "64", "--p=100", "--t-grid=4,5,6"])
+@example(argv=["seminorm-sweep", "--n=2", "--function=const:nan", "--seed", "1", "--samples",
+               "64", "--p=1", "--t-grid=20,40,80"])
+def test_fuzzed_function_descriptions_end_in_an_exit_code(argv):
+    # as the fuzzes above.  The first example died in an OverflowError from
+    # c_(n,p)'s (n-1)! as a float; the second exited 3 on the nan
+    # differences of a constant nan, which is now a config error
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    assert rc in (0, 1, 2, 3), (argv, rc, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if rc == 0:
+        rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
+        if argv[0] == "seminorm-sweep":
             rows = rows[:-1]
         for row in rows:
             assert all(math.isfinite(float(x)) for x in row[1:3]), (argv, row)

@@ -6,6 +6,7 @@ import pytest
 from spherefrac import (
     ArcUnion,
     Cap,
+    Polytope,
     RandomStream,
     beta_asymptotic_check,
     concentration_constant,
@@ -14,15 +15,23 @@ from spherefrac import (
     isoperimetric_profile,
     random_disjoint_cap_pair,
     s_to_zero_vanishing_check,
+    seminorm_mc,
     sphere_surface,
     sweep_s_to_1,
     sweep_s_to_minus_inf,
     sweep_seminorm_to_minus_inf,
 )
 from spherefrac.geometry import geodesic_distance
-from spherefrac.limits import _lipschitz_seminorm_bound
+from spherefrac.limits import (
+    SEMINORM_TOL,
+    _exact_seminorm_sweep,
+    _lipschitz_seminorm_bound,
+    _log_seminorm_row,
+)
+from spherefrac.perimeter import Constant, Coordinate
 
-from oracles import adaptive_quad
+from oracles import FAR_T, NORMALIZED_CAP_ROWS, SEMINORM_ROWS, adaptive_quad
+from test_perimeter import coordinate_seminorm_quad
 
 Z = (0.0, 0.0, 1.0)
 
@@ -156,6 +165,110 @@ def test_sweep_seminorm_to_minus_inf_smoke():
     assert report.deviation < 0.15
     with pytest.raises(ValueError):
         sweep_seminorm_to_minus_inf(2, lambda x: x[:, 0], 1.0, t_grid=(1.0, 4.0))
+
+
+def test_cap_rows_of_sweep_s_to_minus_inf_hold_their_pins():
+    # the cap oracle on the normalized kernel, at t up to 1e5: every row
+    # within its own error bar of the 40-digit pin, and that bar positive
+    # where the hemisphere's value is exact on every circle
+    for r, pins in NORMALIZED_CAP_ROWS.items():
+        rows, report = sweep_s_to_minus_inf(2, Cap(Z, r), t_grid=FAR_T)
+        assert [row.method for row in rows] == ["cap_oracle"] * len(FAR_T)
+        for row, pin in zip(rows, pins):
+            assert 0.0 < row.error < 1e-10 * row.value
+            assert abs(row.value - float(pin)) <= row.error, (r, row.param)
+        # the rows fall within 1.1/t of the limit, toward it from one side
+        assert abs(rows[-1].value / report.target - 1.0) < 1.1e-5
+
+
+def test_sweep_s_to_minus_inf_rows_name_their_method():
+    rows, _ = sweep_s_to_minus_inf(1, ArcUnion([(0.0, 1.0)]), t_grid=(20.0, 1e3))
+    assert [row.method for row in rows] == ["circle_exact"] * 2
+    octant = Polytope(-np.eye(3))
+    rows, report = sweep_s_to_minus_inf(2, octant, samples=32 * 512, rng=RandomStream(30))
+    assert [row.method for row in rows] == ["mc"] * 3
+    assert report.deviation < 0.05
+
+
+def test_coordinate_seminorm_rows_hold_their_pins():
+    # the Gauss-Jacobi rule in the gap to the antipode, at t up to 1e5:
+    # each row within its own error bar of the 40-digit pin
+    for (n, p), pins in SEMINORM_ROWS.items():
+        rows, _ = _exact_seminorm_sweep(
+            n, p, list(FAR_T), Coordinate(0).log_pair_moment(n, p), FAR_T[-1] * p - n)
+        for row, pin in zip(rows, pins):
+            assert row.method == "exact"
+            assert SEMINORM_TOL * row.value <= row.error < 1e-9 * row.value
+            assert abs(row.value - float(pin)) <= row.error, (n, p, row.param)
+        # where the sweep takes them (t > n/p), its rows are these
+        grid = [t for t in FAR_T if t > n / p]
+        swept, _ = sweep_seminorm_to_minus_inf(n, Coordinate(0), p, t_grid=grid)
+        assert swept == rows[len(FAR_T) - len(grid):]
+
+
+@pytest.mark.parametrize("n, p", ((1, 1.0), (2, 1.5), (3, 2.0), (13, 3.0)))
+def test_exact_seminorm_target_is_the_closed_form(n, p):
+    # c_(n,p) omega_(n+1) 2^p E|x_0|^p, with E|x_0|^p = E[a^p] E|sin U|^p:
+    # a^2 ~ Beta(1, (n-1)/2) (a = 1 on S^1) and E|sin U|^p the circle's
+    moment = math.gamma((n + 1) / 2) * math.gamma((p + 1) / 2) / (
+        math.sqrt(math.pi) * math.gamma((n + 1 + p) / 2))
+    sine = math.gamma((p + 1) / 2) / (math.sqrt(math.pi) * math.gamma(p / 2 + 1))
+    # E[a^p] = B(1 + p/2, (n-1)/2) / B(1, (n-1)/2), 1 at n = 1
+    a_moment = math.gamma(1 + p / 2) * math.gamma((n + 1) / 2) / math.gamma((n + 1 + p) / 2)
+    assert a_moment * sine == pytest.approx(moment, rel=1e-13)
+    assert math.exp(Coordinate(n).log_pair_moment(n, p)) == pytest.approx(moment, rel=1e-13)
+    rows, report = sweep_seminorm_to_minus_inf(n, Coordinate(n), p, t_grid=(1e3, 1e4, 1e5))
+    target = concentration_constant(n, p) * sphere_surface(n) * 2.0**p * moment
+    assert report.target == pytest.approx(target, rel=1e-13)
+    # the rows' 1/t term leaves the linear fit's limit near the target
+    assert report.deviation < 1e-5 * n * n
+
+
+@pytest.mark.parametrize("n, s", ((2, -1.2), (3, -0.5), (13, -4.0)))
+def test_p2_rows_match_the_coordinate_quadrature(n, s):
+    # at p = 2 the pair law is 2 (1 - cos theta) / (n + 1), which the
+    # adaptive quadrature of test_perimeter integrates as written
+    log_row, _ = _log_seminorm_row(n, 2.0, -s, Coordinate(0).log_pair_moment(n, 2.0))
+    exact = math.exp(log_row - n * math.log(-s))
+    assert exact == pytest.approx(coordinate_seminorm_quad(n, s), rel=1e-9)
+
+
+@pytest.mark.parametrize("p", (1.0, 1.5, 2.0))
+@pytest.mark.parametrize("n", (2, 3))
+def test_seminorm_mc_error_bars_against_the_exact_rows(n, p):
+    # the point pairs' error bars at p != 2, where no quadrature oracle
+    # stood before: z against the exact row at a mild, a far and a very
+    # far s, the last two where the kernel concentrates at the antipode
+    f = Coordinate(0)
+    for i, s in enumerate((-0.5, -20.0, -40.0)):
+        est = seminorm_mc(f, n, p, s, 200_000, RandomStream(1000 + 10 * n + i))
+        log_row, _ = _log_seminorm_row(n, p, -s, f.log_pair_moment(n, p))
+        exact = math.exp(log_row - n * math.log(-s))
+        z = (est.value - exact) / est.std_error
+        print(f"n={n}, p={p}, s={s}: z = {z:.2f}")
+        assert abs(z) < 4.0
+
+
+def test_constant_rows_and_target_are_exactly_0():
+    rows, report = sweep_seminorm_to_minus_inf(2, Constant(3.0), 1.5)
+    assert [(row.value, row.error, row.method) for row in rows] == [(0.0, 0.0, "exact")] * 3
+    assert report.target == 0.0 and report.extrapolated == 0.0
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            Constant(bad)
+
+
+def test_seminorm_sweep_refuses_rows_outside_a_float():
+    # 2^p overflows from p = 1024 on; an exponent -(n + s p) that is not
+    # finite is refused before any rule is built
+    with pytest.raises(ValueError, match="the kernel exponent .* outside the range of a float"):
+        sweep_seminorm_to_minus_inf(2, Coordinate(0), 1100.0)
+    with pytest.raises(ValueError, match="the kernel exponent must be finite"):
+        sweep_seminorm_to_minus_inf(2, Coordinate(0), 1e307)
+    # the constants are formed in logs: c_(n,p) alone overflows at n = 300
+    rows, report = sweep_seminorm_to_minus_inf(300, Coordinate(3), 100.0, t_grid=(4.0, 5.0, 6.0))
+    assert all(0.0 < row.error < 1e-9 * row.value for row in rows)
+    assert 0.0 < report.target < math.inf
 
 
 # ---------------------------------------------------------------------------

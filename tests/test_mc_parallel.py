@@ -33,10 +33,9 @@ from spherefrac import (
     symmetric_overlap_measure,
 )
 from spherefrac.cli import dot2_kernel, parse_function, parse_set
-from spherefrac.limits import SweepRow
-from spherefrac.perimeter import _perimeter_point_pairs
+from spherefrac.limits import SweepRow, _exact_seminorm_sweep
 
-from oracles import mc_estimate_serial
+from oracles import mc_estimate_serial, point_pair_perimeter
 
 WORKERS = (1, 2, 3)
 
@@ -105,11 +104,11 @@ def test_perimeter_mc_equals_serial_loop(monkeypatch, name, s):
 @pytest.mark.parametrize("s", (-2.0, -0.5))
 @pytest.mark.parametrize("name", sorted(SETS))
 def test_point_pair_perimeter_equals_serial_loop(monkeypatch, name, s):
-    # the point pairs of sweep_s_to_minus_inf: on S^2 their first points
+    # half the seminorm_mc of the set's indicator: on S^2 its first points
     # are 32 rotations of a lattice, each one chunk of integral_geometry's
     # mc_estimate
     E = parse_set(SETS[name])
-    run = lambda: _perimeter_point_pairs(E, s, 200_001, RandomStream(31))
+    run = lambda: point_pair_perimeter(E, s, 200_001, RandomStream(31))
     reference, results = serial_and_parallel(monkeypatch, spherefrac.integral_geometry, run)
     assert reference.samples == 32
     for est in results:
@@ -121,7 +120,7 @@ def test_point_pair_perimeter_equals_serial_loop(monkeypatch, name, s):
 def test_point_pair_perimeter_on_s3_equals_serial_loop(monkeypatch, name, s):
     # off S^2 the pairs are iid, one mc_estimate sample each
     E = parse_set(S3_SETS[name])
-    run = lambda: _perimeter_point_pairs(E, s, 200_001, RandomStream(31))
+    run = lambda: point_pair_perimeter(E, s, 200_001, RandomStream(31))
     reference, results = serial_and_parallel(monkeypatch, spherefrac.perimeter, run)
     assert reference.samples == 200_001
     for est in results:
@@ -356,6 +355,19 @@ def uniform_points(n):
 def test_seminorm_target_equals_serial_mc_estimate(monkeypatch, desc, p, target_samples):
     f, _ = parse_function(desc, 2)
     t_grid = (20.0, 40.0, 80.0)
+    if desc.startswith("coord"):
+        # x_0 has a pair law: its rows and target are the exact rule's,
+        # which samples nothing, on any worker count
+        ref_rows, ref_report = _exact_seminorm_sweep(
+            2, p, list(t_grid), f.log_pair_moment(2, p), t_grid[-1] * p - 2)
+        for count in (1, 2, 8):
+            force_workers(monkeypatch, count)
+            rows, report = sweep_seminorm_to_minus_inf(
+                2, f, p, t_grid, 20_000, RandomStream(40), target_samples
+            )
+            assert rows == ref_rows and report == ref_report
+            assert {row.method for row in rows} == {"exact"}
+        return
     streams = RandomStream(40).split(len(t_grid) + 1)
     # the rows draw from the first streams, as before the target was chunked
     ref_rows = []

@@ -7,11 +7,12 @@ against quadrature, the vectorized V against the scalar (arc, gap) loop of
 oracles.py, the hemisphere's constant V against the covariogram cap
 oracle of oracles.py (the library's cap oracle runs on the same kernel, so
 it cannot check it), the error bars against that oracle over many seeds,
-the point-pair estimator against it at s < 0, and the traces the estimator rests on (rotated sets,
-overlapping unions).
+the point-pair estimator of oracles.py against it at s < 0, and the traces
+the estimator rests on (rotated sets, overlapping unions).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from spherefrac import (
 )
 from spherefrac.cli import main, parse_set
 from spherefrac.integral_geometry import bp_constant, sample_plane_batch
-from spherefrac.perimeter import _GreatCircleKernel, _perimeter_point_pairs
+from spherefrac.perimeter import _GreatCircleKernel
 from spherefrac.sets import rotated, trace
 
 from oracles import (
@@ -45,6 +46,7 @@ from oracles import (
     KERNEL_W,
     covariogram_cap_perimeter,
     disjoint_cap_union_perimeter,
+    point_pair_perimeter,
     sliced_values_serial,
 )
 from test_mc_parallel import SETS
@@ -176,7 +178,7 @@ def test_point_pairs_agree_with_the_sliced_value_below_zero(name, s):
     # the point pairs rest on no great-circle identity, so this checks the
     # identity at s < 0 by an independent estimator (normalized kernel)
     E = parse_set(SETS[name])
-    pairs = _perimeter_point_pairs(E, s, 1_000_000, RandomStream(93))
+    pairs = point_pair_perimeter(E, s, 1_000_000, RandomStream(93))
     sliced = perimeter_mc(E, s, 32 * 4096, RandomStream(94), normalized=True)
     combined = math.hypot(pairs.std_error, sliced.std_error)
     z = (pairs.value - sliced.value) / combined
@@ -186,10 +188,11 @@ def test_point_pairs_agree_with_the_sliced_value_below_zero(name, s):
 
 @pytest.mark.parametrize("t", (20.0, 80.0))
 def test_point_pair_hemisphere_rows_are_tight_and_honest(t):
-    # the sweep-sinf rows: half the indicator's seminorm is symmetric in the
-    # pair, and at large t almost every drawn pair straddles a hemisphere,
-    # so the relative error falls below the one-sided estimator's 1e-3
-    est = _perimeter_point_pairs(Cap(Z, math.pi / 2), -t, 1_000_000, RandomStream(95))
+    # the sweep-sinf rows before they took the cap oracle: half the
+    # indicator's seminorm is symmetric in the pair, and at large t almost
+    # every drawn pair straddles a hemisphere, so the relative error falls
+    # below the one-sided estimator's 1e-3
+    est = point_pair_perimeter(Cap(Z, math.pi / 2), -t, 1_000_000, RandomStream(95))
     ref = math.pi ** (2.0 - t) * covariogram_cap_perimeter(2, -t, math.pi / 2, tol=1e-12)
     z = (est.value - ref) / est.std_error
     print(f"t={t}: rse {est.std_error / est.value:.2e}, z = {z:.2f}")
@@ -207,7 +210,7 @@ def test_point_pair_error_bar_covers_at_the_nominal_rate():
     runs = 200
     covered = 0
     for stream in RandomStream(96).split(runs):
-        est = _perimeter_point_pairs(E, s, 20_000, stream)
+        est = point_pair_perimeter(E, s, 20_000, stream)
         covered += abs(est.value - truth) <= 1.96 * est.std_error
     share = covered / runs
     print(f"point-pair coverage: {share:.3f}")
@@ -222,14 +225,10 @@ def test_point_pairs_refuse_an_estimate_that_no_pair_reaches():
         perimeter_mc(Cap(pole(342), 1.0), -1.0, 1000, RandomStream(1), normalized=True)
     with pytest.raises(ValueError, match=r"underflows a float at n = 342, s = -1"):
         perimeter_mc(Cap(pole(342), 1.0), -1.0, 1000, RandomStream(1))
-    # the point pairs of limits.sweep_s_to_minus_inf refuse it too
-    with pytest.raises(ValueError, match=r"n = 342, samples = 1000"):
-        _perimeter_point_pairs(Cap(pole(342), 1.0), -1.0, 1000, RandomStream(1))
     # where the boundary is empty, 0 is exact
     for full in (Cap(pole(13), 0.0), Cap(pole(13), math.pi), Cap(Z, math.pi), ArcUnion([(0.5, TWO_PI)])):
-        for estimate in (perimeter_mc, _perimeter_point_pairs):
-            est = estimate(full, -1.0, 1000, RandomStream(2))
-            assert (est.value, est.std_error) == (0.0, 0.0)
+        est = perimeter_mc(full, -1.0, 1000, RandomStream(2))
+        assert (est.value, est.std_error) == (0.0, 0.0)
     # and where it is unknown: two overlapping caps that cover S^2 are no
     # disjoint union, so boundary_measure() is None, and every circle's
     # trace is full
@@ -238,8 +237,6 @@ def test_point_pairs_refuse_an_estimate_that_no_pair_reaches():
     for s in (-1.0, 0.3):
         est = perimeter_mc(covering, s, 1000, RandomStream(2))
         assert (est.value, est.std_error) == (0.0, 0.0)
-    est = _perimeter_point_pairs(covering, -1.0, 1000, RandomStream(2))
-    assert (est.value, est.std_error) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +341,10 @@ def test_normalized_kernel_holds_far_below_zero():
         K = _GreatCircleKernel(2, s, normalized=True)
         assert K.coef.size <= 40
         assert np.allclose(K.W(np.array([1.0, math.pi])), ref, rtol=1e-10, atol=0.0)
-    # on S^342 at s = -2000, H0 underflows a float before pi, and so does its log
-    with pytest.warns(RuntimeWarning, match="divide by zero"):
+    # on S^342 at s = -2000, H0 underflows a float before pi, and so does
+    # its log: a ValueError, and no longer after a divide-by-zero warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         with pytest.raises(ValueError, match="table underflows a float"):
             _GreatCircleKernel(342, -2000.0, normalized=True)
 
