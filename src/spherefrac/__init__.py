@@ -9,7 +9,6 @@ crossings), and the extrapolated limits s -> 1, s -> -infinity and s -> 0^-.
 from .estimation import (
     Estimate,
     NonFiniteSampleError,
-    RadialProposal,
     RandomStream,
     as_stream,
     mc_estimate,
@@ -17,7 +16,6 @@ from .estimation import (
 from .geometry import (
     cap_area,
     geodesic_distance,
-    sample_at_distance,
     sample_uniform,
     sphere_surface,
     unit_vector,
@@ -56,7 +54,6 @@ from .perimeter import (
     perimeter_circle_exact,
     perimeter_mc,
     perimeter_minus_n,
-    seminorm_mc,
     validate_s,
 )
 from .sets import (
@@ -88,7 +85,6 @@ __all__ = [
     "PolyconvexUnion",
     "Polytope",
     "ProfileReport",
-    "RadialProposal",
     "RandomStream",
     "Reflection",
     "SweepRow",
@@ -112,9 +108,7 @@ __all__ = [
     "perimeter_minus_n",
     "random_disjoint_cap_pair",
     "s_to_zero_vanishing_check",
-    "sample_at_distance",
     "sample_uniform",
-    "seminorm_mc",
     "sphere_surface",
     "sweep_s_to_1",
     "sweep_s_to_minus_inf",

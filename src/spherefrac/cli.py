@@ -415,6 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True, dest="set_desc")
     p.add_argument("--t-grid", type=_float_list, default=DEFAULT_T_GRID)
 
+    # the rows are exact and read neither --seed nor --samples, which stay
+    # accepted so that existing invocations still run
     p = add("seminorm-sweep", "seminorm limit sweep t^n [f]^p, t -> infinity",
             "seed", "samples", "threshold")
     p.add_argument("--n", type=int, required=True)
@@ -439,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--t-grid", type=_float_list, default=DEFAULT_T_GRID)
 
-    p = add("s0-check", "vanishing of |s| [f] as s -> 0^-", "seed", "samples")
+    p = add("s0-check", "vanishing of |s| [f] as s -> 0^-")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--function", default="coord:0")
     p.add_argument("--s-grid", type=_float_list, default=DEFAULT_S0_GRID)
@@ -539,11 +541,8 @@ def _run_sweep_sinf(args, stream):
 
 def _run_seminorm_sweep(args, stream):
     _check_n(args.n)
-    _need_two(args.samples, "samples")
     f, _ = parse_function(args.function, args.n)
-    rows, report = sweep_seminorm_to_minus_inf(
-        args.n, f, args.p, args.t_grid, samples=args.samples, rng=stream
-    )
+    rows, report = sweep_seminorm_to_minus_inf(args.n, f, args.p, args.t_grid)
     threshold = args.threshold if args.threshold is not None else THRESHOLDS["seminorm-sweep"]
     verdicts = {}
     if report.target and report.target > 0:
@@ -621,11 +620,8 @@ def _run_beta_check(args, stream):
 
 def _run_s0_check(args, stream):
     _check_n(args.n)
-    _need_two(args.samples, "samples")
     f, lipschitz = parse_function(args.function, args.n)
-    rows, report = s_to_zero_vanishing_check(
-        args.n, f, lipschitz, args.s_grid, samples=args.samples, rng=stream
-    )
+    rows, report = s_to_zero_vanishing_check(args.n, f, lipschitz, args.s_grid)
     out = [_row(r.param, r.value, r.error) for r in rows]
     verdicts = {
         "monotone_within_3se": report.monotone_within_3se,

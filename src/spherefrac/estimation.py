@@ -195,58 +195,3 @@ def mc_estimate(sampler, integrand, n_samples: int, rng, chunk_size: int = 1 << 
         finally:
             pool.shutdown(cancel_futures=True)
     return functools.reduce(Estimate.merge, parts)
-
-
-class RadialProposal:
-    """Exact importance sampler for the radial factor of geodesic polar integrals.
-
-    Target on [0, pi]: sin^(n-1)(theta) (theta/pi)^exponent, the radial
-    factor of the normalized kernel.  The draw is w = theta/pi ~ Beta(a, n)
-    with a = exponent + n; its density w^(a-1) (1-w)^(n-1) has both
-    endpoint orders of the target, so
-
-        weight * sin^(n-1)(theta) * (theta/pi)^exponent
-            = pi B(a, n) (sin(pi w) / (w (1-w)))^(n-1).
-
-    With m = min(w, 1-w), so that w (1-w) = m (1-m), the ratio
-    sin(pi w) / (w (1-w)) = pi sinc(m) / (1-m) lies in [pi, 4] and is
-    finite at both ends, also for draws that underflow to w = 0, so every
-    weight lies within a factor (4/pi)^(n-1) of the smallest.
-
-    Construction fails when the target is not normalizable, i.e. a <= 0
-    (the s >= 0 singular regime of the perimeter kernel), when the exponent
-    is not finite, and when the target's mass pi B(a, n) underflows a
-    float, so that every weight would be 0.
-    """
-
-    def __init__(self, n: int, exponent: float):
-        if n < 1:
-            raise ValueError("sphere dimension must be >= 1")
-        a = exponent + n
-        if not math.isfinite(a):
-            raise ValueError(f"the kernel exponent must be finite, got {exponent} on S^{n}")
-        if a <= 0.0:
-            raise ValueError(
-                "density sin^(n-1)(theta) * theta^exponent is not normalizable at 0 "
-                f"(exponent {exponent}, n {n}); this is the s >= 0 singular regime"
-            )
-        # B(a, n) = (n-1)! / prod_(k<n) (a + k) for the integer n keeps its
-        # digits where lgamma(a) - lgamma(a + n) cancels (large a)
-        log_mass = math.log(math.pi) + math.lgamma(n) - sum(math.log(a + k) for k in range(n))
-        if log_mass < math.log(np.finfo(float).tiny):
-            raise ValueError(f"the kernel exponent {exponent:g} on S^{n} leaves a mass "
-                             "pi B(exponent + n, n) that underflows a float")
-        self.n = int(n)
-        self._a = a
-        self._scale = math.exp(log_mass)
-
-    def sample_weighted(self, count: int, rng: np.random.Generator):
-        """(theta, wk) with wk = weight * sin^(n-1)(theta) * (theta/pi)^exponent.
-
-        Means of wk * g(theta) estimate int_0^pi g sin^(n-1)(theta)
-        (theta/pi)^exponent d theta.
-        """
-        w = rng.beta(self._a, self.n, size=count)
-        m = np.minimum(w, 1.0 - w)
-        ratio = math.pi * np.sinc(m) / (1.0 - m)
-        return math.pi * w, self._scale * ratio ** (self.n - 1)

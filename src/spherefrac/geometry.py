@@ -183,36 +183,6 @@ def sample_uniform(n: int, count: int, rng: np.random.Generator) -> np.ndarray:
     return g
 
 
-def sample_at_distance(x: np.ndarray, theta, rng: np.random.Generator) -> np.ndarray:
-    """Uniform points on the geodesic sphere at distance theta around x.
-
-    x has shape (..., n+1), or (n+1,) for one point; theta broadcasts
-    against its leading shape.  An isotropic Gaussian projected off x gives
-    the tangent direction u, uniform on the unit tangent sphere, and the
-    point is cos(theta) x + sin(theta) u.  One Gaussian row is drawn per
-    point, and a row that projects to zero is redrawn.  The work is done in
-    place on the Gaussian array.  Output rows are renormalized; the realized
-    distance matches theta to ~1e-10.
-    """
-    x = np.asarray(x, dtype=float)
-    g = rng.standard_normal(x.shape)
-    g -= _row_dots(g, x)[..., None] * x
-    norms = _row_norms(g)
-    while np.any(norms == 0.0):
-        bad = norms == 0.0
-        fresh = rng.standard_normal((int(bad.sum()), x.shape[-1]))
-        xb = x[bad] if x.ndim > 1 else x[None]
-        fresh -= _row_dots(fresh, xb)[..., None] * xb
-        g[bad] = fresh
-        norms = _row_norms(g)
-    th = np.broadcast_to(np.asarray(theta, dtype=float), x.shape[:-1])
-    g /= norms[..., None]
-    g *= np.sin(th)[..., None]
-    g += np.cos(th)[..., None] * x
-    g /= _row_norms(g)[..., None]
-    return g
-
-
 def _row_dots(a, b):
     """Dot products of matching rows (last axis) of a and b.
 

@@ -22,14 +22,12 @@ All estimators are mc_estimate means whose chunks draw from their own
 child streams, on worker threads.  Crofton counts, antipodal gains
 (symmetric_overlap_measure) and the sliced perimeter of perimeter.py are
 means of a per-circle value over great circles, all taken by
-_circle_mean.  On S^2 these, and the point pairs of perimeter.seminorm_mc,
-are means over Haar rotations of one Fibonacci lattice
-(_rotated_lattice_mean): of its points taken as great-circle poles
-(_lattice_frames) or as the pairs' first points (_lattice_points).  A
-chunk is one rotation, and the estimate is the randomized quasi-Monte
-Carlo mean of the rotations' means (Owen, Monte Carlo theory, methods and
-examples, 2013), whose error bar is the spread of _ROTATIONS rotation
-means.  On other spheres a chunk is _TRACE_BLOCK iid Haar circles.
+_circle_mean.  On S^2 these are means over Haar rotations of one
+Fibonacci lattice (_rotated_lattice_mean) of great-circle poles
+(_lattice_frames).  A chunk is one rotation, and the estimate is the
+randomized quasi-Monte Carlo mean of the rotations' means (Owen, Monte
+Carlo theory, methods and examples, 2013), whose error bar is the spread
+of _ROTATIONS rotation means.  On other spheres a chunk is _TRACE_BLOCK iid Haar circles.
 Either way a chunk resamples its own degenerate circles, so the report
 depends only on (seed, planes, _TRACE_BLOCK).  A bp_check chunk of
 _PLANE_BLOCK Haar planes integrates f over all its circles at once, so the
@@ -105,8 +103,7 @@ def _orthonormalize(es, fs):
 # temporaries, and nothing holds all planes: octant crofton at 1e6 iid
 # planes on 2 CPUs peaked at 75 MB RSS (58 MB before the call), against
 # 91 MB with 1 << 16, 67 MB with 1 << 14, and 141 MB when all frames were
-# drawn first.  At 1e6 planes a lattice of 31250 poles is one block.  The
-# blocks of seminorm_mc's S^2 point pairs are of the same size.
+# drawn first.  At 1e6 planes a lattice of 31250 poles is one block.
 _TRACE_BLOCK = 1 << 15
 # Rounds of redraws a block of circles gets for its degenerate circles, after
 # which _circle_mean raises DegenerateCircleError.
@@ -292,12 +289,6 @@ def _lattice(start: int, stop: int, size: int):
     return z, rho, np.cos(i), np.sin(i)
 
 
-def _lattice_points(start: int, stop: int, size: int) -> np.ndarray:
-    """Rows start .. stop-1 of the Fibonacci lattice (_lattice), shape (stop - start, 3)."""
-    z, rho, cos_phi, sin_phi = _lattice(start, stop, size)
-    return np.stack([rho * cos_phi, rho * sin_phi, z], axis=1)
-
-
 def _lattice_frames(start: int, stop: int, poles: int):
     """Frames (es, fs) of the great circles whose poles are rows start ..
     stop-1 of the Fibonacci lattice (_lattice): e = (-sin phi, cos phi, 0),
@@ -319,12 +310,12 @@ def _rotated_lattice_mean(samples: int, rng, lattice, rotation) -> Estimate:
     S^2: an mc_estimate with one sample per rotation, so the Estimate's
     samples is R and its error bar has R - 1 degrees of freedom.
 
-    lattice(start, stop, size) builds rows of the unrotated lattice
-    (_lattice_points or _lattice_frames).  Each rotation draws its Haar
-    rotation q first from its own child stream gen, then calls
-    rotation(q, gen) once; that returns block(first, rows), the sum of the
-    per-row values of a block of rows under q, which may draw more from
-    gen.  first numbers the block's first row among all R * size:
+    lattice(start, stop, size) builds rows of the unrotated lattice:
+    _lattice_frames here, and the lattice's points in the point-pair
+    estimator of tests/oracles.py.  Each rotation draws its Haar rotation q
+    first from its own child stream gen, then calls rotation(q, gen) once;
+    that returns block(first, rows), the sum of the per-row values of a
+    block of rows under q, which may draw more from gen.  first numbers the block's first row among all R * size:
     rotation r's row i is r * size + i.  The rotation's sample is the sum
     over its blocks over size.  A block holds at most _TRACE_BLOCK rows:
     the unrotated lattice is built once per call when it fits in one block,

@@ -12,21 +12,20 @@ asserted, since only the limits themselves are established facts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import Estimate, as_stream, mc_estimate
+from .estimation import Estimate, as_stream
 from .geometry import geodesic_distance, sample_uniform, sphere_surface, volume_radius
 from .integral_geometry import symmetric_overlap_measure
 from .perimeter import (
     _cap_oracle,
     _jacobi_gap_rule,
-    _jacobi_rule,
     perimeter_by_method,
     perimeter_mc,
-    seminorm_mc,
     validate_p,
 )
 from .sets import Cap, PolyconvexUnion
@@ -204,28 +203,17 @@ def sweep_s_to_minus_inf(
     return rows, report
 
 
-def sweep_seminorm_to_minus_inf(
-    n: int,
-    f,
-    p: float,
-    t_grid=DEFAULT_T_GRID,
-    samples: int = 1_000_000,
-    rng=None,
-    target_samples: int = 400_000,
-):
+def sweep_seminorm_to_minus_inf(n: int, f, p: float, t_grid=DEFAULT_T_GRID):
     """Rows of t^n [f]^p at s = -t with the antipodal-difference target
     c_(n,p) int |f(x) - f(-x)|^p.  A t whose t^n overflows a float, and a
     kernel exponent -(n + s p) that is not finite, are ValueErrors.
 
-    A function with a pair law (f.log_pair_moment(n, p) not None, e.g.
-    perimeter.Coordinate) has exact rows, _log_seminorm_row's, with method
-    "exact", and the exact target c_(n,p) omega_(n+1) 2^p K, as
-    |f(x) - f(-x)|^p = 2^p K on average; a constant's rows and target are
-    0.  Rows or a target that overflow or underflow a float are
-    ValueErrors.  Any other f takes seminorm_mc's rows (method "mc"): on
-    S^2 over its rotated Fibonacci lattice, with error bars of 31 degrees
-    of freedom.  Its target is an mc_estimate of omega_(n+1)
-    |f(x) - f(-x)|^p over target_samples uniform points.
+    f carries its pair law (f.log_pair_law, e.g. perimeter.Coordinate or
+    Constant); one without is a ValueError.  Each row is _log_seminorm_row's
+    Gauss-Jacobi sum, method "exact", and the target c_(n,p) omega_(n+1)
+    M(pi) is exact too, as the pair at distance pi is (x, -x): 0 for a law
+    that is 0 there (|x_i|, and a constant, whose rows are 0 as well).
+    Rows or a target that overflow or underflow a float are ValueErrors.
     """
     p = validate_p(p)
     grid = _strict_grid(t_grid, "t_grid", lambda t: t > n / p, f"with every t > n/p = {n / p}")
@@ -233,27 +221,16 @@ def sweep_seminorm_to_minus_inf(
     exponent = grid[-1] * p - n  # -(n + s p) at the largest t
     if not math.isfinite(exponent):
         raise ValueError(f"the kernel exponent must be finite, got {exponent} on S^{n}")
-    law = getattr(f, "log_pair_moment", None)
-    log_moment = None if law is None else law(n, p)
-    if log_moment is not None:
-        return _exact_seminorm_sweep(n, p, grid, log_moment, exponent)
-    streams = as_stream(rng).split(len(grid) + 1)
-    rows = []
-    for i, t in enumerate(grid):
-        est = seminorm_mc(f, n, p, -t, samples, streams[i])
-        rows.append(SweepRow(t, t**n * est.value, t**n * est.std_error, "mc"))
-    total = sphere_surface(n)
+    return _exact_seminorm_sweep(n, p, grid, _pair_law(f, n, p), exponent)
 
-    def antipodal_gap(x):
-        return total * np.abs(np.asarray(f(x), dtype=float) - np.asarray(f(-x), dtype=float)) ** p
 
-    gap = mc_estimate(
-        lambda count, gen: sample_uniform(n, count, gen), antipodal_gap, target_samples, streams[-1]
-    )
-    target = 0.0 if gap.value == 0.0 else _normal_float(
-        _log_concentration_constant(n, p) + math.log(gap.value), "the target", n, p, exponent)
-    report = extrapolate([1.0 / t for t in grid], [row.value for row in rows], target)
-    return rows, report
+def _pair_law(f, n: int, p: float):
+    """f's log pair law on S^n at p as a function of the gap alone; a
+    ValueError where f carries none."""
+    if not hasattr(f, "log_pair_law"):
+        raise ValueError(f"{type(f).__name__} carries no pair law: a seminorm needs "
+                         "E[|f(x) - f(y)|^p | d(x, y)] (perimeter.Coordinate, Constant)")
+    return functools.partial(f.log_pair_law, n, p)
 
 
 # The exact seminorm rows' relative error floor, by measurement: against
@@ -261,57 +238,79 @@ def sweep_seminorm_to_minus_inf(
 # rows are within 3.6e-15 for n <= 3 and 2.2e-14 at n = 50, and against
 # 40-digit values up to n = 342 and p = 1000 within 3.4e-13, the roundoff
 # of logs that reach 660; the rule's two levels agree to 2.8e-14 on both.
+# The pins of |x_0| and of x_0 near 0 (s from -0.01 to -1e3) hold within
+# 4.9e-14 at p in {1, 2}; at p = 1.5, where |x_0|'s law goes like
+# (pi - theta)^1.5, the levels differ by up to 1.1e-6 and the rows are
+# within 1e-7.
 SEMINORM_TOL = 1e-12
 
 
-def _exact_seminorm_sweep(n: int, p: float, grid, log_moment: float, exponent: float):
-    """Rows and report of sweep_seminorm_to_minus_inf for a pair law log K;
-    exponent, the kernel's at the largest t, names a value out of range."""
-    if log_moment == -math.inf:
-        rows = [SweepRow(t, 0.0, 0.0, "exact") for t in grid]
-        target = 0.0
-    else:
+def _exact_seminorm_sweep(n: int, p: float, grid, log_law, exponent: float):
+    """Rows and report of sweep_seminorm_to_minus_inf for the pair law
+    log_law of the gap; exponent, the kernel's at the largest t, names a
+    value out of range."""
+    log_antipodal = float(log_law(np.zeros(1))[0])
+    target = 0.0
+    if log_antipodal > -math.inf:
         log_target = (_log_concentration_constant(n, p) + math.log(sphere_surface(n))
-                      + p * math.log(2.0) + log_moment)
+                      + p * math.log(2.0) + log_antipodal)
         target = _normal_float(log_target, "the target", n, p, exponent)
-        rows = []
-        for t in grid:
-            log_value, log_coarse = _log_seminorm_row(n, p, t, log_moment)
-            value = _normal_float(log_value, "a row t^n [f]^p", n, p, exponent)
-            error = max(value * abs(math.expm1(log_coarse - log_value)), SEMINORM_TOL * value)
-            rows.append(SweepRow(t, value, error, "exact"))
+    rows = [SweepRow(t, *_exact_row(n, p, t, log_law, n, "a row t^n [f]^p", exponent), "exact")
+            for t in grid]
     report = extrapolate([1.0 / t for t in grid], [row.value for row in rows], target)
     return rows, report
 
 
-def _log_seminorm_row(n: int, p: float, t: float, log_moment: float):
-    """log t^n [f]^p at s = -t for f with pair law K = exp(log_moment), on
-    the Gauss rule of _jacobi_gap_rule at 40 + n // 2 nodes and on a
-    coarse level of 20 + n // 2, which also integrates the rule's
-    x^(n-1) e^-x-like weight near the antipode.
+def _exact_row(n: int, p: float, t: float, log_law, power: float, what: str, exponent: float):
+    """(value, error) of t^power [f]^p at s = -t from _log_seminorm_row: the
+    error is the larger of its two levels' difference and SEMINORM_TOL
+    |value|, and a value outside a normal float is _normal_float's
+    ValueError, naming what and exponent."""
+    log_value, log_coarse = _log_seminorm_row(n, p, t, log_law, power)
+    if log_value == -math.inf:
+        return 0.0, 0.0
+    value = _normal_float(log_value, what, n, p, exponent)
+    return value, max(value * abs(math.expm1(log_coarse - log_value)), SEMINORM_TOL * value)
 
-    Grouping the pairs by their distance theta = pi v,
 
-        [f]^p = omega_(n+1) omega_n K pi^(n+p) int_0^1 v^beta sinc(v)^(n-1) sinc(v/2)^p dv,
+def _log_seminorm_row(n: int, p: float, t: float, log_law, power: float):
+    """log t^power [f]^p at s = -t for f with the pair law log_law, on the
+    Gauss rule of _jacobi_gap_rule at 40 + n // 2 nodes and on a coarse
+    level of 20 + n // 2, which also integrates the rule's x^(n-1) e^-x-like
+    weight near the antipode; -inf where the law is 0 at every node.
 
-    beta = p (1 - s) - 1 > 0 and sinc(v) = sin(pi v) / (pi v).  With
-    u = 1 - v = x / beta on the rule's gap x, sin(pi v) = sin(pi u), so
-    sinc(v) = sinc(u) x / (beta v); the factor beta^-(n-1) joins t^n as
-    (t/beta)^(n-1) t/(beta+1), and the sum is taken as a log-sum, so no
-    factor over- or underflows for n <= 342.
+    Grouping the pairs by their distance theta = pi v, with M(theta) the
+    mean of |f(x) - f(y)|^p over pairs at theta and R = M / (2 sin(theta/2))^p
+    the ratio log_law gives,
+
+        [f]^p = omega_(n+1) omega_n int_0^pi M(theta) (theta/pi)^-(n+sp) sin^(n-1) theta d theta
+              = omega_(n+1) omega_n pi^(n+p) int_0^1 v^beta R sinc(v)^(n-1) sinc(v/2)^p dv,
+
+    beta = p (1 - s) - 1 > 0 and sinc(v) = sin(pi v) / (pi v).  The rule
+    takes v = 1 - u in its gap u = x / beta, which keeps its digits at the
+    antipode, and log_law takes u too.  As sin(pi v) = sin(pi u), c sinc(v)
+    = sinc(u) c u / v, taken from u where u < 1/2 and as it is from
+    v = 1 - u, exact for u >= 1/2, elsewhere, so neither form divides
+    roundoff by a small u or v.  With c = beta where beta > 1 (far below
+    0), c^-(n-1) joins t^(n-1) as (t/beta)^(n-1), and neither grows with t;
+    otherwise c = 1.  The rule's 1/(1 + beta) joins t as t/(beta + 1), and
+    the sum is taken as a log-sum, so no factor over- or underflows for
+    n <= 342.
     """
     beta = p * (1.0 + t) - 1.0
-    log_scale = (math.log(sphere_surface(n)) + math.log(sphere_surface(n - 1)) + log_moment
-                 + (n + p) * math.log(math.pi) + (n - 1) * math.log(t / beta)
-                 + math.log(t / (beta + 1.0)))
+    lead = n - 1 if beta > 1.0 else 0  # the power of c = beta
+    log_scale = (math.log(sphere_surface(n)) + math.log(sphere_surface(n - 1))
+                 + (n + p) * math.log(math.pi) + lead * math.log(t / beta)
+                 + math.log(t / (beta + 1.0)) + (power - lead - 1) * math.log(t))
     out = []
     for count in (40 + n // 2, 20 + n // 2):
         x, w = _jacobi_gap_rule(count, beta)
         u = x / beta
-        terms = (np.log(w) + (n - 1) * (np.log(np.sinc(u) * x) - np.log1p(-u))
-                 + p * np.log(np.sinc(0.5 - 0.5 * u)))
+        log_sinc = np.where(u < 0.5, np.log(np.sinc(u) * (x if lead else u)) - np.log1p(-u),
+                            np.log(np.sinc(1.0 - u)) + (math.log(beta) if lead else 0.0))
+        terms = (np.log(w) + (n - 1) * log_sinc + p * np.log(np.sinc(0.5 - 0.5 * u)) + log_law(u))
         peak = terms.max()
-        out.append(log_scale + peak + math.log(np.exp(terms - peak).sum()))
+        out.append(peak if peak == -math.inf else log_scale + peak + math.log(np.exp(terms - peak).sum()))
     return out
 
 
@@ -373,46 +372,34 @@ class VanishingReport:
 
 def _lipschitz_seminorm_bound(n: int, s: float, lipschitz: float) -> float:
     """Bound on the normalized-kernel seminorm [f]_(s,1) of an L-Lipschitz f
-    on S^n, s < 0: |f(x) - f(y)| <= L d(x, y), and grouping the pairs by
-    their distance theta gives
+    on S^n, s < 0: |f(x) - f(y)| <= L d(x, y), so it is the seminorm of the
+    pair law M(theta) = L theta,
 
-        [f]_(s,1) <= L omega_(n+1) omega_n int_0^pi theta (theta/pi)^-(n+s) sin^(n-1) theta d theta.
+        [f]_(s,1) <= L omega_(n+1) omega_n int_0^pi theta (theta/pi)^-(n+s) sin^(n-1) theta d theta,
 
-    With theta = pi v the integral is pi^(n+1) int_0^1 v^-s (sin(pi v) / (pi v))^(n-1) dv,
-    a Gauss-Jacobi sum on perimeter._jacobi_rule(40 + n // 2, -s), and the
-    product is formed in logs, so it stays a normal float where
+    on _log_seminorm_row's rule, in logs, so it stays a normal float where
     omega_(n+1) omega_n underflows (n >= 261).  0 for L = 0.
     """
     if lipschitz == 0.0:
         return 0.0
-    v, w = _jacobi_rule(40 + n // 2, -s)
-    integral = float(w @ np.sinc(v) ** (n - 1))
-    return math.exp(
-        math.log(lipschitz) + math.log(sphere_surface(n)) + math.log(sphere_surface(n - 1))
-        + (n + 1) * math.log(math.pi) + math.log(integral)
-    )
+    # L theta / (2 sin(theta/2)) = L / sinc(v/2) at theta = pi v, v = 1 - gap
+    law = lambda gap: math.log(lipschitz) - np.log(np.sinc(0.5 - 0.5 * gap))
+    return math.exp(_log_seminorm_row(n, 1.0, -s, law, 0)[0])
 
 
-def s_to_zero_vanishing_check(
-    n: int,
-    f,
-    lipschitz: float,
-    s_grid=DEFAULT_S0_GRID,
-    samples: int = 400_000,
-    rng=None,
-):
+def s_to_zero_vanishing_check(n: int, f, lipschitz: float, s_grid=DEFAULT_S0_GRID):
     """Rows of |s| [f]^1 over s_grid rising to 0^-, with decay verdicts.
 
+    Each row is _log_seminorm_row's on f's pair law (f.log_pair_law; one
+    without is a ValueError), method "exact", with _exact_row's error.
     Checks that the sequence decreases monotonically within 3 combined
-    standard errors and that the last row, at s, sits below the kernel's
-    own Lipschitz bound |s| _lipschitz_seminorm_bound(n, s, lipschitz).
+    errors and that the last row, at s, sits below the kernel's own
+    Lipschitz bound |s| _lipschitz_seminorm_bound(n, s, lipschitz).
     """
     grid = _strict_grid(s_grid, "s_grid", lambda s: -1.0 < s < 0.0, "inside (-1, 0)")
-    streams = as_stream(rng).split(len(grid))
-    rows = []
-    for i, s in enumerate(grid):
-        est = seminorm_mc(f, n, 1.0, s, samples, streams[i])
-        rows.append(SweepRow(s, abs(s) * est.value, abs(s) * est.std_error, "mc"))
+    law = _pair_law(f, n, 1.0)
+    rows = [SweepRow(s, *_exact_row(n, 1.0, -s, law, 1, "a row |s| [f]", -(n + s)), "exact")
+            for s in grid]
     monotone = True
     for prev, cur in zip(rows, rows[1:]):
         slack = 3.0 * math.hypot(prev.error, cur.error)

@@ -19,13 +19,11 @@ u ~ Beta(1, (n-1)/2) of the cap center's projection onto the circle's
 plane, so the Haar mean is one integral in u, taken on a fixed tanh-sinh
 rule at two nested levels over the same kernel.
 
-seminorm_mc is the one point-pair estimator: x uniform, or on S^2 a point
-of a Haar-rotated Fibonacci lattice, and y at a distance drawn from
-RadialProposal.  The functions of the CLI's grammar (Coordinate, Constant)
-carry their pair law instead, as sets carry boundary_measure(): for
-f = x_i the mean of |f(x) - f(y)|^p over pairs at distance theta is a
-constant times (2 sin(theta/2))^p, so a seminorm is one integral over
-theta, which limits.sweep_seminorm_to_minus_inf takes on _jacobi_gap_rule.
+The functions of the CLI's grammar (Coordinate, Constant) carry their
+pair law, as sets carry boundary_measure(): the mean of |f(x) - f(y)|^p
+over pairs at distance theta, as a ratio to (2 sin(theta/2))^p.  A
+seminorm is then one integral over theta, which limits takes on
+_jacobi_gap_rule; no estimator here draws point pairs.
 
 perimeter_by_method is the one place that picks among the cap oracle, the
 circle formula and perimeter_mc for a set, plain or normalized, and the
@@ -39,9 +37,9 @@ import math
 
 import numpy as np
 
-from .estimation import Estimate, RadialProposal, _checked_values, mc_estimate
-from .geometry import _x_minus_sin, sample_at_distance, sample_uniform, sphere_surface
-from .integral_geometry import _circle_mean, _lattice_points, _rotated_lattice_mean
+from .estimation import Estimate
+from .geometry import _x_minus_sin, sphere_surface
+from .integral_geometry import _circle_mean
 from .sets import ENDPOINT_MARGIN, TWO_PI, ArcUnion, Cap, trace
 
 
@@ -148,84 +146,32 @@ def _finite(value: float, n: int, s: float) -> float:
     return value
 
 
-def seminorm_mc(
-    f,
-    n: int,
-    p: float,
-    s: float,
-    samples: int = 1_000_000,
-    rng=None,
-) -> Estimate:
-    """Gagliardo-type seminorm: double integral of |f(x)-f(y)|^p / dtilde^(n+sp).
-
-    dtilde is the normalized distance d/pi and s must be negative (the
-    positive-s seminorm of a generic f is infinite).  f must accept point
-    arrays of shape (N, n+1) and return (N,) values.
-
-    Each pair is a point x and a point y at a distance theta from it, drawn
-    by RadialProposal, in a uniform direction (sample_at_distance).  On S^2
-    (n = 2) the points x are R = min(32, samples) Haar rotations of a
-    Fibonacci lattice of samples // R points
-    (integral_geometry._rotated_lattice_mean), so R * (samples // R) pairs
-    are drawn; theta and the direction are iid draws from the rotation's
-    own stream.  The Estimate's samples is then R, and its error bar, the
-    spread of the R rotation means, has R - 1 degrees of freedom.  On other
-    spheres x is iid uniform and samples counts the pairs.  A NaN or
-    infinite pair value raises NonFiniteSampleError naming the lowest such
-    pair, numbered rotation * (samples // R) + row on S^2.  The result is
-    the same to the bit on any number of CPUs; samples < 1 is a ValueError.
-    """
-    s = validate_s(s)
-    if s >= 0.0:
-        raise ValueError("seminorm estimator requires s < 0")
-    p = validate_p(p)
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    omega_n1, omega_n = sphere_surface(n), sphere_surface(n - 1)
-    omega = omega_n1 * omega_n
-    proposal = RadialProposal(n, -(n + s * p))
-
-    def pairs(x, gen):
-        theta, wk = proposal.sample_weighted(len(x), gen)
-        return x, wk, sample_at_distance(x, theta, gen)
-
-    def integrand(batch):
-        x, wk, y = batch
-        fx = np.asarray(f(x), dtype=float)
-        fy = np.asarray(f(y), dtype=float)
-        # the measures' product underflows from n = 261: apply them one at a time
-        weight = omega * wk if omega >= np.finfo(float).tiny else omega_n1 * (omega_n * wk)
-        return weight * np.abs(fx - fy) ** p
-
-    if n != 2:
-        iid = lambda count, gen: pairs(sample_uniform(n, count, gen), gen)
-        return mc_estimate(iid, integrand, samples, rng)
-
-    def rotation(q, gen):
-        def block(first, points):
-            # the rows q p of the lattice points p
-            x = points[:, :1] * q[:, 0] + points[:, 1:2] * q[:, 1] + points[:, 2:] * q[:, 2]
-            values = np.asarray(integrand(pairs(x, gen)), dtype=float)
-            return float(np.sum(_checked_values(values, len(x), first)))
-
-        return block
-
-    return _rotated_lattice_mean(samples, rng, _lattice_points, rotation)
-
-
 class Coordinate:
     """f(x) = x_i, or |x_i| with absolute=True, on point arrays (..., n+1).
 
     A pair at distance theta spans a Haar great circle, on which
     x_i = a cos(phi - phi_0) with a^2 ~ Beta(1, (n-1)/2) (a = 1 on S^1),
-    and the pair's midpoint angle on it is uniform.  So for f = x_i
+    and the pair's midpoint angle psi on it is uniform.  With h = theta/2,
+    x_i at the pair is a cos(psi -+ h), so
 
-        E[|f(x) - f(y)|^p | d(x, y) = theta] = (2 sin(theta/2))^p E[a^p] E|sin U|^p,
+        E[|f(x) - f(y)|^p | d(x, y) = theta] = E[a^p] m(theta),
 
-    E|sin U|^p = Gamma((p+1)/2) / (sqrt(pi) Gamma(p/2 + 1)).  At theta = pi
-    the pair is (x, -x), so the constant is E|x_0|^p = Gamma((n+1)/2)
-    Gamma((p+1)/2) / (sqrt(pi) Gamma((n+1+p)/2)), the form
-    log_pair_moment takes.  |x_i| has no such law.
+    E[a^p] = Gamma(1 + p/2) Gamma((n+1)/2) / Gamma((n+1+p)/2), and m the
+    mean over psi of the difference's p-th power.  For x_i the difference
+    is 2 sin h sin psi, so m = (2 sin h)^p E|sin U|^p, and the law's ratio
+    to (2 sin h)^p is the constant E|x_0|^p = Gamma((n+1)/2)
+    Gamma((p+1)/2) / (sqrt(pi) Gamma((n+1+p)/2)).  For |x_i| it is
+    2 sin h sin psi where cos(psi -+ h) have one sign (|cos psi| > sin h)
+    and 2 cos h cos psi where they have two; folding the pieces between
+    those breakpoints onto [0, pi/2] leaves
+
+        m = (2/pi) [(2 sin h)^p S(pi/2 - h) + (2 cos h)^p S(h)],  S(l) = int_0^l sin^p,
+
+    and with S(l) = l sin^p(l) J(l), J(l) = int_0^1 (sin(l y) / sin l)^p dy
+    in (0, 1], the ratio is (2/pi) E[a^p] cos^p(h) (l J(l) + h J(h)),
+    l = pi/2 - h, with no factor that over- or underflows.  J is taken on
+    _tanh_sinh_rule, which its y^p at 0 does not slow.  At theta = pi
+    the ratio is 0: |x_i| is even.
     """
 
     def __init__(self, index: int, absolute: bool = False):
@@ -235,17 +181,28 @@ class Coordinate:
         values = np.asarray(x, dtype=float)[..., self.index]
         return np.abs(values) if self.absolute else values
 
-    def log_pair_moment(self, n: int, p: float):
-        """log K with E[|f(x) - f(y)|^p | d(x, y) = theta] = K (2 sin(theta/2))^p
-        for every theta, or None where f has no such K."""
-        if self.absolute:
-            return None
-        return (math.lgamma(0.5 * (n + 1)) + math.lgamma(0.5 * (p + 1))
-                - 0.5 * math.log(math.pi) - math.lgamma(0.5 * (n + 1 + p)))
+    def log_pair_law(self, n: int, p: float, gap):
+        """log of E[|f(x) - f(y)|^p | d(x, y) = theta] / (2 sin(theta/2))^p at
+        theta = pi (1 - gap), for an array of gaps in [0, 1]; -inf where the
+        law is 0."""
+        gap = np.asarray(gap, dtype=float)
+        if not self.absolute:
+            return np.full(gap.shape, math.lgamma(0.5 * (n + 1)) + math.lgamma(0.5 * (p + 1))
+                           - 0.5 * math.log(math.pi) - math.lgamma(0.5 * (n + 1 + p)))
+        y, _, w = _tanh_sinh_rule()
+        # the pieces' lengths l = pi gap / 2 and h = pi/2 - l, as rows
+        lengths = 0.5 * math.pi * np.stack([gap, 1.0 - gap])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.sin(lengths[..., None] * y) / np.sin(lengths)[..., None]
+            pieces = np.where(lengths > 0.0, lengths * (ratio**p @ w), 0.0)
+            log_amplitude = (math.lgamma(1.0 + 0.5 * p) + math.lgamma(0.5 * (n + 1))
+                             - math.lgamma(0.5 * (n + 1 + p)))
+            return (log_amplitude + math.log(2.0 / math.pi) + p * np.log(np.sin(lengths[0]))
+                    + np.log(pieces.sum(axis=0)))
 
 
 class Constant:
-    """f(x) = c, finite: every pair's difference is 0, so its K is 0."""
+    """f(x) = c, finite: every pair's difference is 0, and so is its law."""
 
     def __init__(self, value: float):
         if not math.isfinite(value):
@@ -255,8 +212,8 @@ class Constant:
     def __call__(self, x):
         return np.full(np.asarray(x).shape[:-1], self.value)
 
-    def log_pair_moment(self, n: int, p: float) -> float:
-        return -math.inf
+    def log_pair_law(self, n: int, p: float, gap):
+        return np.full(np.shape(gap), -math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -277,19 +234,19 @@ CAP_TOL = 1e-11
 # longer converges) it is within 8e-17 |s|, which _FAR_TOL |s| bounds.
 _FAR_TOL = 4e-16
 
-# The tanh-sinh rule's nodes on t in [-_CAP_SPAN, _CAP_SPAN]: at t = 4 a
-# node is 6e-38 from its end, and its weight below 1e-36.
-_CAP_NODES, _CAP_SPAN = 513, 4.0
+# The tanh-sinh rule's nodes on t in [-_TANH_SINH_SPAN, _TANH_SINH_SPAN]:
+# at t = 4 a node is 6e-38 from its end, and its weight below 1e-36.
+_TANH_SINH_NODES, _TANH_SINH_SPAN = 513, 4.0
 
 
 @functools.cache
-def _cap_rule():
+def _tanh_sinh_rule():
     """Tanh-sinh rule (v, 1 - v, w) for int_0^1 f(v) dv (Takahasi and Mori,
-    Publ. RIMS 9, 1974): v = (1 + tanh(pi/2 sinh t)) / 2 at _CAP_NODES
+    Publ. RIMS 9, 1974): v = (1 + tanh(pi/2 sinh t)) / 2 at _TANH_SINH_NODES
     equally spaced t, with both distances to the ends formed without
     cancellation, and w = h pi cosh(t) v (1 - v).  Every other node, at
     twice its weight, is the coarse level."""
-    t = np.linspace(-_CAP_SPAN, _CAP_SPAN, _CAP_NODES)
+    t = np.linspace(-_TANH_SINH_SPAN, _TANH_SINH_SPAN, _TANH_SINH_NODES)
     q = math.pi * np.sinh(t)
     v, rest = 1.0 / (1.0 + np.exp(-q)), 1.0 / (1.0 + np.exp(q))
     return v, rest, (t[1] - t[0]) * math.pi * np.cosh(t) * v * rest
@@ -305,13 +262,11 @@ def _cap_oracle(n: int, s: float, r: float, normalized: bool = False):
         raise ValueError(f"cap radius must lie in [0, pi], got {r}")
     if r <= 0.0 or r >= math.pi:
         return 0.0, 0.0
-    tol = max(CAP_TOL, _FAR_TOL * -s)
     if n == 1:
-        value = _circle_value(ArcUnion([(-r, 2.0 * r)]), _GreatCircleKernel(1, s, normalized))
-        return value, tol * value
+        return _circle_exact(ArcUnion([(-r, 2.0 * r)]), s, normalized)
     r = min(r, math.pi - r)
     kernel = _sliced_kernel(n, s, normalized)
-    v, rest, w = _cap_rule()
+    v, rest, w = _tanh_sinh_rule()
     a = math.sin(r) ** 2
     # u = cos^2 r + a v and 1 - u = a (1 - v); the arc's half length is
     # atan2(sqrt(u - cos^2 r), cos r)
@@ -322,7 +277,13 @@ def _cap_oracle(n: int, s: float, r: float, normalized: bool = False):
     if kernel.scale < np.finfo(float).tiny or value < np.finfo(float).tiny:
         raise ValueError(f"the cap oracle's value underflows a float at n = {n}, s = {s:g}, r = {r:g}")
     coarse = 2.0 * factor * float(terms[::2].sum())
-    return value, max(abs(value - coarse), tol * value)
+    return value, max(abs(value - coarse), _relative_floor(s) * value)
+
+
+def _relative_floor(s: float) -> float:
+    """max(CAP_TOL, _FAR_TOL |s|), the least relative error the cap oracle
+    and the circle formula report."""
+    return max(CAP_TOL, _FAR_TOL * abs(s))
 
 
 def perimeter_cap(n: int, s: float, r: float) -> float:
@@ -339,10 +300,11 @@ def perimeter_cap(n: int, s: float, r: float) -> float:
     W the kernel's value of one arc and c_n = omega_(n+1) omega_n / (4 pi).
     The integrand has power-type singularities at both ends: W of a short
     arc in powers of its length, which grows like sqrt(u - cos^2 r), and
-    (1-u)^((n-3)/2).  A fixed tanh-sinh rule in u (_cap_rule) takes both at
-    its double-exponential rate; its 513 nodes and the 257 of its coarse
-    level agree to 6e-15.  The reported error (perimeter_by_method) is the larger of that
-    difference and CAP_TOL |value|; CAP_TOL gives the measured error bar.
+    (1-u)^((n-3)/2).  A fixed tanh-sinh rule in u (_tanh_sinh_rule) takes
+    both at its double-exponential rate; its 513 nodes and the 257 of its
+    coarse level agree to 6e-15.  The reported error (perimeter_by_method)
+    is the larger of that difference and CAP_TOL |value|; CAP_TOL gives
+    the measured error bar.
 
     n = 1 delegates to the exact circle formula.  A value that overflows a
     float (s far below -n), or underflows it for 0 < r < pi, is a
@@ -651,6 +613,15 @@ def perimeter_circle_exact(E, s: float) -> float:
     return _circle_value(E, _GreatCircleKernel(1, s))
 
 
+def _circle_exact(E, s: float, normalized: bool = False):
+    """(value, error) of the circle formula on E, a set on S^1, plain or
+    normalized: the error is the cap oracle's floor _relative_floor(s)
+    |value|.  Against 40-digit values of one to three arcs at s in {-80,
+    -4, -0.5, 0.5, 0.99} the formula is within 4.1e-15 relative."""
+    value = _circle_value(E, _GreatCircleKernel(1, s, normalized))
+    return value, _relative_floor(s) * abs(value)
+
+
 def _circle_value(E, kernel: _GreatCircleKernel) -> float:
     """The circle value of an n = 1 kernel on the trace of E, a set on S^1,
     on the frame e = (1, 0), f = (0, 1); a ValueError where it overflows."""
@@ -680,11 +651,12 @@ def perimeter_by_method(
 
     auto picks cap_oracle for a Cap, circle_exact for any other set on S^1
     and mc otherwise.  cap_oracle (perimeter_cap, E a Cap) reports the
-    larger of its rule levels' difference and max(CAP_TOL, _FAR_TOL |s|)
-    |value|, circle_exact
-    (perimeter_circle_exact, E on S^1) 0, and mc (perimeter_mc, at least
-    two samples from rng) its standard error.  A method that does not fit E
-    is a ValueError.
+    larger of its rule levels' difference and the floor
+    max(CAP_TOL, _FAR_TOL |s|) |value|, circle_exact
+    (perimeter_circle_exact, E on S^1) that floor, so a cap and an arc on
+    S^1 report the same row, and mc (perimeter_mc, at least two samples
+    from rng) its standard error.  A method that does not fit E is a
+    ValueError.
     """
     s = validate_s(s)
     if method == "auto":
@@ -696,7 +668,7 @@ def perimeter_by_method(
     if method == "circle_exact":
         if E.dimension != 1:
             raise ValueError(f"circle_exact needs a set on S^1, got one on S^{E.dimension}")
-        return method, _circle_value(E, _GreatCircleKernel(1, s, normalized)), 0.0
+        return (method, *_circle_exact(E, s, normalized))
     if method == "mc":
         # one sample has an infinite error bar, under which every 3-sigma verdict would pass
         if samples < 2:

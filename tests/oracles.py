@@ -6,10 +6,16 @@ pair counting, a covariogram quadrature on the circle, and the plain forms
 of membership tests and samplers that the library computes faster,
 sharing no code path with the routines they check, plus high-precision
 cap perimeters, great-circle kernel values and the rows of both t ->
-infinity sweeps pinned from mpmath computations (CAP_PERIMETERS, KERNEL_W,
-NORMALIZED_CAP_ROWS and SEMINORM_ROWS, whose comments say how they were
-made).  point_pair_perimeter, half the seminorm of a set's indicator, is
-the perimeter estimator that rests on no great-circle identity.  The covariogram cap oracle (covariogram_cap_perimeter, from a
+infinity sweeps and of the seminorms of x_0 near s = 0 and of |x_0|
+pinned from mpmath computations (CAP_PERIMETERS, KERNEL_W,
+NORMALIZED_CAP_ROWS, SEMINORM_ROWS, NEAR_ZERO_SEMINORM_ROWS and
+ABS_SEMINORM_ROWS, whose comments say how they were made).  seminorm_mc,
+the point-pair seminorm estimator that left the library with its
+RadialProposal, sample_at_distance and _lattice_points, checks the exact
+seminorm rows, which integrate a pair law over distances, from pairs
+drawn one by one; point_pair_perimeter, half the seminorm of a set's
+indicator, is the perimeter estimator that rests on no great-circle
+identity.  The covariogram cap oracle (covariogram_cap_perimeter, from a
 cap's crescent measure on the adaptive Gauss(7/15) quadrature
 adaptive_quad, both of which left the library) is the reference that
 shares no code with the great-circle kernel.  The perimeter of a disjoint
@@ -35,10 +41,16 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from spherefrac.estimation import Estimate, NonFiniteSampleError, as_stream
-from spherefrac.geometry import cap_area, sphere_surface
-from spherefrac.integral_geometry import CroftonReport, _circle_weights, bp_constant
-from spherefrac.perimeter import _power_quotient, seminorm_mc, validate_s
+from spherefrac.estimation import Estimate, NonFiniteSampleError, _checked_values, as_stream, mc_estimate
+from spherefrac.geometry import _row_dots, _row_norms, cap_area, sample_uniform, sphere_surface
+from spherefrac.integral_geometry import (
+    CroftonReport,
+    _circle_weights,
+    _lattice,
+    _rotated_lattice_mean,
+    bp_constant,
+)
+from spherefrac.perimeter import _power_quotient, validate_p, validate_s
 from spherefrac.sets import ArcUnion, trace
 
 TWO_PI = 2.0 * math.pi
@@ -411,6 +423,235 @@ SEMINORM_ROWS = {
         "2.65547794276484926300790265685e+64",
     ),
 }
+
+
+# t^n [|x_0|]^p at s = -t, the rows of f = |x_0| in the normalized kernel,
+# at s in ABS_S, per (n, p): seminorm-sweep rows where t > n/p, and for
+# p = 1 the s0-check rows |s| [f] times |s|^(n-1).  Made with mpmath at 45
+# digits from the distance form t^n omega_(n+1) omega_n E[a^p]
+# int_0^pi m(theta) (theta/pi)^(tp-n) sin^(n-1) theta d theta, with
+# E[a^p] = Gamma(1 + p/2) Gamma((n+1)/2) / Gamma((n+1+p)/2) and m the
+# folded mean of perimeter.Coordinate's docstring, its S(l) = int_0^l sin^p
+# in closed form (p = 1, 2) or as half the incomplete beta function
+# B(sin^2 l; (p+1)/2, 1/2) (mpmath.betainc).  That m matched the raw mean
+# of ||cos phi| - |cos(phi + theta)||^p over phi, split at its four
+# breakpoints, to 4e-46 at theta in {0.3, 2} and to 2e-26 at
+# pi (1 - 1e-6), where the raw form's short pieces limit mpmath.quad.
+# The integral is taken in x = beta
+# (1 - theta/pi), beta = p (1 + t) - 1, split at x in {1, 4, 10, 20, 40,
+# 80, 200, 400, 1000}, and integrated twice as above.  A rerun at 60 digits
+# on other splits moved no printed digit.
+ABS_S = (-0.01, -0.3, -20.0, -80.0, -1e3)
+ABS_SEMINORM_ROWS = {
+    (1, 1.0): (
+        "4.03135647849684817999153726012e-1",
+        "8.23903779993525053599315353468",
+        "3.47433313615825892864907334227",
+        "9.55756227357061054980610815478e-1",
+        "7.8754110003069290504082149613e-2",
+    ),
+    (2, 1.0): (
+        "4.81210035137459317157030344e-2",
+        "2.74482799889956606174252714398e+1",
+        "1.04651465058998305258961211829e+2",
+        "2.96213340027058956636854367209e+1",
+        "2.44234320704213741214861321744",
+    ),
+    (2, 1.5): (
+        "2.67104189994272697414290814265e-2",
+        "1.38282968557982808463937111638e+1",
+        "1.30171221871947781365173741562e+1",
+        "1.8723481463480792579201342785",
+        "4.39925321327214935735592109265e-2",
+    ),
+    (3, 2.0): (
+        "9.92161034491956917380308856401e-4",
+        "1.30677565950800192347121501336e+1",
+        "2.84121352722456665209450144112e+1",
+        "2.12370791977154444511145279353",
+        "1.41850073433288786849170344795e-2",
+    ),
+    (50, 1.0): (
+        "6.123105306092290436109946555e-100",
+        "1.81373640636663196657972222866e-26",
+        "1.75768032002561113863649679324e+52",
+        "2.01000048724499803632445180265e+63",
+        "5.55547892337945303324169967989e+63",
+    ),
+}
+
+# t^n [x_0]^p at s in ABS_S[:2], near 0, per (n, p): SEMINORM_ROWS' s0-check
+# end (for p = 1, |s| [x_0] times |s|^(n-1)).  Made as ABS_SEMINORM_ROWS,
+# with E|x_0|^p (2 sin(theta/2))^p in place of E[a^p] m(theta), and again
+# at 60 digits on other splits, which moved no printed digit.
+NEAR_ZERO_SEMINORM_ROWS = {
+    (1, 1.0): ("6.81546763168489114682647883487e-1", "1.54863445116405423388922607719e+1"),
+    (2, 1.0): ("6.63019067839868046071462171062e-2", "4.04310749983503757409112321378e+1"),
+    (2, 1.5): ("4.75076092863090313510330149538e-2", "2.76417505739957111023352712046e+1"),
+    (3, 2.0): ("1.94665513759073532831753093606e-3", "2.93415332013644236087942434518e+1"),
+    (50, 1.0): ("6.44160438991187898132396730047e-100", "1.92669692660360431819218532478e-26"),
+}
+
+
+# ---------------------------------------------------------------------------
+# point pairs: the seminorm estimator that left the library, kept as the
+# independent check of the exact seminorm rows and of the sliced perimeter
+
+
+class RadialProposal:
+    """Exact importance sampler for the radial factor of geodesic polar integrals.
+
+    Target on [0, pi]: sin^(n-1)(theta) (theta/pi)^exponent, the radial
+    factor of the normalized kernel.  The draw is w = theta/pi ~ Beta(a, n)
+    with a = exponent + n; its density w^(a-1) (1-w)^(n-1) has both
+    endpoint orders of the target, so
+
+        weight * sin^(n-1)(theta) * (theta/pi)^exponent
+            = pi B(a, n) (sin(pi w) / (w (1-w)))^(n-1).
+
+    With m = min(w, 1-w), so that w (1-w) = m (1-m), the ratio
+    sin(pi w) / (w (1-w)) = pi sinc(m) / (1-m) lies in [pi, 4] and is
+    finite at both ends, also for draws that underflow to w = 0, so every
+    weight lies within a factor (4/pi)^(n-1) of the smallest.
+
+    Construction fails when the target is not normalizable, i.e. a <= 0
+    (the s >= 0 singular regime of the perimeter kernel), when the exponent
+    is not finite, and when the target's mass pi B(a, n) underflows a
+    float, so that every weight would be 0.
+    """
+
+    def __init__(self, n: int, exponent: float):
+        if n < 1:
+            raise ValueError("sphere dimension must be >= 1")
+        a = exponent + n
+        if not math.isfinite(a):
+            raise ValueError(f"the kernel exponent must be finite, got {exponent} on S^{n}")
+        if a <= 0.0:
+            raise ValueError(
+                "density sin^(n-1)(theta) * theta^exponent is not normalizable at 0 "
+                f"(exponent {exponent}, n {n}); this is the s >= 0 singular regime"
+            )
+        # B(a, n) = (n-1)! / prod_(k<n) (a + k) for the integer n keeps its
+        # digits where lgamma(a) - lgamma(a + n) cancels (large a)
+        log_mass = math.log(math.pi) + math.lgamma(n) - sum(math.log(a + k) for k in range(n))
+        if log_mass < math.log(np.finfo(float).tiny):
+            raise ValueError(f"the kernel exponent {exponent:g} on S^{n} leaves a mass "
+                             "pi B(exponent + n, n) that underflows a float")
+        self.n = int(n)
+        self._a = a
+        self._scale = math.exp(log_mass)
+
+    def sample_weighted(self, count: int, rng: np.random.Generator):
+        """(theta, wk) with wk = weight * sin^(n-1)(theta) * (theta/pi)^exponent.
+
+        Means of wk * g(theta) estimate int_0^pi g sin^(n-1)(theta)
+        (theta/pi)^exponent d theta.
+        """
+        w = rng.beta(self._a, self.n, size=count)
+        m = np.minimum(w, 1.0 - w)
+        ratio = math.pi * np.sinc(m) / (1.0 - m)
+        return math.pi * w, self._scale * ratio ** (self.n - 1)
+
+
+def sample_at_distance(x: np.ndarray, theta, rng: np.random.Generator) -> np.ndarray:
+    """Uniform points on the geodesic sphere at distance theta around x.
+
+    x has shape (..., n+1), or (n+1,) for one point; theta broadcasts
+    against its leading shape.  An isotropic Gaussian projected off x gives
+    the tangent direction u, uniform on the unit tangent sphere, and the
+    point is cos(theta) x + sin(theta) u.  One Gaussian row is drawn per
+    point, and a row that projects to zero is redrawn.  The work is done in
+    place on the Gaussian array.  Output rows are renormalized; the realized
+    distance matches theta to ~1e-10.
+    """
+    x = np.asarray(x, dtype=float)
+    g = rng.standard_normal(x.shape)
+    g -= _row_dots(g, x)[..., None] * x
+    norms = _row_norms(g)
+    while np.any(norms == 0.0):
+        bad = norms == 0.0
+        fresh = rng.standard_normal((int(bad.sum()), x.shape[-1]))
+        xb = x[bad] if x.ndim > 1 else x[None]
+        fresh -= _row_dots(fresh, xb)[..., None] * xb
+        g[bad] = fresh
+        norms = _row_norms(g)
+    th = np.broadcast_to(np.asarray(theta, dtype=float), x.shape[:-1])
+    g /= norms[..., None]
+    g *= np.sin(th)[..., None]
+    g += np.cos(th)[..., None] * x
+    g /= _row_norms(g)[..., None]
+    return g
+
+
+def _lattice_points(start: int, stop: int, size: int) -> np.ndarray:
+    """Rows start .. stop-1 of the Fibonacci lattice (_lattice), shape (stop - start, 3)."""
+    z, rho, cos_phi, sin_phi = _lattice(start, stop, size)
+    return np.stack([rho * cos_phi, rho * sin_phi, z], axis=1)
+
+
+def seminorm_mc(
+    f,
+    n: int,
+    p: float,
+    s: float,
+    samples: int = 1_000_000,
+    rng=None,
+) -> Estimate:
+    """Gagliardo-type seminorm: double integral of |f(x)-f(y)|^p / dtilde^(n+sp).
+
+    dtilde is the normalized distance d/pi and s must be negative (the
+    positive-s seminorm of a generic f is infinite).  f must accept point
+    arrays of shape (N, n+1) and return (N,) values.
+
+    Each pair is a point x and a point y at a distance theta from it, drawn
+    by RadialProposal, in a uniform direction (sample_at_distance).  On S^2
+    (n = 2) the points x are R = min(32, samples) Haar rotations of a
+    Fibonacci lattice of samples // R points
+    (integral_geometry._rotated_lattice_mean), so R * (samples // R) pairs
+    are drawn; theta and the direction are iid draws from the rotation's
+    own stream.  The Estimate's samples is then R, and its error bar, the
+    spread of the R rotation means, has R - 1 degrees of freedom.  On other
+    spheres x is iid uniform and samples counts the pairs.  A NaN or
+    infinite pair value raises NonFiniteSampleError naming the lowest such
+    pair, numbered rotation * (samples // R) + row on S^2.  The result is
+    the same to the bit on any number of CPUs; samples < 1 is a ValueError.
+    """
+    s = validate_s(s)
+    if s >= 0.0:
+        raise ValueError("seminorm estimator requires s < 0")
+    p = validate_p(p)
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    omega_n1, omega_n = sphere_surface(n), sphere_surface(n - 1)
+    omega = omega_n1 * omega_n
+    proposal = RadialProposal(n, -(n + s * p))
+
+    def pairs(x, gen):
+        theta, wk = proposal.sample_weighted(len(x), gen)
+        return x, wk, sample_at_distance(x, theta, gen)
+
+    def integrand(batch):
+        x, wk, y = batch
+        fx = np.asarray(f(x), dtype=float)
+        fy = np.asarray(f(y), dtype=float)
+        # the measures' product underflows from n = 261: apply them one at a time
+        weight = omega * wk if omega >= np.finfo(float).tiny else omega_n1 * (omega_n * wk)
+        return weight * np.abs(fx - fy) ** p
+
+    if n != 2:
+        iid = lambda count, gen: pairs(sample_uniform(n, count, gen), gen)
+        return mc_estimate(iid, integrand, samples, rng)
+
+    def rotation(q, gen):
+        def block(first, points):
+            # the rows q p of the lattice points p
+            x = points[:, :1] * q[:, 0] + points[:, 1:2] * q[:, 1] + points[:, 2:] * q[:, 2]
+            values = np.asarray(integrand(pairs(x, gen)), dtype=float)
+            return float(np.sum(_checked_values(values, len(x), first)))
+
+        return block
+
+    return _rotated_lattice_mean(samples, rng, _lattice_points, rotation)
 
 
 def point_pair_perimeter(E, s: float, samples: int, rng) -> Estimate:

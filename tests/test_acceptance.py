@@ -14,6 +14,7 @@ from spherefrac import (
     ArcUnion,
     Cap,
     Complement,
+    Coordinate,
     Estimate,
     PolyconvexUnion,
     Polytope,
@@ -239,24 +240,22 @@ def test_criterion_09_antipodal_constant():
 
 
 def test_criterion_10_concentration_limits_t_to_inf():
-    """t^2-scaled sweeps over t in {20, 40, 80} at 1e6 samples per row:
-    the hemisphere perimeter extrapolates within 3% of 4 pi^4, the odd
-    seminorm (f = x_1, p = 1) within 5% of 2 pi^3 * 2 * 2 pi, and the even
-    seminorm (f = |x_1|) decays toward a limit below 1% of the odd target."""
+    """t^2-scaled sweeps over t in {20, 40, 80}, exact rows from the cap
+    oracle and the pair laws: the hemisphere perimeter extrapolates within
+    3% of 4 pi^4, the odd seminorm (f = x_1, p = 1) within 5% of
+    2 pi^3 * 2 * 2 pi, and the even seminorm (f = |x_1|) decays toward a
+    limit below 1% of the odd target, whose own target is 0."""
     _, hemi = sweep_s_to_minus_inf(
         2, Cap(Z, math.pi / 2), samples=1_000_000, rng=RandomStream(SEED)
     )
     assert abs(hemi.target - 4.0 * math.pi**4) < 1e-9
 
     odd_target = 2.0 * math.pi**3 * 2.0 * 2.0 * math.pi
-    _, odd = sweep_seminorm_to_minus_inf(
-        2, lambda x: x[:, 0], 1.0, samples=1_000_000, rng=RandomStream(SEED)
-    )
+    _, odd = sweep_seminorm_to_minus_inf(2, Coordinate(0), 1.0)
     odd_dev = abs(odd.extrapolated - odd_target) / odd_target
 
-    even_rows, even = sweep_seminorm_to_minus_inf(
-        2, lambda x: np.abs(x[:, 0]), 1.0, samples=1_000_000, rng=RandomStream(SEED)
-    )
+    even_rows, even = sweep_seminorm_to_minus_inf(2, Coordinate(0, absolute=True), 1.0)
+    assert even.target == 0.0
     even_frac = abs(even.extrapolated) / odd_target
     print(
         f"concentration limits: hemisphere dev {hemi.deviation:.2%}, "
@@ -271,12 +270,10 @@ def test_criterion_10_concentration_limits_t_to_inf():
 
 
 def test_criterion_11_seminorm_vanishes_at_s_0():
-    """|s| [x.e]_(s,1) decreases monotonically (within 3 standard errors)
-    over s in {-0.3, -0.1, -0.03, -0.01} and ends below |s| times the
-    kernel's Lipschitz bound on the seminorm."""
-    rows, report = s_to_zero_vanishing_check(
-        2, lambda x: x[:, 0], 1.0, rng=RandomStream(SEED)
-    )
+    """|s| [x.e]_(s,1) decreases monotonically (within 3 errors) over s in
+    {-0.3, -0.1, -0.03, -0.01} and ends below |s| times the kernel's
+    Lipschitz bound on the seminorm."""
+    rows, report = s_to_zero_vanishing_check(2, Coordinate(0), 1.0)
     print(
         f"s->0 vanishing: rows {rows[0].value:.2f} -> {rows[-1].value:.2f}, "
         f"bound {report.bound:.2f}"

@@ -256,7 +256,7 @@ def test_exit_1_on_config_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, grid", [
     (["sweep-s1", "--n", "2", "--set", "cap:0,0,1:1", "--s-grid=0.9,0.9"], "s_grid"),
-    (["s0-check", "--n", "2", "--samples", "200", "--seed", "1", "--s-grid=-0.1,-0.1"], "s_grid"),
+    (["s0-check", "--n", "2", "--s-grid=-0.1,-0.1"], "s_grid"),
     (["profile", "--n", "2", "--s", "-1", "--alpha-grid", "1,1"], "alpha_grid"),
 ], ids=("sweep-s1", "s0-check", "profile"))
 def test_a_repeated_grid_value_is_a_config_error(capsys, argv, grid):
@@ -342,23 +342,23 @@ OCTANT_DESC = "poly:-1,0,0;0,-1,0;0,0,-1"
     ["isoperimetric", "--s", "0.3", "--trials", "2"],
     ["sweep-s1", "--n", "2", "--set", "cap:0,0,1:1", "--method", "mc"],
     ["sweep-sinf", "--n", "2", "--set", OCTANT_DESC],
-    ["seminorm-sweep", "--n", "2", "--function", "coord:0"],
-    ["s0-check", "--n", "2"],
 ], ids=lambda argv: argv[0])
 def test_exit_1_on_one_monte_carlo_sample(capsys, argv):
     # rows of one sample have std_error inf: the sweeps extrapolated from
-    # them and exited 2, perimeter and s0-check exited 0 with `0, inf` rows,
-    # and isoperimetric ran its trials on one sample
+    # them and exited 2, perimeter exited 0 with `0, inf` rows, and
+    # isoperimetric ran its trials on one sample
     assert main(argv + ["--samples", "1"]) == 1
     captured = capsys.readouterr()
     assert "at least two samples" in captured.err and captured.out == ""
 
 
 def test_one_sample_is_fine_where_samples_are_not_drawn(capsys):
-    # the cap oracle draws nothing, so --samples does not apply to it
+    # the cap oracle draws nothing, so --samples does not apply to it, and
+    # neither do seminorm rows, which integrate their pair law
     assert main(["perimeter", "--n", "2", "--set", "cap:0,0,1:1", "--s", "0.3",
                  "--samples", "1"]) == 0
     assert main(["sweep-s1", "--n", "2", "--set", "cap:0,0,1:1", "--samples", "1"]) == 0
+    assert main(["seminorm-sweep", "--n", "2", "--function", "coord:0", "--samples", "1"]) == 0
 
 
 def test_exit_1_on_bad_usage():
@@ -628,12 +628,12 @@ def test_t_grids_whose_t_to_the_n_overflows_end_in_an_exit_code(capsys, argv, rc
     (["sweep-sinf", "--n", "2", "--set", OCTANT_DESC, "--samples", "4096"], "mc"),
     (["seminorm-sweep", "--n", "2", "--function", "coord:0"], "exact"),
     (["seminorm-sweep", "--n", "3", "--function", "const:2", "--p", "1.5"], "exact"),
-    (["seminorm-sweep", "--n", "2", "--function", "abs-coord:1", "--samples", "4096"], "mc"),
+    (["seminorm-sweep", "--n", "2", "--function", "abs-coord:1", "--samples", "4096"], "exact"),
 ], ids=("cap", "arcs", "octant", "coord", "const", "abs-coord"))
 def test_t_sweep_records_name_their_method_and_rerun_byte_identical(monkeypatch, capsys,
                                                                      argv, method):
     # the method goes into detail, not into a CSV column; cap, circle and
-    # coordinate rows take no samples, so they are the same at every seed
+    # seminorm rows take no samples, so they are the same at every seed
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
     outputs = []
     for seed in ("1", "1", "2"):
@@ -646,6 +646,20 @@ def test_t_sweep_records_name_their_method_and_rerun_byte_identical(monkeypatch,
     assert (rows[0] == rows[2]) == (method != "mc")
     assert main(argv + ["--seed", "1"]) in (0, 2)
     assert capsys.readouterr().out.splitlines()[0] == "param,value,error,target,deviation"
+
+
+@pytest.mark.parametrize("function", ("coord:0", "abs-coord:1", "const:2"))
+def test_seminorm_csvs_are_the_same_under_every_seed(monkeypatch, capsys, function):
+    # seminorm-sweep and s0-check rows integrate their pair law and draw
+    # nothing: their CSV reads no seed, not even SPHEREFRAC_SEED
+    for argv in (["seminorm-sweep", "--n", "2", "--function", function],
+                 ["s0-check", "--n", "2", "--function", function]):
+        outputs = []
+        for seed in ("1", "0x2a"):
+            monkeypatch.setenv("SPHEREFRAC_SEED", seed)
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
 
 def test_sweep_s1_on_the_octant_reaches_its_surface_area_limit(capsys):
@@ -688,9 +702,10 @@ def test_circle_exact_takes_any_set_on_the_circle(capsys):
     argv = ["perimeter", "--n", "1", "--s", "0.3", "--method", "circle_exact"]
     assert main(argv + ["--set", "compl:arcs:0,1"]) == 0
     _, value, error, _, _ = capsys.readouterr().out.splitlines()[1].split(",")
-    assert float(error) == 0.0
+    # the cap oracle's floor, 1e-11 relative at s = 0.3
+    assert float(error) == pytest.approx(1e-11 * float(value), rel=1e-12)
     assert main(argv + ["--set", "arcs:0,1"]) == 0
-    assert capsys.readouterr().out.splitlines()[1].split(",")[1] == value
+    assert capsys.readouterr().out.splitlines()[1].split(",")[1:3] == [value, error]
 
 
 def test_sweep_s1_takes_the_circle_formula_on_any_set_on_the_circle(monkeypatch, capsys):
@@ -701,7 +716,19 @@ def test_sweep_s1_takes_the_circle_formula_on_any_set_on_the_circle(monkeypatch,
     assert main(["sweep-s1", "--n", "1", "--set", "compl:arcs:0,1", "--format", "json"]) == 0
     record = json.loads(capsys.readouterr().out)
     assert record["detail"]["method"] == "circle_exact"
-    assert all(row["error"] == 0.0 for row in record["rows"][:-1])
+    assert all(row["error"] == pytest.approx(1e-11 * row["value"], rel=1e-12)
+               for row in record["rows"][:-1])
+
+
+def test_an_arc_on_the_circle_reads_as_the_cap_it_is(capsys):
+    # both take the circle formula: the arc printed error 0 and the cap the
+    # cap oracle's floor 1e-11 |value|, for the same value
+    outputs = []
+    for desc in ("arcs:-0.5,1", "cap:1,0:0.5"):
+        assert main(["sweep-sinf", "--n", "1", "--set", desc, "--seed", "1"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert all(float(line.split(",")[2]) > 0.0 for line in outputs[0].splitlines()[1:-1])
 
 
 def test_circle_exact_runs_at_s_zero(capsys):
@@ -727,8 +754,7 @@ def test_sweep_s1_appends_limit_row_at_param_1(tmp_path):
 def test_s0_check_runs_clean(tmp_path):
     out = tmp_path / "s0.json"
     rc = main([
-        "s0-check", "--n", "2", "--function", "coord:0", "--samples", "50000",
-        "--format", "json", "--out", str(out),
+        "s0-check", "--n", "2", "--function", "coord:0", "--format", "json", "--out", str(out),
     ])
     assert rc == 0
     rec = json.loads(out.read_text())
@@ -738,8 +764,7 @@ def test_s0_check_runs_clean(tmp_path):
 
 def test_s0_check_rows_do_not_underflow_on_large_spheres(capsys):
     # omega_(n+1) omega_n is 0 from n = 271, and every row read 0 +- 0
-    rc = main(["s0-check", "--n", "280", "--function", "coord:0", "--samples", "1000",
-               "--seed", "1", "--format", "json"])
+    rc = main(["s0-check", "--n", "280", "--function", "coord:0", "--format", "json"])
     assert rc in (0, 2)
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert len(rows) == 4
@@ -751,8 +776,7 @@ def test_s0_check_rows_do_not_underflow_on_large_spheres(capsys):
 def test_s0_check_bound_holds_and_stays_normal_on_larger_spheres(capsys, n):
     # the crude bound 0.05 L omega_(n+1)^2 pi failed on this correct estimate
     # from n = 4, and its scale and bound read 0 from n = 261
-    rc = main(["s0-check", "--n", str(n), "--function", "coord:0", "--samples", "20000",
-               "--seed", "4", "--format", "json"])
+    rc = main(["s0-check", "--n", str(n), "--function", "coord:0", "--format", "json"])
     rec = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert rec["verdicts"]["final_below_bound"]
@@ -831,7 +855,7 @@ _EVERY_SUBCOMMAND = [
     ["crofton", "--n", "2", "--set", "cap:0,0,1:1", "--planes", "100", "--seed", "1"],
     ["bp-check", "--pairs", "1000", "--planes", "10", "--seed", "1"],
     ["beta-check", "--n", "2"],
-    ["s0-check", "--n", "2", "--samples", "2000", "--seed", "1"],
+    ["s0-check", "--n", "2"],
     ["profile", "--n", "2", "--s", "-1", "--alpha-grid", "1,6"],
 ]
 
@@ -916,7 +940,8 @@ _UNREAD_FLAGS = {
     "bp-check": ("--samples", "--tol", "--threshold"),
     "beta-check": ("--seed", "--samples", "--tol"),
     "profile": ("--seed", "--samples", "--threshold", "--tol"),
-    "s0-check": ("--tol", "--threshold"),
+    # its rows are exact: --seed and --samples left with its point pairs
+    "s0-check": ("--seed", "--samples", "--tol", "--threshold"),
     "sweep-sinf": ("--tol",),
     "seminorm-sweep": ("--tol",),
     "isoperimetric": ("--threshold", "--tol"),
@@ -1055,7 +1080,7 @@ _EDGE_BASE = {
     "seminorm-sweep": ["--n", "2", "--function", "coord:0", "--samples", "2"],
     "beta-check": ["--n", "2"],
     "sweep-s1": ["--n", "2", "--set", "cap:0,0,1:1"],
-    "s0-check": ["--n", "2", "--samples", "2"],
+    "s0-check": ["--n", "2"],
     "profile": ["--n", "2"],
     "isoperimetric": ["--n", "2", "--samples", "2"],
     "crofton": ["--n", "2", "--set", "poly:-1,0,0;0,-1,0;0,0,-1"],
@@ -1067,7 +1092,7 @@ _EDGE_BASE = {
 def _edge_argv(draw):
     command = draw(st.sampled_from(sorted(_EDGE_FLAGS)))
     argv = [command, *_EDGE_BASE[command]]
-    if command in ("seminorm-sweep", "s0-check", "isoperimetric", "crofton", "bp-check"):
+    if command in ("seminorm-sweep", "isoperimetric", "crofton", "bp-check"):
         argv += ["--seed", "1"]
     for flag, values in _EDGE_FLAGS[command].items():
         argv.append(f"{flag}={draw(values)}")
@@ -1083,8 +1108,7 @@ def test_fuzzed_count_and_grid_flags_end_in_an_exit_code(argv):
     # as the fuzz above: an exit code and no traceback, and finite values
     # and errors in every row but a sweep's limit row of a run that exits 0.
     # The examples died in a ZeroDivisionError and printed rows of 0 that
-    # passed, and every run takes a few hundred samples or fewer (the
-    # seminorm target's fixed 400000 points aside)
+    # passed, and every run takes a few hundred samples or fewer
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
@@ -1106,9 +1130,8 @@ def test_fuzzed_count_and_grid_flags_end_in_an_exit_code(argv):
 # the function grammar: well-formed and malformed indices and constants,
 # unknown kinds, and --n, --p and the grids at ordinary and edge values,
 # the ordinary ones weighted so that about half of the runs get past the
-# checks.
-# --n stays at 13 or below, or out of range, where a sampled target's
-# 400000 points stay small; n = 300 runs as an example on the exact path
+# checks.  --n stays at 13 or below, or out of range; n = 300 runs as an
+# example
 _INDEX = st.sampled_from(["0", "1", "2"] * 6 + ["-1", "343", "x", "", "1.5", "1e3", "nan"])
 _CONSTANT = st.sampled_from(["0", "2", "-1.5"] * 6 + ["1e300", "-1e300", "inf", "nan", "x", ""])
 _FUNCTION = st.sampled_from(["coord", "abs-coord", "const"] * 6 + ["cos", ""]).flatmap(
@@ -1125,8 +1148,9 @@ _FUNCTION_FLAGS = {
 @st.composite
 def _function_argv(draw):
     command = draw(st.sampled_from(["seminorm-sweep", "s0-check"]))
-    argv = [command, f"--n={draw(_FUNCTION_FLAGS['--n'])}", f"--function={draw(_FUNCTION)}",
-            "--seed", "1", "--samples", "64"]
+    argv = [command, f"--n={draw(_FUNCTION_FLAGS['--n'])}", f"--function={draw(_FUNCTION)}"]
+    if command == "seminorm-sweep":
+        argv += ["--seed", "1", "--samples", "64"]
     flags = ("--p", "--t-grid") if command == "seminorm-sweep" else ("--s-grid",)
     return argv + [f"{flag}={draw(_FUNCTION_FLAGS[flag])}" for flag in flags]
 

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from oracles import QuadratureError, adaptive_quad, adaptive_quad_pairwise
+from oracles import QuadratureError, RadialProposal, adaptive_quad, adaptive_quad_pairwise
 from spherefrac import (
     Estimate,
     NonFiniteSampleError,
-    RadialProposal,
     RandomStream,
     as_stream,
     mc_estimate,
@@ -207,7 +206,7 @@ def test_adaptive_quad_refuses_a_scalar_integrand():
 
 
 # ---------------------------------------------------------------------------
-# radial proposals
+# radial proposals (oracles.RadialProposal, under the point-pair seminorm oracle)
 
 
 def _proposal_target(n, exponent, g):

@@ -8,13 +8,18 @@ from scipy.special import beta, betainc
 from spherefrac import (
     cap_area,
     geodesic_distance,
-    sample_at_distance,
     sample_uniform,
     sphere_surface,
     unit_vector,
     volume_radius,
 )
-from oracles import _beta_half, cap_area_midpoint, sample_at_distance_projected, sphere_surface_recursive
+from oracles import (
+    _beta_half,
+    cap_area_midpoint,
+    sample_at_distance,
+    sample_at_distance_projected,
+    sphere_surface_recursive,
+)
 
 
 def test_sphere_surface_closed_forms():

@@ -15,7 +15,6 @@ from spherefrac import (
     isoperimetric_profile,
     random_disjoint_cap_pair,
     s_to_zero_vanishing_check,
-    seminorm_mc,
     sphere_surface,
     sweep_s_to_1,
     sweep_s_to_minus_inf,
@@ -27,10 +26,20 @@ from spherefrac.limits import (
     _exact_seminorm_sweep,
     _lipschitz_seminorm_bound,
     _log_seminorm_row,
+    _pair_law,
 )
-from spherefrac.perimeter import Constant, Coordinate
+from spherefrac.perimeter import CAP_TOL, Constant, Coordinate
 
-from oracles import FAR_T, NORMALIZED_CAP_ROWS, SEMINORM_ROWS, adaptive_quad
+from oracles import (
+    ABS_S,
+    ABS_SEMINORM_ROWS,
+    FAR_T,
+    NEAR_ZERO_SEMINORM_ROWS,
+    NORMALIZED_CAP_ROWS,
+    SEMINORM_ROWS,
+    adaptive_quad,
+    seminorm_mc,
+)
 from test_perimeter import coordinate_seminorm_quad
 
 Z = (0.0, 0.0, 1.0)
@@ -113,7 +122,8 @@ def test_sweep_s_to_1_circle_exact_hits_endpoint_count():
     # one arc has two endpoints; the n = 1 limit of (1-s) P_s is exactly 2
     rows, report = sweep_s_to_1(1, ArcUnion([(0.0, 2.0)]), method="circle_exact")
     assert [row.method for row in rows] == ["circle_exact"] * 3
-    assert all(row.error == 0.0 for row in rows)
+    # the cap oracle's floor, CAP_TOL at 0 < s < 1
+    assert all(row.error == pytest.approx(CAP_TOL * row.value, rel=1e-12) for row in rows)
     assert report.target == pytest.approx(2.0, rel=1e-12)
     assert report.deviation < 0.01
 
@@ -157,14 +167,14 @@ def test_sweep_s_to_minus_inf_hemisphere_smoke():
 
 
 def test_sweep_seminorm_to_minus_inf_smoke():
-    rows, report = sweep_seminorm_to_minus_inf(
-        2, lambda x: x[:, 0], 1.0, samples=100_000, rng=RandomStream(32),
-        target_samples=100_000,
-    )
+    rows, report = sweep_seminorm_to_minus_inf(2, Coordinate(0), 1.0)
     assert report.target > 0.0
     assert report.deviation < 0.15
     with pytest.raises(ValueError):
-        sweep_seminorm_to_minus_inf(2, lambda x: x[:, 0], 1.0, t_grid=(1.0, 4.0))
+        sweep_seminorm_to_minus_inf(2, Coordinate(0), 1.0, t_grid=(1.0, 4.0))
+    # a function without a pair law has no rows: point pairs left the library
+    with pytest.raises(ValueError, match="carries no pair law"):
+        sweep_seminorm_to_minus_inf(2, lambda x: x[:, 0], 1.0)
 
 
 def test_cap_rows_of_sweep_s_to_minus_inf_hold_their_pins():
@@ -194,8 +204,7 @@ def test_coordinate_seminorm_rows_hold_their_pins():
     # the Gauss-Jacobi rule in the gap to the antipode, at t up to 1e5:
     # each row within its own error bar of the 40-digit pin
     for (n, p), pins in SEMINORM_ROWS.items():
-        rows, _ = _exact_seminorm_sweep(
-            n, p, list(FAR_T), Coordinate(0).log_pair_moment(n, p), FAR_T[-1] * p - n)
+        rows, _ = _exact_seminorm_sweep(n, p, list(FAR_T), _pair_law(Coordinate(0), n, p), FAR_T[-1] * p - n)
         for row, pin in zip(rows, pins):
             assert row.method == "exact"
             assert SEMINORM_TOL * row.value <= row.error < 1e-9 * row.value
@@ -204,6 +213,38 @@ def test_coordinate_seminorm_rows_hold_their_pins():
         grid = [t for t in FAR_T if t > n / p]
         swept, _ = sweep_seminorm_to_minus_inf(n, Coordinate(0), p, t_grid=grid)
         assert swept == rows[len(FAR_T) - len(grid):]
+
+
+@pytest.mark.parametrize("absolute", (False, True), ids=("coord", "abs-coord"))
+def test_seminorm_rows_near_0_and_of_abs_coordinates_hold_their_pins(absolute):
+    # x_0 at s in {-0.01, -0.3}, |x_0| at s from -0.01 to -1e3: every row of
+    # the rule within its own error bar of the 40-digit pin, as are the
+    # seminorm-sweep rows (t > n/p) and, at p = 1, the s0-check rows
+    # |s| [f] = pin |s|^(1-n).  |x_0| is even: its target is 0.  At
+    # p = 1.5 its law goes like (pi - theta)^1.5 at the antipode, so the
+    # rule converges algebraically there, and the two levels report it
+    pins_by_law = ABS_SEMINORM_ROWS if absolute else NEAR_ZERO_SEMINORM_ROWS
+    f = Coordinate(0, absolute=absolute)
+    for (n, p), pins in pins_by_law.items():
+        grid = [-s for s in ABS_S[:len(pins)]]
+        rows, report = _exact_seminorm_sweep(n, p, grid, _pair_law(f, n, p), grid[-1] * p - n)
+        for row, pin in zip(rows, pins):
+            assert row.method == "exact"
+            assert SEMINORM_TOL * row.value <= row.error < 2e-6 * row.value
+            assert abs(row.value - float(pin)) <= row.error, (n, p, row.param)
+        if absolute:
+            assert report.target == 0.0
+        swept_grid = [t for t in grid if t > n / p]
+        if swept_grid:
+            swept, swept_report = sweep_seminorm_to_minus_inf(n, f, p, t_grid=swept_grid)
+            assert swept == rows[len(grid) - len(swept_grid):]
+            assert swept_report.target == report.target
+        if p == 1.0:
+            s_grid = (ABS_S[1], ABS_S[0])
+            near_zero, _ = s_to_zero_vanishing_check(n, f, 1.0, s_grid)
+            for row, pin in zip(near_zero, (pins[1], pins[0])):
+                assert row.method == "exact" and row.error >= SEMINORM_TOL * row.value
+                assert abs(row.value - float(pin) * abs(row.param) ** (1 - n)) <= row.error, (n, row.param)
 
 
 @pytest.mark.parametrize("n, p", ((1, 1.0), (2, 1.5), (3, 2.0), (13, 3.0)))
@@ -216,7 +257,9 @@ def test_exact_seminorm_target_is_the_closed_form(n, p):
     # E[a^p] = B(1 + p/2, (n-1)/2) / B(1, (n-1)/2), 1 at n = 1
     a_moment = math.gamma(1 + p / 2) * math.gamma((n + 1) / 2) / math.gamma((n + 1 + p) / 2)
     assert a_moment * sine == pytest.approx(moment, rel=1e-13)
-    assert math.exp(Coordinate(n).log_pair_moment(n, p)) == pytest.approx(moment, rel=1e-13)
+    # the law's ratio to (2 sin(theta/2))^p is that constant at every theta
+    law = np.exp(Coordinate(n).log_pair_law(n, p, [0.0, 0.5, 1.0]))
+    assert law == pytest.approx([moment] * 3, rel=1e-13)
     rows, report = sweep_seminorm_to_minus_inf(n, Coordinate(n), p, t_grid=(1e3, 1e4, 1e5))
     target = concentration_constant(n, p) * sphere_surface(n) * 2.0**p * moment
     assert report.target == pytest.approx(target, rel=1e-13)
@@ -228,25 +271,25 @@ def test_exact_seminorm_target_is_the_closed_form(n, p):
 def test_p2_rows_match_the_coordinate_quadrature(n, s):
     # at p = 2 the pair law is 2 (1 - cos theta) / (n + 1), which the
     # adaptive quadrature of test_perimeter integrates as written
-    log_row, _ = _log_seminorm_row(n, 2.0, -s, Coordinate(0).log_pair_moment(n, 2.0))
-    exact = math.exp(log_row - n * math.log(-s))
+    log_row, _ = _log_seminorm_row(n, 2.0, -s, _pair_law(Coordinate(0), n, 2.0), 0)
+    exact = math.exp(log_row)
     assert exact == pytest.approx(coordinate_seminorm_quad(n, s), rel=1e-9)
 
 
 @pytest.mark.parametrize("p", (1.0, 1.5, 2.0))
 @pytest.mark.parametrize("n", (2, 3))
 def test_seminorm_mc_error_bars_against_the_exact_rows(n, p):
-    # the point pairs' error bars at p != 2, where no quadrature oracle
-    # stood before: z against the exact row at a mild, a far and a very
-    # far s, the last two where the kernel concentrates at the antipode
-    f = Coordinate(0)
-    for i, s in enumerate((-0.5, -20.0, -40.0)):
-        est = seminorm_mc(f, n, p, s, 200_000, RandomStream(1000 + 10 * n + i))
-        log_row, _ = _log_seminorm_row(n, p, -s, f.log_pair_moment(n, p))
-        exact = math.exp(log_row - n * math.log(-s))
-        z = (est.value - exact) / est.std_error
-        print(f"n={n}, p={p}, s={s}: z = {z:.2f}")
-        assert abs(z) < 4.0
+    # the exact rows of x_0 and |x_0| against the point pairs of
+    # oracles.seminorm_mc, which draw each pair and integrate no pair law:
+    # z at a mild, a far and a very far s, the last two where the kernel
+    # concentrates at the antipode (and |x_0|'s law vanishes there)
+    for f in (Coordinate(0), Coordinate(0, absolute=True)):
+        for i, s in enumerate((-0.5, -20.0, -40.0)):
+            est = seminorm_mc(f, n, p, s, 200_000, RandomStream(1000 + 10 * n + i))
+            log_row, _ = _log_seminorm_row(n, p, -s, _pair_law(f, n, p), 0)
+            z = (est.value - math.exp(log_row)) / est.std_error
+            print(f"{'abs-' * f.absolute}coord, n={n}, p={p}, s={s}: z = {z:.2f}")
+            assert abs(z) < 4.0
 
 
 def test_constant_rows_and_target_are_exactly_0():
@@ -276,10 +319,8 @@ def test_seminorm_sweep_refuses_rows_outside_a_float():
 
 
 def test_s_to_zero_constant_function_passes_with_zero_scale():
-    rows, report = s_to_zero_vanishing_check(
-        2, lambda x: np.ones(len(x)), 0.0, samples=10_000, rng=RandomStream(33)
-    )
-    assert all(row.value == 0.0 for row in rows)
+    rows, report = s_to_zero_vanishing_check(2, Constant(1.0), 0.0)
+    assert [(row.value, row.error, row.method) for row in rows] == [(0.0, 0.0, "exact")] * 4
     assert report.scale == 0.0
     assert report.passed
 
@@ -299,13 +340,13 @@ def test_lipschitz_bound_matches_its_direct_integral(n, s):
 
 
 def test_s_to_zero_coordinate_function_decays():
-    rows, report = s_to_zero_vanishing_check(
-        2, lambda x: x[:, 0], 1.0, samples=50_000, rng=RandomStream(34)
-    )
+    rows, report = s_to_zero_vanishing_check(2, Coordinate(0), 1.0)
     assert report.passed
     assert rows[-1].value < rows[0].value
     with pytest.raises(ValueError):
-        s_to_zero_vanishing_check(2, lambda x: x[:, 0], 1.0, s_grid=(-0.5, -1.5))
+        s_to_zero_vanishing_check(2, Coordinate(0), 1.0, s_grid=(-0.5, -1.5))
+    with pytest.raises(ValueError, match="carries no pair law"):
+        s_to_zero_vanishing_check(2, lambda x: x[:, 0], 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ count; the worker count is forced by patching the private helper
 estimation._worker_count.
 """
 
+import json
 import sys
 import threading
 import time
@@ -15,27 +16,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 import spherefrac.integral_geometry
-import spherefrac.perimeter
 from spherefrac import (
     NonFiniteSampleError,
     RandomStream,
     bp_check,
-    concentration_constant,
     estimation,
     mc_estimate,
     perimeter_mc,
-    sample_at_distance,
-    sample_uniform,
-    seminorm_mc,
-    sphere_surface,
     sweep_seminorm_to_minus_inf,
     symmetric_overlap_measure,
 )
-from spherefrac.cli import dot2_kernel, parse_function, parse_set
-from spherefrac.limits import SweepRow, _exact_seminorm_sweep
+from spherefrac.cli import dot2_kernel, main, parse_function, parse_set
 
-from oracles import mc_estimate_serial, point_pair_perimeter
+from oracles import mc_estimate_serial, point_pair_perimeter, sample_at_distance, seminorm_mc
 
 WORKERS = (1, 2, 3)
 
@@ -121,7 +116,7 @@ def test_point_pair_perimeter_on_s3_equals_serial_loop(monkeypatch, name, s):
     # off S^2 the pairs are iid, one mc_estimate sample each
     E = parse_set(S3_SETS[name])
     run = lambda: point_pair_perimeter(E, s, 200_001, RandomStream(31))
-    reference, results = serial_and_parallel(monkeypatch, spherefrac.perimeter, run)
+    reference, results = serial_and_parallel(monkeypatch, oracles, run)
     assert reference.samples == 200_001
     for est in results:
         assert est == reference
@@ -141,7 +136,7 @@ def test_seminorm_mc_equals_serial_loop(monkeypatch, samples):
 def test_seminorm_mc_on_s3_equals_serial_loop(monkeypatch, samples):
     f, _ = parse_function("coord:0", 3)
     run = lambda: seminorm_mc(f, 3, 1.0, -20.0, samples, RandomStream(32))
-    reference, results = serial_and_parallel(monkeypatch, spherefrac.perimeter, run)
+    reference, results = serial_and_parallel(monkeypatch, oracles, run)
     assert reference.samples == samples
     for est in results:
         assert est == reference
@@ -260,7 +255,7 @@ def test_nonfinite_pair_names_the_lowest_lattice_pair(monkeypatch, workers):
 
     f, _ = parse_function("coord:0", 2)
     monkeypatch.setattr(spherefrac.integral_geometry, "_TRACE_BLOCK", 256)
-    monkeypatch.setattr(spherefrac.perimeter, "sample_at_distance", planted)
+    monkeypatch.setattr(oracles, "sample_at_distance", planted)
     with monkeypatch.context() as m:
         m.setattr(spherefrac.integral_geometry, "mc_estimate", mc_estimate_serial)
         with pytest.raises(NonFiniteSampleError) as expected:
@@ -346,47 +341,26 @@ def test_chunks_run_in_the_callers_errstate(monkeypatch):
 # antipodal volumes: the seminorm target and the overlap measure
 
 
-def uniform_points(n):
-    return lambda count, gen: sample_uniform(n, count, gen)
-
-
-@pytest.mark.parametrize("target_samples", (400_000, 100_003))
+@pytest.mark.parametrize("samples", (400_000, 100_003))
 @pytest.mark.parametrize("desc, p", (("coord:0", 1.0), ("abs-coord:1", 1.5)))
-def test_seminorm_target_equals_serial_mc_estimate(monkeypatch, desc, p, target_samples):
+def test_seminorm_target_equals_serial_mc_estimate(monkeypatch, capsys, desc, p, samples):
+    # every function of the grammar carries its pair law: rows and target
+    # are the exact rule's, which samples nothing, so they are the same on
+    # any worker count and whatever the unread --samples says
     f, _ = parse_function(desc, 2)
     t_grid = (20.0, 40.0, 80.0)
-    if desc.startswith("coord"):
-        # x_0 has a pair law: its rows and target are the exact rule's,
-        # which samples nothing, on any worker count
-        ref_rows, ref_report = _exact_seminorm_sweep(
-            2, p, list(t_grid), f.log_pair_moment(2, p), t_grid[-1] * p - 2)
-        for count in (1, 2, 8):
-            force_workers(monkeypatch, count)
-            rows, report = sweep_seminorm_to_minus_inf(
-                2, f, p, t_grid, 20_000, RandomStream(40), target_samples
-            )
-            assert rows == ref_rows and report == ref_report
-            assert {row.method for row in rows} == {"exact"}
-        return
-    streams = RandomStream(40).split(len(t_grid) + 1)
-    # the rows draw from the first streams, as before the target was chunked
-    ref_rows = []
-    for t, stream in zip(t_grid, streams):
-        est = seminorm_mc(f, 2, p, -t, 20_000, stream)
-        ref_rows.append(SweepRow(t, t**2 * est.value, t**2 * est.std_error, "mc"))
-    gap = mc_estimate_serial(
-        uniform_points(2),
-        lambda x: sphere_surface(2) * np.abs(f(x) - f(-x)) ** p,
-        target_samples,
-        streams[-1],
-    )
-    for count in WORKERS:
+    ref_rows, ref_report = sweep_seminorm_to_minus_inf(2, f, p, t_grid)
+    assert {row.method for row in ref_rows} == {"exact"}
+    argv = ["seminorm-sweep", "--n", "2", "--function", desc, f"--p={p}", "--samples", str(samples),
+            "--format", "json"]
+    for count in (1, 2, 8):
         force_workers(monkeypatch, count)
-        rows, report = sweep_seminorm_to_minus_inf(
-            2, f, p, t_grid, 20_000, RandomStream(40), target_samples
-        )
-        assert rows == ref_rows
-        assert report.target == concentration_constant(2, p) * gap.value
+        assert sweep_seminorm_to_minus_inf(2, f, p, t_grid) == (ref_rows, ref_report)
+        assert main(argv) in (0, 2)
+        record = json.loads(capsys.readouterr().out)
+        assert [(row["param"], row["value"], row["error"]) for row in record["rows"][:-1]] == [
+            (row.param, row.value, row.error) for row in ref_rows]
+        assert record["limit"]["target"] == ref_report.target
 
 
 @pytest.mark.parametrize("name", ("octant", "union", "refl-octant"))

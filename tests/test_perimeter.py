@@ -20,7 +20,6 @@ from spherefrac import (
     perimeter_circle_exact,
     perimeter_mc,
     perimeter_minus_n,
-    seminorm_mc,
     sphere_surface,
     validate_s,
 )
@@ -39,6 +38,7 @@ from oracles import (
     disjoint_cap_union_perimeter,
     interval_perimeter_exact,
     interval_perimeter_localized,
+    seminorm_mc,
 )
 
 Z = (0.0, 0.0, 1.0)
@@ -83,6 +83,18 @@ def test_circle_exact_matches_midpoint_oracle_smooth_kernel(s):
     assert exact == pytest.approx(brute, rel=rel)
 
 
+@pytest.mark.parametrize("s", [-80.0, -4.0, -0.5, 0.5])
+def test_circle_exact_error_bar_covers_the_covariogram_quadrature(s):
+    # the cap oracle's floor max(CAP_TOL, 4e-16 |s|) |value|: the formula
+    # is within 4.1e-15 of 40-digit values, and within 1.9e-13 of scipy's
+    # quad here (at s = 0.99 quad no longer reaches its own tolerance)
+    for arcs in ([(-0.5, 1.0)], [(0.0, 1.0), (2.0, 0.5)], [(0.3, 1.2), (2.5, 0.7), (4.5, 1.0)]):
+        method, value, error = perimeter_by_method(ArcUnion(arcs), s)
+        assert method == "circle_exact"
+        assert error == max(CAP_TOL, 4e-16 * abs(s)) * value
+        assert abs(value - circle_perimeter_quad(arcs, s)) <= error
+
+
 # ---------------------------------------------------------------------------
 # choice of method
 
@@ -90,8 +102,10 @@ def test_circle_exact_matches_midpoint_oracle_smooth_kernel(s):
 def test_auto_method_follows_the_set_type():
     arc = ArcUnion([(0.0, 1.0)])
     circle = perimeter_circle_exact(arc, 0.3)
+    # the circle formula reports the cap oracle's floor, CAP_TOL at s = 0.3
     for E in (arc, Complement(arc), Reflection(arc)):
-        assert perimeter_by_method(E, 0.3) == ("circle_exact", pytest.approx(circle, rel=1e-12), 0.0)
+        assert perimeter_by_method(E, 0.3) == (
+            "circle_exact", pytest.approx(circle, rel=1e-12), pytest.approx(circle * CAP_TOL, rel=1e-12))
     # a cap goes to the oracle on every sphere, with relative error CAP_TOL,
     # which is larger than the difference of its rule's levels
     for E in (Cap(Z, 1.0), Cap((0.0, 1.0), 1.0)):
@@ -461,7 +475,7 @@ def test_perimeter_mc_positive_s_requires_a_trace():
 
 
 # ---------------------------------------------------------------------------
-# seminorms
+# seminorms: the point-pair oracle (oracles.seminorm_mc)
 
 
 def test_seminorm_mc_validation():
